@@ -16,7 +16,6 @@ import numpy as np
 from nle import catalog
 from nle.dissect import as_product_set, reducible_from
 from nle.quantify import Mode, nonlocal_entropy
-from nle.reproduce import _random_eta
 from nle.states import Ensemble
 
 
@@ -30,7 +29,7 @@ def main() -> None:
     cells = {(True, True): 0, (True, False): 0, (False, True): 0, (False, False): 0}
     values = []
     for _ in range(args.draws):
-        etas = [_random_eta(rng) for _ in range(2)]
+        etas = [catalog.random_eta(rng) for _ in range(2)]
         e = Ensemble.uniform((2, 2), catalog.walgate_hardy_states(*etas))
         report = nonlocal_entropy(e, Mode("fixed"))
         irreducible = reducible_from(as_product_set(e), "B") is None

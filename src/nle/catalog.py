@@ -11,6 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .config import TOL
 from .errors import BadParams, NoSuchEntry
 from .states import Ensemble, PureState, product_state
 
@@ -79,6 +80,18 @@ def walgate_hardy_states(eta1, eta2) -> list[PureState]:
             product_state(dims, zero, p1), product_state(dims, one, p2)]
 
 
+def random_eta(rng: np.random.Generator) -> np.ndarray:
+    """Single-qubit state, basis-aligned with probability 1/2, else bounded away."""
+    pick = rng.uniform()
+    if pick < 0.25:
+        return np.array([1.0, 0.0], dtype=complex)
+    if pick < 0.5:
+        return np.array([0.0, 1.0], dtype=complex)
+    theta = rng.uniform(0.15, math.pi / 2 - 0.15)
+    phase = rng.uniform(0.0, 2.0 * math.pi)
+    return np.array([math.cos(theta), math.sin(theta) * np.exp(1j * phase)])
+
+
 def _angles_from_params(params, defaults):
     vals = dict(defaults)
     vals.update(params or {})
@@ -97,7 +110,7 @@ def _ab_pairs(params, defaults):
             if not 0.0 <= a <= 1.0:
                 raise BadParams(f"a{i} must lie in [0, 1] when b{i} is omitted")
             b = math.sqrt(max(0.0, 1.0 - a * a))
-        if abs(a * a + b * b - 1.0) > 1e-8:
+        if not abs(a * a + b * b - 1.0) <= TOL.input_norm:
             raise BadParams(f"a{i}^2 + b{i}^2 must equal 1")
         out.append((a, b))
     return out
@@ -204,7 +217,7 @@ def _build_ghosh(params) -> Ensemble:
         if not 0.0 <= a <= 1.0:
             raise BadParams("a must lie in [0, 1] when b is omitted")
         b = math.sqrt(max(0.0, 1.0 - a * a))
-    if abs(a * a + b * b - 1.0) > 1e-8:
+    if not abs(a * a + b * b - 1.0) <= TOL.input_norm:
         raise BadParams("a^2 + b^2 must equal 1")
     count = int(vals["count"])
     if not 1 <= count <= 4:

@@ -17,11 +17,13 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 import numpy as np
 
 from . import catalog, reproduce
+from .config import TOL
 from .dissect import as_product_set, classify, dissect
 from .errors import FileFormatError, NleError
 from .infobounds import cnot_bounds
@@ -72,17 +74,18 @@ def load_ensemble_file(path: str) -> Ensemble:
         except (TypeError, ValueError) as exc:
             raise FileFormatError("amplitudes must be [re, im] pairs") from exc
         norm = np.linalg.norm(vec)
-        if abs(norm - 1.0) > 1e-8:
-            raise FileFormatError(f"state norm {norm} deviates from 1 beyond 1e-8")
+        if not abs(norm - 1.0) <= TOL.input_norm:
+            raise FileFormatError(f"state norm {norm} deviates from 1 beyond {TOL.input_norm}")
         states.append(PureState(dims, vec / norm))
         if all(have_probs):
             p = rec["probability"]
-            if not isinstance(p, (int, float)) or p <= 0:
-                raise FileFormatError("probabilities must be positive numbers")
+            # JSON true is an int and NaN/Infinity parse as floats: reject all three
+            if isinstance(p, bool) or not isinstance(p, (int, float)) or not 0 < p < math.inf:
+                raise FileFormatError("probabilities must be finite positive numbers")
             probs.append(float(p))
     if probs:
         total = sum(probs)
-        if abs(total - 1.0) > 1e-8:
+        if not abs(total - 1.0) <= TOL.input_norm:
             raise FileFormatError(f"probabilities sum to {total}, expected 1")
         probs = [p / total for p in probs]
     else:

@@ -13,7 +13,6 @@ from dataclasses import dataclass
 class Tolerances:
     hermitian: float = 1e-10        # max |M - M^dag| accepted as Hermitian
     unitary: float = 1e-10          # max |U^dag U - I| accepted as unitary
-    trace: float = 1e-12            # trace preservation checks
     psd: float = 1e-10              # eigenvalues >= -psd accepted as PSD
     norm: float = 1e-10             # state-vector normalization
     prob_sum: float = 1e-10         # ensemble probabilities sum to 1
@@ -21,9 +20,9 @@ class Tolerances:
     orthogonality: float = 1e-9     # inner-product threshold in dissection graphs
     product_rank: float = 1e-10     # 1 - (largest squared Schmidt coeff) for product flag
     eig_floor: float = 1e-12        # eigenvalues below this contribute 0 to entropy
-    residual: float = 1e-9          # reconstruction residuals (eigh, Schmidt)
     value: float = 1e-9             # quantifier non-negativity clip
-    file_norm: float = 1e-8         # normalization accepted when loading ensemble files
+    input_norm: float = 1e-8        # caller-supplied normalizations (file norms and
+                                    # probability sums, catalog a^2 + b^2, vn_entropy trace)
 
 
 TOL = Tolerances()

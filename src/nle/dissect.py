@@ -26,7 +26,7 @@ import numpy as np
 from .config import TOL
 from .errors import DimensionMismatch, GramNotIdentity, NotAState, NotProductEnsemble, TrivialSet
 from .linalg import other_party
-from .states import Ensemble, product_state, schmidt, schmidt_rank_one
+from .states import Ensemble, product_state, schmidt
 
 
 @dataclass(frozen=True)
@@ -88,10 +88,10 @@ class ProductSet:
 
 def as_product_set(e: Ensemble) -> ProductSet:
     """Split every member of a product ensemble into its local parts."""
+    if not e.is_product():
+        raise NotProductEnsemble("member has Schmidt rank above one")
     parts_a, parts_b = [], []
     for s in e.states:
-        if not schmidt_rank_one(s):
-            raise NotProductEnsemble("member has Schmidt rank above one")
         coeffs, left, right = schmidt(s)
         phase = coeffs[0]  # 1 up to normalization error
         parts_a.append(left[:, 0] * phase)

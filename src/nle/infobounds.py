@@ -12,12 +12,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .config import TOL
 from .errors import UnsupportedDims
 from .states import (
     Ensemble,
     average_state,
-    entanglement_entropy,
+    entanglement_entropies,
     marginal_entropies,
     vn_entropy,
 )
@@ -50,9 +52,7 @@ def holevo_chi(e: Ensemble) -> float:
 
 def _member_entropy_average(e: Ensemble) -> float:
     # pure members: both marginals carry the same entropy
-    return float(
-        sum(p * entanglement_entropy(s) for p, s in zip(e.probabilities, e.states))
-    )
+    return float(np.array(e.probabilities) @ entanglement_entropies(e.amplitudes, e.dims))
 
 
 def local_holevo(e: Ensemble) -> float:
@@ -78,8 +78,8 @@ def cnot_bounds(e: Ensemble, direction: str = "right") -> BoundsReport:
         tuple(apply_cnot(s, control, 1) for s in e.states),
     )
     lh_after = local_holevo(transformed)
-    entangled_after = sum(
-        1 for s in transformed.states if entanglement_entropy(s) > TOL.value
+    entangled_after = int(
+        np.count_nonzero(entanglement_entropies(transformed.amplitudes, e.dims) > TOL.value)
     )
     product_input = e.is_product()
     return BoundsReport(

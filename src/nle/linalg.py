@@ -73,13 +73,18 @@ def eigh(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return vals, vecs
 
 
+def expm_hermitian_unchecked(h: np.ndarray) -> np.ndarray:
+    """exp(i*h) for an ``h`` known to be Hermitian (not checked: optimizer hot path)."""
+    vals, vecs = np.linalg.eigh(h)
+    return (vecs * np.exp(1j * vals)) @ dagger(vecs)
+
+
 def expm_skew_hermitian(h: np.ndarray) -> np.ndarray:
     """exp(i*h) for Hermitian h, computed through the spectral decomposition."""
     h = np.asarray(h, dtype=complex)
     if not is_hermitian(h):
         raise NotHermitian("generator must be Hermitian")
-    vals, vecs = np.linalg.eigh((h + dagger(h)) / 2.0)
-    return (vecs * np.exp(1j * vals)) @ dagger(vecs)
+    return expm_hermitian_unchecked((h + dagger(h)) / 2.0)
 
 
 def gram(vectors: list[np.ndarray] | tuple[np.ndarray, ...]) -> np.ndarray:

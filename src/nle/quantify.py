@@ -28,8 +28,8 @@ import numpy as np
 from .config import TOL
 from .errors import BadParams, GramNotIdentity, NotProductEnsemble
 from .gates import UnitaryParam, cnot_permutation, hermitian_from_coeffs
-from .linalg import expm_skew_hermitian, partial_trace
-from .states import LOG2, Ensemble
+from .linalg import expm_hermitian_unchecked, expm_skew_hermitian
+from .states import LOG2, Ensemble, entanglement_entropies, mixture_marginal_entropies
 
 DIRECTIONS = ("right", "left")
 MODE_NAMES = ("fixed", "ensemble-lu", "per-state-lu", "assign")
@@ -81,37 +81,6 @@ class QuantifierReport:
 
 # ---------------------------------------------------------------------------
 # shared numerics
-
-
-def _member_stack(e: Ensemble) -> np.ndarray:
-    return np.array([s.amplitudes for s in e.states])
-
-
-def _batched_entanglement(stack: np.ndarray, dims: tuple[int, int]) -> np.ndarray:
-    """Entanglement entropy of each row of a (k, d_A*d_B) amplitude stack."""
-    mats = stack.reshape(stack.shape[0], dims[0], dims[1])
-    sv = np.linalg.svd(mats, compute_uv=False)
-    lam = sv**2
-    mask = lam > TOL.eig_floor
-    safe = np.where(mask, lam, 1.0)
-    out = -(np.where(mask, lam * np.log(safe), 0.0).sum(axis=1)) / LOG2
-    return np.maximum(out, 0.0)
-
-
-def _entropy_of(rho: np.ndarray) -> float:
-    vals = np.linalg.eigvalsh((rho + np.conjugate(rho.T)) / 2.0)
-    lam = vals[vals > TOL.eig_floor]
-    return max(0.0, float(-(lam * (np.log(lam) / LOG2)).sum()))
-
-
-def _average_marginal_entropies(
-    stack: np.ndarray, probs: np.ndarray, dims: tuple[int, int]
-) -> tuple[float, float]:
-    rho = np.einsum("k,ki,kj->ij", probs, stack, np.conjugate(stack))
-    return (
-        _entropy_of(partial_trace(rho, dims, "A")),
-        _entropy_of(partial_trace(rho, dims, "B")),
-    )
 
 
 def _clip_value(v: float) -> float:
@@ -197,12 +166,6 @@ def optimize_unitary(objective, dim: int, restarts: int = 8, seed: int = 0):
 # layered (local unitary, controlled shift) circuits
 
 
-def _expm_generator(h: np.ndarray) -> np.ndarray:
-    # hot path: h is Hermitian by construction, skip validation
-    vals, vecs = np.linalg.eigh(h)
-    return (vecs * np.exp(1j * vals)) @ np.conjugate(vecs.T)
-
-
 class _LuCircuit:
     """Depth-layered circuit: per layer local rotations then CNOT^reps."""
 
@@ -226,11 +189,15 @@ class _LuCircuit:
         off = 0
         for _ in range(self.depth):
             if self.rot_a:
-                ua = _expm_generator(hermitian_from_coeffs(d_a, params[off : off + self.n_a]))
+                ua = expm_hermitian_unchecked(
+                    hermitian_from_coeffs(d_a, params[off : off + self.n_a])
+                )
                 off += self.n_a
                 t = np.matmul(ua, t)
             if self.rot_b:
-                ub = _expm_generator(hermitian_from_coeffs(d_b, params[off : off + self.n_b]))
+                ub = expm_hermitian_unchecked(
+                    hermitian_from_coeffs(d_b, params[off : off + self.n_b])
+                )
                 off += self.n_b
                 t = np.matmul(t, ub.T)
             flat = t.reshape(k, d_a * d_b)
@@ -267,7 +234,7 @@ def nonlocal_entropy(e: Ensemble, mode: Mode = Mode()) -> QuantifierReport:
         raise BadParams("assign mode applies to the average-state gap only")
     if not e.is_product():
         raise NotProductEnsemble("every member must be a product state")
-    stack = _member_stack(e)
+    stack = e.amplitudes
     probs = np.array(e.probabilities)
 
     per_dir = {}
@@ -302,7 +269,7 @@ def _delta_direction(e, stack, probs, mode, direction):
         best = None
         for r in reps_range:
             t = _fixed_transform(stack, dims, direction, r)
-            contrib = _batched_entanglement(t, dims)
+            contrib = entanglement_entropies(t, dims)
             avg = float(probs @ contrib)
             if best is None or avg > best[0] + 1e-15:
                 best = (avg, contrib, t, r)
@@ -314,14 +281,14 @@ def _delta_direction(e, stack, probs, mode, direction):
             circuit = _LuCircuit(dims, direction, mode.rotate, mode.depth, r)
 
             def f(params, _c=circuit):
-                return float(probs @ _batched_entanglement(_c.transform(stack, params), dims))
+                return float(probs @ entanglement_entropies(_c.transform(stack, params), dims))
 
             val, params = _hill_climb(
                 f, circuit.n_params, mode.restarts, _direction_seed(mode.seed, direction)
             )
             if best is None or val > best[0] + 1e-15:
                 t = circuit.transform(stack, params)
-                best = (val, _batched_entanglement(t, dims), t, r)
+                best = (val, entanglement_entropies(t, dims), t, r)
         return best
 
     # per-state-lu: parameters chosen member by member (upper-bound flavor)
@@ -336,7 +303,7 @@ def _delta_direction(e, stack, probs, mode, direction):
             circuit = _LuCircuit(dims, direction, mode.rotate, mode.depth, r)
 
             def f(params, _c=circuit):
-                return float(_batched_entanglement(_c.transform(row, params), dims)[0])
+                return float(entanglement_entropies(_c.transform(row, params), dims)[0])
 
             val, params = _hill_climb(
                 f, circuit.n_params, mode.restarts, _direction_seed(mode.seed, direction, i)
@@ -350,18 +317,14 @@ def _delta_direction(e, stack, probs, mode, direction):
 
 
 def _work_pairs(stack, transformed, probs, dims):
-    """(W_in, W_fin) per party: deficit of the local entropy from log2(d).
+    """Work pairs of a product ensemble before and after its transform.
 
     Members are pure, so either marginal carries the squared Schmidt
     spectrum and both parties see the same average member entropy.
     """
-    s_in = float(probs @ _batched_entanglement(stack, dims))
-    s_fin = float(probs @ _batched_entanglement(transformed, dims))
-    logs = {"A": np.log2(dims[0]), "B": np.log2(dims[1])}
-    return {
-        party: (float(logs[party] - s_in), float(logs[party] - s_fin))
-        for party in ("A", "B")
-    }
+    s_in = float(probs @ entanglement_entropies(stack, dims))
+    s_fin = float(probs @ entanglement_entropies(transformed, dims))
+    return _work((s_in, s_in), (s_fin, s_fin), dims)
 
 
 # ---------------------------------------------------------------------------
@@ -382,9 +345,9 @@ def average_entropy_gap(e: Ensemble, mode: Mode = Mode()) -> QuantifierReport:
     """
     if mode.name == "per-state-lu":
         raise BadParams("the average-state gap needs a single global transform per direction")
-    stack = _member_stack(e)
+    stack = e.amplitudes
     probs = np.array(e.probabilities)
-    s_bar = _average_marginal_entropies(stack, probs, e.dims)
+    s_bar = mixture_marginal_entropies(stack, probs, e.dims)
 
     if mode.name == "assign":
         return _assign_gap(e, stack, probs, s_bar, mode)
@@ -394,7 +357,7 @@ def average_entropy_gap(e: Ensemble, mode: Mode = Mode()) -> QuantifierReport:
         per_dir[direction] = _gap_direction(e, stack, probs, s_bar, mode, direction)
 
     right, left = per_dir["right"][0], per_dir["left"][0]
-    work = {d: _gap_work(s_bar, per_dir[d][4], e.dims) for d in DIRECTIONS}
+    work = {d: _work(s_bar, per_dir[d][4], e.dims) for d in DIRECTIONS}
     return QuantifierReport(
         quantity="big-delta",
         right=_clip_value(right),
@@ -418,11 +381,11 @@ def _entangled_fraction(contrib) -> float:
     return float(np.count_nonzero(contrib > TOL.value) / contrib.size)
 
 
-def _gap_work(s_bar, s_fin, dims):
-    logs = {"A": np.log2(dims[0]), "B": np.log2(dims[1])}
+def _work(s_in, s_fin, dims):
+    """(W_in, W_fin) per party: deficit of the (A, B) local entropies from log2(d)."""
     return {
-        "A": (float(logs["A"] - s_bar[0]), float(logs["A"] - s_fin[0])),
-        "B": (float(logs["B"] - s_bar[1]), float(logs["B"] - s_fin[1])),
+        party: (float(np.log2(d) - s_in[i]), float(np.log2(d) - s_fin[i]))
+        for i, (party, d) in enumerate(zip("AB", dims))
     }
 
 
@@ -431,7 +394,7 @@ def _gap_direction(e, stack, probs, s_bar, mode, direction):
     d_t = _target_dim(dims, direction)
 
     def score_of(t):
-        s_fin = _average_marginal_entropies(t, probs, dims)
+        s_fin = mixture_marginal_entropies(t, probs, dims)
         gaps = (s_bar[0] - s_fin[0], s_bar[1] - s_fin[1])
         return max(gaps), gaps, s_fin
 
@@ -452,7 +415,7 @@ def _gap_direction(e, stack, probs, s_bar, mode, direction):
         for r in range(0, max(d_t, 1)):
             t = stack if r == 0 else _fixed_transform(stack, dims, direction, r)
             score, gaps, s_fin = score_of(t)
-            candidate = (score, _batched_entanglement(t, dims), gaps, r, s_fin)
+            candidate = (score, entanglement_entropies(t, dims), gaps, r, s_fin)
             if better(candidate, best):
                 best = candidate
     else:  # ensemble-lu
@@ -467,11 +430,11 @@ def _gap_direction(e, stack, probs, s_bar, mode, direction):
             )
             t = circuit.transform(stack, params)
             score, gaps, s_fin = score_of(t)
-            candidate = (score, _batched_entanglement(t, dims), gaps, r, s_fin)
+            candidate = (score, entanglement_entropies(t, dims), gaps, r, s_fin)
             if better(candidate, best):
                 best = candidate
         if best[0] < 0.0:  # the identity circuit is always admissible
-            best = (0.0, _batched_entanglement(stack, dims), (0.0, 0.0), 0, s_bar)
+            best = (0.0, entanglement_entropies(stack, dims), (0.0, 0.0), 0, s_bar)
     return best
 
 
@@ -530,27 +493,17 @@ def assign_unitary(e: Ensemble, partition, reduction_side: str) -> np.ndarray:
         raise GramNotIdentity("assign mode needs an orthogonal ensemble")
     d_a, d_b = e.dims
     n = d_a * d_b
-    ins = [s.amplitudes for s in e.states]
-    outs = []
-    used = set()
-    for t, part in enumerate(partition):
-        for r, _ in enumerate(part):
-            idx = r * d_b + t if reduction_side == "B" else t * d_b + r
-            used.add(idx)
-            v = np.zeros(n, dtype=complex)
-            v[idx] = 1.0
-            outs.append(v)
+    used = [
+        r * d_b + t if reduction_side == "B" else t * d_b + r
+        for t, part in enumerate(partition)
+        for r in range(len(part))
+    ]
     order = [i for part in partition for i in part]
-    ins = [ins[i] for i in order]
 
     # complete the input frame; outputs complete with unused basis vectors
-    basis_in = _complete_frame(np.array(ins).T, n)
+    basis_in = _complete_frame(e.amplitudes[order].T, n)
     free = [i for i in range(n) if i not in used]
-    for idx in free:
-        v = np.zeros(n, dtype=complex)
-        v[idx] = 1.0
-        outs.append(v)
-    basis_out = np.array(outs).T
+    basis_out = np.eye(n, dtype=complex)[:, used + free]
     return basis_out @ np.conjugate(basis_in.T)
 
 
@@ -573,7 +526,7 @@ def _assign_gap(e, stack, probs, s_bar, mode):
     value = _clip_value(max(gaps))
     zeros = tuple(0.0 for _ in range(len(e)))
     s_fin = (h_a, h_b)
-    work = {d: _gap_work(s_bar, s_fin, e.dims) for d in DIRECTIONS}
+    work = {d: _work(s_bar, s_fin, e.dims) for d in DIRECTIONS}
     return QuantifierReport(
         quantity="big-delta",
         right=value,

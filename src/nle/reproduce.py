@@ -198,7 +198,7 @@ def _theorem1_row(seed: int) -> Row:
     holds = 0
     draws = 200
     for _ in range(draws):
-        etas = [_random_eta(rng) for _ in range(2)]
+        etas = [catalog.random_eta(rng) for _ in range(2)]
         states = catalog.walgate_hardy_states(*etas)
         e = Ensemble.uniform((2, 2), states)
         report = nonlocal_entropy(e, Mode("fixed"))
@@ -209,18 +209,6 @@ def _theorem1_row(seed: int) -> Row:
     return _bool_row(
         "theorem-1 iff over 200 random bases", holds == draws, f"{holds}/{draws}", "200/200"
     )
-
-
-def _random_eta(rng: np.random.Generator) -> np.ndarray:
-    """Single-qubit state, basis-aligned with probability 1/2, else bounded away."""
-    pick = rng.uniform()
-    if pick < 0.25:
-        return np.array([1.0, 0.0], dtype=complex)
-    if pick < 0.5:
-        return np.array([0.0, 1.0], dtype=complex)
-    theta = rng.uniform(0.15, math.pi / 2 - 0.15)
-    phase = rng.uniform(0.0, 2.0 * math.pi)
-    return np.array([math.cos(theta), math.sin(theta) * np.exp(1j * phase)])
 
 
 def render(rows: list[Row]) -> str:

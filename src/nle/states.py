@@ -6,15 +6,16 @@ Amplitude convention: the coefficient of |i>_A |j>_B sits at flat index
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .config import TOL
 from .errors import DimensionMismatch, NotAState
-from .linalg import partial_trace
+from .linalg import gram, partial_trace
 
-LOG2 = np.log(2.0)
+LOG2 = math.log(2.0)
 
 
 @dataclass(frozen=True)
@@ -67,24 +68,33 @@ def product_state(dims: tuple[int, int], part_a: np.ndarray, part_b: np.ndarray)
 
 @dataclass(frozen=True)
 class Ensemble:
-    """Probability-weighted list of pure states on common dimensions."""
+    """Probability-weighted list of pure states on common dimensions.
+
+    ``amplitudes`` holds the members once more as one read-only
+    ``(k, d_A*d_B)`` array (row i is ``states[i].amplitudes``) for batched use.
+    """
 
     dims: tuple[int, int]
     probabilities: tuple[float, ...]
     states: tuple[PureState, ...]
     name: str = field(default="", compare=False)
+    amplitudes: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         probs = tuple(float(p) for p in self.probabilities)
         if len(probs) != len(self.states) or not self.states:
             raise DimensionMismatch("probabilities and states must pair up")
-        if any(p <= 0.0 or p > 1.0 for p in probs):
+        # positive conditions, so that NaN fails them
+        if not all(0.0 < p <= 1.0 for p in probs):
             raise NotAState("probabilities must lie in (0, 1]")
-        if abs(sum(probs) - 1.0) > TOL.prob_sum:
+        if not abs(sum(probs) - 1.0) <= TOL.prob_sum:
             raise NotAState(f"probabilities sum to {sum(probs)}")
         if any(s.dims != self.dims for s in self.states):
             raise DimensionMismatch("member dimensions disagree")
+        stack = np.array([s.amplitudes for s in self.states])
+        stack.flags.writeable = False
         object.__setattr__(self, "probabilities", probs)
+        object.__setattr__(self, "amplitudes", stack)
 
     @classmethod
     def uniform(cls, dims, states, name: str = "") -> "Ensemble":
@@ -94,16 +104,12 @@ class Ensemble:
     def __len__(self) -> int:
         return len(self.states)
 
-    def gram(self) -> np.ndarray:
-        stack = np.array([s.amplitudes for s in self.states])
-        return np.conjugate(stack) @ stack.T
-
     def is_orthogonal(self, atol: float = TOL.gram) -> bool:
-        g = self.gram()
+        g = gram(self.amplitudes)
         return bool(np.max(np.abs(g - np.eye(len(self)))) <= atol)
 
     def is_product(self, atol: float = TOL.product_rank) -> bool:
-        return all(schmidt_rank_one(s, atol) for s in self.states)
+        return bool(np.all(schmidt_spectra(self.amplitudes, self.dims)[:, 0] >= 1.0 - atol))
 
     def subset(self, indices) -> "Ensemble":
         """Sub-ensemble on the given member indices, probabilities renormalized."""
@@ -117,16 +123,32 @@ class Ensemble:
         )
 
 
+def entropy_bits(spectrum: np.ndarray) -> np.ndarray:
+    """Entropy in bits of each spectrum along the last axis; every entropy uses it.
+
+    Entries at or below ``TOL.eig_floor`` contribute 0 (0 log 0 := 0), and so
+    do NaN entries: callers validate spectra that do not come from checked states.
+    """
+    lam = np.where(spectrum > TOL.eig_floor, spectrum, 1.0)
+    return np.maximum(-(lam * np.log(lam)).sum(axis=-1) / LOG2, 0.0)
+
+
+def _hermitian_spectrum(m: np.ndarray) -> np.ndarray:
+    return np.linalg.eigvalsh((m + np.conjugate(m.T)) / 2.0)
+
+
 def vn_entropy(rho: np.ndarray) -> float:
-    """von Neumann entropy -tr(rho log2 rho) in bits; 0*log 0 := 0."""
-    rho = np.asarray(rho, dtype=complex)
-    vals = np.linalg.eigvalsh((rho + np.conjugate(rho.T)) / 2.0)
-    if vals.min() < -TOL.psd:
-        raise NotAState(f"negative eigenvalue {vals.min()}")
-    if abs(vals.sum() - 1.0) > 1e-8:
+    """von Neumann entropy -tr(rho log2 rho) in bits; 0*log 0 := 0.
+
+    ``rho`` must be positive semidefinite with unit trace; a matrix with
+    non-finite entries fails both checks.
+    """
+    vals = _hermitian_spectrum(np.asarray(rho, dtype=complex))
+    if not vals.min() >= -TOL.psd:
+        raise NotAState(f"eigenvalue {vals.min()} is negative or not finite")
+    if not abs(vals.sum() - 1.0) <= TOL.input_norm:
         raise NotAState(f"trace {vals.sum()} deviates from 1")
-    lam = vals[vals > TOL.eig_floor]
-    return max(0.0, float(-(lam * (np.log(lam) / LOG2)).sum()))
+    return float(entropy_bits(vals))
 
 
 def schmidt(s: PureState) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -140,32 +162,43 @@ def schmidt(s: PureState) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return sv, u, vh.T
 
 
-def schmidt_rank_one(s: PureState, atol: float = TOL.product_rank) -> bool:
-    coeffs, _, _ = schmidt(s)
-    return bool(coeffs[0] ** 2 >= 1.0 - atol)
+def schmidt_spectra(amplitudes: np.ndarray, dims: tuple[int, int]) -> np.ndarray:
+    """Squared Schmidt coefficients, descending, of each row of a (k, d_A*d_B) stack."""
+    sv = np.linalg.svd(amplitudes.reshape(-1, dims[0], dims[1]), compute_uv=False)
+    return sv**2
+
+
+def entanglement_entropies(amplitudes: np.ndarray, dims: tuple[int, int]) -> np.ndarray:
+    """Entanglement entropy of each row of a (k, d_A*d_B) amplitude stack."""
+    return entropy_bits(schmidt_spectra(amplitudes, dims))
 
 
 def entanglement_entropy(s: PureState) -> float:
     """Entropy of either marginal; the entanglement of a pure state."""
-    coeffs, _, _ = schmidt(s)
-    lam = coeffs**2
-    lam = lam[lam > TOL.eig_floor]
-    return max(0.0, float(-(lam * (np.log(lam) / LOG2)).sum()))
+    return float(entanglement_entropies(s.amplitudes, s.dims)[0])
+
+
+def mixture(amplitudes: np.ndarray, probs) -> np.ndarray:
+    """Density matrix sum_i p_i |psi_i><psi_i| of a (k, d_A*d_B) amplitude stack."""
+    return np.einsum("k,ki,kj->ij", probs, amplitudes, np.conjugate(amplitudes))
+
+
+def mixture_marginal_entropies(
+    amplitudes: np.ndarray, probs, dims: tuple[int, int]
+) -> tuple[float, float]:
+    """(S(rho_A), S(rho_B)) of the mixture of a (k, d_A*d_B) amplitude stack."""
+    rho = mixture(amplitudes, probs)
+    return (
+        float(entropy_bits(_hermitian_spectrum(partial_trace(rho, dims, "A")))),
+        float(entropy_bits(_hermitian_spectrum(partial_trace(rho, dims, "B")))),
+    )
 
 
 def average_state(e: Ensemble) -> np.ndarray:
     """Density matrix sum_i p_i |psi_i><psi_i|."""
-    dim = e.dims[0] * e.dims[1]
-    rho = np.zeros((dim, dim), dtype=complex)
-    for p, s in zip(e.probabilities, e.states):
-        rho += p * s.projector()
-    return rho
+    return mixture(e.amplitudes, e.probabilities)
 
 
 def marginal_entropies(e: Ensemble) -> tuple[float, float]:
     """(S(rho_A), S(rho_B)) of the ensemble-average state."""
-    rho = average_state(e)
-    return (
-        vn_entropy(partial_trace(rho, e.dims, "A")),
-        vn_entropy(partial_trace(rho, e.dims, "B")),
-    )
+    return mixture_marginal_entropies(e.amplitudes, e.probabilities, e.dims)

@@ -20,7 +20,6 @@ from nle.gates import apply, apply_cnot, cnot
 from nle.infobounds import chsh_max, holevo_chi, local_holevo
 from nle.linalg import dagger, eigh, gram, haar_unitary, tensor
 from nle.quantify import Mode, average_entropy_gap, nonlocal_entropy
-from nle.reproduce import _random_eta
 from nle.states import Ensemble, PureState, entanglement_entropy, vn_entropy
 
 LOG2_3 = math.log2(3.0)
@@ -176,7 +175,7 @@ def test_criterion_14_theorem_one_iff():
     rng = np.random.default_rng(20240817)
     checked_reducible = 0
     for _ in range(200):
-        etas = [_random_eta(rng) for _ in range(2)]
+        etas = [catalog.random_eta(rng) for _ in range(2)]
         e = Ensemble.uniform((2, 2), catalog.walgate_hardy_states(*etas))
         r = nonlocal_entropy(e, FIXED)
         irreducible_b = reducible_from(as_product_set(e), "B") is None

@@ -7,7 +7,7 @@ from nle import catalog
 from nle.dissect import as_product_set, classify
 from nle.errors import BadParams, NoSuchEntry
 from nle.linalg import partial_trace
-from nle.states import entanglement_entropy, schmidt_rank_one
+from nle.states import entanglement_entropy
 
 
 def test_every_entry_builds_and_matches_descriptor():
@@ -100,9 +100,9 @@ def test_more_nl_mixed_replaces_last_with_product():
 def test_orth_pair_members_orthogonal_and_entangled():
     e = catalog.build("orth-pair")
     assert e.is_orthogonal(1e-12)
-    for s in e.states:
+    for i, s in enumerate(e.states):
         assert entanglement_entropy(s) > 1e-3
-        assert not schmidt_rank_one(s)
+        assert not e.subset([i]).is_product()
 
 
 def test_walgate_hardy_default_reduces_to_case2():

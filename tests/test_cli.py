@@ -245,5 +245,17 @@ class TestFileLoading:
         with pytest.raises(FileFormatError):
             load_ensemble_file(str(path))
 
+    @pytest.mark.parametrize("probability", ["NaN", "true"])
+    def test_rejects_nan_or_boolean_probability(self, tmp_path, capsys, probability):
+        # json.load accepts NaN, and true is an int to Python
+        path = tmp_path / "prob.json"
+        path.write_text(
+            '{"dims": [2, 1], "states": '
+            f'[{{"probability": {probability}, "amplitudes": [[1, 0], [0, 0]]}}]}}'
+        )
+        assert main(["delta", "--file", str(path)]) == 3
+        assert main(["big-delta", "--file", str(path)]) == 3
+        assert "probabilities must be finite positive numbers" in capsys.readouterr().err
+
     def test_missing_source_is_domain_error(self, capsys):
         assert main(["delta"]) == 2

@@ -1,0 +1,46 @@
+"""Pinned CLI outputs (``golden_cli.json``) of seeded searches and bounds.
+
+The seeded delta searches must reproduce their JSON records byte for byte:
+any change to the entropy kernel, the unitary parameterization or the
+transforms that moves a float shows here. The big-delta and bounds numbers
+are compared within 1e-12.
+"""
+
+import json
+from pathlib import Path
+
+import pytest
+
+from nle.cli import main
+
+GOLDEN = json.loads((Path(__file__).parent / "golden_cli.json").read_text())
+
+
+def _run(capsys, command: str) -> str:
+    assert main(command.split()) == 0
+    return capsys.readouterr().out
+
+
+def _assert_close(got, want, path="record"):
+    if isinstance(want, dict):
+        assert sorted(got) == sorted(want), path
+        for key in want:
+            _assert_close(got[key], want[key], f"{path}.{key}")
+    elif isinstance(want, list):
+        assert len(got) == len(want), path
+        for i, (g, w) in enumerate(zip(got, want)):
+            _assert_close(g, w, f"{path}[{i}]")
+    elif isinstance(want, float):
+        assert abs(got - want) <= 1e-12, (path, got, want)
+    else:
+        assert got == want, path
+
+
+@pytest.mark.parametrize("command", sorted(GOLDEN["exact"]))
+def test_delta_json_byte_identical(capsys, command):
+    assert _run(capsys, command) == GOLDEN["exact"][command]
+
+
+@pytest.mark.parametrize("command", sorted(GOLDEN["close"]))
+def test_record_numbers_within_1e12(capsys, command):
+    _assert_close(json.loads(_run(capsys, command)), GOLDEN["close"][command])

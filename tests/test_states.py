@@ -12,6 +12,7 @@ from nle.states import (
     Ensemble,
     PureState,
     average_state,
+    entanglement_entropies,
     entanglement_entropy,
     marginal_entropies,
     product_state,
@@ -60,6 +61,10 @@ class TestVnEntropy:
         with pytest.raises(NotAState) as err:
             vn_entropy(np.diag([1.5, -0.5]))
         assert err.value.code == "not-a-state"
+
+    def test_rejects_non_finite_matrix(self):
+        with pytest.raises(NotAState):
+            vn_entropy(np.full((2, 2), np.nan))
 
     @given(st.integers(0, 2**32 - 1))
     @settings(max_examples=40, deadline=None)
@@ -135,6 +140,20 @@ class TestSchmidt:
         assert abs((coeffs**2).sum() - 1.0) <= 1e-10
 
 
+class TestBatchedEntanglement:
+    @pytest.mark.parametrize("dims", [(2, 2), (2, 3), (3, 3)])
+    def test_stack_matches_per_member_entropies(self, dims):
+        rng = np.random.default_rng(dims[0] * 10 + dims[1])
+        states = [random_pure(rng, dims) for _ in range(5)]
+        states.append(product_state(dims, rng.normal(size=dims[0]), rng.normal(size=dims[1])))
+        batched = entanglement_entropies(np.array([s.amplitudes for s in states]), dims)
+        assert batched.shape == (len(states),)
+        for value, s in zip(batched, states):
+            assert abs(value - entanglement_entropy(s)) <= 1e-12
+            assert abs(value - vn_entropy(s.marginal("A"))) <= 1e-12
+            assert abs(value - vn_entropy(s.marginal("B"))) <= 1e-12
+
+
 class TestAverageState:
     def test_bell_pair_cross_terms_cancel(self):
         e = Ensemble.uniform((2, 2), [bell_state("phi+"), bell_state("phi-")])
@@ -191,6 +210,19 @@ class TestEnsemble:
         s = bell_state("phi+")
         with pytest.raises(NotAState):
             Ensemble((2, 2), (0.5, 0.4), (s, bell_state("phi-")))
+
+    def test_rejects_nan_probability(self):
+        with pytest.raises(NotAState):
+            Ensemble((2, 2), (float("nan"),), (bell_state("phi+"),))
+
+    def test_amplitudes_are_a_read_only_member_stack(self):
+        states = (bell_state("phi+"), bell_state("psi-"))
+        e = Ensemble.uniform((2, 2), states)
+        assert e.amplitudes.shape == (2, 4)
+        for row, s in zip(e.amplitudes, states):
+            assert np.array_equal(row, s.amplitudes)
+        with pytest.raises(ValueError):
+            e.amplitudes[0, 0] = 0.0
 
     def test_dims_must_agree(self):
         with pytest.raises(DimensionMismatch):
