@@ -48,16 +48,17 @@ class ProductSet:
             v.shape[0] != self.dims[1] for v in pb
         ):
             raise DimensionMismatch("local parts do not match dims")
+        # positive conditions, so that NaN fails them
         for v in pa + pb:
-            if abs(np.linalg.norm(v) - 1.0) > TOL.norm:
+            if not abs(np.linalg.norm(v) - 1.0) <= TOL.norm:
                 raise NotAState("local parts must be normalized")
-        if abs(sum(self.probabilities) - 1.0) > TOL.prob_sum:
+        if not abs(sum(self.probabilities) - 1.0) <= TOL.prob_sum:
             raise NotAState("probabilities must sum to 1")
         overlaps_a = np.abs(np.conjugate(np.array(pa)) @ np.array(pa).T)
         overlaps_b = np.abs(np.conjugate(np.array(pb)) @ np.array(pb).T)
         joint = overlaps_a * overlaps_b
         np.fill_diagonal(joint, 0.0)
-        if joint.max() > TOL.orthogonality:
+        if not joint.max() <= TOL.orthogonality:
             raise GramNotIdentity(
                 "members must be mutually orthogonal (duplicates are rejected)"
             )

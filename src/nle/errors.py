@@ -54,3 +54,10 @@ class UnsupportedDims(NleError):
 
 class FileFormatError(NleError):
     code = "bad-file"
+
+
+class BadValue(NleError):
+    """A computed quantifier value is not finite or lies below ``-TOL.value``:
+    a numerical fault, reported instead of a silently clipped number."""
+
+    code = "bad-value"

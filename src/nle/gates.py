@@ -91,14 +91,19 @@ def _triangle_indices(dim: int):
 
 
 def hermitian_from_coeffs(dim: int, coeffs: np.ndarray) -> np.ndarray:
-    c = np.asarray(coeffs, dtype=float).ravel()
-    di, iu = _triangle_indices(dim)
-    h = np.zeros((dim, dim), dtype=complex)
-    h[di] = c[:dim]
+    """Hermitian generator(s) of ``UnitaryParam`` coefficients.
+
+    ``coeffs`` has shape ``(..., dim*dim)``; the result has shape
+    ``(..., dim, dim)``, one generator per coefficient row.
+    """
+    c = np.asarray(coeffs, dtype=float)
+    (dr, dc), (ur, uc) = _triangle_indices(dim)
+    h = np.zeros(c.shape[:-1] + (dim, dim), dtype=complex)
+    h[..., dr, dc] = c[..., :dim]
     n_off = dim * (dim - 1) // 2
-    upper = c[dim : dim + n_off] + 1j * c[dim + n_off :]
-    h[iu] = upper
-    h[iu[1], iu[0]] = np.conjugate(upper)
+    upper = c[..., dim : dim + n_off] + 1j * c[..., dim + n_off :]
+    h[..., ur, uc] = upper
+    h[..., uc, ur] = np.conjugate(upper)
     return h
 
 

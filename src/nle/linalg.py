@@ -45,19 +45,19 @@ def tensor(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def partial_trace(m: np.ndarray, dims: tuple[int, int], keep: Party) -> np.ndarray:
-    """Trace out one party of a (d_A*d_B) x (d_A*d_B) matrix.
+    """Trace out one party of a (d_A*d_B) x (d_A*d_B) matrix, or of each in a stack.
 
     ``keep="A"`` returns tr_B(m); ``keep="B"`` returns tr_A(m).
     """
     d_a, d_b = dims
     m = np.asarray(m, dtype=complex)
-    if m.shape != (d_a * d_b, d_a * d_b):
-        raise DimensionMismatch(f"expected square matrix of size {d_a * d_b}, got {m.shape}")
-    t = m.reshape(d_a, d_b, d_a, d_b)
+    if m.shape[-2:] != (d_a * d_b, d_a * d_b):
+        raise DimensionMismatch(f"expected square matrices of size {d_a * d_b}, got {m.shape}")
+    t = m.reshape(m.shape[:-2] + (d_a, d_b, d_a, d_b))
     if keep == "A":
-        return np.einsum("ijkj->ik", t)
+        return np.einsum("...ijkj->...ik", t)
     if keep == "B":
-        return np.einsum("ijik->jk", t)
+        return np.einsum("...ijik->...jk", t)
     raise DimensionMismatch(f"unknown party {keep!r}")
 
 
@@ -74,9 +74,12 @@ def eigh(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def expm_hermitian_unchecked(h: np.ndarray) -> np.ndarray:
-    """exp(i*h) for an ``h`` known to be Hermitian (not checked: optimizer hot path)."""
+    """exp(i*h) for an ``h`` known to be Hermitian (not checked: optimizer hot path).
+
+    ``h`` may be a stack ``(..., d, d)``; each matrix is exponentiated.
+    """
     vals, vecs = np.linalg.eigh(h)
-    return (vecs * np.exp(1j * vals)) @ dagger(vecs)
+    return (vecs * np.exp(1j * vals)[..., None, :]) @ np.conjugate(vecs.swapaxes(-1, -2))
 
 
 def expm_skew_hermitian(h: np.ndarray) -> np.ndarray:

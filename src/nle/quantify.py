@@ -21,12 +21,13 @@ the mirror.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .config import TOL
-from .errors import BadParams, GramNotIdentity, NotProductEnsemble
+from .errors import BadParams, BadValue, GramNotIdentity, NotProductEnsemble
 from .gates import UnitaryParam, cnot_permutation, hermitian_from_coeffs
 from .linalg import expm_hermitian_unchecked, expm_skew_hermitian
 from .states import LOG2, Ensemble, entanglement_entropies, mixture_marginal_entropies
@@ -84,8 +85,8 @@ class QuantifierReport:
 
 
 def _clip_value(v: float) -> float:
-    if v < -TOL.value:
-        raise AssertionError(f"quantifier value {v} below -{TOL.value}")
+    if not (math.isfinite(v) and v >= -TOL.value):
+        raise BadValue(f"quantifier value {v} is not finite or lies below -{TOL.value}")
     return max(0.0, v)
 
 
@@ -107,41 +108,61 @@ def _hill_climb(
 ) -> tuple[float, np.ndarray]:
     """Random-direction ascent with shrinking step; deterministic given seed.
 
+    ``f`` maps a ``(B, n)`` batch of points to their ``(B,)`` values. A probe
+    round draws ``probes`` unit directions and tries ``x + step*d``, then
+    ``x - step*d``, for each in turn; the first improving point is taken and
+    extended along its direction while that still improves, and the round
+    goes on with the next direction from there. The candidates a round has
+    left are evaluated as one batch, once at the start and again after each
+    improving direction; the line extension evaluates one point per call.
+    The first improving candidate of a batch is the one a one-at-a-time walk
+    would take, so the walk, and the result, are the same as that walk's.
+
     The first restart starts at the zero vector, so the search space always
     contains the unrotated circuit. The best value never decreases.
     """
+
+    def at(point: np.ndarray) -> float:
+        return float(f(point[None])[0])
+
     zero = np.zeros(n)
     if n == 0:
-        return f(zero), zero
+        return at(zero), zero
     rng = np.random.default_rng(seed)
     probes = max(10, 2 * n)
-    best_v, best_x = f(zero), zero
+    signs = np.tile([1.0, -1.0], probes)
+    best_v, best_x = at(zero), zero
     for restart in range(restarts):
         if restart == 0:
             x, v = zero.copy(), best_v
         else:
             x = rng.normal(size=n) * rng.uniform(0.2, 1.2)
-            v = f(x)
+            v = at(x)
         step = init_step
         while step > min_step:
-            improved = False
-            for _ in range(probes):
-                d = rng.normal(size=n)
+            dirs = rng.normal(size=(probes, n))
+            for d in dirs:
                 d /= np.linalg.norm(d)
-                for sgn in (1.0, -1.0):
-                    cand = x + (sgn * step) * d
-                    cv = f(cand)
+            moves = (signs * step)[:, None] * np.repeat(dirs, 2, axis=0)
+            improved = False
+            first = 0  # candidates before this one are spent
+            while first < 2 * probes:
+                cands = x + moves[first:]
+                values = f(cands)
+                hits = np.flatnonzero(values > v + 1e-13)
+                if hits.size == 0:
+                    break
+                x, v = cands[hits[0]], float(values[hits[0]])
+                hit = first + hits[0]
+                improved = True
+                while True:
+                    cand = x + moves[hit]
+                    cv = at(cand)
                     if cv > v + 1e-13:
                         x, v = cand, cv
-                        improved = True
-                        while True:
-                            cand = x + (sgn * step) * d
-                            cv = f(cand)
-                            if cv > v + 1e-13:
-                                x, v = cand, cv
-                            else:
-                                break
+                    else:
                         break
+                first = hit - hit % 2 + 2  # the other sign of a hit's direction is skipped
             if not improved:
                 step *= 0.5
         if v > best_v:
@@ -155,8 +176,10 @@ def optimize_unitary(objective, dim: int, restarts: int = 8, seed: int = 0):
     Returns ``(best value, best UnitaryParam)``.
     """
 
-    def f(coeffs: np.ndarray) -> float:
-        return float(objective(expm_skew_hermitian(hermitian_from_coeffs(dim, coeffs))))
+    def f(batch: np.ndarray) -> np.ndarray:
+        return np.array(
+            [float(objective(expm_skew_hermitian(h))) for h in hermitian_from_coeffs(dim, batch)]
+        )
 
     val, coeffs = _hill_climb(f, dim * dim, restarts, seed)
     return val, UnitaryParam(dim, coeffs)
@@ -183,28 +206,31 @@ class _LuCircuit:
         self.n_params = depth * (self.n_a + self.n_b)
 
     def transform(self, stack: np.ndarray, params: np.ndarray) -> np.ndarray:
-        k = stack.shape[0]
+        """The circuit applied to a (k, d_A*d_B) stack; ``params`` has shape
+        ``(..., n_params)`` and the result ``(..., k, d_A*d_B)``, one
+        transformed stack per parameter row."""
+        lead, k = params.shape[:-1], stack.shape[0]
         d_a, d_b = self.dims
         t = stack.reshape(k, d_a, d_b)
         off = 0
         for _ in range(self.depth):
             if self.rot_a:
                 ua = expm_hermitian_unchecked(
-                    hermitian_from_coeffs(d_a, params[off : off + self.n_a])
+                    hermitian_from_coeffs(d_a, params[..., off : off + self.n_a])
                 )
                 off += self.n_a
-                t = np.matmul(ua, t)
+                t = np.matmul(ua[..., None, :, :], t)
             if self.rot_b:
                 ub = expm_hermitian_unchecked(
-                    hermitian_from_coeffs(d_b, params[off : off + self.n_b])
+                    hermitian_from_coeffs(d_b, params[..., off : off + self.n_b])
                 )
                 off += self.n_b
-                t = np.matmul(t, ub.T)
-            flat = t.reshape(k, d_a * d_b)
+                t = np.matmul(t, ub.swapaxes(-1, -2)[..., None, :, :])
+            flat = t.reshape(lead + (k, d_a * d_b))
             out = np.empty_like(flat)
-            out[:, self.perm] = flat
-            t = out.reshape(k, d_a, d_b)
-        return t.reshape(k, d_a * d_b)
+            out[..., self.perm] = flat
+            t = out.reshape(lead + (k, d_a, d_b))
+        return t.reshape(lead + (k, d_a * d_b))
 
 
 def _fixed_transform(stack: np.ndarray, dims, direction: str, reps: int) -> np.ndarray:
@@ -279,12 +305,11 @@ def _delta_direction(e, stack, probs, mode, direction):
         best = None
         for r in reps_range:
             circuit = _LuCircuit(dims, direction, mode.rotate, mode.depth, r)
-
-            def f(params, _c=circuit):
-                return float(probs @ entanglement_entropies(_c.transform(stack, params), dims))
-
             val, params = _hill_climb(
-                f, circuit.n_params, mode.restarts, _direction_seed(mode.seed, direction)
+                _delta_objective(circuit, stack, probs),
+                circuit.n_params,
+                mode.restarts,
+                _direction_seed(mode.seed, direction),
             )
             if best is None or val > best[0] + 1e-15:
                 t = circuit.transform(stack, params)
@@ -301,12 +326,11 @@ def _delta_direction(e, stack, probs, mode, direction):
         best = None
         for r in reps_range:
             circuit = _LuCircuit(dims, direction, mode.rotate, mode.depth, r)
-
-            def f(params, _c=circuit):
-                return float(entanglement_entropies(_c.transform(row, params), dims)[0])
-
             val, params = _hill_climb(
-                f, circuit.n_params, mode.restarts, _direction_seed(mode.seed, direction, i)
+                _delta_objective(circuit, row, None),
+                circuit.n_params,
+                mode.restarts,
+                _direction_seed(mode.seed, direction, i),
             )
             if best is None or val > best[0] + 1e-15:
                 best = (val, circuit.transform(row, params)[0], r)
@@ -314,6 +338,26 @@ def _delta_direction(e, stack, probs, mode, direction):
         transformed[i] = best[1]
         reps_used = best[2]
     return float(probs @ contrib), contrib, transformed, reps_used
+
+
+def _delta_objective(circuit: _LuCircuit, stack: np.ndarray, probs):
+    """Batch objective of the delta searches: ``(B, n_params) -> (B,)``.
+
+    Each row's value is the ``probs``-weighted entanglement of the transformed
+    stack, or, with ``probs=None``, that of its single member. All ``B*k``
+    members go through one SVD. The weighting is one dot product per row,
+    which rounds as the one-candidate objective did; a ``(B, k) @ (k,)``
+    product rounds differently and would move the seeded searches.
+    """
+    dims = circuit.dims
+
+    def f(params: np.ndarray) -> np.ndarray:
+        ents = entanglement_entropies(circuit.transform(stack, params), dims)
+        if probs is None:
+            return ents
+        return np.array([float(probs @ row) for row in ents.reshape(len(params), -1)])
+
+    return f
 
 
 def _work_pairs(stack, transformed, probs, dims):
@@ -421,12 +465,11 @@ def _gap_direction(e, stack, probs, s_bar, mode, direction):
     else:  # ensemble-lu
         for r in range(1, max(d_t, 2)):
             circuit = _LuCircuit(dims, direction, mode.rotate, mode.depth, r)
-
-            def f(params, _c=circuit):
-                return score_of(_c.transform(stack, params))[0]
-
-            val, params = _hill_climb(
-                f, circuit.n_params, mode.restarts, _direction_seed(mode.seed, direction)
+            _, params = _hill_climb(
+                _gap_objective(circuit, stack, probs, s_bar),
+                circuit.n_params,
+                mode.restarts,
+                _direction_seed(mode.seed, direction),
             )
             t = circuit.transform(stack, params)
             score, gaps, s_fin = score_of(t)
@@ -436,6 +479,22 @@ def _gap_direction(e, stack, probs, s_bar, mode, direction):
         if best[0] < 0.0:  # the identity circuit is always admissible
             best = (0.0, entanglement_entropies(stack, dims), (0.0, 0.0), 0, s_bar)
     return best
+
+
+def _gap_objective(circuit: _LuCircuit, stack: np.ndarray, probs, s_bar):
+    """Batch objective of the gap searches: ``(B, n_params) -> (B,)``.
+
+    Each row's value is the larger of the two local-entropy drops of the
+    transformed mixture, as ``max`` of the (A, B) pair picks it; the B
+    mixtures, their marginals and their spectra are each one batched call.
+    """
+
+    def f(params: np.ndarray) -> np.ndarray:
+        s_a, s_b = mixture_marginal_entropies(circuit.transform(stack, params), probs, circuit.dims)
+        gap_a, gap_b = s_bar[0] - s_a, s_bar[1] - s_b
+        return np.where(gap_b > gap_a, gap_b, gap_a)
+
+    return f
 
 
 # ---------------------------------------------------------------------------

@@ -134,7 +134,7 @@ def entropy_bits(spectrum: np.ndarray) -> np.ndarray:
 
 
 def _hermitian_spectrum(m: np.ndarray) -> np.ndarray:
-    return np.linalg.eigvalsh((m + np.conjugate(m.T)) / 2.0)
+    return np.linalg.eigvalsh((m + np.conjugate(m.swapaxes(-1, -2))) / 2.0)
 
 
 def vn_entropy(rho: np.ndarray) -> float:
@@ -179,19 +179,24 @@ def entanglement_entropy(s: PureState) -> float:
 
 
 def mixture(amplitudes: np.ndarray, probs) -> np.ndarray:
-    """Density matrix sum_i p_i |psi_i><psi_i| of a (k, d_A*d_B) amplitude stack."""
-    return np.einsum("k,ki,kj->ij", probs, amplitudes, np.conjugate(amplitudes))
+    """Density matrix sum_i p_i |psi_i><psi_i| of a (k, d_A*d_B) amplitude stack.
+
+    A (B, k, d_A*d_B) stack gives the B mixtures with the same weights.
+    """
+    return np.einsum("k,...ki,...kj->...ij", probs, amplitudes, np.conjugate(amplitudes))
 
 
-def mixture_marginal_entropies(
-    amplitudes: np.ndarray, probs, dims: tuple[int, int]
-) -> tuple[float, float]:
-    """(S(rho_A), S(rho_B)) of the mixture of a (k, d_A*d_B) amplitude stack."""
+def mixture_marginal_entropies(amplitudes: np.ndarray, probs, dims: tuple[int, int]):
+    """(S(rho_A), S(rho_B)) of the mixture of a (k, d_A*d_B) amplitude stack.
+
+    Floats for one stack; for a (B, k, d_A*d_B) stack, two arrays of shape (B,).
+    """
     rho = mixture(amplitudes, probs)
-    return (
-        float(entropy_bits(_hermitian_spectrum(partial_trace(rho, dims, "A")))),
-        float(entropy_bits(_hermitian_spectrum(partial_trace(rho, dims, "B")))),
-    )
+    s_a = entropy_bits(_hermitian_spectrum(partial_trace(rho, dims, "A")))
+    s_b = entropy_bits(_hermitian_spectrum(partial_trace(rho, dims, "B")))
+    if rho.ndim == 2:
+        return float(s_a), float(s_b)
+    return s_a, s_b
 
 
 def average_state(e: Ensemble) -> np.ndarray:

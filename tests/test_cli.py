@@ -1,6 +1,7 @@
 import json
 import math
 
+import numpy as np
 import pytest
 
 from nle.cli import load_ensemble_file, main
@@ -57,6 +58,15 @@ class TestDeltaCommand:
     def test_unknown_ensemble(self, capsys):
         assert main(["delta", "--ensemble", "nope"]) == 2
         assert "no-such-entry" in capsys.readouterr().err
+
+    def test_nan_value_is_domain_error(self, capsys, monkeypatch):
+        from nle import quantify
+
+        monkeypatch.setattr(
+            quantify, "entanglement_entropies", lambda amps, dims: np.full(len(amps), np.nan)
+        )
+        assert main(["delta", "--ensemble", "e2-case2", "--mode", "fixed"]) == 2
+        assert "bad-value" in capsys.readouterr().err
 
     def test_file_input_deterministic_json(self, capsys, product_file):
         argv = [

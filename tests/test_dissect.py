@@ -15,7 +15,7 @@ from nle.dissect import (
     reducible_from,
     weighted_nonlocal_entropy,
 )
-from nle.errors import GramNotIdentity, NotProductEnsemble, TrivialSet
+from nle.errors import GramNotIdentity, NotAState, NotProductEnsemble, TrivialSet
 from nle.linalg import haar_unitary
 
 
@@ -55,6 +55,15 @@ class TestProductSet:
                 (np.array([1, 0]), np.array([1, 0])),
                 (np.array([0, 1]), np.array([0, 1])),
             )
+
+    def test_rejects_nan_probability(self):
+        with pytest.raises(NotAState):
+            ProductSet((2, 2), (math.nan,), ([1, 0],), ([1, 0],))
+
+    def test_rejects_nan_part(self):
+        # a NaN part has NaN overlaps, which would otherwise read as orthogonal
+        with pytest.raises(NotAState):
+            ProductSet((2, 2), (0.5, 0.5), ([1, 0], [math.nan, 0]), ([1, 0], [0, 1]))
 
     def test_as_product_set_rejects_entangled(self):
         with pytest.raises(NotProductEnsemble):

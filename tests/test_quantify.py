@@ -5,10 +5,11 @@ import pytest
 
 from nle import catalog
 from nle.dissect import as_product_set, reducible_from
-from nle.errors import BadParams, GramNotIdentity, NotProductEnsemble
+from nle.errors import BadParams, BadValue, GramNotIdentity, NotProductEnsemble
 from nle.linalg import is_unitary
 from nle.quantify import (
     Mode,
+    _clip_value,
     _fixed_transform,
     _LuCircuit,
     assign_partition,
@@ -35,6 +36,17 @@ class TestMode:
     def test_rejects_bad_depth(self):
         with pytest.raises(BadParams):
             Mode(depth=0)
+
+
+class TestClipValue:
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -1e-6])
+    def test_rejects_non_finite_or_negative(self, value):
+        with pytest.raises(BadValue) as err:
+            _clip_value(value)
+        assert err.value.code == "bad-value"
+
+    def test_clips_rounding_below_zero(self):
+        assert _clip_value(-1e-12) == 0.0 and _clip_value(0.25) == 0.25
 
 
 class TestNonlocalEntropy:
