@@ -19,6 +19,7 @@ import argparse
 import json
 import math
 import sys
+from dataclasses import asdict
 
 import numpy as np
 
@@ -102,23 +103,11 @@ def _resolve_ensemble(args) -> Ensemble:
 
 
 def _mode_from(args) -> Mode:
-    return Mode(
-        name=args.mode,
-        depth=args.depth,
-        restarts=args.restarts,
-        seed=args.seed,
-        rotate=args.rotate,
-    )
+    return Mode(args.mode, args.depth, args.restarts, args.seed, args.rotate)
 
 
 def _mode_record(mode: Mode) -> dict:
-    return {
-        "mode_name": mode.name,
-        "mode_depth": mode.depth,
-        "mode_restarts": mode.restarts,
-        "mode_seed": mode.seed,
-        "mode_rotate": mode.rotate,
-    }
+    return {f"mode_{key}": value for key, value in asdict(mode).items()}
 
 
 def _emit_json(record: dict) -> None:
@@ -208,20 +197,10 @@ def _add_mode_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--rotate", default="both", choices=["both", "target", "control"])
 
 
-def _cmd_delta(args) -> int:
+def _cmd_quantifier(args) -> int:
+    quantifier = nonlocal_entropy if args.command == "delta" else average_entropy_gap
     e = _resolve_ensemble(args)
-    report = nonlocal_entropy(e, _mode_from(args))
-    source = e.name or args.file or ""
-    if args.json:
-        _emit_json(_report_record(report, source))
-    else:
-        _print_report(report, source, args.direction)
-    return 0
-
-
-def _cmd_big_delta(args) -> int:
-    e = _resolve_ensemble(args)
-    report = average_entropy_gap(e, _mode_from(args))
+    report = quantifier(e, _mode_from(args))
     source = e.name or args.file or ""
     if args.json:
         _emit_json(_report_record(report, source))
@@ -387,15 +366,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("delta", help="entanglement generated across a product ensemble")
-    _add_source_flags(p)
-    _add_mode_flags(p)
-    p.set_defaults(func=_cmd_delta)
-
-    p = sub.add_parser("big-delta", help="average-state local-entropy gap")
-    _add_source_flags(p)
-    _add_mode_flags(p)
-    p.set_defaults(func=_cmd_big_delta)
+    for name, text in (
+        ("delta", "entanglement generated across a product ensemble"),
+        ("big-delta", "average-state local-entropy gap"),
+    ):
+        p = sub.add_parser(name, help=text)
+        _add_source_flags(p)
+        _add_mode_flags(p)
+        p.set_defaults(func=_cmd_quantifier)
 
     p = sub.add_parser("dissect", help="recursive orthogonal-subspace dissection")
     _add_source_flags(p)

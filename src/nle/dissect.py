@@ -52,6 +52,8 @@ class ProductSet:
         for v in pa + pb:
             if not abs(np.linalg.norm(v) - 1.0) <= TOL.norm:
                 raise NotAState("local parts must be normalized")
+        if not all(0.0 < p <= 1.0 for p in self.probabilities):
+            raise NotAState("probabilities must lie in (0, 1]")
         if not abs(sum(self.probabilities) - 1.0) <= TOL.prob_sum:
             raise NotAState("probabilities must sum to 1")
         overlaps_a = np.abs(np.conjugate(np.array(pa)) @ np.array(pa).T)

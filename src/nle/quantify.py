@@ -12,7 +12,8 @@ every reported number names the search that produced it:
   shared parameter set, hill-climbed with restarts.
 * ``per-state-lu``: the same circuit family optimized per member.
 * ``assign`` (gap only, orthogonal ensembles): the best relabeling onto an
-  orthonormal product frame, found by exhaustive partition search.
+  orthonormal product frame, in closed form: members sorted by probability
+  and cut into consecutive groups (exact by majorization).
 
 Directions: "right" means party A controls and B is the target; "left" is
 the mirror.
@@ -385,7 +386,8 @@ def average_entropy_gap(e: Ensemble, mode: Mode = Mode()) -> QuantifierReport:
     onto orthonormal product outputs: members are grouped, each group shares
     one target-side basis vector, and the residual target entropy is the
     entropy of the group-mass distribution, minimized over all admissible
-    partitions.
+    partitions; the minimum is attained by sorted chunking
+    (``assign_partition``), so no search runs.
     """
     if mode.name == "per-state-lu":
         raise BadParams("the average-state gap needs a single global transform per direction")
@@ -394,7 +396,7 @@ def average_entropy_gap(e: Ensemble, mode: Mode = Mode()) -> QuantifierReport:
     s_bar = mixture_marginal_entropies(stack, probs, e.dims)
 
     if mode.name == "assign":
-        return _assign_gap(e, stack, probs, s_bar, mode)
+        return _assign_gap(e, s_bar, mode)
 
     per_dir = {}
     for direction in DIRECTIONS:
@@ -502,7 +504,8 @@ def _gap_objective(circuit: _LuCircuit, stack: np.ndarray, probs, s_bar):
 
 
 def partitions_with_caps(k: int, max_size: int, max_parts: int):
-    """All set partitions of range(k) with bounded part size and count."""
+    """All set partitions of range(k) with bounded part size and count; an
+    exponential enumeration, the reference ``assign_partition`` is tested against."""
     items = tuple(range(k))
 
     def rec(remaining, parts_left):
@@ -530,6 +533,18 @@ def assign_partition(e: Ensemble, reduction_side: str) -> tuple[tuple[tuple[int,
     basis vector and get orthonormal A parts, so groups hold at most d_A
     members and there are at most d_B groups; the residual B entropy is the
     entropy of the group masses. Mirrored for side "A".
+
+    The minimum has a closed form: sort the members by probability,
+    descending, and cut them into consecutive chunks of ``max_size``. Proof:
+    any j admissible groups hold at most ``j*max_size`` members, so their
+    mass is at most the sum of the ``j*max_size`` largest probabilities,
+    which is the mass of the j heaviest chunks. Hence the chunk mass vector
+    majorizes the (zero-padded) mass vector of every admissible grouping, and
+    Shannon entropy, being Schur-concave, is smallest on it (Marshall & Olkin,
+    *Inequalities: Theory of Majorization*). The chunking is admissible:
+    ``ceil(k/max_size) <= max_parts`` follows from ``k <= max_size*max_parts``.
+    Each part lists its indices in ascending order and the parts are ordered
+    by their smallest index, the form ``partitions_with_caps`` yields.
     """
     d_a, d_b = e.dims
     max_size, max_parts = (d_a, d_b) if reduction_side == "B" else (d_b, d_a)
@@ -537,13 +552,11 @@ def assign_partition(e: Ensemble, reduction_side: str) -> tuple[tuple[tuple[int,
     if k > max_size * max_parts:
         raise BadParams("ensemble too large for a product relabeling")
     probs = np.array(e.probabilities)
-    best = None
-    for parts in partitions_with_caps(k, max_size, max_parts):
-        masses = np.array([probs[list(part)].sum() for part in parts])
-        h = float(-(masses * (np.log(masses) / LOG2)).sum()) + 0.0
-        if best is None or h < best[1] - 1e-15:
-            best = (tuple(tuple(part) for part in parts), h)
-    return best
+    order = sorted(range(k), key=probs.__getitem__, reverse=True)  # stable: ties keep index order
+    parts = sorted(tuple(sorted(order[i : i + max_size])) for i in range(0, k, max_size))
+    masses = np.array([probs[list(part)].sum() for part in parts])
+    h = float(-(masses * (np.log(masses) / LOG2)).sum()) + 0.0
+    return tuple(parts), h
 
 
 def assign_unitary(e: Ensemble, partition, reduction_side: str) -> np.ndarray:
@@ -576,16 +589,14 @@ def _complete_frame(cols: np.ndarray, n: int) -> np.ndarray:
     return np.hstack([cols, extra])
 
 
-def _assign_gap(e, stack, probs, s_bar, mode):
+def _assign_gap(e, s_bar, mode):
     if not e.is_orthogonal():
         raise GramNotIdentity("assign mode needs an orthogonal ensemble")
-    _, h_b = assign_partition(e, "B")
-    _, h_a = assign_partition(e, "A")
+    h_a, h_b = (assign_partition(e, side)[1] for side in "AB")
     gaps = (s_bar[0] - h_a, s_bar[1] - h_b)
     value = _clip_value(max(gaps))
-    zeros = tuple(0.0 for _ in range(len(e)))
-    s_fin = (h_a, h_b)
-    work = {d: _work(s_bar, s_fin, e.dims) for d in DIRECTIONS}
+    zeros = (0.0,) * len(e)
+    work = {d: _work(s_bar, (h_a, h_b), e.dims) for d in DIRECTIONS}
     return QuantifierReport(
         quantity="big-delta",
         right=value,
@@ -597,8 +608,6 @@ def _assign_gap(e, stack, probs, s_bar, mode):
         work=work,
         side_gaps_right=gaps,
         side_gaps_left=gaps,
-        reps_right=None,
-        reps_left=None,
         entangled_fraction_right=0.0,
         entangled_fraction_left=0.0,
     )

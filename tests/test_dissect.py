@@ -60,6 +60,22 @@ class TestProductSet:
         with pytest.raises(NotAState):
             ProductSet((2, 2), (math.nan,), ([1, 0],), ([1, 0],))
 
+    @pytest.mark.parametrize(
+        "probs",
+        [(0.75, 0.5, -0.25), (0.5, 0.5, 0.0), (1.25, -0.125, -0.125), (0.5, math.nan, 0.5)],
+        ids=["negative", "zero", "above-one", "nan"],
+    )
+    def test_rejects_probability_outside_unit_interval(self, probs):
+        # all but the NaN case sum to 1, so only the range check rejects them;
+        # the message pins the reason, since a NaN also fails the sum check
+        with pytest.raises(NotAState, match=r"lie in \(0, 1\]"):
+            ProductSet((2, 2), probs, ([1, 0], [1, 0], [0, 1]), ([1, 0], [0, 1], [1, 0]))
+
+    def test_rejects_out_of_range_probability_before_classifying(self):
+        # this set used to construct and classify as dissectible-one-side(A)
+        with pytest.raises(NotAState):
+            ProductSet((2, 2), (2.0, -1.0), ([1, 0], [0, 1]), ([1, 0], [1, 0]))
+
     def test_rejects_nan_part(self):
         # a NaN part has NaN overlaps, which would otherwise read as orthogonal
         with pytest.raises(NotAState):
