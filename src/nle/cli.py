@@ -48,10 +48,11 @@ def load_ensemble_file(path: str) -> Ensemble:
     if not isinstance(doc, dict) or "dims" not in doc or "states" not in doc:
         raise FileFormatError("document must carry 'dims' and 'states'")
     dims = doc["dims"]
+    # JSON true is an int to Python: reject booleans wherever a number is read
     if (
         not isinstance(dims, list)
         or len(dims) != 2
-        or any(not isinstance(d, int) or d < 1 for d in dims)
+        or any(isinstance(d, bool) or not isinstance(d, int) or d < 1 for d in dims)
     ):
         raise FileFormatError("'dims' must be two positive integers")
     dims = (dims[0], dims[1])
@@ -71,6 +72,8 @@ def load_ensemble_file(path: str) -> Ensemble:
         if not isinstance(amps, list) or len(amps) != dims[0] * dims[1]:
             raise FileFormatError(f"amplitudes must have length {dims[0] * dims[1]}")
         try:
+            if any(isinstance(x, bool) for pair in amps for x in pair):
+                raise TypeError("boolean amplitude")
             vec = np.array([complex(re, im) for re, im in amps])
         except (TypeError, ValueError) as exc:
             raise FileFormatError("amplitudes must be [re, im] pairs") from exc
@@ -80,7 +83,7 @@ def load_ensemble_file(path: str) -> Ensemble:
         states.append(PureState(dims, vec / norm))
         if all(have_probs):
             p = rec["probability"]
-            # JSON true is an int and NaN/Infinity parse as floats: reject all three
+            # NaN and Infinity parse as floats: reject them with the booleans
             if isinstance(p, bool) or not isinstance(p, (int, float)) or not 0 < p < math.inf:
                 raise FileFormatError("probabilities must be finite positive numbers")
             probs.append(float(p))
@@ -244,8 +247,7 @@ def _tree_record(node) -> dict:
 
 def _cmd_bounds(args) -> int:
     e = _resolve_ensemble(args)
-    direction = "right" if args.direction == "both" else args.direction
-    report = cnot_bounds(e, direction)
+    report = cnot_bounds(e, args.direction)
     if args.json:
         record = {
             "source": e.name or args.file or "",
@@ -337,23 +339,9 @@ def _cmd_show(args) -> int:
 
 
 def _cmd_reproduce(args) -> int:
-    rows = reproduce.run_rows(seed=args.seed, upb_restarts=max(args.restarts, 16))
+    rows = reproduce.run_rows()
     if args.json:
-        _emit_json(
-            {
-                "rows": [
-                    {
-                        "name": r.name,
-                        "expected": r.expected,
-                        "got": r.got,
-                        "tolerance": r.tolerance,
-                        "status": r.status,
-                        "note": r.note,
-                    }
-                    for r in rows
-                ]
-            }
-        )
+        _emit_json({"rows": [asdict(r) for r in rows]})
     else:
         print(reproduce.render(rows))
     return 0 if all(r.status != "FAIL" for r in rows) else 1
@@ -382,7 +370,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("bounds", help="information-bound report")
     _add_source_flags(p)
-    p.add_argument("--direction", default="right", choices=["right", "left", "both"])
+    p.add_argument("--direction", default="right", choices=["right", "left"])
     p.set_defaults(func=_cmd_bounds)
 
     p = sub.add_parser("catalog", help="catalog operations")
@@ -397,8 +385,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("reproduce", help="recompute all benchmark numbers")
     p.add_argument("--json", action="store_true")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--restarts", type=int, default=16)
     p.set_defaults(func=_cmd_reproduce)
 
     return parser

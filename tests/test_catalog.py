@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from nle import catalog
-from nle.dissect import as_product_set, classify
 from nle.errors import BadParams, NoSuchEntry
 from nle.linalg import partial_trace
 from nle.states import entanglement_entropy
@@ -116,12 +115,9 @@ def test_walgate_hardy_default_reduces_to_case2():
     assert np.allclose(overlap.sum(axis=0), np.ones(4), atol=1e-9)
 
 
-def test_dissection_flags_of_named_sets():
-    assert classify(as_product_set(catalog.build("tiles-upb"))) == "non-dissectible"
-    assert classify(as_product_set(catalog.build("nlwe-3x3"))) == "non-dissectible"
-    assert (
-        classify(as_product_set(catalog.build("e1-computational")))
-        == "dissectible-either-side"
+def test_dissection_flags_of_named_sets(table_rows_pass):
+    table_rows_pass(
+        "classification tiles-upb", "classification nlwe-3x3", "classification e1-computational"
     )
 
 

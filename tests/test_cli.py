@@ -211,6 +211,21 @@ class TestReproduceCommand:
         assert record["rows"][0]["status"] == "PASS"
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["bounds", "--ensemble", "bell-full", "--direction", "both"],
+        ["reproduce", "--seed", "1"],
+        ["reproduce", "--restarts", "4"],
+    ],
+)
+def test_removed_options_are_usage_errors(argv):
+    # `bounds --direction both` used to report the right direction alone
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+
+
 class TestFileLoading:
     def test_loads_with_probabilities(self, product_file):
         e = load_ensemble_file(product_file)
@@ -266,6 +281,22 @@ class TestFileLoading:
         assert main(["delta", "--file", str(path)]) == 3
         assert main(["big-delta", "--file", str(path)]) == 3
         assert "probabilities must be finite positive numbers" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            {"dims": [True, 2], "states": [{"amplitudes": [[1, 0], [0, 0]]}]},
+            {"dims": [2, 1], "states": [{"amplitudes": [[True, 0], [0, 0]]}]},
+        ],
+        ids=["dims", "amplitude"],
+    )
+    def test_rejects_boolean_numbers(self, tmp_path, capsys, doc):
+        # true is an int to Python; as a dimension it used to crash every command
+        path = tmp_path / "bool.json"
+        path.write_text(json.dumps(doc))
+        for command in ("delta", "big-delta", "dissect", "bounds", "show"):
+            assert main([command, "--file", str(path)]) == 3, command
+        assert capsys.readouterr().err.count("error [bad-file]") == 5
 
     def test_missing_source_is_domain_error(self, capsys):
         assert main(["delta"]) == 2

