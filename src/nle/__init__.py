@@ -36,7 +36,6 @@ from .quantify import (
     QuantifierReport,
     average_entropy_gap,
     nonlocal_entropy,
-    optimize_unitary,
 )
 from .infobounds import BoundsReport, chsh_max, cnot_bounds, concurrence, holevo_chi, local_holevo
 from . import catalog
@@ -72,7 +71,6 @@ __all__ = [
     "weighted_nonlocal_entropy",
     "average_entropy_gap",
     "nonlocal_entropy",
-    "optimize_unitary",
     "chsh_max",
     "cnot_bounds",
     "concurrence",

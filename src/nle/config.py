@@ -21,6 +21,7 @@ class Tolerances:
     product_rank: float = 1e-10     # 1 - (largest squared Schmidt coeff) for product flag
     eig_floor: float = 1e-12        # eigenvalues below this contribute 0 to entropy
     value: float = 1e-9             # quantifier non-negativity clip
+    capacity_gap: float = 1e-12     # duality gap (bits) certifying a per-state shift capacity
     input_norm: float = 1e-8        # caller-supplied normalizations (file norms and
                                     # probability sums, catalog a^2 + b^2, vn_entropy trace)
 

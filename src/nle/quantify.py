@@ -10,7 +10,10 @@ every reported number names the search that produced it:
 * ``fixed``: the controlled shift alone, best repetition count.
 * ``ensemble-lu``: layers of (local unitaries, controlled shift) with one
   shared parameter set, hill-climbed with restarts.
-* ``per-state-lu``: the same circuit family optimized per member.
+* ``per-state-lu``: the same circuit family optimized per member; in closed
+  form at depth 1 (``_per_state_closed``; ``restarts`` and ``seed`` have no
+  effect, and a member, product within ``TOL.product_rank``, is valued
+  through its leading Schmidt pair), hill-climbed member by member deeper.
 * ``assign`` (gap only, orthogonal ensembles): the best relabeling onto an
   orthonormal product frame, in closed form: members sorted by probability
   and cut into consecutive groups (exact by majorization).
@@ -29,9 +32,9 @@ import numpy as np
 
 from .config import TOL
 from .errors import BadParams, BadValue, GramNotIdentity, NotProductEnsemble
-from .gates import UnitaryParam, cnot_permutation, hermitian_from_coeffs
-from .linalg import expm_hermitian_unchecked, expm_skew_hermitian
-from .states import LOG2, Ensemble, entanglement_entropies, mixture_marginal_entropies
+from .gates import cnot_permutation, hermitian_from_coeffs
+from .linalg import expm_hermitian_unchecked
+from .states import LOG2, Ensemble, entanglement_entropies, entropy_bits, mixture_marginal_entropies
 
 DIRECTIONS = ("right", "left")
 MODE_NAMES = ("fixed", "ensemble-lu", "per-state-lu", "assign")
@@ -44,6 +47,8 @@ class Mode:
 
     ``rotate`` restricts which side carries the local pre-rotations in the
     lu modes: "both" (default), "target" (the shifted side), or "control".
+    ``restarts`` and ``seed`` drive the hill climbs; depth-1 per-state-lu runs
+    none, so they do not affect it.
     """
 
     name: str = "fixed"
@@ -171,21 +176,6 @@ def _hill_climb(
     return best_v, best_x
 
 
-def optimize_unitary(objective, dim: int, restarts: int = 8, seed: int = 0):
-    """Maximize ``objective(U)`` over the unitary group U(dim).
-
-    Returns ``(best value, best UnitaryParam)``.
-    """
-
-    def f(batch: np.ndarray) -> np.ndarray:
-        return np.array(
-            [float(objective(expm_skew_hermitian(h))) for h in hermitian_from_coeffs(dim, batch)]
-        )
-
-    val, coeffs = _hill_climb(f, dim * dim, restarts, seed)
-    return val, UnitaryParam(dim, coeffs)
-
-
 # ---------------------------------------------------------------------------
 # layered (local unitary, controlled shift) circuits
 
@@ -264,15 +254,9 @@ def nonlocal_entropy(e: Ensemble, mode: Mode = Mode()) -> QuantifierReport:
     stack = e.amplitudes
     probs = np.array(e.probabilities)
 
-    per_dir = {}
-    for direction in DIRECTIONS:
-        value, contrib, transformed, reps = _delta_direction(e, stack, probs, mode, direction)
-        per_dir[direction] = (value, contrib, transformed, reps)
-
+    per_dir = {d: _delta_direction(e, stack, probs, mode, d) for d in DIRECTIONS}
     right, left = per_dir["right"][0], per_dir["left"][0]
-    work = {
-        d: _work_pairs(stack, per_dir[d][2], probs, e.dims) for d in DIRECTIONS
-    }
+    work = {d: _work_pairs(stack, per_dir[d][1], probs, e.dims) for d in DIRECTIONS}
     return QuantifierReport(
         quantity="delta",
         right=_clip_value(right),
@@ -282,12 +266,14 @@ def nonlocal_entropy(e: Ensemble, mode: Mode = Mode()) -> QuantifierReport:
         contributions_left=tuple(per_dir["left"][1]),
         mode=mode,
         work=work,
-        reps_right=per_dir["right"][3],
-        reps_left=per_dir["left"][3],
+        reps_right=per_dir["right"][2],
+        reps_left=per_dir["left"][2],
     )
 
 
 def _delta_direction(e, stack, probs, mode, direction):
+    """(value, contributions, repetition count); per-state-lu reports no count,
+    as each member picks its own."""
     dims = e.dims
     d_t = _target_dim(dims, direction)
     reps_range = range(1, max(d_t, 2))
@@ -295,11 +281,10 @@ def _delta_direction(e, stack, probs, mode, direction):
     if mode.name == "fixed":
         best = None
         for r in reps_range:
-            t = _fixed_transform(stack, dims, direction, r)
-            contrib = entanglement_entropies(t, dims)
+            contrib = entanglement_entropies(_fixed_transform(stack, dims, direction, r), dims)
             avg = float(probs @ contrib)
             if best is None or avg > best[0] + 1e-15:
-                best = (avg, contrib, t, r)
+                best = (avg, contrib, r)
         return best
 
     if mode.name == "ensemble-lu":
@@ -313,32 +298,110 @@ def _delta_direction(e, stack, probs, mode, direction):
                 _direction_seed(mode.seed, direction),
             )
             if best is None or val > best[0] + 1e-15:
-                t = circuit.transform(stack, params)
-                best = (val, entanglement_entropies(t, dims), t, r)
+                best = (val, entanglement_entropies(circuit.transform(stack, params), dims), r)
         return best
 
     # per-state-lu: parameters chosen member by member (upper-bound flavor)
-    k = stack.shape[0]
-    contrib = np.zeros(k)
-    transformed = np.empty_like(stack)
-    reps_used = 1
-    for i in range(k):
-        row = stack[i : i + 1]
+    if mode.depth == 1:
+        contrib = _per_state_closed(stack, dims, direction, mode.rotate, reps_range)
+        return float(probs @ contrib), contrib, None
+    contrib = np.zeros(stack.shape[0])
+    for i in range(stack.shape[0]):
         best = None
         for r in reps_range:
             circuit = _LuCircuit(dims, direction, mode.rotate, mode.depth, r)
-            val, params = _hill_climb(
-                _delta_objective(circuit, row, None),
+            val, _ = _hill_climb(
+                _delta_objective(circuit, stack[i : i + 1], None),
                 circuit.n_params,
                 mode.restarts,
                 _direction_seed(mode.seed, direction, i),
             )
-            if best is None or val > best[0] + 1e-15:
-                best = (val, circuit.transform(row, params)[0], r)
-        contrib[i] = best[0]
-        transformed[i] = best[1]
-        reps_used = best[2]
-    return float(probs @ contrib), contrib, transformed, reps_used
+            if best is None or val > best + 1e-15:
+                best = val
+        contrib[i] = best
+    return float(probs @ contrib), contrib, None
+
+
+# ---------------------------------------------------------------------------
+# depth-1 per-state optimum in closed form
+
+
+_CAPACITY_ROUNDS = 10_000  # Blahut-Arimoto rounds before a capacity is given up
+
+
+def _per_state_closed(stack, dims, direction: str, rotate: str, reps_range) -> np.ndarray:
+    """Each member's best entanglement over one rotation layer and ``CNOT^r``.
+
+    A member (product within ``TOL.product_rank``) is valued through its
+    leading Schmidt pair: control part ``a``, target part ``b``. ``CNOT^r``
+    sends ``|i>|b>`` to ``|i> X^{ri}|b>``, so the controls of one class
+    ``c = r*i mod d_t`` see the same shift. Maximized over r in ``reps_range``:
+
+    * target: ``H(fold_r |a|^2)``, the class masses. The output
+      ``sum_c sqrt(w_c) |phi_c> X^c V|b>`` has orthonormal ``|phi_c>``, so its
+      entropy is at most ``H(w)``, attained by ``V|b> = |0>``.
+    * both: ``log2 min(d_A, d_B)``, the ceiling of any pure state, attained at
+      r=1 by a control uniform on ``min(d_c, d_t)`` basis vectors and ``|0>``.
+    * control: the capacity ``max_q S(sum_c q_c X^c|b><b|X^-c)`` over the
+      classes, since control rotations reach every class distribution ``q``
+      and the target marginal is that mixture (``_shift_capacities``).
+    """
+    k = stack.shape[0]
+    if rotate == "both":
+        return np.full(k, math.log2(min(dims)))
+    u, _, vh = np.linalg.svd(stack.reshape(k, *dims))
+    part_a, part_b = u[:, :, 0], vh[:, 0, :]
+    control, target = (part_a, part_b) if direction == "right" else (part_b, part_a)
+    classes = _shift_classes(control.shape[1], target.shape[1], reps_range)
+    if rotate == "target":
+        return entropy_bits(np.einsum("ki,ric->krc", np.abs(control) ** 2, classes)).max(axis=1)
+    return _shift_capacities(target, classes.any(axis=1))[0].max(axis=1)
+
+
+def _shift_classes(d_c: int, d_t: int, reps_range) -> np.ndarray:
+    """``(R, d_c, d_t)`` indicator: control index i lies in class ``r*i mod d_t``."""
+    classes = np.zeros((len(reps_range), d_c, d_t))
+    for n, r in enumerate(reps_range):
+        classes[n, np.arange(d_c), r * np.arange(d_c) % d_t] = 1.0
+    return classes
+
+
+def _shift_capacities(target: np.ndarray, present: np.ndarray):
+    """Capacities of the channels ``c -> X^c|b>`` over the classes ``present`` marks.
+
+    ``target`` is ``(k, d_t)`` and ``present`` ``(R, d_t)``; returns the values
+    and the optimal class distributions, ``(k, R)`` and ``(k, R, d_t)``. One
+    letter per class: duplicated letters slow the iteration down. All ``k*R``
+    channels run the quantum Blahut-Arimoto iteration (Nagaoka 1998) from the
+    uniform ``q``, one stacked ``eigh`` per round: ``q_c <- q_c 2^{D(b_c||rho)}``.
+    ``S(rho)`` is attained by the current ``q`` and ``max_c D(b_c||rho)``
+    bounds the capacity from above, so a channel stops at ``S(rho)`` once
+    their gap (with the unfloored entropy, as ``D`` sees the same spectrum) is
+    at most ``TOL.capacity_gap``. ``BadValue`` if one is still open after
+    ``_CAPACITY_ROUNDS`` rounds.
+    """
+    k, d_t = target.shape
+    letters = np.stack([np.roll(target, c, axis=1) for c in range(d_t)], axis=1)  # row c: X^c|b>
+    letters = np.repeat(letters, len(present), axis=0)
+    present = np.tile(present, (k, 1))
+    q = present / present.sum(axis=1, keepdims=True)
+    values = np.empty(len(q))
+    running = np.arange(len(q))
+    for _ in range(_CAPACITY_ROUNDS):
+        b, mask = letters[running], present[running]
+        lam, vecs = np.linalg.eigh(np.einsum("mc,mci,mcj->mij", q[running], b, np.conjugate(b)))
+        logs = np.log2(np.where(lam > 0.0, lam, 1.0))
+        div = -(np.abs(b @ np.conjugate(vecs)) ** 2 * logs[:, None, :]).sum(-1)  # D(b_c||rho)
+        div = np.where(mask, div, -np.inf)
+        top = div.max(axis=1)
+        done = top + (lam * logs).sum(-1) <= TOL.capacity_gap
+        values[running[done]] = entropy_bits(lam[done])
+        w = q[running] * np.exp2(div - top[:, None])
+        q[running[~done]] = (w / w.sum(axis=1, keepdims=True))[~done]
+        running = running[~done]
+        if running.size == 0:
+            return values.reshape(k, -1), q.reshape(k, -1, d_t)
+    raise BadValue(f"shift capacity not certified within {_CAPACITY_ROUNDS} rounds")
 
 
 def _delta_objective(circuit: _LuCircuit, stack: np.ndarray, probs):
@@ -361,14 +424,15 @@ def _delta_objective(circuit: _LuCircuit, stack: np.ndarray, probs):
     return f
 
 
-def _work_pairs(stack, transformed, probs, dims):
+def _work_pairs(stack, contrib, probs, dims):
     """Work pairs of a product ensemble before and after its transform.
 
     Members are pure, so either marginal carries the squared Schmidt
-    spectrum and both parties see the same average member entropy.
+    spectrum and both parties see the same average member entropy;
+    ``contrib`` holds the transformed members' entanglement.
     """
     s_in = float(probs @ entanglement_entropies(stack, dims))
-    s_fin = float(probs @ entanglement_entropies(transformed, dims))
+    s_fin = float(probs @ contrib)
     return _work((s_in, s_in), (s_fin, s_fin), dims)
 
 

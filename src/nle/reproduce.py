@@ -161,6 +161,8 @@ CHECKS: tuple[Check, ...] = (
     Check("delta UPB per-state-lu target-rot >= (2+log2 3)/5 - 1e-3",
           lambda: _d("tiles-upb", _UPB_LU).symmetric,
           f">= {_UPB_FLOOR:.6f}", (math.nextafter(_UPB_FLOOR, -math.inf), math.inf)),
+    Check("delta UPB per-state-lu target-rot exact",
+          lambda: _d("tiles-upb", _UPB_LU).symmetric, (2.0 + LOG2_3) / 5.0, 1e-12),
     *(Check(f"Delta bell-pair {m.name} (right)", lambda m=m: _g("bell-pair", m).right, 1.0, 1e-9)
       for m in (FIXED, ASSIGN)),
     Check("Delta bell-triple assign (right)",

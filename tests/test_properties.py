@@ -1,7 +1,14 @@
-"""Fixed-mode invariants of both quantifiers on random ensembles (dims in
-{2, 3}^2, at most five members; product members for delta, general pure
-members for big-delta): a party swap exchanges right and left, and the
-member order changes neither.
+"""Invariants of the quantifiers on random ensembles.
+
+Fixed mode, both quantifiers (dims in {2, 3}^2, at most five members;
+product members for delta, general pure members for big-delta): a party swap
+exchanges right and left, and the member order changes neither.
+
+Depth-1 per-state-lu delta (dims in {2, 3, 4}^2, product members): the value
+with both sides rotated is invariant under any local frame change
+``V_A (x) V_B``; with one side rotated it is invariant under frame changes of
+that side only. It lies between the fixed value and the both-sides value, and
+every delta lies in ``[0, log2 min(d_A, d_B)]``.
 """
 
 import numpy as np
@@ -9,6 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from nle.linalg import haar_unitary
 from nle.quantify import Mode, average_entropy_gap, nonlocal_entropy
 from nle.states import Ensemble, PureState
 
@@ -21,9 +29,9 @@ def _unit(rng, n):
     return v / np.linalg.norm(v)
 
 
-def _random_ensemble(seed: int, quantity: str) -> Ensemble:
+def _random_ensemble(seed: int, quantity: str, max_dim: int = 3) -> Ensemble:
     rng = np.random.default_rng(seed)
-    dims = (int(rng.integers(2, 4)), int(rng.integers(2, 4)))
+    dims = (int(rng.integers(2, max_dim + 1)), int(rng.integers(2, max_dim + 1)))
     k = int(rng.integers(1, 6))
     if quantity == "delta":
         members = [np.kron(_unit(rng, dims[0]), _unit(rng, dims[1])) for _ in range(k)]
@@ -64,3 +72,64 @@ def test_member_order_is_irrelevant(quantity, seed):
     r, permuted = quantifier(e, Mode("fixed")), quantifier(shuffled, Mode("fixed"))
     assert abs(permuted.right - r.right) <= TOL
     assert abs(permuted.left - r.left) <= TOL
+
+
+def _reframe(e: Ensemble, v_a, v_b) -> Ensemble:
+    """Every member under the local frame change ``V_A (x) V_B``."""
+    d_a, d_b = e.dims
+    states = tuple(
+        PureState(e.dims, (v_a @ s.amplitudes.reshape(d_a, d_b) @ v_b.T).reshape(-1))
+        for s in e.states
+    )
+    return Ensemble(e.dims, e.probabilities, states)
+
+
+def _per_state(e: Ensemble, rotate: str):
+    return nonlocal_entropy(e, Mode("per-state-lu", rotate=rotate))
+
+
+@given(seed=st.integers(0, 2**32 - 1))
+@settings(max_examples=100, deadline=None)
+def test_per_state_frame_invariance(seed):
+    # rotate=target values depend on the control basis (|0>|0> reads 0 to the
+    # right, H|0>|0> reads 1), so each one-side value is checked only under
+    # frame changes of its own rotated side
+    e = _random_ensemble(seed, "delta", max_dim=4)
+    rng = np.random.default_rng(seed + 1)
+    v_a, v_b = haar_unitary(e.dims[0], rng), haar_unitary(e.dims[1], rng)
+    eye_a, eye_b = np.eye(e.dims[0]), np.eye(e.dims[1])
+    cases = (
+        ("both", _reframe(e, v_a, v_b), ("right", "left")),
+        ("target", _reframe(e, eye_a, v_b), ("right",)),  # right: B is the target
+        ("target", _reframe(e, v_a, eye_b), ("left",)),
+        ("control", _reframe(e, v_a, eye_b), ("right",)),  # right: A controls
+        ("control", _reframe(e, eye_a, v_b), ("left",)),
+    )
+    for rotate, framed, directions in cases:
+        r, moved = _per_state(e, rotate), _per_state(framed, rotate)
+        for direction in directions:
+            change = getattr(moved, direction) - getattr(r, direction)
+            assert abs(change) <= TOL, (rotate, direction)
+
+
+def test_target_value_depends_on_the_control_basis():
+    hadamard = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0)
+    e = Ensemble((2, 2), (1.0,), (PureState((2, 2), np.array([1.0, 0, 0, 0])),))
+    assert _per_state(e, "target").right == 0.0
+    assert abs(_per_state(_reframe(e, hadamard, np.eye(2)), "target").right - 1.0) <= TOL
+
+
+@given(seed=st.integers(0, 2**32 - 1))
+@settings(max_examples=100, deadline=None)
+def test_per_state_ordering_and_ceiling(seed):
+    e = _random_ensemble(seed, "delta", max_dim=4)
+    ceiling = np.log2(min(e.dims))
+    fixed = nonlocal_entropy(e, Mode("fixed"))
+    per_state = {rotate: _per_state(e, rotate) for rotate in ("target", "control", "both")}
+    for direction in ("right", "left"):
+        both = getattr(per_state["both"], direction)
+        for r in (fixed, *per_state.values()):
+            assert 0.0 <= getattr(r, direction) <= ceiling + TOL
+        for rotate, r in per_state.items():
+            assert getattr(fixed, direction) <= getattr(r, direction) + TOL, rotate
+            assert getattr(r, direction) <= both + TOL, rotate

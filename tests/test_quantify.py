@@ -6,17 +6,18 @@ import pytest
 from nle import catalog
 from nle.dissect import as_product_set, reducible_from
 from nle.errors import BadParams, BadValue, GramNotIdentity, NotProductEnsemble
-from nle.linalg import is_unitary
+from nle.gates import UnitaryParam, hermitian_from_coeffs
+from nle.linalg import expm_skew_hermitian, is_unitary
 from nle.quantify import (
     Mode,
     _clip_value,
     _fixed_transform,
+    _hill_climb,
     _LuCircuit,
     assign_partition,
     assign_unitary,
     average_entropy_gap,
     nonlocal_entropy,
-    optimize_unitary,
     partitions_with_caps,
 )
 from nle.states import Ensemble, entanglement_entropy
@@ -201,6 +202,19 @@ class TestAssignMachinery:
             assert ent <= 1e-9
         g = np.conjugate(np.array(outs)) @ np.array(outs).T
         assert np.max(np.abs(g - np.eye(len(outs)))) <= 1e-9
+
+
+def optimize_unitary(objective, dim: int, restarts: int = 8, seed: int = 0):
+    """Maximize ``objective(U)`` over the unitary group U(dim) with the lu
+    searches' hill climb; returns ``(best value, best UnitaryParam)``."""
+
+    def f(batch: np.ndarray) -> np.ndarray:
+        return np.array(
+            [float(objective(expm_skew_hermitian(h))) for h in hermitian_from_coeffs(dim, batch)]
+        )
+
+    val, coeffs = _hill_climb(f, dim * dim, restarts, seed)
+    return val, UnitaryParam(dim, coeffs)
 
 
 class TestOptimizeUnitary:
