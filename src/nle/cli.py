@@ -28,7 +28,14 @@ from .config import TOL
 from .dissect import as_product_set, classify, dissect
 from .errors import FileFormatError, NleError
 from .infobounds import cnot_bounds
-from .quantify import Mode, QuantifierReport, average_entropy_gap, nonlocal_entropy
+from .quantify import (
+    MODE_NAMES,
+    ROTATE_CHOICES,
+    Mode,
+    QuantifierReport,
+    average_entropy_gap,
+    nonlocal_entropy,
+)
 from .states import Ensemble, PureState
 
 EXIT_DOMAIN = 2
@@ -188,16 +195,13 @@ def _add_source_flags(p: argparse.ArgumentParser) -> None:
 
 
 def _add_mode_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument(
-        "--mode",
-        default="fixed",
-        choices=["fixed", "ensemble-lu", "per-state-lu", "assign"],
-    )
+    defaults = Mode()
+    p.add_argument("--mode", default=defaults.name, choices=MODE_NAMES)
     p.add_argument("--direction", default="both", choices=["right", "left", "both"])
-    p.add_argument("--depth", type=int, default=1)
-    p.add_argument("--restarts", type=int, default=8)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--rotate", default="both", choices=["both", "target", "control"])
+    p.add_argument("--depth", type=int, default=defaults.depth)
+    p.add_argument("--restarts", type=int, default=defaults.restarts)
+    p.add_argument("--seed", type=int, default=defaults.seed)
+    p.add_argument("--rotate", default=defaults.rotate, choices=ROTATE_CHOICES)
 
 
 def _cmd_quantifier(args) -> int:

@@ -7,16 +7,23 @@ lower the local entropy of the ensemble-average state. The optimization
 freedom behind either quantity is expressed through an explicit ``Mode`` so
 every reported number names the search that produced it:
 
-* ``fixed``: the controlled shift alone, best repetition count.
+* ``fixed``: the controlled shift alone, best repetition count: the
+  parameter-free member of the ensemble-lu family, one layer with no
+  rotated side (``depth``, ``restarts`` and ``seed`` have no effect).
 * ``ensemble-lu``: layers of (local unitaries, controlled shift) with one
   shared parameter set, hill-climbed with restarts.
 * ``per-state-lu``: the same circuit family optimized per member; in closed
   form at depth 1 (``_per_state_closed``; ``restarts`` and ``seed`` have no
   effect, and a member, product within ``TOL.product_rank``, is valued
-  through its leading Schmidt pair), hill-climbed member by member deeper.
+  through its leading Schmidt pair); deeper, ensemble-lu run on each
+  one-member ensemble.
 * ``assign`` (gap only, orthogonal ensembles): the best relabeling onto an
   orthonormal product frame, in closed form: members sorted by probability
   and cut into consecutive groups (exact by majorization).
+
+Fixed, ensemble-lu and deeper per-state-lu share one search loop over the
+repetition count r (``_searched_transforms``); every gap search starts from
+the identity (r=0). Delta values lie in ``[0, log2 min(d_A, d_B)]``.
 
 Directions: "right" means party A controls and B is the target; "left" is
 the mirror.
@@ -24,6 +31,7 @@ the mirror.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -48,7 +56,8 @@ class Mode:
     ``rotate`` restricts which side carries the local pre-rotations in the
     lu modes: "both" (default), "target" (the shifted side), or "control".
     ``restarts`` and ``seed`` drive the hill climbs; depth-1 per-state-lu runs
-    none, so they do not affect it.
+    none, so they do not affect it. Fixed mode has no rotations and one
+    layer, so it ignores ``depth``, ``restarts``, ``seed`` and ``rotate``.
     """
 
     name: str = "fixed"
@@ -90,10 +99,12 @@ class QuantifierReport:
 # shared numerics
 
 
-def _clip_value(v: float) -> float:
-    if not (math.isfinite(v) and v >= -TOL.value):
-        raise BadValue(f"quantifier value {v} is not finite or lies below -{TOL.value}")
-    return max(0.0, v)
+def _clip_value(v: float, ceiling: float = math.inf) -> float:
+    """``v`` clipped into ``[0, ceiling]``; ``BadValue`` when it is not finite
+    or lies outside by more than ``TOL.value``."""
+    if not (math.isfinite(v) and -TOL.value <= v <= ceiling + TOL.value):
+        raise BadValue(f"quantifier value {v} is not finite or lies outside [0, {ceiling}]")
+    return min(max(0.0, v), ceiling)
 
 
 def _target_dim(dims: tuple[int, int], direction: str) -> int:
@@ -181,15 +192,15 @@ def _hill_climb(
 
 
 class _LuCircuit:
-    """Depth-layered circuit: per layer local rotations then CNOT^reps."""
+    """Depth-layered circuit: per layer local rotations (``rotate=None``: none) then CNOT^reps."""
 
-    def __init__(self, dims, direction: str, rotate: str, depth: int, reps: int):
+    def __init__(self, dims, direction: str, rotate: str | None, depth: int, reps: int):
         self.dims = dims
         self.depth = depth
         control = "A" if direction == "right" else "B"
         self.perm = cnot_permutation(dims, control, reps)
         target = "B" if direction == "right" else "A"
-        wanted = {"both": ("A", "B"), "target": (target,), "control": (control,)}[rotate]
+        wanted = {"both": ("A", "B"), "target": (target,), "control": (control,), None: ()}[rotate]
         self.rot_a = "A" in wanted
         self.rot_b = "B" in wanted
         self.n_a = dims[0] ** 2 if self.rot_a else 0
@@ -224,12 +235,21 @@ class _LuCircuit:
         return t.reshape(lead + (k, d_a * d_b))
 
 
-def _fixed_transform(stack: np.ndarray, dims, direction: str, reps: int) -> np.ndarray:
-    control = "A" if direction == "right" else "B"
-    perm = cnot_permutation(dims, control, reps)
-    out = np.empty_like(stack)
-    out[:, perm] = stack
-    return out
+def _searched_transforms(stack, dims, mode: Mode, direction: str, objective, seed: int):
+    """Yield ``(r, transformed stack)`` for each repetition count r.
+
+    The stack goes through the mode's circuit at the parameters the hill climb
+    of ``objective(circuit)`` finds. The fixed circuit is the parameter-free
+    one, a single layer with no rotated side whatever ``mode.depth`` says, and
+    is not climbed.
+    """
+    rotate, depth = (None, 1) if mode.name == "fixed" else (mode.rotate, mode.depth)
+    for r in range(1, max(_target_dim(dims, direction), 2)):
+        circuit = _LuCircuit(dims, direction, rotate, depth, r)
+        params = np.zeros(0)
+        if circuit.n_params:
+            params = _hill_climb(objective(circuit), circuit.n_params, mode.restarts, seed)[1]
+        yield r, circuit.transform(stack, params)
 
 
 def _direction_seed(base: int, direction: str, member: int = -1) -> int:
@@ -244,7 +264,8 @@ def nonlocal_entropy(e: Ensemble, mode: Mode = Mode()) -> QuantifierReport:
     """Average entanglement generated across a product ensemble, per direction.
 
     The per-state contribution is the entanglement entropy of the transformed
-    member; the directional value is the probability-weighted sum. Raises
+    member; the directional value is the probability-weighted sum. Values and
+    contributions are clipped into ``[0, log2 min(d_A, d_B)]``. Raises
     ``NotProductEnsemble`` when any member has Schmidt rank above one.
     """
     if mode.name == "assign":
@@ -257,13 +278,14 @@ def nonlocal_entropy(e: Ensemble, mode: Mode = Mode()) -> QuantifierReport:
     per_dir = {d: _delta_direction(e, stack, probs, mode, d) for d in DIRECTIONS}
     right, left = per_dir["right"][0], per_dir["left"][0]
     work = {d: _work_pairs(stack, per_dir[d][1], probs, e.dims) for d in DIRECTIONS}
+    ceiling = math.log2(min(e.dims))  # the entanglement of any pure state
     return QuantifierReport(
         quantity="delta",
-        right=_clip_value(right),
-        left=_clip_value(left),
-        symmetric=_clip_value((right + left) / 2.0),
-        contributions_right=tuple(per_dir["right"][1]),
-        contributions_left=tuple(per_dir["left"][1]),
+        right=_clip_value(right, ceiling),
+        left=_clip_value(left, ceiling),
+        symmetric=_clip_value((right + left) / 2.0, ceiling),
+        contributions_right=tuple(_clip_value(c, ceiling) for c in per_dir["right"][1]),
+        contributions_left=tuple(_clip_value(c, ceiling) for c in per_dir["left"][1]),
         mode=mode,
         work=work,
         reps_right=per_dir["right"][2],
@@ -274,52 +296,33 @@ def nonlocal_entropy(e: Ensemble, mode: Mode = Mode()) -> QuantifierReport:
 def _delta_direction(e, stack, probs, mode, direction):
     """(value, contributions, repetition count); per-state-lu reports no count,
     as each member picks its own."""
-    dims = e.dims
-    d_t = _target_dim(dims, direction)
-    reps_range = range(1, max(d_t, 2))
-
-    if mode.name == "fixed":
-        best = None
-        for r in reps_range:
-            contrib = entanglement_entropies(_fixed_transform(stack, dims, direction, r), dims)
-            avg = float(probs @ contrib)
-            if best is None or avg > best[0] + 1e-15:
-                best = (avg, contrib, r)
-        return best
-
-    if mode.name == "ensemble-lu":
-        best = None
-        for r in reps_range:
-            circuit = _LuCircuit(dims, direction, mode.rotate, mode.depth, r)
-            val, params = _hill_climb(
-                _delta_objective(circuit, stack, probs),
-                circuit.n_params,
-                mode.restarts,
-                _direction_seed(mode.seed, direction),
-            )
-            if best is None or val > best[0] + 1e-15:
-                best = (val, entanglement_entropies(circuit.transform(stack, params), dims), r)
-        return best
-
+    dims, seed = e.dims, _direction_seed(mode.seed, direction)
+    if mode.name != "per-state-lu":
+        return _delta_search(stack, probs, dims, mode, direction, seed)
     # per-state-lu: parameters chosen member by member (upper-bound flavor)
     if mode.depth == 1:
+        reps_range = range(1, max(_target_dim(dims, direction), 2))
         contrib = _per_state_closed(stack, dims, direction, mode.rotate, reps_range)
-        return float(probs @ contrib), contrib, None
-    contrib = np.zeros(stack.shape[0])
-    for i in range(stack.shape[0]):
-        best = None
-        for r in reps_range:
-            circuit = _LuCircuit(dims, direction, mode.rotate, mode.depth, r)
-            val, _ = _hill_climb(
-                _delta_objective(circuit, stack[i : i + 1], None),
-                circuit.n_params,
-                mode.restarts,
-                _direction_seed(mode.seed, direction, i),
-            )
-            if best is None or val > best + 1e-15:
-                best = val
-        contrib[i] = best
+    else:  # ensemble-lu on each one-member ensemble
+        member_seeds = (_direction_seed(mode.seed, direction, i) for i in range(len(stack)))
+        contrib = np.array([
+            _delta_search(row[None], np.ones(1), dims, mode, direction, s)[0]
+            for row, s in zip(stack, member_seeds)
+        ])
     return float(probs @ contrib), contrib, None
+
+
+def _delta_search(stack, probs, dims, mode, direction, seed):
+    """(value, contributions, r) of the best repetition count; a later r must
+    beat the best value by more than 1e-15."""
+    best = None
+    objective = functools.partial(_delta_objective, stack=stack, probs=probs)
+    for r, t in _searched_transforms(stack, dims, mode, direction, objective, seed):
+        contrib = entanglement_entropies(t, dims)
+        value = float(probs @ contrib)
+        if best is None or value > best[0] + 1e-15:
+            best = (value, contrib, r)
+    return best
 
 
 # ---------------------------------------------------------------------------
@@ -408,8 +411,8 @@ def _delta_objective(circuit: _LuCircuit, stack: np.ndarray, probs):
     """Batch objective of the delta searches: ``(B, n_params) -> (B,)``.
 
     Each row's value is the ``probs``-weighted entanglement of the transformed
-    stack, or, with ``probs=None``, that of its single member. All ``B*k``
-    members go through one SVD. The weighting is one dot product per row,
+    stack (``probs=np.ones(1)`` for a single member). All ``B*k`` members go
+    through one SVD. The weighting is one dot product per row,
     which rounds as the one-candidate objective did; a ``(B, k) @ (k,)``
     product rounds differently and would move the seeded searches.
     """
@@ -417,8 +420,6 @@ def _delta_objective(circuit: _LuCircuit, stack: np.ndarray, probs):
 
     def f(params: np.ndarray) -> np.ndarray:
         ents = entanglement_entropies(circuit.transform(stack, params), dims)
-        if probs is None:
-            return ents
         return np.array([float(probs @ row) for row in ents.reshape(len(params), -1)])
 
     return f
@@ -444,10 +445,11 @@ def average_entropy_gap(e: Ensemble, mode: Mode = Mode()) -> QuantifierReport:
     """Reduction of the average-state local entropy achievable per direction.
 
     In fixed and ensemble-lu modes the transform family is the same
-    controlled-shift circuit used by ``nonlocal_entropy`` (the identity is
-    included, so the gap is never negative) and the report records how many
-    members remain entangled. Assign mode relabels an orthogonal ensemble
-    onto orthonormal product outputs: members are grouped, each group shares
+    controlled-shift circuit used by ``nonlocal_entropy`` plus the identity,
+    the first candidate of every direction, so the gap is never negative;
+    the report records how many members remain entangled. Assign mode
+    relabels an orthogonal ensemble onto orthonormal product outputs:
+    members are grouped, each group shares
     one target-side basis vector, and the residual target entropy is the
     entropy of the group-mass distribution, minimized over all admissible
     partitions; the minimum is attained by sorted chunking
@@ -462,9 +464,8 @@ def average_entropy_gap(e: Ensemble, mode: Mode = Mode()) -> QuantifierReport:
     if mode.name == "assign":
         return _assign_gap(e, s_bar, mode)
 
-    per_dir = {}
-    for direction in DIRECTIONS:
-        per_dir[direction] = _gap_direction(e, stack, probs, s_bar, mode, direction)
+    identity = (0.0, entanglement_entropies(stack, e.dims), (0.0, 0.0), 0, s_bar)
+    per_dir = {d: _gap_direction(e, stack, probs, s_bar, identity, mode, d) for d in DIRECTIONS}
 
     right, left = per_dir["right"][0], per_dir["left"][0]
     work = {d: _work(s_bar, per_dir[d][4], e.dims) for d in DIRECTIONS}
@@ -499,19 +500,13 @@ def _work(s_in, s_fin, dims):
     }
 
 
-def _gap_direction(e, stack, probs, s_bar, mode, direction):
+def _gap_direction(e, stack, probs, s_bar, identity, mode, direction):
+    """(gap, contributions, side gaps, r, final side entropies) of the best
+    candidate, starting from ``identity`` (r=0)."""
     dims = e.dims
-    d_t = _target_dim(dims, direction)
-
-    def score_of(t):
-        s_fin = mixture_marginal_entropies(t, probs, dims)
-        gaps = (s_bar[0] - s_fin[0], s_bar[1] - s_fin[1])
-        return max(gaps), gaps, s_fin
 
     def better(candidate, incumbent):
         # equal scores resolve toward the transform that disentangles more
-        if incumbent is None:
-            return True
         if candidate[0] > incumbent[0] + 1e-12:
             return True
         if candidate[0] < incumbent[0] - 1e-12:
@@ -520,30 +515,15 @@ def _gap_direction(e, stack, probs, s_bar, mode, direction):
             incumbent[1] > TOL.value
         )
 
-    best = None
-    if mode.name == "fixed":
-        for r in range(0, max(d_t, 1)):
-            t = stack if r == 0 else _fixed_transform(stack, dims, direction, r)
-            score, gaps, s_fin = score_of(t)
-            candidate = (score, entanglement_entropies(t, dims), gaps, r, s_fin)
-            if better(candidate, best):
-                best = candidate
-    else:  # ensemble-lu
-        for r in range(1, max(d_t, 2)):
-            circuit = _LuCircuit(dims, direction, mode.rotate, mode.depth, r)
-            _, params = _hill_climb(
-                _gap_objective(circuit, stack, probs, s_bar),
-                circuit.n_params,
-                mode.restarts,
-                _direction_seed(mode.seed, direction),
-            )
-            t = circuit.transform(stack, params)
-            score, gaps, s_fin = score_of(t)
-            candidate = (score, entanglement_entropies(t, dims), gaps, r, s_fin)
-            if better(candidate, best):
-                best = candidate
-        if best[0] < 0.0:  # the identity circuit is always admissible
-            best = (0.0, entanglement_entropies(stack, dims), (0.0, 0.0), 0, s_bar)
+    best = identity
+    objective = functools.partial(_gap_objective, stack=stack, probs=probs, s_bar=s_bar)
+    seed = _direction_seed(mode.seed, direction)
+    for r, t in _searched_transforms(stack, dims, mode, direction, objective, seed):
+        s_fin = mixture_marginal_entropies(t, probs, dims)
+        gaps = (s_bar[0] - s_fin[0], s_bar[1] - s_fin[1])
+        candidate = (max(gaps), entanglement_entropies(t, dims), gaps, r, s_fin)
+        if better(candidate, best):
+            best = candidate
     return best
 
 

@@ -110,7 +110,7 @@ def _per_state_pair(n):
     def scalar(params):
         return float(entanglement_entropies(circuit.transform(row, params), e.dims)[0])
 
-    return scalar, _delta_objective(circuit, row, None)
+    return scalar, _delta_objective(circuit, row, np.ones(1))
 
 
 def _gap_pair(n):

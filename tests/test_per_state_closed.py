@@ -9,7 +9,8 @@ superposition or to the capacity-achieving ``sqrt(q)``) followed by the
 controlled shift give a member with exactly that entanglement.
 (c) The Blahut-Arimoto iteration stops with its duality gap certified below
 ``TOL.capacity_gap``, also where control classes repeat, and raises
-``BadValue`` rather than return a number when its round cap is hit.
+``BadValue`` rather than return a number when its round cap is hit. Where
+the letters ``X^c|b>`` nearly coincide it still hits the cap (strict xfail).
 """
 
 import itertools
@@ -98,7 +99,7 @@ def test_closed_form_never_below_search(dims, rotate):
     for direction in ("right", "left"):
         circuits = [_LuCircuit(dims, direction, rotate, 1, r) for r in _reps(dims, direction)]
         search = max(
-            _hill_climb(_delta_objective(c, row, None), c.n_params, 1, 7)[0] for c in circuits
+            _hill_climb(_delta_objective(c, row, np.ones(1)), c.n_params, 1, 7)[0] for c in circuits
         )
         assert closed[direction] >= search - 1e-12, (direction, closed[direction], search)
 
@@ -203,6 +204,23 @@ def test_capacity_round_cap_raises(monkeypatch):
     with pytest.raises(BadValue) as err:
         _closed(a, b, "control")
     assert err.value.code == "bad-value"
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=BadValue,
+    reason="near-coincident letters: Blahut-Arimoto does not close its gap within the round "
+    "cap (ROADMAP item 1, open: a Newton step on the simplex)",
+)
+def test_capacity_certified_for_near_coincident_letters():
+    rng = np.random.default_rng(0)
+    a = np.ones(3) / math.sqrt(3.0)
+    b = np.ones(4) / 2.0 + 3e-3 * rng.normal(size=4)
+    b /= np.linalg.norm(b)
+    e = Ensemble((3, 4), (1.0,), (PureState((3, 4), np.kron(a, b)),))
+    r = nonlocal_entropy(e, Mode("per-state-lu", rotate="control"))
+    fixed = nonlocal_entropy(e, Mode("fixed"))
+    assert fixed.right <= r.right <= math.log2(3.0)
 
 
 def test_per_state_reports_no_repetition_count():

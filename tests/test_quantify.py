@@ -1,17 +1,17 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from nle import catalog
 from nle.dissect import as_product_set, reducible_from
-from nle.errors import BadParams, BadValue, GramNotIdentity, NotProductEnsemble
-from nle.gates import UnitaryParam, hermitian_from_coeffs
+from nle.errors import BadParams, BadValue, GramNotIdentity, NleError, NotProductEnsemble
+from nle.gates import UnitaryParam, cnot_permutation, hermitian_from_coeffs
 from nle.linalg import expm_skew_hermitian, is_unitary
 from nle.quantify import (
     Mode,
     _clip_value,
-    _fixed_transform,
     _hill_climb,
     _LuCircuit,
     assign_partition,
@@ -48,6 +48,17 @@ class TestClipValue:
 
     def test_clips_rounding_below_zero(self):
         assert _clip_value(-1e-12) == 0.0 and _clip_value(0.25) == 0.25
+
+    def test_clips_rounding_above_the_ceiling(self):
+        assert _clip_value(1.0 + 1e-12, 1.0) == 1.0 and _clip_value(0.25, 1.0) == 0.25
+        with pytest.raises(BadValue):
+            _clip_value(1.0 + 1e-6, 1.0)
+
+    def test_delta_never_exceeds_its_ceiling(self):
+        # five members at log2 3 each: their weighted sum rounds one ulp above
+        r = nonlocal_entropy(catalog.build("tiles-upb"), Mode("per-state-lu", rotate="both"))
+        assert r.right == r.left == r.symmetric == LOG2_3
+        assert set(r.contributions_right) == set(r.contributions_left) == {LOG2_3}
 
 
 class TestNonlocalEntropy:
@@ -94,15 +105,34 @@ class TestNonlocalEntropy:
 
 class TestLuModes:
     def test_zero_parameters_reproduce_fixed_transform(self):
+        # oracle: the shift permutation applied by hand
         e = catalog.build("nlwe-3x3")
         stack = np.array([s.amplitudes for s in e.states])
         for reps in (1, 2):
+            shifted = np.empty_like(stack)
+            shifted[:, cnot_permutation((3, 3), "A", reps)] = stack
             circuit = _LuCircuit((3, 3), "right", "both", 1, reps)
             zero = np.zeros(circuit.n_params)
-            assert np.allclose(
-                circuit.transform(stack, zero),
-                _fixed_transform(stack, (3, 3), "right", reps),
-            )
+            assert np.allclose(circuit.transform(stack, zero), shifted)
+            fixed = _LuCircuit((3, 3), "right", None, 1, reps)
+            assert fixed.n_params == 0
+            assert np.array_equal(fixed.transform(stack, np.zeros(0)), shifted)
+
+    @pytest.mark.parametrize("name", ["case-3x2", "e2-case2", "ghosh-nonmax"])
+    @pytest.mark.parametrize("quantifier", [nonlocal_entropy, average_entropy_gap])
+    @pytest.mark.parametrize("depth", [2, 3])
+    def test_fixed_ignores_search_knobs(self, name, quantifier, depth):
+        # the fixed circuit is one unrotated layer; depth layers would apply
+        # CNOT^(depth*r), which is the identity when depth*r is a multiple of d_t
+        def outcome(mode):
+            try:
+                r = quantifier(catalog.build(name), mode)
+            except NleError as exc:  # delta of an entangled ensemble
+                return exc.code
+            return replace(r, mode=Mode()), r.work
+
+        knobs = Mode("fixed", depth=depth, restarts=5, seed=9, rotate="control")
+        assert outcome(knobs) == outcome(Mode("fixed"))
 
     def test_mode_monotonicity(self):
         e = catalog.build("e2-case2")
@@ -138,6 +168,16 @@ class TestAverageEntropyGap:
 
     def test_mes_triples(self, table_rows_pass):
         table_rows_pass("Delta mes-triple", "Delta mixed-triple")
+
+    def test_identity_wins_ties(self):
+        # the target-rotated r=1 search only reaches a zero gap, as the
+        # identity does, and leaves as many members entangled
+        r = average_entropy_gap(
+            catalog.build("orth-pair"), Mode("ensemble-lu", restarts=1, rotate="target")
+        )
+        assert r.right == 0.0
+        assert r.reps_right == 0
+        assert r.side_gaps_right == (0.0, 0.0)
 
     def test_orth_pair_fixed_gaps_vanish(self, table_rows_pass):
         # post-shift marginal cross terms cancel for this family
