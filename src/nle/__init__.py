@@ -21,7 +21,7 @@ from .states import (
     schmidt,
     vn_entropy,
 )
-from .gates import UnitaryParam, apply, apply_cnot, cnot, embed_local, param_to_unitary
+from .gates import apply, apply_cnot, cnot, embed_local
 from .dissect import (
     DissectionNode,
     ProductSet,
@@ -52,7 +52,6 @@ __all__ = [
     "Mode",
     "QuantifierReport",
     "BoundsReport",
-    "UnitaryParam",
     "average_state",
     "entanglement_entropy",
     "marginal_entropies",
@@ -63,7 +62,6 @@ __all__ = [
     "apply_cnot",
     "cnot",
     "embed_local",
-    "param_to_unitary",
     "as_product_set",
     "classify",
     "dissect",

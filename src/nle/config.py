@@ -22,6 +22,7 @@ class Tolerances:
     eig_floor: float = 1e-12        # eigenvalues below this contribute 0 to entropy
     value: float = 1e-9             # quantifier non-negativity clip
     capacity_gap: float = 1e-12     # duality gap (bits) certifying a per-state shift capacity
+    gradient: float = 1e-9          # Riemannian gradient norm that ends an lu ascent
     input_norm: float = 1e-8        # caller-supplied normalizations (file norms and
                                     # probability sums, catalog a^2 + b^2, vn_entropy trace)
 

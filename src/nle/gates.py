@@ -1,4 +1,4 @@
-"""Generalized controlled-shift gates, local embeddings, and unitary parameterization.
+"""Generalized controlled-shift gates, local embeddings, and Hermitian generators.
 
 The controlled gate in dimensions (d_A, d_B) with control A sends
 |i>_A |j>_B to |i>_A |(j + i) mod d_B>_B; with control B it mirrors to
@@ -8,14 +8,13 @@ target dimension, which is what makes unequal dimensions work.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
 from .config import TOL
 from .errors import BadParams, DimensionMismatch, NotUnitary
-from .linalg import Party, expm_skew_hermitian, is_unitary, tensor
+from .linalg import Party, is_unitary, tensor
 from .states import PureState
 
 
@@ -64,37 +63,19 @@ def embed_local(u: np.ndarray, dims: tuple[int, int], side: Party) -> np.ndarray
     raise DimensionMismatch(f"unknown party {side!r}")
 
 
-@dataclass(frozen=True)
-class UnitaryParam:
-    """Coordinates of a Hermitian generator; exp(i*H) is the unitary.
-
-    Packing for dimension d (total d*d reals): the first d entries are the
-    diagonal of H, then d(d-1)/2 real parts and d(d-1)/2 imaginary parts of
-    the strictly upper triangle, row-major.
-    """
-
-    dim: int
-    coeffs: np.ndarray
-
-    def __post_init__(self):
-        c = np.asarray(self.coeffs, dtype=float).ravel()
-        if self.dim < 1 or c.shape[0] != self.dim * self.dim:
-            raise BadParams(f"need {self.dim * self.dim} coefficients")
-        if not np.all(np.isfinite(c)):
-            raise BadParams("non-finite coefficient")
-        object.__setattr__(self, "coeffs", c)
-
-
 @lru_cache(maxsize=None)
 def _triangle_indices(dim: int):
     return np.diag_indices(dim), np.triu_indices(dim, k=1)
 
 
 def hermitian_from_coeffs(dim: int, coeffs: np.ndarray) -> np.ndarray:
-    """Hermitian generator(s) of ``UnitaryParam`` coefficients.
+    """Hermitian generator(s) from real coordinates.
 
-    ``coeffs`` has shape ``(..., dim*dim)``; the result has shape
-    ``(..., dim, dim)``, one generator per coefficient row.
+    Packing for dimension d (d*d reals per row): the first d entries are the
+    diagonal, then the d(d-1)/2 real parts and the d(d-1)/2 imaginary parts
+    of the strictly upper triangle, row-major. ``coeffs`` has shape
+    ``(..., dim*dim)``; the result has shape ``(..., dim, dim)``, one
+    generator per coefficient row.
     """
     c = np.asarray(coeffs, dtype=float)
     (dr, dc), (ur, uc) = _triangle_indices(dim)
@@ -105,11 +86,6 @@ def hermitian_from_coeffs(dim: int, coeffs: np.ndarray) -> np.ndarray:
     h[..., ur, uc] = upper
     h[..., uc, ur] = np.conjugate(upper)
     return h
-
-
-def param_to_unitary(p: UnitaryParam) -> np.ndarray:
-    """exp(i*H(p)); the zero parameter vector gives the identity."""
-    return expm_skew_hermitian(hermitian_from_coeffs(p.dim, p.coeffs))
 
 
 def apply(u: np.ndarray, s: PureState) -> PureState:

@@ -11,7 +11,8 @@ every reported number names the search that produced it:
   parameter-free member of the ensemble-lu family, one layer with no
   rotated side (``depth``, ``restarts`` and ``seed`` have no effect).
 * ``ensemble-lu``: layers of (local unitaries, controlled shift) with one
-  shared parameter set, hill-climbed with restarts.
+  shared set of unitaries, found by Riemannian gradient ascent on the
+  unitary groups (``_ascend``) from the identity and seeded restarts.
 * ``per-state-lu``: the same circuit family optimized per member; in closed
   form at depth 1 (``_per_state_closed``; ``restarts`` and ``seed`` have no
   effect, and a member, product within ``TOL.product_rank``, is valued
@@ -23,7 +24,9 @@ every reported number names the search that produced it:
 
 Fixed, ensemble-lu and deeper per-state-lu share one search loop over the
 repetition count r (``_searched_transforms``); every gap search starts from
-the identity (r=0). Delta values lie in ``[0, log2 min(d_A, d_B)]``.
+the identity (r=0). Delta values lie in ``[0, log2 min(d_A, d_B)]``; an
+ascent that runs out of steps raises ``BadValue`` rather than return a
+number.
 
 Directions: "right" means party A controls and B is the target; "left" is
 the mirror.
@@ -40,8 +43,8 @@ import numpy as np
 
 from .config import TOL
 from .errors import BadParams, BadValue, GramNotIdentity, NotProductEnsemble
-from .gates import cnot_permutation, hermitian_from_coeffs
-from .linalg import expm_hermitian_unchecked
+from .gates import cnot_permutation
+from .linalg import expm_hermitian_unchecked, haar_unitary
 from .states import LOG2, Ensemble, entanglement_entropies, entropy_bits, mixture_marginal_entropies
 
 DIRECTIONS = ("right", "left")
@@ -55,8 +58,9 @@ class Mode:
 
     ``rotate`` restricts which side carries the local pre-rotations in the
     lu modes: "both" (default), "target" (the shifted side), or "control".
-    ``restarts`` and ``seed`` drive the hill climbs; depth-1 per-state-lu runs
-    none, so they do not affect it. Fixed mode has no rotations and one
+    ``restarts`` and ``seed`` drive the gradient ascents (restart 0 starts
+    next to the identity, later ones at seeded random unitaries); depth-1
+    per-state-lu runs none, so they do not affect it. Fixed mode has no rotations and one
     layer, so it ignores ``depth``, ``restarts``, ``seed`` and ``rotate``.
     """
 
@@ -99,12 +103,16 @@ class QuantifierReport:
 # shared numerics
 
 
-def _clip_value(v: float, ceiling: float = math.inf) -> float:
-    """``v`` clipped into ``[0, ceiling]``; ``BadValue`` when it is not finite
-    or lies outside by more than ``TOL.value``."""
-    if not (math.isfinite(v) and -TOL.value <= v <= ceiling + TOL.value):
-        raise BadValue(f"quantifier value {v} is not finite or lies outside [0, {ceiling}]")
-    return min(max(0.0, v), ceiling)
+def _clip_values(values, ceiling: float = math.inf) -> list[float]:
+    """Floats ``values`` clipped into ``[0, ceiling]``; ``BadValue`` when one
+    is not finite or lies outside by more than ``TOL.value``. One call takes
+    every value of a report (a loop over floats beats numpy at these sizes)."""
+    out = []
+    for v in values:
+        if not (-TOL.value <= v <= ceiling + TOL.value and math.isfinite(v)):
+            raise BadValue(f"quantifier value {v} is not finite or lies outside [0, {ceiling}]")
+        out.append(min(max(0.0, v), ceiling))
+    return out
 
 
 def _target_dim(dims: tuple[int, int], direction: str) -> int:
@@ -112,79 +120,98 @@ def _target_dim(dims: tuple[int, int], direction: str) -> int:
 
 
 # ---------------------------------------------------------------------------
-# derivative-free maximization
+# Riemannian gradient ascent on products of unitary groups
 
 
-def _hill_climb(
-    f,
-    n: int,
-    restarts: int,
-    seed: int,
-    init_step: float = 0.9,
-    min_step: float = 3e-6,
-) -> tuple[float, np.ndarray]:
-    """Random-direction ascent with shrinking step; deterministic given seed.
+_ASCENT_ROUNDS = 10_000  # gradient steps of one ascent before it is given up
+_ARMIJO = 1e-4           # fraction of the first-order gain a step must realize
+_MEMORY = 10             # values a nonmonotone step is measured against
+_FIRST_ANGLE = 0.25      # rotation (radians) of an ascent's first trial step
+_GAIN_FLOOR = 1e-15      # a step predicted to gain less is lost in float noise
+_START_SCALE = 1e-3      # generator scale of the first start around the identity
 
-    ``f`` maps a ``(B, n)`` batch of points to their ``(B,)`` values. A probe
-    round draws ``probes`` unit directions and tries ``x + step*d``, then
-    ``x - step*d``, for each in turn; the first improving point is taken and
-    extended along its direction while that still improves, and the round
-    goes on with the next direction from there. The candidates a round has
-    left are evaluated as one batch, once at the start and again after each
-    improving direction; the line extension evaluates one point per call.
-    The first improving candidate of a batch is the one a one-at-a-time walk
-    would take, so the walk, and the result, are the same as that walk's.
 
-    The first restart starts at the zero vector, so the search space always
-    contains the unrotated circuit. The best value never decreases.
+def _ascend(f, us: list) -> tuple[float, list]:
+    """Steepest ascent of ``f`` over ``U(d_1) x ... x U(d_m)`` from the unitaries ``us``.
+
+    ``f(us)`` returns the value and the Euclidean gradients ``Gamma_j =
+    df/dconj(U_j)``, so that ``df = 2 Re sum_j tr(Gamma_j^dag dU_j)``. A step is
+    ``U_j <- exp(t W_j) U_j`` with ``W_j = Gamma_j U_j^dag - U_j Gamma_j^dag``,
+    the Riemannian gradient translated to the identity (Abrudan, Eriksson &
+    Koivunen, IEEE TSP 2008); along it f rises at the rate ``|W|^2``, the
+    squared Frobenius norms summed. The length ``t`` alternates the two
+    Barzilai-Borwein lengths ``<s, s> / |<s, y>|`` and ``|<s, y>| / <y, y>`` of
+    the last step ``s = t W`` and gradient change ``y`` (Wen & Yin, Math.
+    Program. 2013), halved until the step gains at least ``_ARMIJO * t *
+    |W|^2`` over the lowest of the last ``_MEMORY`` values (nonmonotone Armijo;
+    Grippo, Lampariello & Lucidi 1986). The ascent stops once ``|W|`` is at
+    most ``TOL.gradient``, or once a step predicted to gain ``_GAIN_FLOOR``
+    or less fails, and returns the best point it visited; ``BadValue`` after
+    ``_ASCENT_ROUNDS`` steps.
     """
 
-    def at(point: np.ndarray) -> float:
-        return float(f(point[None])[0])
+    def ascent(point):  # the value and the Riemannian gradient at ``point``
+        value, gammas = f(point)
+        return value, [g @ u.conj().T - u @ g.conj().T for g, u in zip(gammas, point)]
 
-    zero = np.zeros(n)
-    if n == 0:
-        return at(zero), zero
+    v, w = ascent(us)
+    norm2 = _inner(w, w)
+    t = _FIRST_ANGLE / math.sqrt(norm2) if norm2 else 0.0
+    best, recent = (v, us), [v]
+    for step in range(_ASCENT_ROUNDS):
+        if norm2 <= TOL.gradient**2:
+            return best
+        floor = min(recent[-_MEMORY:])
+        while True:
+            cand = [expm_hermitian_unchecked(-1j * t * x) @ u for x, u in zip(w, us)]
+            v, cw = ascent(cand)
+            if v >= floor + _ARMIJO * t * norm2:
+                break
+            t *= 0.5
+            if t * norm2 <= _GAIN_FLOOR:
+                return best
+        y = [b - a for a, b in zip(w, cw)]
+        sy, yy, ss = t * _inner(w, y), _inner(y, y), t * t * norm2
+        us, w, norm2 = cand, cw, _inner(cw, cw)
+        recent.append(v)
+        if v > best[0]:
+            best = (v, us)
+        if sy:
+            t = ss / abs(sy) if step % 2 == 0 else abs(sy) / yy
+    raise BadValue(f"lu ascent not converged within {_ASCENT_ROUNDS} steps")
+
+
+def _inner(xs, ys) -> float:
+    """Real inner product ``Re sum_j tr(x_j^dag y_j)`` of two lists of matrices."""
+    return sum(float(np.vdot(x, y).real) for x, y in zip(xs, ys))
+
+
+def _maximize(f, dims: list[int], restarts: int, seed: int) -> tuple[float, list]:
+    """Best ``(value, unitaries)`` of ``f`` (as in ``_ascend``) over ``U(d)`` for
+    each d in ``dims``: the identity, then one ascent per restart.
+
+    Restart 0 starts within about ``_START_SCALE`` of the identity: a product
+    input has a singular ``log rho``, and a zero gradient, at the identity
+    itself. Later restarts start from Haar-random unitaries. All starts come
+    from ``seed``; a later candidate must be strictly better to win.
+    """
     rng = np.random.default_rng(seed)
-    probes = max(10, 2 * n)
-    signs = np.tile([1.0, -1.0], probes)
-    best_v, best_x = at(zero), zero
+    identity = [np.eye(d, dtype=complex) for d in dims]
+    best = (f(identity)[0], identity)
     for restart in range(restarts):
         if restart == 0:
-            x, v = zero.copy(), best_v
+            start = [expm_hermitian_unchecked(_START_SCALE * _gaussian_hermitian(rng, d)) for d in dims]
         else:
-            x = rng.normal(size=n) * rng.uniform(0.2, 1.2)
-            v = at(x)
-        step = init_step
-        while step > min_step:
-            dirs = rng.normal(size=(probes, n))
-            for d in dirs:
-                d /= np.linalg.norm(d)
-            moves = (signs * step)[:, None] * np.repeat(dirs, 2, axis=0)
-            improved = False
-            first = 0  # candidates before this one are spent
-            while first < 2 * probes:
-                cands = x + moves[first:]
-                values = f(cands)
-                hits = np.flatnonzero(values > v + 1e-13)
-                if hits.size == 0:
-                    break
-                x, v = cands[hits[0]], float(values[hits[0]])
-                hit = first + hits[0]
-                improved = True
-                while True:
-                    cand = x + moves[hit]
-                    cv = at(cand)
-                    if cv > v + 1e-13:
-                        x, v = cand, cv
-                    else:
-                        break
-                first = hit - hit % 2 + 2  # the other sign of a hit's direction is skipped
-            if not improved:
-                step *= 0.5
-        if v > best_v:
-            best_v, best_x = v, x
-    return best_v, best_x
+            start = [haar_unitary(d, rng) for d in dims]
+        candidate = _ascend(f, start)
+        if candidate[0] > best[0]:
+            best = candidate
+    return best
+
+
+def _gaussian_hermitian(rng: np.random.Generator, d: int) -> np.ndarray:
+    z = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+    return (z + z.conj().T) / 2.0
 
 
 # ---------------------------------------------------------------------------
@@ -192,7 +219,13 @@ def _hill_climb(
 
 
 class _LuCircuit:
-    """Depth-layered circuit: per layer local rotations (``rotate=None``: none) then CNOT^reps."""
+    """Depth-layered circuit: per layer local rotations (``rotate=None``: none) then CNOT^reps.
+
+    A point of the circuit is a list of unitaries: per layer, the A rotation
+    and then the B rotation, of the sides in ``sides``; ``unitary_dims``
+    holds their dimensions. Rotations act on a member ``M`` (its
+    ``(d_A, d_B)`` amplitude matrix) as ``U_A M U_B^T``.
+    """
 
     def __init__(self, dims, direction: str, rotate: str | None, depth: int, reps: int):
         self.dims = dims
@@ -200,56 +233,84 @@ class _LuCircuit:
         control = "A" if direction == "right" else "B"
         self.perm = cnot_permutation(dims, control, reps)
         target = "B" if direction == "right" else "A"
-        wanted = {"both": ("A", "B"), "target": (target,), "control": (control,), None: ()}[rotate]
-        self.rot_a = "A" in wanted
-        self.rot_b = "B" in wanted
-        self.n_a = dims[0] ** 2 if self.rot_a else 0
-        self.n_b = dims[1] ** 2 if self.rot_b else 0
-        self.n_params = depth * (self.n_a + self.n_b)
+        self.sides = {"both": ("A", "B"), "target": (target,), "control": (control,), None: ()}[rotate]
+        self.unitary_dims = [dims["AB".index(p)] for p in self.sides] * depth
 
-    def transform(self, stack: np.ndarray, params: np.ndarray) -> np.ndarray:
-        """The circuit applied to a (k, d_A*d_B) stack; ``params`` has shape
-        ``(..., n_params)`` and the result ``(..., k, d_A*d_B)``, one
-        transformed stack per parameter row."""
-        lead, k = params.shape[:-1], stack.shape[0]
-        d_a, d_b = self.dims
-        t = stack.reshape(k, d_a, d_b)
-        off = 0
+    def transform(self, stack: np.ndarray, unitaries) -> np.ndarray:
+        """The circuit applied to a (k, d_A*d_B) stack."""
+        return self.forward(stack, unitaries)[0]
+
+    def forward(self, stack: np.ndarray, unitaries):
+        """The transformed stack and the input of each rotation, which
+        ``backward`` reads. With no rotated side a layer is the bare
+        permutation of the flat stack."""
+        k, (d_a, d_b) = stack.shape[0], self.dims
+        inputs, us, t = [], iter(unitaries), stack
         for _ in range(self.depth):
-            if self.rot_a:
-                ua = expm_hermitian_unchecked(
-                    hermitian_from_coeffs(d_a, params[..., off : off + self.n_a])
-                )
-                off += self.n_a
-                t = np.matmul(ua[..., None, :, :], t)
-            if self.rot_b:
-                ub = expm_hermitian_unchecked(
-                    hermitian_from_coeffs(d_b, params[..., off : off + self.n_b])
-                )
-                off += self.n_b
-                t = np.matmul(t, ub.swapaxes(-1, -2)[..., None, :, :])
-            flat = t.reshape(lead + (k, d_a * d_b))
-            out = np.empty_like(flat)
-            out[..., self.perm] = flat
-            t = out.reshape(lead + (k, d_a, d_b))
-        return t.reshape(lead + (k, d_a * d_b))
+            if self.sides:
+                m = t.reshape(k, d_a, d_b)
+                for side in self.sides:
+                    inputs.append(m)
+                    m = next(us) @ m if side == "A" else m @ next(us).T
+                t = m.reshape(k, d_a * d_b)
+            out = np.empty_like(t)
+            out[:, self.perm] = t
+            t = out
+        return t, inputs
+
+    def backward(self, unitaries, inputs, grad: np.ndarray) -> list:
+        """``df/dconj(U_j)`` of every rotation from ``grad = df/dconj(out)``.
+
+        Layer by layer in reverse: the permutation's gradient is ``grad``
+        read through it; a B rotation ``Y U_B^T`` gives ``sum_k G^T conj(Y)``
+        and passes ``G conj(U_B)`` on; an A rotation ``U_A X`` gives
+        ``sum_k G X^dag`` and passes ``U_A^dag G`` on.
+        """
+        k, (d_a, d_b) = grad.shape[0], self.dims
+        gammas, j = [None] * len(unitaries), len(unitaries)
+        for _ in range(self.depth):
+            g = grad[:, self.perm].reshape(k, d_a, d_b)
+            for side in reversed(self.sides):
+                j -= 1
+                u, m = unitaries[j], inputs[j].conj()
+                if side == "B":
+                    gammas[j] = np.einsum("kji,kjl->il", g, m)
+                    g = g @ u.conj()
+                else:
+                    gammas[j] = np.einsum("kij,klj->il", g, m)
+                    g = u.conj().T @ g
+            grad = g.reshape(k, d_a * d_b)
+        return gammas
+
+    def on(self, stack: np.ndarray, objective):
+        """``objective`` (the transformed stack to the value and ``df/dconj``
+        of it) as a function of this circuit's unitaries, for ``_ascend``."""
+
+        def f(unitaries):
+            out, inputs = self.forward(stack, unitaries)
+            value, grad = objective(out)
+            return value, self.backward(unitaries, inputs, grad)
+
+        return f
 
 
-def _searched_transforms(stack, dims, mode: Mode, direction: str, objective, seed: int):
+def _searched_transforms(stack, dims, mode: Mode, direction: str, objectives, seed: int):
     """Yield ``(r, transformed stack)`` for each repetition count r.
 
-    The stack goes through the mode's circuit at the parameters the hill climb
-    of ``objective(circuit)`` finds. The fixed circuit is the parameter-free
-    one, a single layer with no rotated side whatever ``mode.depth`` says, and
-    is not climbed.
+    The stack goes through the mode's circuit at the unitaries ``_maximize``
+    finds for the best of ``objectives``, each ascended on its own from the
+    same starts. The fixed circuit is the parameter-free one, a single layer
+    with no rotated side whatever ``mode.depth`` says, and runs no ascent.
     """
     rotate, depth = (None, 1) if mode.name == "fixed" else (mode.rotate, mode.depth)
     for r in range(1, max(_target_dim(dims, direction), 2)):
         circuit = _LuCircuit(dims, direction, rotate, depth, r)
-        params = np.zeros(0)
-        if circuit.n_params:
-            params = _hill_climb(objective(circuit), circuit.n_params, mode.restarts, seed)[1]
-        yield r, circuit.transform(stack, params)
+        unitaries = []
+        if circuit.sides:
+            found = (_maximize(circuit.on(stack, o), circuit.unitary_dims, mode.restarts, seed)
+                     for o in objectives)
+            unitaries = max(found, key=lambda candidate: candidate[0])[1]  # first of equals
+        yield r, circuit.transform(stack, unitaries)
 
 
 def _direction_seed(base: int, direction: str, member: int = -1) -> int:
@@ -279,13 +340,18 @@ def nonlocal_entropy(e: Ensemble, mode: Mode = Mode()) -> QuantifierReport:
     right, left = per_dir["right"][0], per_dir["left"][0]
     work = {d: _work_pairs(stack, per_dir[d][1], probs, e.dims) for d in DIRECTIONS}
     ceiling = math.log2(min(e.dims))  # the entanglement of any pure state
+    k = len(stack)
+    clipped = _clip_values(
+        [right, left, (right + left) / 2.0, *per_dir["right"][1].tolist(), *per_dir["left"][1].tolist()],
+        ceiling,
+    )
     return QuantifierReport(
         quantity="delta",
-        right=_clip_value(right, ceiling),
-        left=_clip_value(left, ceiling),
-        symmetric=_clip_value((right + left) / 2.0, ceiling),
-        contributions_right=tuple(_clip_value(c, ceiling) for c in per_dir["right"][1]),
-        contributions_left=tuple(_clip_value(c, ceiling) for c in per_dir["left"][1]),
+        right=clipped[0],
+        left=clipped[1],
+        symmetric=clipped[2],
+        contributions_right=tuple(clipped[3 : 3 + k]),
+        contributions_left=tuple(clipped[3 + k :]),
         mode=mode,
         work=work,
         reps_right=per_dir["right"][2],
@@ -316,8 +382,8 @@ def _delta_search(stack, probs, dims, mode, direction, seed):
     """(value, contributions, r) of the best repetition count; a later r must
     beat the best value by more than 1e-15."""
     best = None
-    objective = functools.partial(_delta_objective, stack=stack, probs=probs)
-    for r, t in _searched_transforms(stack, dims, mode, direction, objective, seed):
+    objectives = (functools.partial(_delta_objective, probs=probs, dims=dims),)
+    for r, t in _searched_transforms(stack, dims, mode, direction, objectives, seed):
         contrib = entanglement_entropies(t, dims)
         value = float(probs @ contrib)
         if best is None or value > best[0] + 1e-15:
@@ -407,22 +473,47 @@ def _shift_capacities(target: np.ndarray, present: np.ndarray):
     raise BadValue(f"shift capacity not certified within {_CAPACITY_ROUNDS} rounds")
 
 
-def _delta_objective(circuit: _LuCircuit, stack: np.ndarray, probs):
-    """Batch objective of the delta searches: ``(B, n_params) -> (B,)``.
+def _delta_objective(t: np.ndarray, probs, dims):
+    """Value and gradient of a delta search at the transformed stack ``t``.
 
-    Each row's value is the ``probs``-weighted entanglement of the transformed
-    stack (``probs=np.ones(1)`` for a single member). All ``B*k`` members go
-    through one SVD. The weighting is one dot product per row,
-    which rounds as the one-candidate objective did; a ``(B, k) @ (k,)``
-    product rounds differently and would move the seeded searches.
+    The value is the ``probs``-weighted entanglement of the members
+    (``probs=np.ones(1)`` for a single member). With ``M_k`` a member's
+    amplitude matrix, ``rho_k = M_k M_k^dag`` and ``L_k = log2 rho_k``
+    (``_entropies_and_logs``), ``dS_k = -tr(drho_k L_k)`` (the rotations
+    keep ``tr rho_k = 1``), so the gradient ``df/dconj(M_k)`` is
+    ``-p_k L_k M_k``.
     """
-    dims = circuit.dims
+    m = t.reshape(len(t), *dims)
+    ents, logs = _entropies_and_logs(m @ m.conj().swapaxes(1, 2))
+    return float(probs @ ents), (-probs[:, None, None] * (logs @ m)).reshape(t.shape)
 
-    def f(params: np.ndarray) -> np.ndarray:
-        ents = entanglement_entropies(circuit.transform(stack, params), dims)
-        return np.array([float(probs @ row) for row in ents.reshape(len(params), -1)])
 
-    return f
+def _gap_objective(t: np.ndarray, probs, dims, s_bar, side: str):
+    """Value and gradient of a gap search at the transformed stack ``t``: the
+    drop of the ``side`` entropy of the mixture from ``s_bar``.
+
+    ``rho_A = sum_k p_k M_k M_k^dag`` gives the gradient ``p_k L_A M_k``;
+    ``rho_B``, taken as ``sum_k p_k M_k^dag M_k`` (the conjugate of the B
+    marginal, same spectrum), gives ``p_k M_k L_B``. The sign is that of a
+    drop, ``d(-S) = tr(drho L)``.
+    """
+    m = t.reshape(len(t), *dims)
+    weighted = probs[:, None, None] * m
+    if side == "A":
+        s, log = _entropies_and_logs(np.einsum("kij,klj->il", weighted, m.conj()))
+        grad = log @ weighted
+    else:
+        s, log = _entropies_and_logs(np.einsum("kji,kjl->il", m.conj(), weighted))
+        grad = weighted @ log
+    return s_bar["AB".index(side)] - float(s), grad.reshape(t.shape)
+
+
+def _entropies_and_logs(rho: np.ndarray):
+    """Entropies (``entropy_bits``) and ``log2`` of a stack of density
+    matrices; eigenvalues below ``TOL.eig_floor`` take the floor's log."""
+    lam, vecs = np.linalg.eigh(rho)
+    logs = np.log2(np.maximum(lam, TOL.eig_floor))
+    return entropy_bits(lam), (vecs * logs[..., None, :]) @ vecs.conj().swapaxes(-1, -2)
 
 
 def _work_pairs(stack, contrib, probs, dims):
@@ -469,11 +560,12 @@ def average_entropy_gap(e: Ensemble, mode: Mode = Mode()) -> QuantifierReport:
 
     right, left = per_dir["right"][0], per_dir["left"][0]
     work = {d: _work(s_bar, per_dir[d][4], e.dims) for d in DIRECTIONS}
+    right, left, symmetric = _clip_values([right, left, (right + left) / 2.0])
     return QuantifierReport(
         quantity="big-delta",
-        right=_clip_value(right),
-        left=_clip_value(left),
-        symmetric=_clip_value((right + left) / 2.0),
+        right=right,
+        left=left,
+        symmetric=symmetric,
         contributions_right=tuple(per_dir["right"][1]),
         contributions_left=tuple(per_dir["left"][1]),
         mode=mode,
@@ -493,11 +585,13 @@ def _entangled_fraction(contrib) -> float:
 
 
 def _work(s_in, s_fin, dims):
-    """(W_in, W_fin) per party: deficit of the (A, B) local entropies from log2(d)."""
-    return {
-        party: (float(np.log2(d) - s_in[i]), float(np.log2(d) - s_fin[i]))
-        for i, (party, d) in enumerate(zip("AB", dims))
-    }
+    """(W_in, W_fin) per party: deficit of the (A, B) local entropies from
+    log2(d), clipped into ``[0, log2 d]`` (an entropy can round past either end)."""
+    out = {}
+    for party, d, a, b in zip("AB", dims, s_in, s_fin):
+        top = math.log2(d)
+        out[party] = (min(max(0.0, top - float(a)), top), min(max(0.0, top - float(b)), top))
+    return out
 
 
 def _gap_direction(e, stack, probs, s_bar, identity, mode, direction):
@@ -516,31 +610,16 @@ def _gap_direction(e, stack, probs, s_bar, identity, mode, direction):
         )
 
     best = identity
-    objective = functools.partial(_gap_objective, stack=stack, probs=probs, s_bar=s_bar)
+    objectives = tuple(functools.partial(_gap_objective, probs=probs, dims=dims, s_bar=s_bar,
+                                         side=side) for side in "AB")
     seed = _direction_seed(mode.seed, direction)
-    for r, t in _searched_transforms(stack, dims, mode, direction, objective, seed):
+    for r, t in _searched_transforms(stack, dims, mode, direction, objectives, seed):
         s_fin = mixture_marginal_entropies(t, probs, dims)
         gaps = (s_bar[0] - s_fin[0], s_bar[1] - s_fin[1])
         candidate = (max(gaps), entanglement_entropies(t, dims), gaps, r, s_fin)
         if better(candidate, best):
             best = candidate
     return best
-
-
-def _gap_objective(circuit: _LuCircuit, stack: np.ndarray, probs, s_bar):
-    """Batch objective of the gap searches: ``(B, n_params) -> (B,)``.
-
-    Each row's value is the larger of the two local-entropy drops of the
-    transformed mixture, as ``max`` of the (A, B) pair picks it; the B
-    mixtures, their marginals and their spectra are each one batched call.
-    """
-
-    def f(params: np.ndarray) -> np.ndarray:
-        s_a, s_b = mixture_marginal_entropies(circuit.transform(stack, params), probs, circuit.dims)
-        gap_a, gap_b = s_bar[0] - s_a, s_bar[1] - s_b
-        return np.where(gap_b > gap_a, gap_b, gap_a)
-
-    return f
 
 
 # ---------------------------------------------------------------------------
@@ -638,7 +717,7 @@ def _assign_gap(e, s_bar, mode):
         raise GramNotIdentity("assign mode needs an orthogonal ensemble")
     h_a, h_b = (assign_partition(e, side)[1] for side in "AB")
     gaps = (s_bar[0] - h_a, s_bar[1] - h_b)
-    value = _clip_value(max(gaps))
+    (value,) = _clip_values([max(gaps)])
     zeros = (0.0,) * len(e)
     work = {d: _work(s_bar, (h_a, h_b), e.dims) for d in DIRECTIONS}
     return QuantifierReport(

@@ -1,0 +1,143 @@
+"""The Riemannian gradient ascent behind every lu search (``quantify._ascend``).
+
+(a) The analytic gradients of both objectives, taken back through the
+circuit (``_LuCircuit.backward``), match central finite differences along
+random directions of the unitary group, at depth 1 and 2, for every rotation
+and both directions.
+(b) At depth 1 the Riemannian gradient has no component along the gauge
+directions: a diagonal phase on the control and a Fourier-diagonal unitary
+on the target both commute with the controlled shift.
+(c) The ascent reaches the values the catalog lu searches are known to have,
+never falls below the parameter-free circuit or above the per-state closed
+form, is deterministic for a seed, and raises ``BadValue`` (exit code 2)
+rather than return a number when its step budget runs out.
+"""
+
+import functools
+import math
+
+import numpy as np
+import pytest
+
+import nle.quantify as quantify
+from nle import catalog
+from nle.cli import main
+from nle.errors import BadValue
+from nle.linalg import expm_hermitian_unchecked, haar_unitary
+from nle.quantify import (
+    Mode,
+    _delta_objective,
+    _gap_objective,
+    _LuCircuit,
+    average_entropy_gap,
+    nonlocal_entropy,
+)
+from nle.states import Ensemble, PureState, mixture_marginal_entropies
+
+OBJECTIVES = ("delta", "gap-A", "gap-B")
+ROTATIONS = ("both", "target", "control")
+
+
+def _random_ensemble(dims, k, seed):
+    rng = np.random.default_rng(seed)
+    amps = rng.normal(size=(k, dims[0] * dims[1])) + 1j * rng.normal(size=(k, dims[0] * dims[1]))
+    amps /= np.linalg.norm(amps, axis=1, keepdims=True)
+    return Ensemble(dims, tuple(rng.dirichlet(np.ones(k))), tuple(PureState(dims, a) for a in amps))
+
+
+def _objective(kind, e):
+    probs = np.array(e.probabilities)
+    if kind == "delta":
+        return functools.partial(_delta_objective, probs=probs, dims=e.dims)
+    s_bar = mixture_marginal_entropies(e.amplitudes, probs, e.dims)
+    return functools.partial(_gap_objective, probs=probs, dims=e.dims, s_bar=s_bar, side=kind[-1])
+
+
+def _skew(rng, d):
+    z = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+    return (z - z.conj().T) / 2.0
+
+
+@pytest.mark.parametrize("direction", ["right", "left"])
+@pytest.mark.parametrize("rotate", ROTATIONS)
+@pytest.mark.parametrize("depth", [1, 2])
+@pytest.mark.parametrize("kind", OBJECTIVES)
+@pytest.mark.parametrize("dims", [(2, 3), (3, 2)], ids=["2x3", "3x2"])
+def test_gradient_matches_central_differences(dims, kind, depth, rotate, direction):
+    e = _random_ensemble(dims, 3, seed=dims[0] * 10 + depth)
+    circuit = _LuCircuit(dims, direction, rotate, depth, 1)
+    f = circuit.on(e.amplitudes, _objective(kind, e))
+    rng = np.random.default_rng(len(kind) + 7 * depth)
+    us = [haar_unitary(d, rng) for d in circuit.unitary_dims]
+    _, gammas = f(us)
+    for _ in range(3):
+        xs = [_skew(rng, d) for d in circuit.unitary_dims]
+        # d/de f(exp(e X_j) U_j) at 0 is 2 Re sum_j tr(Gamma_j^dag X_j U_j)
+        analytic = 2.0 * sum(np.vdot(g, x @ u).real for g, x, u in zip(gammas, xs, us))
+        eps = 1e-5
+
+        def moved(sign):
+            return f([expm_hermitian_unchecked(-1j * sign * eps * x) @ u for x, u in zip(xs, us)])[0]
+
+        numeric = (moved(1.0) - moved(-1.0)) / (2.0 * eps)
+        assert abs(numeric - analytic) <= 1e-8, (numeric, analytic)
+
+
+@pytest.mark.parametrize("direction", ["right", "left"])
+@pytest.mark.parametrize("kind", OBJECTIVES)
+@pytest.mark.parametrize("dims", [(3, 3), (2, 3), (3, 2)], ids=["3x3", "2x3", "3x2"])
+def test_gauge_directions_have_zero_gradient(dims, kind, direction):
+    e = _random_ensemble(dims, 4, seed=sum(dims))
+    circuit = _LuCircuit(dims, direction, "both", 1, 1)
+    rng = np.random.default_rng(3)
+    us = [haar_unitary(d, rng) for d in circuit.unitary_dims]
+    _, gammas = circuit.on(e.amplitudes, _objective(kind, e))(us)
+    w = dict(zip("AB", (g @ u.conj().T - u @ g.conj().T for g, u in zip(gammas, us))))
+    control, target = ("A", "B") if direction == "right" else ("B", "A")
+    d_t = w[target].shape[0]
+    fourier = np.exp(2j * np.pi * np.outer(np.arange(d_t), np.arange(d_t)) / d_t) / math.sqrt(d_t)
+    assert np.abs(w[control]).max() > 1e-3  # the point is not critical
+    assert np.abs(np.diagonal(w[control])).max() <= 1e-12
+    assert np.abs(np.diagonal(fourier.conj().T @ w[target] @ fourier)).max() <= 1e-12
+
+
+def test_nlwe_ensemble_lu_reaches_its_known_value():
+    r = nonlocal_entropy(catalog.build("nlwe-3x3"), Mode("ensemble-lu", restarts=4))
+    for value in (r.right, r.left, r.symmetric):
+        assert abs(value - 1.4036419183) <= 1e-9, value
+
+
+def test_more_nl_mixed_gap_reaches_its_known_value():
+    r = average_entropy_gap(catalog.build("more-nl-mixed"), Mode("ensemble-lu", restarts=1))
+    for value in (r.right, r.left):
+        assert value >= 0.5172246702281774 - 1e-9, value
+
+
+@pytest.mark.parametrize("rotate", ROTATIONS)
+@pytest.mark.parametrize("name", ["e2-case2", "case-3x2", "nlwe-3x3"])
+def test_ensemble_lu_between_fixed_and_per_state(name, rotate):
+    e = catalog.build(name)
+    fixed = nonlocal_entropy(e, Mode("fixed"))
+    searched = nonlocal_entropy(e, Mode("ensemble-lu", restarts=1, seed=2, rotate=rotate))
+    per_state = nonlocal_entropy(e, Mode("per-state-lu", rotate=rotate))
+    for direction in ("right", "left"):
+        value = getattr(searched, direction)
+        assert getattr(fixed, direction) <= value + 1e-12, direction
+        assert value <= getattr(per_state, direction) + 1e-12, direction
+
+
+@pytest.mark.parametrize("quantifier", [nonlocal_entropy, average_entropy_gap])
+def test_same_seed_same_report(quantifier):
+    name = "e2-case2" if quantifier is nonlocal_entropy else "bell-triple"
+    mode = Mode("ensemble-lu", depth=2, restarts=2, seed=5)
+    first, second = (quantifier(catalog.build(name), mode) for _ in range(2))
+    assert first == second and first.work == second.work
+
+
+def test_step_budget_raises_bad_value(monkeypatch, capsys):
+    monkeypatch.setattr(quantify, "_ASCENT_ROUNDS", 1)
+    with pytest.raises(BadValue) as err:
+        nonlocal_entropy(catalog.build("e2-case2"), Mode("ensemble-lu", restarts=1))
+    assert err.value.code == "bad-value"
+    assert main(["big-delta", "--ensemble", "bell-triple", "--mode", "ensemble-lu"]) == 2
+    assert "bad-value" in capsys.readouterr().err

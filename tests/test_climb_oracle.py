@@ -1,75 +1,91 @@
-"""The batched hill climb against the climber that tried one candidate at a time.
+"""The lu search against an ascent that takes the members one at a time.
 
-``sequential_hill_climb`` is a verbatim copy of ``quantify._hill_climb`` as
-it was before probe rounds were evaluated as batches. The batched climb must
-walk the same path: it returns the same value and the same point, bit for
-bit, on the delta and gap objectives of the lu searches and on a noisy
-objective, for every dimension, restart count and seed below. The oracle
-runs the one-candidate objectives the searches used before, so these tests
-also pin the batched objectives to them. The stacked circuit pieces must
-equal their one-row results exactly, because the batched searches rely on it.
+``sequential_maximize`` is a plain transcription of the search that
+``quantify._maximize`` documents: the identity, then one Riemannian ascent
+per restart (restart 0 from about 1e-3 around the identity, later ones from
+Haar-random unitaries), each step ``U <- exp(t W) U`` with ``W = Gamma U^dag
+- U Gamma^dag``, Barzilai-Borwein lengths alternated and halved under a
+nonmonotone Armijo rule. It drives the circuits member by member: each
+member goes through the circuit alone, forward and backward, and the
+gradients are summed. The search on the stacked circuit must walk the same
+path: from each start it reaches the same value, to 1e-12, on the delta and
+gap objectives of the lu searches, for every group size, restart count and
+seed below. On a noisy objective, the same function on both sides,
+it must return the same value and point bit for bit; the noise is in the
+value only, so late trial steps fail at random and most ascents end
+through the step-length floor, short of the gradient tolerance. The stacked circuit pieces must equal their
+one-member results exactly, because the stacked searches rely on it.
 """
+
+import math
 
 import numpy as np
 import pytest
 
 from nle import catalog
+from nle.config import TOL
 from nle.gates import hermitian_from_coeffs
-from nle.linalg import expm_hermitian_unchecked
-from nle.quantify import _delta_objective, _gap_objective, _hill_climb, _LuCircuit
-from nle.states import entanglement_entropies, mixture_marginal_entropies
+from nle.linalg import expm_hermitian_unchecked, haar_unitary
+from nle.quantify import _ascend, _delta_objective, _gap_objective, _LuCircuit, _maximize
+from nle.states import mixture_marginal_entropies
 
 
-def sequential_hill_climb(
-    f,
-    n: int,
-    restarts: int,
-    seed: int,
-    init_step: float = 0.9,
-    min_step: float = 3e-6,
-) -> tuple[float, np.ndarray]:
-    """Random-direction ascent with shrinking step; deterministic given seed.
+def sequential_ascend(f, us, rounds=10_000):
+    """Riemannian steepest ascent of ``f`` (value, ``df/dconj(U_j)``) from ``us``."""
 
-    The first restart starts at the zero vector, so the search space always
-    contains the unrotated circuit. The best value never decreases.
-    """
-    zero = np.zeros(n)
-    if n == 0:
-        return f(zero), zero
+    def riemannian(point):
+        value, gammas = f(point)
+        return value, [g @ u.conj().T - u @ g.conj().T for g, u in zip(gammas, point)]
+
+    def inner(xs, ys):
+        return sum(float(np.vdot(x, y).real) for x, y in zip(xs, ys))
+
+    v, w = riemannian(us)
+    norm2 = inner(w, w)
+    t = 0.25 / math.sqrt(norm2) if norm2 else 0.0
+    best_v, best_us, recent = v, us, [v]
+    for step in range(rounds):
+        if norm2 <= TOL.gradient**2:
+            return best_v, best_us
+        floor = min(recent[-10:])
+        while True:
+            cand = [expm_hermitian_unchecked(-1j * t * x) @ u for x, u in zip(w, us)]
+            v, cw = riemannian(cand)
+            if v >= floor + 1e-4 * t * norm2:
+                break
+            t *= 0.5
+            if t * norm2 <= 1e-15:
+                return best_v, best_us
+        y = [b - a for a, b in zip(w, cw)]
+        sy, yy, ss = t * inner(w, y), inner(y, y), t * t * norm2
+        us, w, norm2 = cand, cw, inner(cw, cw)
+        recent.append(v)
+        if v > best_v:
+            best_v, best_us = v, us
+        if sy:
+            t = ss / abs(sy) if step % 2 == 0 else abs(sy) / yy
+    raise AssertionError("reference ascent did not converge")
+
+
+def sequential_maximize(f, dims, restarts, seed):
+    """The best ``(value, unitaries)`` and, per restart, its start and ascent."""
     rng = np.random.default_rng(seed)
-    probes = max(10, 2 * n)
-    best_v, best_x = f(zero), zero
+    identity = [np.eye(d, dtype=complex) for d in dims]
+    best_v, best_us = f(identity)[0], identity
+    walks = []
     for restart in range(restarts):
         if restart == 0:
-            x, v = zero.copy(), best_v
+            start = []
+            for d in dims:
+                z = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+                start.append(expm_hermitian_unchecked(1e-3 * (z + z.conj().T) / 2.0))
         else:
-            x = rng.normal(size=n) * rng.uniform(0.2, 1.2)
-            v = f(x)
-        step = init_step
-        while step > min_step:
-            improved = False
-            for _ in range(probes):
-                d = rng.normal(size=n)
-                d /= np.linalg.norm(d)
-                for sgn in (1.0, -1.0):
-                    cand = x + (sgn * step) * d
-                    cv = f(cand)
-                    if cv > v + 1e-13:
-                        x, v = cand, cv
-                        improved = True
-                        while True:
-                            cand = x + (sgn * step) * d
-                            cv = f(cand)
-                            if cv > v + 1e-13:
-                                x, v = cand, cv
-                            else:
-                                break
-                        break
-            if not improved:
-                step *= 0.5
+            start = [haar_unitary(d, rng) for d in dims]
+        v, us = sequential_ascend(f, start)
+        walks.append((start, v, us))
         if v > best_v:
-            best_v, best_x = v, x
-    return best_v, best_x
+            best_v, best_us = v, us
+    return best_v, best_us, walks
 
 
 def _same_bits(a, b) -> bool:
@@ -77,15 +93,31 @@ def _same_bits(a, b) -> bool:
     return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
 
-# (catalog entry, members, rotate) per parameter count; "control" on
-# case-3x2 rotates its qutrit
+# (catalog entry, members, rotate) per real dimension n = sum of d^2 of the
+# rotated unitary groups; the delta circuits are "right", the per-state ones
+# "left", so case-3x2's qutrit is the control in one and the target in the other
 DELTA_CIRCUITS = {4: ("e2-case2", None, "target"), 8: ("e2-case2", None, "both"),
                   9: ("case-3x2", None, "control"), 18: ("tiles-upb", [2, 3], "both")}
+PER_STATE_CIRCUITS = {4: ("e2-case2", "target"), 8: ("e2-case2", "both"),
+                      9: ("case-3x2", "target"), 18: ("tiles-upb", "both")}
 GAP_CIRCUITS = {4: ("bell-triple", "target"), 8: ("bell-triple", "both"),
                 9: ("more-nl-mixed", "target"), 18: ("more-nl-mixed", "both")}
-# a search to the default 3e-6 step takes up to seconds one candidate at a
-# time; the noisy objective keeps the default and covers the fine steps
-MIN_STEP = {4: 3e-6, 8: 1e-3, 9: 1e-3, 18: 3e-2}
+NOISY_DIMS = {0: [], 4: [2], 8: [2, 2], 9: [3], 18: [3, 3]}
+
+
+def _one_at_a_time(circuit, stack, objective):
+    """``circuit.on(stack, objective)`` with every member sent through the
+    circuit alone, forward and backward, and the gradients summed."""
+
+    def f(unitaries):
+        passes = [circuit.forward(stack[i : i + 1], unitaries) for i in range(len(stack))]
+        value, grad = objective(np.concatenate([out for out, _ in passes]))
+        gammas = [0.0] * len(unitaries)
+        for i, (_, inputs) in enumerate(passes):
+            gammas = [a + b for a, b in zip(gammas, circuit.backward(unitaries, inputs, grad[i : i + 1]))]
+        return value, gammas
+
+    return f
 
 
 def _delta_pair(n):
@@ -95,22 +127,22 @@ def _delta_pair(n):
     stack, probs = e.amplitudes, np.array(e.probabilities)
     circuit = _LuCircuit(e.dims, "right", rotate, 1, 1)
 
-    def scalar(params):
-        return float(probs @ entanglement_entropies(circuit.transform(stack, params), e.dims))
+    def objective(t):
+        return _delta_objective(t, probs, e.dims)
 
-    return scalar, _delta_objective(circuit, stack, probs)
+    return circuit, [(_one_at_a_time(circuit, stack, objective), circuit.on(stack, objective))]
 
 
 def _per_state_pair(n):
-    name, _, rotate = DELTA_CIRCUITS[n]
+    name, rotate = PER_STATE_CIRCUITS[n]
     e = catalog.build(name)
     row = e.amplitudes[1:2]
     circuit = _LuCircuit(e.dims, "left", rotate, 1, 1)
 
-    def scalar(params):
-        return float(entanglement_entropies(circuit.transform(row, params), e.dims)[0])
+    def objective(t):
+        return _delta_objective(t, np.ones(1), e.dims)
 
-    return scalar, _delta_objective(circuit, row, np.ones(1))
+    return circuit, [(_one_at_a_time(circuit, row, objective), circuit.on(row, objective))]
 
 
 def _gap_pair(n):
@@ -119,43 +151,66 @@ def _gap_pair(n):
     stack, probs = e.amplitudes, np.array(e.probabilities)
     s_bar = mixture_marginal_entropies(stack, probs, e.dims)
     circuit = _LuCircuit(e.dims, "right", rotate, 1, 1)
+    pairs = []
+    for side in "AB":  # each drop ascended on its own, the larger kept
 
-    def scalar(params):
-        s_fin = mixture_marginal_entropies(circuit.transform(stack, params), probs, e.dims)
-        return max(s_bar[0] - s_fin[0], s_bar[1] - s_fin[1])
+        def objective(t, side=side):
+            return _gap_objective(t, probs, e.dims, s_bar, side)
 
-    return scalar, _gap_objective(circuit, stack, probs, s_bar)
-
-
-def _noisy_pair(n):
-    centre = np.linspace(-0.6, 0.9, n)
-
-    def batch(points):
-        # a bowl whose top is flatter than the ripple on it: late probe rounds
-        # keep accepting gains of the ripple's size
-        bowl = -((points - centre) ** 2).sum(axis=-1)
-        return bowl + 1e-10 * np.sin(1e7 * points).sum(axis=-1)
-
-    return (lambda params: float(batch(params[None])[0])), batch
+        pairs.append((_one_at_a_time(circuit, stack, objective), circuit.on(stack, objective)))
+    return circuit, pairs
 
 
-OBJECTIVES = {"delta": _delta_pair, "per-state": _per_state_pair, "gap": _gap_pair,
-              "noisy": _noisy_pair}
-CASES = [(kind, n) for kind in OBJECTIVES for n in (0, 4, 8, 9, 18)
+OBJECTIVES = {"delta": _delta_pair, "per-state": _per_state_pair, "gap": _gap_pair}
+CASES = [(kind, n) for kind in (*OBJECTIVES, "noisy") for n in (0, 4, 8, 9, 18)
          if n or kind == "noisy"]
+
+
+def _noisy(dims):
+    """A linear objective ``sum_j Re tr(C_j^dag U_j)``, highest at the polar
+    factors of the ``C_j``, whose value carries a 1e-10 ripple that its
+    gradient does not: near the top, trial steps pass and fail at random."""
+    cs = [haar_unitary(d, np.random.default_rng(d)) * np.linspace(1.0, 2.0, d) for d in dims]
+
+    def f(unitaries):
+        value = sum(float(np.vdot(c, u).real) for c, u in zip(cs, unitaries))
+        ripple = sum(float(np.sin(1e7 * u.real).sum()) for u in unitaries)
+        return value + 1e-10 * ripple, [c / 2.0 for c in cs]
+
+    return f
 
 
 @pytest.mark.parametrize("seed", [0, 5, 20200909])
 @pytest.mark.parametrize("restarts", [1, 3])
 @pytest.mark.parametrize("kind,n", CASES)
 def test_batched_climb_walks_the_sequential_path(kind, n, restarts, seed):
-    scalar, batch = OBJECTIVES[kind](n)
-    min_step = 3e-6 if kind == "noisy" else MIN_STEP[n]
-    want_v, want_x = sequential_hill_climb(scalar, n, restarts, seed, min_step=min_step)
-    got_v, got_x = _hill_climb(batch, n, restarts, seed, min_step=min_step)
-    assert type(got_v) is float
-    assert _same_bits(got_v, want_v), (got_v, want_v)
-    assert _same_bits(got_x, want_x)
+    if kind == "noisy":
+        f = _noisy(NOISY_DIMS[n])
+        want_v, want_us, _ = sequential_maximize(f, NOISY_DIMS[n], restarts, seed)
+        got_v, got_us = _maximize(f, NOISY_DIMS[n], restarts, seed)
+        assert type(got_v) is float
+        assert _same_bits(got_v, want_v), (got_v, want_v)
+        assert len(got_us) == len(want_us)
+        assert all(_same_bits(a, b) for a, b in zip(got_us, want_us))
+        return
+    circuit, pairs = OBJECTIVES[kind](n)
+    assert sum(d * d for d in circuit.unitary_dims) == n
+    for sequential, stacked in pairs:
+        want_v, _, walks = sequential_maximize(sequential, circuit.unitary_dims, restarts, seed)
+        got_v, got_us = _maximize(stacked, circuit.unitary_dims, restarts, seed)
+        assert type(got_v) is float
+        assert abs(got_v - want_v) <= 1e-12, (got_v, want_v)
+        assert abs(stacked(got_us)[0] - got_v) <= 1e-12
+        # restarts tie to the last bits and maxima are flat (the gauge, and
+        # more), so the points can part where the values agree: each
+        # restart's ascent must reach the same value, at unitaries where the
+        # stacked and the one-at-a-time objectives agree
+        for start, walk_v, walk_us in walks:
+            v, us = _ascend(stacked, start)
+            assert abs(v - walk_v) <= 1e-12, (v, walk_v)
+            assert abs(sequential(us)[0] - v) <= 1e-12
+            assert abs(stacked(walk_us)[0] - walk_v) <= 1e-12
+            assert all(np.abs(u.conj().T @ u - np.eye(len(u))).max() <= 1e-12 for u in us)
 
 
 @pytest.mark.parametrize("dim", [2, 3, 4])
@@ -176,8 +231,17 @@ def test_stacked_generators_and_exponentials_equal_their_rows(dim):
 def test_stacked_transform_equals_its_rows(name, rotate, direction, depth, reps):
     e = catalog.build(name)
     circuit = _LuCircuit(e.dims, direction, rotate, depth, reps)
-    params = np.random.default_rng(7).normal(size=(6, circuit.n_params))
-    out = circuit.transform(e.amplitudes, params)
-    assert out.shape == (6, len(e), e.dims[0] * e.dims[1])
-    for b in range(6):
-        assert _same_bits(out[b], circuit.transform(e.amplitudes, params[b]))
+    rng = np.random.default_rng(7)
+    us = [haar_unitary(d, rng) for d in circuit.unitary_dims]
+    out, inputs = circuit.forward(e.amplitudes, us)
+    assert out.shape == (len(e), e.dims[0] * e.dims[1])
+    assert len(inputs) == len(us)
+    grad = rng.normal(size=out.shape) + 1j * rng.normal(size=out.shape)
+    gammas = circuit.backward(us, inputs, grad)
+    summed = [np.zeros_like(g) for g in gammas]
+    for k in range(len(e)):
+        row_out, row_inputs = circuit.forward(e.amplitudes[k : k + 1], us)
+        assert _same_bits(out[k : k + 1], row_out)
+        summed = [a + b for a, b in zip(summed, circuit.backward(us, row_inputs, grad[k : k + 1]))]
+    for g, s in zip(gammas, summed):
+        assert np.abs(g - s).max() <= 1e-13

@@ -7,16 +7,8 @@ from hypothesis import strategies as st
 
 from nle.catalog import bell_state
 from nle.errors import BadParams, DimensionMismatch, NotUnitary
-from nle.gates import (
-    UnitaryParam,
-    apply,
-    apply_cnot,
-    cnot,
-    embed_local,
-    hermitian_from_coeffs,
-    param_to_unitary,
-)
-from nle.linalg import basis_ket, gram, haar_unitary, is_unitary, tensor
+from nle.gates import apply, apply_cnot, cnot, embed_local, hermitian_from_coeffs
+from nle.linalg import basis_ket, expm_skew_hermitian, gram, haar_unitary, is_unitary, tensor
 from nle.states import PureState, entanglement_entropy, product_state
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -94,29 +86,31 @@ class TestEmbedLocal:
         assert err.value.code == "bad-dims"
 
 
+def param_to_unitary(dim: int, coeffs) -> np.ndarray:
+    return expm_skew_hermitian(hermitian_from_coeffs(dim, coeffs))
+
+
 class TestParamToUnitary:
+    """Real coordinates to unitaries: ``exp(i*hermitian_from_coeffs(...))``."""
+
     def test_zero_coeffs_identity(self):
-        assert np.allclose(param_to_unitary(UnitaryParam(3, np.zeros(9))), np.eye(3))
+        assert np.allclose(param_to_unitary(3, np.zeros(9)), np.eye(3))
 
     @given(st.integers(0, 2**32 - 1), st.integers(2, 4))
     @settings(max_examples=40, deadline=None)
     def test_always_unitary(self, seed, dim):
         coeffs = np.random.default_rng(seed).normal(size=dim * dim)
-        assert is_unitary(param_to_unitary(UnitaryParam(dim, coeffs)), 1e-10)
+        assert is_unitary(param_to_unitary(dim, coeffs), 1e-10)
 
     def test_sigma_x_generator(self):
         # coefficient pi/2 on the symmetric off-diagonal element gives sigma_x up to phase
         coeffs = np.zeros(4)
         coeffs[2] = np.pi / 2
         assert np.allclose(hermitian_from_coeffs(2, coeffs), (np.pi / 2) * SX)
-        u = param_to_unitary(UnitaryParam(2, coeffs))
+        u = param_to_unitary(2, coeffs)
         assert abs(abs(u[0, 1]) - 1.0) <= 1e-12
         assert abs(abs(u[1, 0]) - 1.0) <= 1e-12
         assert abs(u[0, 0]) <= 1e-12
-
-    def test_rejects_wrong_length(self):
-        with pytest.raises(BadParams):
-            UnitaryParam(2, np.zeros(3))
 
 
 class TestApply:

@@ -1,8 +1,8 @@
 """Depth-1 per-state-lu in closed form (``quantify._per_state_closed``).
 
 (a) On random product members, dims in {2,3,4}^2, every rotation and both
-directions, the closed form is never below the hill climb over the same
-circuits, the search that depth > 1 still runs.
+directions, the closed form is never below the Riemannian ascent over the
+same circuits, the search that depth > 1 still runs.
 (b) Each value is attained: the local unitaries the proof names (a
 Householder map of the target part to |0>, of the control part to a uniform
 superposition or to the capacity-achieving ``sqrt(q)``) followed by the
@@ -13,6 +13,7 @@ controlled shift give a member with exactly that entanglement.
 the letters ``X^c|b>`` nearly coincide it still hits the cap (strict xfail).
 """
 
+import functools
 import itertools
 import math
 
@@ -27,8 +28,8 @@ from nle.linalg import basis_ket
 from nle.quantify import (
     Mode,
     _delta_objective,
-    _hill_climb,
     _LuCircuit,
+    _maximize,
     _shift_capacities,
     _shift_classes,
     nonlocal_entropy,
@@ -98,9 +99,8 @@ def test_closed_form_never_below_search(dims, rotate):
     closed = _closed(a, b, rotate)
     for direction in ("right", "left"):
         circuits = [_LuCircuit(dims, direction, rotate, 1, r) for r in _reps(dims, direction)]
-        search = max(
-            _hill_climb(_delta_objective(c, row, np.ones(1)), c.n_params, 1, 7)[0] for c in circuits
-        )
+        objective = functools.partial(_delta_objective, probs=np.ones(1), dims=dims)
+        search = max(_maximize(c.on(row, objective), c.unitary_dims, 1, 7)[0] for c in circuits)
         assert closed[direction] >= search - 1e-12, (direction, closed[direction], search)
 
 

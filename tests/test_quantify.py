@@ -7,20 +7,22 @@ import pytest
 from nle import catalog
 from nle.dissect import as_product_set, reducible_from
 from nle.errors import BadParams, BadValue, GramNotIdentity, NleError, NotProductEnsemble
-from nle.gates import UnitaryParam, cnot_permutation, hermitian_from_coeffs
-from nle.linalg import expm_skew_hermitian, is_unitary
+from nle.gates import cnot_permutation
+from nle.linalg import is_unitary
 from nle.quantify import (
     Mode,
-    _clip_value,
-    _hill_climb,
+    _clip_values,
+    _delta_objective,
     _LuCircuit,
+    _maximize,
+    _work,
     assign_partition,
     assign_unitary,
     average_entropy_gap,
     nonlocal_entropy,
     partitions_with_caps,
 )
-from nle.states import Ensemble, entanglement_entropy
+from nle.states import Ensemble, PureState, entanglement_entropy
 
 LOG2_3 = math.log2(3.0)
 
@@ -43,22 +45,33 @@ class TestClipValue:
     @pytest.mark.parametrize("value", [math.nan, math.inf, -1e-6])
     def test_rejects_non_finite_or_negative(self, value):
         with pytest.raises(BadValue) as err:
-            _clip_value(value)
+            _clip_values([0.25, value])
         assert err.value.code == "bad-value"
 
     def test_clips_rounding_below_zero(self):
-        assert _clip_value(-1e-12) == 0.0 and _clip_value(0.25) == 0.25
+        assert _clip_values([-1e-12, 0.25, -0.0]) == [0.0, 0.25, 0.0]
 
     def test_clips_rounding_above_the_ceiling(self):
-        assert _clip_value(1.0 + 1e-12, 1.0) == 1.0 and _clip_value(0.25, 1.0) == 0.25
+        assert _clip_values([1.0 + 1e-12, 0.25], 1.0) == [1.0, 0.25]
         with pytest.raises(BadValue):
-            _clip_value(1.0 + 1e-6, 1.0)
+            _clip_values([1.0 + 1e-6], 1.0)
 
     def test_delta_never_exceeds_its_ceiling(self):
         # five members at log2 3 each: their weighted sum rounds one ulp above
         r = nonlocal_entropy(catalog.build("tiles-upb"), Mode("per-state-lu", rotate="both"))
         assert r.right == r.left == r.symmetric == LOG2_3
         assert set(r.contributions_right) == set(r.contributions_left) == {LOG2_3}
+
+
+class TestWork:
+    def test_deficits_clipped_into_range(self):
+        # entropies one ulp above log2 d (as a mixture of maximally mixed
+        # marginals rounds) and one ulp below 0 give deficits 0 and log2 d
+        above = (math.nextafter(1.0, 2.0), math.nextafter(LOG2_3, 2.0))
+        below = (math.nextafter(0.0, -1.0),) * 2
+        work = _work(above, below, (2, 3))
+        assert work == {"A": (0.0, 1.0), "B": (0.0, LOG2_3)}
+        assert all(type(w) is float for pair in work.values() for w in pair)
 
 
 class TestNonlocalEntropy:
@@ -112,11 +125,11 @@ class TestLuModes:
             shifted = np.empty_like(stack)
             shifted[:, cnot_permutation((3, 3), "A", reps)] = stack
             circuit = _LuCircuit((3, 3), "right", "both", 1, reps)
-            zero = np.zeros(circuit.n_params)
-            assert np.allclose(circuit.transform(stack, zero), shifted)
+            identity = [np.eye(d) for d in circuit.unitary_dims]
+            assert np.allclose(circuit.transform(stack, identity), shifted)
             fixed = _LuCircuit((3, 3), "right", None, 1, reps)
-            assert fixed.n_params == 0
-            assert np.array_equal(fixed.transform(stack, np.zeros(0)), shifted)
+            assert fixed.unitary_dims == []
+            assert np.array_equal(fixed.transform(stack, []), shifted)
 
     @pytest.mark.parametrize("name", ["case-3x2", "e2-case2", "ghosh-nonmax"])
     @pytest.mark.parametrize("quantifier", [nonlocal_entropy, average_entropy_gap])
@@ -246,48 +259,50 @@ class TestAssignMachinery:
 
 def optimize_unitary(objective, dim: int, restarts: int = 8, seed: int = 0):
     """Maximize ``objective(U)`` over the unitary group U(dim) with the lu
-    searches' hill climb; returns ``(best value, best UnitaryParam)``."""
+    searches' Riemannian ascent; ``objective`` returns the value and
+    ``d value / d conj(U)``. Returns ``(best value, best U)``."""
 
-    def f(batch: np.ndarray) -> np.ndarray:
-        return np.array(
-            [float(objective(expm_skew_hermitian(h))) for h in hermitian_from_coeffs(dim, batch)]
-        )
+    def f(us):
+        value, gamma = objective(us[0])
+        return value, [gamma]
 
-    val, coeffs = _hill_climb(f, dim * dim, restarts, seed)
-    return val, UnitaryParam(dim, coeffs)
+    val, us = _maximize(f, [dim], restarts, seed)
+    return val, us[0]
+
+
+def _overlap(u):
+    # |u_01|^2 and its gradient d/dconj(u) = u_01 at (0, 1)
+    gamma = np.zeros_like(u)
+    gamma[0, 1] = u[0, 1]
+    return abs(u[0, 1]) ** 2, gamma
 
 
 class TestOptimizeUnitary:
     def test_constant_objective(self):
-        val, _ = optimize_unitary(lambda u: 0.25, 2, restarts=2, seed=0)
+        val, u = optimize_unitary(lambda u: (0.25, np.zeros_like(u)), 2, restarts=2, seed=0)
         assert val == 0.25
+        assert np.array_equal(u, np.eye(2))  # the identity; no start beats it
 
     def test_off_diagonal_overlap(self):
-        val, _ = optimize_unitary(lambda u: abs(u[0, 1]) ** 2, 2, restarts=8, seed=0)
-        assert val >= 1.0 - 1e-6
+        val, u = optimize_unitary(_overlap, 2, restarts=8, seed=0)
+        assert val >= 1.0 - 1e-12
+        assert is_unitary(u, 1e-12)
 
     def test_deterministic_given_seed(self):
-        runs = [
-            optimize_unitary(lambda u: abs(u[0, 1]) ** 2, 2, restarts=3, seed=11)
-            for _ in range(2)
-        ]
+        runs = [optimize_unitary(_overlap, 2, restarts=3, seed=11) for _ in range(2)]
         assert runs[0][0] == runs[1][0]
-        assert np.array_equal(runs[0][1].coeffs, runs[1][1].coeffs)
+        assert np.array_equal(runs[0][1], runs[1][1])
 
     def test_shift_output_entanglement_over_target_rotation(self):
         # rotating the uniform target part onto a basis vector yields the
         # maximally entangled output, so the optimum is log2(3)
-        from nle.gates import apply, apply_cnot, embed_local
-        from nle.states import PureState, entanglement_entropy
-
-        psi = PureState((3, 3), np.ones(9) / 3.0)
-
-        def objective(u_b):
-            rotated = apply(embed_local(u_b, (3, 3), "B"), psi)
-            return entanglement_entropy(apply_cnot(rotated, "A", 1))
-
-        val, _ = optimize_unitary(objective, 3, restarts=8, seed=0)
-        assert abs(val - LOG2_3) <= 1e-4
+        stack = np.ones((1, 9), dtype=complex) / 3.0
+        circuit = _LuCircuit((3, 3), "right", "target", 1, 1)
+        f = circuit.on(stack, lambda t: _delta_objective(t, np.ones(1), (3, 3)))
+        val, us = _maximize(f, circuit.unitary_dims, 8, 0)
+        assert abs(val - LOG2_3) <= 1e-9
+        out = circuit.transform(stack, us)
+        assert abs(entanglement_entropy(PureState((3, 3), out[0])) - LOG2_3) <= 1e-9
 
 
 class TestTheoremOneGrid:
