@@ -17,6 +17,7 @@ from nle.dissect import (
 )
 from nle.errors import GramNotIdentity, NotAState, NotProductEnsemble, TrivialSet
 from nle.linalg import haar_unitary
+from nle.states import Ensemble, product_state, schmidt
 
 
 def pset(name, params=None):
@@ -84,6 +85,23 @@ class TestProductSet:
     def test_as_product_set_rejects_entangled(self):
         with pytest.raises(NotProductEnsemble):
             as_product_set(catalog.build("bell-pair"))
+
+    @pytest.mark.parametrize("name", ["e2-case2", "case-3x2", "nlwe-3x3", "tiles-upb", "random"])
+    def test_as_product_set_parts_match_per_state_schmidt(self, name):
+        # reference: each member's leading Schmidt pair, coefficient on the A part
+        if name == "random":
+            rng = np.random.default_rng(7)
+            u_a, u_b = haar_unitary(3, rng), haar_unitary(4, rng)
+            pairs = [(0, 0), (0, 1), (1, 2), (2, 2), (2, 3)]
+            e = Ensemble.uniform((3, 4), [product_state((3, 4), u_a[:, i], u_b[:, j])
+                                          for i, j in pairs])
+        else:
+            e = catalog.build(name)
+        ps = as_product_set(e)
+        for s, part_a, part_b in zip(e.states, ps.parts_a, ps.parts_b):
+            coeffs, left, right = schmidt(s)
+            assert np.allclose(part_a, left[:, 0] * coeffs[0], rtol=0, atol=1e-12)
+            assert np.allclose(part_b, right[:, 0], rtol=0, atol=1e-12)
 
     def test_roundtrip_through_ensemble(self):
         ps = pset("nlwe-3x3")

@@ -107,6 +107,34 @@ class TestCnotBounds:
         assert report.entangled_members_after == 0
         assert abs(report.cnot_lower_comparator - report.local_holevo) <= 1e-12
 
+    @pytest.mark.parametrize("dims", [(2, 3), (3, 2), (3, 4), (4, 2)])
+    @pytest.mark.parametrize("direction", ["right", "left"])
+    @pytest.mark.parametrize("product", [True, False])
+    def test_matches_member_by_member_apply_cnot(self, dims, direction, product):
+        # reference: rebuild every member through apply_cnot, then the ensemble
+        rng = np.random.default_rng(100 * dims[0] + 10 * dims[1] + product)
+        if product:
+            states = [product_state(dims, rng.normal(size=dims[0]) + 1j * rng.normal(size=dims[0]),
+                                    rng.normal(size=dims[1]) + 1j * rng.normal(size=dims[1]))
+                      for _ in range(4)]
+        else:
+            n = dims[0] * dims[1]
+            vs = rng.normal(size=(4, n)) + 1j * rng.normal(size=(4, n))
+            states = [PureState(dims, v / np.linalg.norm(v)) for v in vs]
+        p = rng.uniform(0.1, 1.0, size=4)
+        e = Ensemble(dims, tuple(p / p.sum()), tuple(states))
+        control = "A" if direction == "right" else "B"
+        after = Ensemble(dims, e.probabilities, tuple(apply_cnot(s, control, 1) for s in e.states))
+        ents = np.array([entanglement_entropy(s) for s in after.states])
+        s_a, s_b = marginal_entropies(after)
+        reference = s_a + s_b - float(np.array(after.probabilities) @ ents)
+        report = cnot_bounds(e, direction)
+        got = report.cnot_lower_comparator if product else report.cnot_upper_bound
+        assert report.product_input == product
+        assert abs(got - reference) <= 1e-12
+        assert abs(report.local_holevo - local_holevo(e)) <= 1e-12
+        assert report.entangled_members_after == int(np.count_nonzero(ents > 1e-9))
+
 
 class TestChsh:
     def test_bell_state_maximal(self):

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from nle.catalog import bell_state
 from nle.errors import DimensionMismatch, NotAState
-from nle.linalg import haar_unitary, tensor
+from nle.linalg import haar_unitary, partial_trace, tensor
 from nle.states import (
     Ensemble,
     PureState,
@@ -15,6 +15,8 @@ from nle.states import (
     entanglement_entropies,
     entanglement_entropy,
     marginal_entropies,
+    mixture,
+    mixture_marginal_entropies,
     product_state,
     schmidt,
     vn_entropy,
@@ -203,6 +205,28 @@ class TestMarginalEntropies:
     def test_product_singleton(self):
         e = Ensemble((2, 2), (1.0,), (product_state((2, 2), [1, 0], [1, 0]),))
         assert marginal_entropies(e) == (0.0, 0.0)
+
+    @pytest.mark.parametrize("dims", [(2, 2), (2, 3), (4, 3)])
+    def test_match_partial_traces_of_the_mixture(self, dims):
+        # reference: the full (d_A d_B)^2 mixture traced down to each party
+        rng = np.random.default_rng(dims[0] * 10 + dims[1])
+        n, k = dims[0] * dims[1], 4
+        stack = rng.normal(size=(3, k, n)) + 1j * rng.normal(size=(3, k, n))
+        stack /= np.linalg.norm(stack, axis=-1, keepdims=True)
+        p = rng.uniform(0.1, 1.0, size=k)
+        p /= p.sum()
+
+        def reference(amps):
+            rho = mixture(amps, p)
+            return tuple(vn_entropy(partial_trace(rho, dims, side)) for side in "AB")
+
+        single = mixture_marginal_entropies(stack[0], p, dims)
+        assert all(isinstance(x, float) for x in single)
+        assert np.allclose(single, reference(stack[0]), rtol=0, atol=1e-12)
+        s_a, s_b = mixture_marginal_entropies(stack, p, dims)
+        assert s_a.shape == s_b.shape == (3,)
+        for b in range(3):
+            assert np.allclose((s_a[b], s_b[b]), reference(stack[b]), rtol=0, atol=1e-12)
 
 
 class TestEnsemble:
