@@ -7,7 +7,7 @@ amplitudes explicitly and default to uniform probabilities.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -296,68 +296,51 @@ class CatalogEntry:
     dims: tuple[int, int]
     size: int
     description: str
-    parameters: dict = field(default_factory=dict)
-    orthogonal: bool = True
-    product: bool = False
+    parameters: dict
+    orthogonal: bool
+    product: bool
 
 
-_BUILDERS = {
-    "e1-computational": _build_e1,
-    "e2-case2": _build_e2,
-    "walgate-hardy": _build_walgate_hardy,
-    "case-3x2": _build_case_3x2,
-    "nlwe-3x3": _build_nlwe,
-    "tiles-upb": _build_tiles,
-    "bell-pair": _build_bell_pair,
-    "bell-triple": _build_bell_triple,
-    "bell-full": _build_bell_full,
-    "orth-pair": _build_orth_pair,
-    "ghosh-nonmax": _build_ghosh,
-    "more-nl-mes": _build_more_nl_mes,
-    "more-nl-mixed": _build_more_nl_mixed,
-    "canonical-mes": _build_canonical_mes,
+# name: (builder, description, parameter defaults), in the documented order
+_CATALOG = {
+    "e1-computational": (_build_e1, "two-qubit computational product basis", {}),
+    "e2-case2": (_build_e2, "product basis distinguishable only when A starts", {}),
+    "walgate-hardy": (_build_walgate_hardy,
+                      "general two-qubit product basis from two single-qubit states", _WH_DEFAULTS),
+    "case-3x2": (_build_case_3x2, "3x2 product basis that blocks an A-start protocol", {}),
+    "nlwe-3x3": (_build_nlwe,
+                 "two-qutrit full product basis exhibiting nonlocality without entanglement", {}),
+    "tiles-upb": (_build_tiles, "tiles unextendible product basis in two qutrits", {}),
+    "bell-pair": (_build_bell_pair, "two maximally entangled states phi+, phi-", {}),
+    "bell-triple": (_build_bell_triple, "three Bell states phi+, phi-, psi-", {}),
+    "bell-full": (_build_bell_full, "the full Bell basis", {}),
+    "orth-pair": (_build_orth_pair, "two orthogonal, generally entangled states", _ORTH_DEFAULTS),
+    "ghosh-nonmax": (_build_ghosh, "full basis of nonmaximally entangled two-qubit states",
+                     _GHOSH_DEFAULTS),
+    "more-nl-mes": (_build_more_nl_mes,
+                    "three maximally entangled qutrit states, locally distinguishable", {}),
+    "more-nl-mixed": (
+        _build_more_nl_mixed,
+        "two maximally entangled states plus a product state, locally indistinguishable", {}),
+    "canonical-mes": (_build_canonical_mes,
+                      "canonical maximally entangled basis, organized into shift blocks",
+                      {"d": 3, "block": None, "count": None}),
 }
-
-_ENTRIES = [
-    CatalogEntry("e1-computational", (2, 2), 4, "two-qubit computational product basis",
-                 product=True),
-    CatalogEntry("e2-case2", (2, 2), 4, "product basis distinguishable only when A starts",
-                 product=True),
-    CatalogEntry("walgate-hardy", (2, 2), 4,
-                 "general two-qubit product basis from two single-qubit states",
-                 parameters=dict(_WH_DEFAULTS), product=True),
-    CatalogEntry("case-3x2", (3, 2), 6, "3x2 product basis that blocks an A-start protocol",
-                 product=True),
-    CatalogEntry("nlwe-3x3", (3, 3), 9,
-                 "two-qutrit full product basis exhibiting nonlocality without entanglement",
-                 product=True),
-    CatalogEntry("tiles-upb", (3, 3), 5, "tiles unextendible product basis in two qutrits",
-                 product=True),
-    CatalogEntry("bell-pair", (2, 2), 2, "two maximally entangled states phi+, phi-"),
-    CatalogEntry("bell-triple", (2, 2), 3, "three Bell states phi+, phi-, psi-"),
-    CatalogEntry("bell-full", (2, 2), 4, "the full Bell basis"),
-    CatalogEntry("orth-pair", (2, 2), 2, "two orthogonal, generally entangled states",
-                 parameters=dict(_ORTH_DEFAULTS)),
-    CatalogEntry("ghosh-nonmax", (2, 2), 4,
-                 "full basis of nonmaximally entangled two-qubit states",
-                 parameters=dict(_GHOSH_DEFAULTS)),
-    CatalogEntry("more-nl-mes", (3, 3), 3,
-                 "three maximally entangled qutrit states, locally distinguishable"),
-    CatalogEntry("more-nl-mixed", (3, 3), 3,
-                 "two maximally entangled states plus a product state, locally indistinguishable"),
-    CatalogEntry("canonical-mes", (3, 3), 9,
-                 "canonical maximally entangled basis, organized into shift blocks",
-                 parameters={"d": 3, "block": None, "count": None}),
-]
 
 
 def entries() -> list[CatalogEntry]:
-    """Catalog descriptors in a stable, documented order."""
-    return list(_ENTRIES)
+    """Catalog descriptors in a stable, documented order; dims, size and the
+    orthogonal and product flags are those of the entry's default build."""
+    out = []
+    for name, (builder, description, defaults) in _CATALOG.items():
+        e = builder({})
+        out.append(CatalogEntry(name, e.dims, len(e), description, dict(defaults),
+                                e.is_orthogonal(), e.is_product()))
+    return out
 
 
 def build(name: str, params: dict | None = None) -> Ensemble:
     """Build a named ensemble; parameterized entries accept overrides."""
-    if name not in _BUILDERS:
+    if name not in _CATALOG:
         raise NoSuchEntry(f"unknown catalog entry {name!r}")
-    return _BUILDERS[name](params or {})
+    return _CATALOG[name][0](params or {})

@@ -25,8 +25,7 @@ import numpy as np
 
 from .config import TOL
 from .errors import DimensionMismatch, GramNotIdentity, NotAState, NotProductEnsemble, TrivialSet
-from .linalg import other_party
-from .states import Ensemble, product_state, schmidt
+from .states import Ensemble, product_state
 
 
 @dataclass(frozen=True)
@@ -93,13 +92,11 @@ def as_product_set(e: Ensemble) -> ProductSet:
     """Split every member of a product ensemble into its local parts."""
     if not e.is_product():
         raise NotProductEnsemble("member has Schmidt rank above one")
-    parts_a, parts_b = [], []
-    for s in e.states:
-        coeffs, left, right = schmidt(s)
-        phase = coeffs[0]  # 1 up to normalization error
-        parts_a.append(left[:, 0] * phase)
-        parts_b.append(right[:, 0])
-    return ProductSet(e.dims, tuple(e.probabilities), tuple(parts_a), tuple(parts_b))
+    # the leading Schmidt pair of each member, its coefficient (1 up to
+    # normalization error) on the A part
+    u, coeffs, vh = np.linalg.svd(e.amplitudes.reshape(len(e), *e.dims))
+    parts_a, parts_b = u[:, :, 0] * coeffs[:, :1], vh[:, 0, :]
+    return ProductSet(e.dims, e.probabilities, tuple(parts_a), tuple(parts_b))
 
 
 # ---------------------------------------------------------------------------
@@ -231,7 +228,7 @@ def dissect(pset: ProductSet, first: str | None = None) -> DissectionNode:
     groups = reducible_from(pset, first, all_idx)
     if groups is None:
         return _leaf(pset, all_idx)
-    finisher = other_party(first)
+    finisher = "B" if first == "A" else "A"
     children = []
     for g in groups:
         if len(g) == 1:

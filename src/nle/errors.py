@@ -57,7 +57,8 @@ class FileFormatError(NleError):
 
 
 class BadValue(NleError):
-    """A computed quantifier value is not finite or lies below ``-TOL.value``:
-    a numerical fault, reported instead of a silently clipped number."""
+    """A numerical fault reported instead of a number: a quantifier value not
+    finite or outside ``[0, log2 min(d_A, d_B)]`` (delta; big-delta ``[0, inf)``)
+    by more than ``TOL.value``, an uncertified capacity, or an ascent out of steps."""
 
     code = "bad-value"

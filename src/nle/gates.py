@@ -26,17 +26,12 @@ def cnot_permutation(dims: tuple[int, int], control: Party, repetitions: int = 1
     if repetitions < 0:
         raise BadParams("repetitions must be >= 0")
     d_a, d_b = dims
-    perm = np.empty(d_a * d_b, dtype=int)
-    for i in range(d_a):
-        for j in range(d_b):
-            if control == "A":
-                ii, jj = i, (j + repetitions * i) % d_b
-            elif control == "B":
-                ii, jj = (i + repetitions * j) % d_a, j
-            else:
-                raise DimensionMismatch(f"unknown party {control!r}")
-            perm[i * d_b + j] = ii * d_b + jj
-    return perm
+    i, j = np.divmod(np.arange(d_a * d_b), d_b)
+    if control == "A":
+        return i * d_b + (j + repetitions * i) % d_b
+    if control == "B":
+        return (i + repetitions * j) % d_a * d_b + j
+    raise DimensionMismatch(f"unknown party {control!r}")
 
 
 def cnot(dims: tuple[int, int], control: Party, repetitions: int = 1) -> np.ndarray:
@@ -101,13 +96,6 @@ def apply(u: np.ndarray, s: PureState) -> PureState:
 
 def apply_cnot(s: PureState, control: Party, repetitions: int = 1) -> PureState:
     """CNOT action through the index permutation (no matrix product)."""
-    if repetitions % _target_dim(s.dims, control) == 0:
-        return s
-    perm = cnot_permutation(s.dims, control, repetitions)
     out = np.empty_like(s.amplitudes)
-    out[perm] = s.amplitudes
+    out[cnot_permutation(s.dims, control, repetitions)] = s.amplitudes
     return PureState(s.dims, out)
-
-
-def _target_dim(dims: tuple[int, int], control: Party) -> int:
-    return dims[1] if control == "A" else dims[0]

@@ -16,14 +16,9 @@ import numpy as np
 
 from .config import TOL
 from .errors import UnsupportedDims
-from .states import (
-    Ensemble,
-    average_state,
-    entanglement_entropies,
-    marginal_entropies,
-    vn_entropy,
-)
-from .gates import apply_cnot
+from .gates import cnot_permutation
+from .states import Ensemble, average_state, entanglement_entropies, vn_entropy
+from .states import mixture_marginal_entropies
 
 
 @dataclass(frozen=True)
@@ -50,15 +45,17 @@ def holevo_chi(e: Ensemble) -> float:
     return vn_entropy(average_state(e))
 
 
-def _member_entropy_average(e: Ensemble) -> float:
-    # pure members: both marginals carry the same entropy
-    return float(np.array(e.probabilities) @ entanglement_entropies(e.amplitudes, e.dims))
-
-
 def local_holevo(e: Ensemble) -> float:
     """S(rho_A) + S(rho_B) - max over parties of the average member marginal entropy."""
-    s_a, s_b = marginal_entropies(e)
-    return s_a + s_b - _member_entropy_average(e)
+    return _local_holevo(e.amplitudes, np.array(e.probabilities), e.dims)[0]
+
+
+def _local_holevo(stack: np.ndarray, probs: np.ndarray, dims) -> tuple[float, np.ndarray]:
+    """``local_holevo`` of the members ``stack``, and their entanglement entropies
+    (pure members: both marginals of one carry the same entropy)."""
+    ents = entanglement_entropies(stack, dims)
+    s_a, s_b = mixture_marginal_entropies(stack, probs, dims)
+    return s_a + s_b - float(probs @ ents), ents
 
 
 def cnot_bounds(e: Ensemble, direction: str = "right") -> BoundsReport:
@@ -71,16 +68,9 @@ def cnot_bounds(e: Ensemble, direction: str = "right") -> BoundsReport:
     accessible information; the bound is flagged effective when some members
     stay entangled after the gate.
     """
-    control = "A" if direction == "right" else "B"
-    transformed = Ensemble(
-        e.dims,
-        e.probabilities,
-        tuple(apply_cnot(s, control, 1) for s in e.states),
-    )
-    lh_after = local_holevo(transformed)
-    entangled_after = int(
-        np.count_nonzero(entanglement_entropies(transformed.amplitudes, e.dims) > TOL.value)
-    )
+    after = np.empty_like(e.amplitudes)
+    after[:, cnot_permutation(e.dims, "A" if direction == "right" else "B")] = e.amplitudes
+    lh_after, ents_after = _local_holevo(after, np.array(e.probabilities), e.dims)
     product_input = e.is_product()
     return BoundsReport(
         chi=holevo_chi(e),
@@ -88,7 +78,7 @@ def cnot_bounds(e: Ensemble, direction: str = "right") -> BoundsReport:
         cnot_lower_comparator=lh_after if product_input else None,
         cnot_upper_bound=None if product_input else lh_after,
         product_input=product_input,
-        entangled_members_after=entangled_after,
+        entangled_members_after=int(np.count_nonzero(ents_after > TOL.value)),
         direction=direction,
     )
 

@@ -14,14 +14,6 @@ from .errors import DimensionMismatch, NotHermitian
 
 Party = str  # "A" or "B"
 
-PARTIES = ("A", "B")
-
-
-def other_party(side: Party) -> Party:
-    if side not in PARTIES:
-        raise DimensionMismatch(f"unknown party {side!r}")
-    return "B" if side == "A" else "A"
-
 
 def dagger(m: np.ndarray) -> np.ndarray:
     return np.conjugate(m.T)
@@ -82,14 +74,6 @@ def expm_hermitian_unchecked(h: np.ndarray) -> np.ndarray:
     return (vecs * np.exp(1j * vals)[..., None, :]) @ np.conjugate(vecs.swapaxes(-1, -2))
 
 
-def expm_skew_hermitian(h: np.ndarray) -> np.ndarray:
-    """exp(i*h) for Hermitian h, computed through the spectral decomposition."""
-    h = np.asarray(h, dtype=complex)
-    if not is_hermitian(h):
-        raise NotHermitian("generator must be Hermitian")
-    return expm_hermitian_unchecked((h + dagger(h)) / 2.0)
-
-
 def gram(vectors: list[np.ndarray] | tuple[np.ndarray, ...]) -> np.ndarray:
     """Gram matrix G[i, j] = <v_i | v_j>."""
     vecs = [np.asarray(v, dtype=complex).ravel() for v in vectors]
@@ -108,9 +92,3 @@ def haar_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
     z = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
     q, r = np.linalg.qr(z)
     return q * (np.diagonal(r) / np.abs(np.diagonal(r)))
-
-
-def basis_ket(dim: int, index: int) -> np.ndarray:
-    v = np.zeros(dim, dtype=complex)
-    v[index] = 1.0
-    return v

@@ -14,19 +14,20 @@ every reported number names the search that produced it:
   shared set of unitaries, found by Riemannian gradient ascent on the
   unitary groups (``_ascend``) from the identity and seeded restarts.
 * ``per-state-lu``: the same circuit family optimized per member; in closed
-  form at depth 1 (``_per_state_closed``; ``restarts`` and ``seed`` have no
-  effect, and a member, product within ``TOL.product_rank``, is valued
-  through its leading Schmidt pair); deeper, ensemble-lu run on each
-  one-member ensemble.
+  form (``_per_state_closed``; ``restarts`` and ``seed`` have no effect, and
+  a member, product within ``TOL.product_rank``, is valued through its
+  leading Schmidt pair) at every depth when the target or both sides are
+  rotated, and at depth 1 when the control is; deeper control-rotated
+  values run ensemble-lu on each one-member ensemble.
 * ``assign`` (gap only, orthogonal ensembles): the best relabeling onto an
   orthonormal product frame, in closed form: members sorted by probability
   and cut into consecutive groups (exact by majorization).
 
-Fixed, ensemble-lu and deeper per-state-lu share one search loop over the
-repetition count r (``_searched_transforms``); every gap search starts from
-the identity (r=0). Delta values lie in ``[0, log2 min(d_A, d_B)]``; an
-ascent that runs out of steps raises ``BadValue`` rather than return a
-number.
+Fixed, ensemble-lu and deeper control-rotated per-state-lu share one search
+loop over the repetition count r (``_searched_transforms``); every gap search
+starts from the identity (r=0). Delta values lie in ``[0, log2 min(d_A,
+d_B)]``; an ascent that runs out of steps raises ``BadValue`` rather than
+return a number.
 
 Directions: "right" means party A controls and B is the target; "left" is
 the mirror.
@@ -37,6 +38,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -59,9 +61,11 @@ class Mode:
     ``rotate`` restricts which side carries the local pre-rotations in the
     lu modes: "both" (default), "target" (the shifted side), or "control".
     ``restarts`` and ``seed`` drive the gradient ascents (restart 0 starts
-    next to the identity, later ones at seeded random unitaries); depth-1
-    per-state-lu runs none, so they do not affect it. Fixed mode has no rotations and one
-    layer, so it ignores ``depth``, ``restarts``, ``seed`` and ``rotate``.
+    next to the identity, later ones at seeded random unitaries); per-state-lu
+    runs none except at depth > 1 with ``rotate="control"``, so elsewhere they
+    do not affect it. Fixed mode has no rotations and one layer, so it
+    ignores ``depth``, ``restarts``, ``seed`` and ``rotate``. ``depth``,
+    ``restarts`` and ``seed`` must be integers (booleans are not).
     """
 
     name: str = "fixed"
@@ -73,6 +77,10 @@ class Mode:
     def __post_init__(self):
         if self.name not in MODE_NAMES:
             raise BadParams(f"unknown mode {self.name!r}")
+        for key in ("depth", "restarts", "seed"):
+            value = getattr(self, key)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise BadParams(f"{key} must be an integer, not {value!r}")
         if self.depth < 1 or self.restarts < 1:
             raise BadParams("depth and restarts must be >= 1")
         if self.rotate not in ROTATE_CHOICES:
@@ -115,8 +123,9 @@ def _clip_values(values, ceiling: float = math.inf) -> list[float]:
     return out
 
 
-def _target_dim(dims: tuple[int, int], direction: str) -> int:
-    return dims[1] if direction == "right" else dims[0]
+def _reps_range(dims: tuple[int, int], direction: str) -> range:
+    """Shift repetition counts 1 .. d_t - 1 (just 1 when d_t = 1) for target dimension d_t."""
+    return range(1, max(dims[1] if direction == "right" else dims[0], 2))
 
 
 # ---------------------------------------------------------------------------
@@ -303,7 +312,7 @@ def _searched_transforms(stack, dims, mode: Mode, direction: str, objectives, se
     with no rotated side whatever ``mode.depth`` says, and runs no ascent.
     """
     rotate, depth = (None, 1) if mode.name == "fixed" else (mode.rotate, mode.depth)
-    for r in range(1, max(_target_dim(dims, direction), 2)):
+    for r in _reps_range(dims, direction):
         circuit = _LuCircuit(dims, direction, rotate, depth, r)
         unitaries = []
         if circuit.sides:
@@ -366,9 +375,8 @@ def _delta_direction(e, stack, probs, mode, direction):
     if mode.name != "per-state-lu":
         return _delta_search(stack, probs, dims, mode, direction, seed)
     # per-state-lu: parameters chosen member by member (upper-bound flavor)
-    if mode.depth == 1:
-        reps_range = range(1, max(_target_dim(dims, direction), 2))
-        contrib = _per_state_closed(stack, dims, direction, mode.rotate, reps_range)
+    if mode.depth == 1 or mode.rotate != "control":
+        contrib = _per_state_closed(stack, dims, direction, mode.rotate)
     else:  # ensemble-lu on each one-member ensemble
         member_seeds = (_direction_seed(mode.seed, direction, i) for i in range(len(stack)))
         contrib = np.array([
@@ -392,28 +400,35 @@ def _delta_search(stack, probs, dims, mode, direction, seed):
 
 
 # ---------------------------------------------------------------------------
-# depth-1 per-state optimum in closed form
+# per-state optimum in closed form
 
 
 _CAPACITY_ROUNDS = 10_000  # Blahut-Arimoto rounds before a capacity is given up
 
 
-def _per_state_closed(stack, dims, direction: str, rotate: str, reps_range) -> np.ndarray:
-    """Each member's best entanglement over one rotation layer and ``CNOT^r``.
+def _per_state_closed(stack, dims, direction: str, rotate: str) -> np.ndarray:
+    """Each member's best entanglement over rotation layers and ``CNOT^r``.
 
     A member (product within ``TOL.product_rank``) is valued through its
     leading Schmidt pair: control part ``a``, target part ``b``. ``CNOT^r``
     sends ``|i>|b>`` to ``|i> X^{ri}|b>``, so the controls of one class
-    ``c = r*i mod d_t`` see the same shift. Maximized over r in ``reps_range``:
+    ``c = r*i mod d_t`` see the same shift. Maximized over r in ``_reps_range``:
 
-    * target: ``H(fold_r |a|^2)``, the class masses. The output
-      ``sum_c sqrt(w_c) |phi_c> X^c V|b>`` has orthonormal ``|phi_c>``, so its
-      entropy is at most ``H(w)``, attained by ``V|b> = |0>``.
-    * both: ``log2 min(d_A, d_B)``, the ceiling of any pure state, attained at
-      r=1 by a control uniform on ``min(d_c, d_t)`` basis vectors and ``|0>``.
-    * control: the capacity ``max_q S(sum_c q_c X^c|b><b|X^-c)`` over the
-      classes, since control rotations reach every class distribution ``q``
-      and the target marginal is that mixture (``_shift_capacities``).
+    * target, any depth: ``H(fold_r |a|^2)``, the class masses. The control
+      is never rotated, so every output is ``sum_c sqrt(w_c) |phi_c> W_c|b>``
+      with orthonormal ``|phi_c>`` and its entropy is at most ``H(w)``. One
+      layer attains it by ``V|b> = |0>``; deeper, ``V_1|b> = |0>`` and then
+      ``V_2`` the discrete Fourier transform, since ``X^c|f_c>`` is a phase
+      times the Fourier vector ``|f_c>``.
+    * both, any depth: ``log2 min(d_A, d_B)``, the ceiling of any pure state,
+      attained at r=1 by a control uniform on ``min(d_c, d_t)`` basis vectors
+      and ``|0>``. Each further layer first rotates the state into
+      ``sum_k |k>|f_k> / sqrt(m)``, on which ``CNOT^r`` only adds phases.
+    * control, depth 1: the capacity ``max_q S(sum_c q_c X^c|b><b|X^-c)``
+      over the classes, since control rotations reach every class
+      distribution ``q`` and the target marginal is that mixture
+      (``_shift_capacities``). Deeper, a second layer can do better (case-3x2
+      left: 0.9864 at depth 2 against 0.9371), so those values are searched.
     """
     k = stack.shape[0]
     if rotate == "both":
@@ -421,7 +436,7 @@ def _per_state_closed(stack, dims, direction: str, rotate: str, reps_range) -> n
     u, _, vh = np.linalg.svd(stack.reshape(k, *dims))
     part_a, part_b = u[:, :, 0], vh[:, 0, :]
     control, target = (part_a, part_b) if direction == "right" else (part_b, part_a)
-    classes = _shift_classes(control.shape[1], target.shape[1], reps_range)
+    classes = _shift_classes(control.shape[1], target.shape[1], _reps_range(dims, direction))
     if rotate == "target":
         return entropy_bits(np.einsum("ki,ric->krc", np.abs(control) ** 2, classes)).max(axis=1)
     return _shift_capacities(target, classes.any(axis=1))[0].max(axis=1)

@@ -37,18 +37,6 @@ class PureState:
             raise NotAState(f"norm {norm} deviates from 1 beyond {TOL.norm}")
         object.__setattr__(self, "amplitudes", amps)
 
-    @property
-    def d_a(self) -> int:
-        return self.dims[0]
-
-    @property
-    def d_b(self) -> int:
-        return self.dims[1]
-
-    def as_matrix(self) -> np.ndarray:
-        """Amplitudes reshaped to a d_A x d_B coefficient matrix."""
-        return self.amplitudes.reshape(self.dims)
-
     def projector(self) -> np.ndarray:
         return np.outer(self.amplitudes, np.conjugate(self.amplitudes))
 
@@ -158,7 +146,7 @@ def schmidt(s: PureState) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     the k-th local vectors, so that
     ``amplitudes = sum_k coeffs[k] * kron(left[:, k], right[:, k])``.
     """
-    u, sv, vh = np.linalg.svd(s.as_matrix())
+    u, sv, vh = np.linalg.svd(s.amplitudes.reshape(s.dims))
     return sv, u, vh.T
 
 
@@ -189,12 +177,16 @@ def mixture(amplitudes: np.ndarray, probs) -> np.ndarray:
 def mixture_marginal_entropies(amplitudes: np.ndarray, probs, dims: tuple[int, int]):
     """(S(rho_A), S(rho_B)) of the mixture of a (k, d_A*d_B) amplitude stack.
 
-    Floats for one stack; for a (B, k, d_A*d_B) stack, two arrays of shape (B,).
+    With ``M_k`` a member's ``(d_A, d_B)`` amplitude matrix the marginals are
+    ``rho_A = sum_k p_k M_k M_k^dag`` and ``rho_B = sum_k p_k M_k^T conj(M_k)``;
+    the full mixture is never formed. Floats for one stack; for a
+    (B, k, d_A*d_B) stack, two arrays of shape (B,).
     """
-    rho = mixture(amplitudes, probs)
-    s_a = entropy_bits(_hermitian_spectrum(partial_trace(rho, dims, "A")))
-    s_b = entropy_bits(_hermitian_spectrum(partial_trace(rho, dims, "B")))
-    if rho.ndim == 2:
+    m = amplitudes.reshape(amplitudes.shape[:-1] + tuple(dims))
+    weighted = np.asarray(probs)[:, None, None] * m
+    s_a = entropy_bits(_hermitian_spectrum(np.einsum("...kij,...klj->...il", weighted, m.conj())))
+    s_b = entropy_bits(_hermitian_spectrum(np.einsum("...kij,...kil->...jl", weighted, m.conj())))
+    if amplitudes.ndim == 2:
         return float(s_a), float(s_b)
     return s_a, s_b
 

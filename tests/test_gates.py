@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -7,8 +8,8 @@ from hypothesis import strategies as st
 
 from nle.catalog import bell_state
 from nle.errors import BadParams, DimensionMismatch, NotUnitary
-from nle.gates import apply, apply_cnot, cnot, embed_local, hermitian_from_coeffs
-from nle.linalg import basis_ket, expm_skew_hermitian, gram, haar_unitary, is_unitary, tensor
+from nle.gates import apply, apply_cnot, cnot, cnot_permutation, embed_local, hermitian_from_coeffs
+from nle.linalg import expm_hermitian_unchecked, gram, haar_unitary, is_unitary, tensor
 from nle.states import PureState, entanglement_entropy, product_state
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -52,6 +53,20 @@ class TestCnot:
         with pytest.raises(BadParams):
             cnot((2, 2), "A", 0)
 
+    @pytest.mark.parametrize("control", ["A", "B"])
+    def test_permutation_matches_index_loop(self, control):
+        # reference: |i>|j> sent index by index, as the gate's definition reads
+        for d_a, d_b, r in itertools.product(range(1, 6), range(1, 6), range(9)):
+            expected = []
+            for i, j in itertools.product(range(d_a), range(d_b)):
+                ii, jj = (i, (j + r * i) % d_b) if control == "A" else ((i + r * j) % d_a, j)
+                expected.append(ii * d_b + jj)
+            assert cnot_permutation((d_a, d_b), control, r).tolist() == expected
+
+    def test_permutation_rejects_unknown_party(self):
+        with pytest.raises(DimensionMismatch):
+            cnot_permutation((2, 2), "C")
+
     @given(st.integers(2, 4), st.integers(2, 4), st.sampled_from(["A", "B"]), st.integers(1, 3))
     @settings(max_examples=60, deadline=None)
     def test_permutation_matrix(self, d_a, d_b, control, reps):
@@ -87,7 +102,7 @@ class TestEmbedLocal:
 
 
 def param_to_unitary(dim: int, coeffs) -> np.ndarray:
-    return expm_skew_hermitian(hermitian_from_coeffs(dim, coeffs))
+    return expm_hermitian_unchecked(hermitian_from_coeffs(dim, coeffs))
 
 
 class TestParamToUnitary:
@@ -120,7 +135,7 @@ class TestApply:
 
     def test_cnot_disentangles_bell(self):
         out = apply(cnot((2, 2), "A", 1), bell_state("phi+"))
-        expected = np.kron(np.array([1, 1]) / math.sqrt(2), basis_ket(2, 0))
+        expected = np.kron(np.array([1, 1]) / math.sqrt(2), np.eye(2)[0])
         assert np.allclose(out.amplitudes, expected)
         assert entanglement_entropy(out) <= 1e-12
 
@@ -129,7 +144,7 @@ class TestApply:
         amps = np.zeros(9, dtype=complex)
         amps[[0, 4, 8]] = np.array([1, om, om**2]) / math.sqrt(3)
         out = apply_cnot(PureState((3, 3), amps), "A", 2)
-        expected = np.kron(np.array([1, om, om**2]) / math.sqrt(3), basis_ket(3, 0))
+        expected = np.kron(np.array([1, om, om**2]) / math.sqrt(3), np.eye(3)[0])
         assert np.allclose(out.amplitudes, expected)
         assert entanglement_entropy(out) <= 1e-12
 

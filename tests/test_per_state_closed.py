@@ -1,12 +1,16 @@
-"""Depth-1 per-state-lu in closed form (``quantify._per_state_closed``).
+"""Per-state-lu in closed form (``quantify._per_state_closed``).
 
 (a) On random product members, dims in {2,3,4}^2, every rotation and both
-directions, the closed form is never below the Riemannian ascent over the
-same circuits, the search that depth > 1 still runs.
+directions, the depth-1 closed form is never below the Riemannian ascent over
+the same circuits, the search that depth > 1 still runs with the control
+rotated.
 (b) Each value is attained: the local unitaries the proof names (a
 Householder map of the target part to |0>, of the control part to a uniform
 superposition or to the capacity-achieving ``sqrt(q)``) followed by the
-controlled shift give a member with exactly that entanglement.
+controlled shift give a member with exactly that entanglement; at depth 2
+the target and both values are attained as well (a second layer with the
+discrete Fourier transform on the target), and depth-2 and depth-3 reports
+with the target or both sides rotated equal depth 1.
 (c) The Blahut-Arimoto iteration stops with its duality gap certified below
 ``TOL.capacity_gap``, also where control classes repeat, and raises
 ``BadValue`` rather than return a number when its round cap is hit. Where
@@ -21,14 +25,15 @@ import numpy as np
 import pytest
 
 import nle.quantify as quantify
+from nle import catalog
 from nle.config import TOL
 from nle.errors import BadValue
 from nle.gates import cnot_permutation
-from nle.linalg import basis_ket
 from nle.quantify import (
     Mode,
     _delta_objective,
     _LuCircuit,
+    _delta_search,
     _maximize,
     _shift_capacities,
     _shift_classes,
@@ -110,7 +115,7 @@ def test_target_value_attained(dims):
     closed = _closed(a, b, "target")
     for direction in ("right", "left"):
         target = b if direction == "right" else a
-        to_zero = _householder(target, basis_ket(len(target), 0))
+        to_zero = _householder(target, np.eye(len(target))[0])
         attained = max(
             _output_entanglement(a, b, direction, None, to_zero, r)
             for r in _reps(dims, direction)
@@ -129,7 +134,7 @@ def test_both_value_attained(dims):
         uniform[:m] = 1.0 / math.sqrt(m)
         attained = _output_entanglement(
             a, b, direction,
-            _householder(control, uniform), _householder(target, basis_ket(len(target), 0)), 1,
+            _householder(control, uniform), _householder(target, np.eye(len(target))[0]), 1,
         )
         assert abs(attained - closed[direction]) <= 1e-12
         assert abs(closed[direction] - math.log2(m)) <= 1e-15
@@ -155,6 +160,62 @@ def test_control_value_attained(dims):
                 _output_entanglement(a, b, direction, _householder(control, state), None, r)
             )
         assert abs(max(attained) - closed[direction]) <= 1e-12
+
+
+def _fourier(d):
+    """Columns ``|f_c>``, eigenvectors of the shift: ``X^c|f_c>`` is a phase times ``|f_c>``."""
+    return np.exp(2j * np.pi * np.outer(np.arange(d), np.arange(d)) / d) / math.sqrt(d)
+
+
+@pytest.mark.parametrize("dims", DIMS, ids=DIM_IDS)
+@pytest.mark.parametrize("rotate", ["target", "both"])
+def test_deeper_values_attained(dims, rotate):
+    # depth 2: the depth-1 optimum, then the Fourier transform on the target
+    a, b = _parts(250 + DIMS.index(dims), dims)
+    row = np.kron(a, b)[None]
+    closed = _closed(a, b, rotate)
+    for direction in ("right", "left"):
+        control, target = (a, b) if direction == "right" else (b, a)
+        to_zero, f = _householder(target, np.eye(len(target))[0]), _fourier(len(target))
+        if rotate == "target":
+            layers, reps = [to_zero, f], _reps(dims, direction)
+        else:
+            uniform = np.zeros(len(control), dtype=complex)
+            uniform[: min(dims)] = 1.0 / math.sqrt(min(dims))
+            first = [_householder(control, uniform), to_zero]
+            second = [np.eye(len(control)), f]
+            if direction == "left":  # the circuit takes the A rotation first
+                first, second = first[::-1], second[::-1]
+            layers, reps = first + second, [1]
+        outputs = [_LuCircuit(dims, direction, rotate, 2, r).transform(row, layers) for r in reps]
+        attained = max(float(entanglement_entropies(out, dims)[0]) for out in outputs)
+        assert abs(attained - closed[direction]) <= 1e-12
+
+
+@pytest.mark.parametrize("rotate", ["target", "both"])
+def test_deeper_reports_equal_depth_one(rotate):
+    rng = np.random.default_rng(800)
+    a, b = _unit(rng, 3), _unit(rng, 4)
+    random_member = Ensemble((3, 4), (1.0,), (PureState((3, 4), np.kron(a, b)),))
+    for e in (catalog.build("case-3x2"), catalog.build("tiles-upb"), random_member):
+        one = nonlocal_entropy(e, Mode("per-state-lu", rotate=rotate))
+        for depth in (2, 3):
+            deep = nonlocal_entropy(e, Mode("per-state-lu", depth=depth, rotate=rotate))
+            assert (deep.right, deep.left, deep.contributions_right, deep.contributions_left) == (
+                one.right, one.left, one.contributions_right, one.contributions_left)
+
+
+@pytest.mark.parametrize("dims", [(2, 2), (2, 3), (3, 2)], ids=["2x2", "2x3", "3x2"])
+@pytest.mark.parametrize("rotate", ["target", "both"])
+def test_depth_two_search_reaches_closed_form(dims, rotate):
+    # the search depth > 1 ran before: it lands on the closed form, never above
+    a, b = _parts(900 + DIMS.index(dims), dims)
+    row = np.kron(a, b)[None]
+    closed = _closed(a, b, rotate)
+    for direction in ("right", "left"):
+        mode = Mode("ensemble-lu", depth=2, restarts=1, rotate=rotate)
+        search = _delta_search(row, np.ones(1), dims, mode, direction, 5)[0]
+        assert abs(search - closed[direction]) <= 1e-9, (direction, search, closed[direction])
 
 
 def _certified_gap(target, present, q):
@@ -188,7 +249,7 @@ def test_capacity_near_a_shift_eigenvector_certified():
     # b is close to an eigenvector of X, so the letters X^c b nearly agree up to
     # phase and the mixture has eigenvalues near the entropy floor: the gap must
     # use the unfloored entropy, as the divergences see the whole spectrum
-    b = np.exp(0.5j * np.pi * np.arange(4)) / 2.0 + 1e-6 * basis_ket(4, 1)
+    b = np.exp(0.5j * np.pi * np.arange(4)) / 2.0 + 1e-6 * np.eye(4)[1]
     b /= np.linalg.norm(b)
     present = _shift_classes(3, 4, range(1, 4)).any(axis=1)
     values, q = _shift_capacities(b[None], present)

@@ -40,6 +40,19 @@ class TestMode:
         with pytest.raises(BadParams):
             Mode(depth=0)
 
+    @pytest.mark.parametrize("field,value", [
+        ("depth", 2.5), ("depth", "2"), ("depth", True), ("restarts", 2.0),
+        ("restarts", False), ("seed", 1.5), ("seed", True),
+    ])
+    def test_rejects_non_integer_search_parameters(self, field, value):
+        # they used to fail deep in the search with a TypeError, or (True) run as 1
+        with pytest.raises(BadParams) as err:
+            Mode("ensemble-lu", **{field: value})
+        assert err.value.code == "bad-params"
+
+    def test_accepts_numpy_integers(self):
+        assert Mode("ensemble-lu", depth=np.int64(2), seed=np.int32(3)).depth == 2
+
 
 class TestClipValue:
     @pytest.mark.parametrize("value", [math.nan, math.inf, -1e-6])
