@@ -16,6 +16,7 @@ amplitudes are two-element [re, im] arrays of length dA*dB. Exit codes:
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -394,9 +395,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser ``main`` reads, built once per process: parsing leaves it unchanged."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except FileFormatError as exc:

@@ -47,16 +47,17 @@ class ProductSet:
             v.shape[0] != self.dims[1] for v in pb
         ):
             raise DimensionMismatch("local parts do not match dims")
+        stack_a, stack_b = np.array(pa), np.array(pb)
         # positive conditions, so that NaN fails them
-        for v in pa + pb:
-            if not abs(np.linalg.norm(v) - 1.0) <= TOL.norm:
-                raise NotAState("local parts must be normalized")
+        norms = np.concatenate([np.linalg.norm(stack_a, axis=1), np.linalg.norm(stack_b, axis=1)])
+        if not np.all(np.abs(norms - 1.0) <= TOL.norm):
+            raise NotAState("local parts must be normalized")
         if not all(0.0 < p <= 1.0 for p in self.probabilities):
             raise NotAState("probabilities must lie in (0, 1]")
         if not abs(sum(self.probabilities) - 1.0) <= TOL.prob_sum:
             raise NotAState("probabilities must sum to 1")
-        overlaps_a = np.abs(np.conjugate(np.array(pa)) @ np.array(pa).T)
-        overlaps_b = np.abs(np.conjugate(np.array(pb)) @ np.array(pb).T)
+        overlaps_a = np.abs(np.conjugate(stack_a) @ stack_a.T)
+        overlaps_b = np.abs(np.conjugate(stack_b) @ stack_b.T)
         joint = overlaps_a * overlaps_b
         np.fill_diagonal(joint, 0.0)
         if not joint.max() <= TOL.orthogonality:

@@ -8,6 +8,7 @@ target dimension, which is what makes unequal dimensions work.
 
 from __future__ import annotations
 
+import numbers
 from functools import lru_cache
 
 import numpy as np
@@ -21,24 +22,40 @@ from .states import PureState
 def cnot_permutation(dims: tuple[int, int], control: Party, repetitions: int = 1) -> np.ndarray:
     """Index permutation ``out[new] = in[old]`` realizing the gate.
 
-    Returns an integer array ``perm`` with ``perm[old_flat_index] = new_flat_index``.
+    Returns a read-only integer array ``perm`` with ``perm[old_flat_index] =
+    new_flat_index``, built once per ``(dims, control, repetitions)`` and
+    shared by later calls. ``repetitions`` must be an integer >= 0 (booleans
+    are not).
     """
-    if repetitions < 0:
-        raise BadParams("repetitions must be >= 0")
+    return _cnot_permutation(tuple(dims), control, _repetitions(repetitions, 0))
+
+
+def _repetitions(value, least: int) -> int:
+    # a plain int skips the ABC check, which costs more than the cached lookup
+    if type(value) is not int and (isinstance(value, bool) or not isinstance(value, numbers.Integral)):
+        raise BadParams(f"repetitions must be an integer, not {value!r}")
+    if value < least:
+        raise BadParams(f"repetitions must be >= {least}")
+    return int(value)
+
+
+@lru_cache(maxsize=256)
+def _cnot_permutation(dims: tuple[int, int], control: Party, repetitions: int) -> np.ndarray:
     d_a, d_b = dims
     i, j = np.divmod(np.arange(d_a * d_b), d_b)
     if control == "A":
-        return i * d_b + (j + repetitions * i) % d_b
-    if control == "B":
-        return (i + repetitions * j) % d_a * d_b + j
-    raise DimensionMismatch(f"unknown party {control!r}")
+        perm = i * d_b + (j + repetitions * i) % d_b
+    elif control == "B":
+        perm = (i + repetitions * j) % d_a * d_b + j
+    else:
+        raise DimensionMismatch(f"unknown party {control!r}")
+    perm.flags.writeable = False
+    return perm
 
 
 def cnot(dims: tuple[int, int], control: Party, repetitions: int = 1) -> np.ndarray:
     """Permutation matrix of the generalized CNOT, applied ``repetitions`` times."""
-    if repetitions < 1:
-        raise BadParams("repetitions must be >= 1")
-    perm = cnot_permutation(dims, control, repetitions)
+    perm = cnot_permutation(dims, control, _repetitions(repetitions, 1))
     n = dims[0] * dims[1]
     m = np.zeros((n, n), dtype=complex)
     m[perm, np.arange(n)] = 1.0

@@ -15,9 +15,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import TOL
-from .errors import UnsupportedDims
+from .errors import BadParams, UnsupportedDims
 from .gates import cnot_permutation
-from .states import Ensemble, average_state, entanglement_entropies, vn_entropy
+from .states import Ensemble, average_state, entanglement_entropies, entropy_bits, vn_entropy
 from .states import mixture_marginal_entropies
 
 
@@ -47,15 +47,14 @@ def holevo_chi(e: Ensemble) -> float:
 
 def local_holevo(e: Ensemble) -> float:
     """S(rho_A) + S(rho_B) - max over parties of the average member marginal entropy."""
-    return _local_holevo(e.amplitudes, np.array(e.probabilities), e.dims)[0]
+    return _local_holevo(e.mixture_entropies, entropy_bits(e.spectra), np.array(e.probabilities))
 
 
-def _local_holevo(stack: np.ndarray, probs: np.ndarray, dims) -> tuple[float, np.ndarray]:
-    """``local_holevo`` of the members ``stack``, and their entanglement entropies
-    (pure members: both marginals of one carry the same entropy)."""
-    ents = entanglement_entropies(stack, dims)
-    s_a, s_b = mixture_marginal_entropies(stack, probs, dims)
-    return s_a + s_b - float(probs @ ents), ents
+def _local_holevo(s_ab, ents: np.ndarray, probs: np.ndarray) -> float:
+    """``local_holevo`` from the mixture's marginal entropies ``s_ab`` and the
+    members' entanglement ``ents`` (pure members: both marginals of one carry
+    the same entropy)."""
+    return s_ab[0] + s_ab[1] - float(probs @ ents)
 
 
 def cnot_bounds(e: Ensemble, direction: str = "right") -> BoundsReport:
@@ -66,11 +65,16 @@ def cnot_bounds(e: Ensemble, direction: str = "right") -> BoundsReport:
     comparator of the lower-bound relation. Inputs with entanglement: the
     transformed local Holevo value upper-bounds the original locally
     accessible information; the bound is flagged effective when some members
-    stay entangled after the gate.
+    stay entangled after the gate. ``direction`` is "right" (A controls) or
+    "left" (B controls).
     """
+    if direction not in ("right", "left"):
+        raise BadParams(f"unknown direction {direction!r}")
+    probs = np.array(e.probabilities)
     after = np.empty_like(e.amplitudes)
     after[:, cnot_permutation(e.dims, "A" if direction == "right" else "B")] = e.amplitudes
-    lh_after, ents_after = _local_holevo(after, np.array(e.probabilities), e.dims)
+    ents_after = entanglement_entropies(after, e.dims)
+    lh_after = _local_holevo(mixture_marginal_entropies(after, probs, e.dims), ents_after, probs)
     product_input = e.is_product()
     return BoundsReport(
         chi=holevo_chi(e),

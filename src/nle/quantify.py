@@ -24,7 +24,8 @@ every reported number names the search that produced it:
   and cut into consecutive groups (exact by majorization).
 
 Fixed, ensemble-lu and deeper control-rotated per-state-lu share one search
-loop over the repetition count r (``_searched_transforms``); every gap search
+loop over the repetition count r (``_searched_transforms``), and one kernel
+call per quantity values the candidates of both directions; every gap search
 starts from the identity (r=0). Delta values lie in ``[0, log2 min(d_A,
 d_B)]``; an ascent that runs out of steps raises ``BadValue`` rather than
 return a number.
@@ -303,8 +304,9 @@ class _LuCircuit:
         return f
 
 
-def _searched_transforms(stack, dims, mode: Mode, direction: str, objectives, seed: int):
-    """Yield ``(r, transformed stack)`` for each repetition count r.
+def _searched_transforms(stack, dims, mode: Mode, objectives, seeds: dict) -> list:
+    """``(direction, r, transformed stack)`` for each direction in ``seeds``
+    (direction -> search seed) and each of its repetition counts r, in order.
 
     The stack goes through the mode's circuit at the unitaries ``_maximize``
     finds for the best of ``objectives``, each ascended on its own from the
@@ -312,14 +314,17 @@ def _searched_transforms(stack, dims, mode: Mode, direction: str, objectives, se
     with no rotated side whatever ``mode.depth`` says, and runs no ascent.
     """
     rotate, depth = (None, 1) if mode.name == "fixed" else (mode.rotate, mode.depth)
-    for r in _reps_range(dims, direction):
-        circuit = _LuCircuit(dims, direction, rotate, depth, r)
-        unitaries = []
-        if circuit.sides:
-            found = (_maximize(circuit.on(stack, o), circuit.unitary_dims, mode.restarts, seed)
-                     for o in objectives)
-            unitaries = max(found, key=lambda candidate: candidate[0])[1]  # first of equals
-        yield r, circuit.transform(stack, unitaries)
+    out = []
+    for direction, seed in seeds.items():
+        for r in _reps_range(dims, direction):
+            circuit = _LuCircuit(dims, direction, rotate, depth, r)
+            unitaries = []
+            if circuit.sides:
+                found = (_maximize(circuit.on(stack, o), circuit.unitary_dims, mode.restarts, seed)
+                         for o in objectives)
+                unitaries = max(found, key=lambda candidate: candidate[0])[1]  # first of equals
+            out.append((direction, r, circuit.transform(stack, unitaries)))
+    return out
 
 
 def _direction_seed(base: int, direction: str, member: int = -1) -> int:
@@ -345,9 +350,15 @@ def nonlocal_entropy(e: Ensemble, mode: Mode = Mode()) -> QuantifierReport:
     stack = e.amplitudes
     probs = np.array(e.probabilities)
 
-    per_dir = {d: _delta_direction(e, stack, probs, mode, d) for d in DIRECTIONS}
+    if mode.name == "per-state-lu":
+        per_dir = {d: _per_state_direction(stack, probs, e.dims, mode, d) for d in DIRECTIONS}
+    else:
+        seeds = {d: _direction_seed(mode.seed, d) for d in DIRECTIONS}
+        per_dir = _delta_search(stack, probs, e.dims, mode, seeds)
     right, left = per_dir["right"][0], per_dir["left"][0]
-    work = {d: _work_pairs(stack, per_dir[d][1], probs, e.dims) for d in DIRECTIONS}
+    # work pairs: pure members, so both parties see the average member entanglement
+    s_in = float(probs @ entropy_bits(e.spectra))
+    work = {d: _work((s_in, s_in), (per_dir[d][0],) * 2, e.dims) for d in DIRECTIONS}
     ceiling = math.log2(min(e.dims))  # the entanglement of any pure state
     k = len(stack)
     clipped = _clip_values(
@@ -368,34 +379,33 @@ def nonlocal_entropy(e: Ensemble, mode: Mode = Mode()) -> QuantifierReport:
     )
 
 
-def _delta_direction(e, stack, probs, mode, direction):
-    """(value, contributions, repetition count); per-state-lu reports no count,
-    as each member picks its own."""
-    dims, seed = e.dims, _direction_seed(mode.seed, direction)
-    if mode.name != "per-state-lu":
-        return _delta_search(stack, probs, dims, mode, direction, seed)
-    # per-state-lu: parameters chosen member by member (upper-bound flavor)
+def _per_state_direction(stack, probs, dims, mode, direction):
+    """(value, contributions, None) of per-state-lu: parameters chosen member by
+    member (upper-bound flavor), so no one repetition count is reported."""
     if mode.depth == 1 or mode.rotate != "control":
         contrib = _per_state_closed(stack, dims, direction, mode.rotate)
     else:  # ensemble-lu on each one-member ensemble
         member_seeds = (_direction_seed(mode.seed, direction, i) for i in range(len(stack)))
         contrib = np.array([
-            _delta_search(row[None], np.ones(1), dims, mode, direction, s)[0]
+            _delta_search(row[None], np.ones(1), dims, mode, {direction: s})[direction][0]
             for row, s in zip(stack, member_seeds)
         ])
     return float(probs @ contrib), contrib, None
 
 
-def _delta_search(stack, probs, dims, mode, direction, seed):
-    """(value, contributions, r) of the best repetition count; a later r must
-    beat the best value by more than 1e-15."""
-    best = None
+def _delta_search(stack, probs, dims, mode, seeds: dict) -> dict:
+    """Direction -> (value, contributions, r) of the best repetition count for
+    each direction in ``seeds`` (direction -> search seed); a later r must
+    beat the best value by more than 1e-15. One kernel call values every
+    candidate."""
     objectives = (functools.partial(_delta_objective, probs=probs, dims=dims),)
-    for r, t in _searched_transforms(stack, dims, mode, direction, objectives, seed):
-        contrib = entanglement_entropies(t, dims)
+    candidates = _searched_transforms(stack, dims, mode, objectives, seeds)
+    ents = entanglement_entropies(np.concatenate([t for _, _, t in candidates]), dims)
+    best = {}
+    for (d, r, _), contrib in zip(candidates, ents.reshape(len(candidates), -1)):
         value = float(probs @ contrib)
-        if best is None or value > best[0] + 1e-15:
-            best = (value, contrib, r)
+        if d not in best or value > best[d][0] + 1e-15:
+            best[d] = (value, contrib, r)
     return best
 
 
@@ -531,18 +541,6 @@ def _entropies_and_logs(rho: np.ndarray):
     return entropy_bits(lam), (vecs * logs[..., None, :]) @ vecs.conj().swapaxes(-1, -2)
 
 
-def _work_pairs(stack, contrib, probs, dims):
-    """Work pairs of a product ensemble before and after its transform.
-
-    Members are pure, so either marginal carries the squared Schmidt
-    spectrum and both parties see the same average member entropy;
-    ``contrib`` holds the transformed members' entanglement.
-    """
-    s_in = float(probs @ entanglement_entropies(stack, dims))
-    s_fin = float(probs @ contrib)
-    return _work((s_in, s_in), (s_fin, s_fin), dims)
-
-
 # ---------------------------------------------------------------------------
 # average-state local-entropy gap
 
@@ -563,15 +561,12 @@ def average_entropy_gap(e: Ensemble, mode: Mode = Mode()) -> QuantifierReport:
     """
     if mode.name == "per-state-lu":
         raise BadParams("the average-state gap needs a single global transform per direction")
-    stack = e.amplitudes
-    probs = np.array(e.probabilities)
-    s_bar = mixture_marginal_entropies(stack, probs, e.dims)
+    s_bar = e.mixture_entropies
 
     if mode.name == "assign":
         return _assign_gap(e, s_bar, mode)
 
-    identity = (0.0, entanglement_entropies(stack, e.dims), (0.0, 0.0), 0, s_bar)
-    per_dir = {d: _gap_direction(e, stack, probs, s_bar, identity, mode, d) for d in DIRECTIONS}
+    per_dir = _gap_search(e, mode)
 
     right, left = per_dir["right"][0], per_dir["left"][0]
     work = {d: _work(s_bar, per_dir[d][4], e.dims) for d in DIRECTIONS}
@@ -609,10 +604,12 @@ def _work(s_in, s_fin, dims):
     return out
 
 
-def _gap_direction(e, stack, probs, s_bar, identity, mode, direction):
-    """(gap, contributions, side gaps, r, final side entropies) of the best
-    candidate, starting from ``identity`` (r=0)."""
-    dims = e.dims
+def _gap_search(e, mode) -> dict:
+    """Direction -> (gap, contributions, side gaps, r, final side entropies) of
+    the best candidate of each direction, starting from the identity (r=0).
+    One kernel call values the mixtures of every candidate and one their
+    members' entanglement."""
+    stack, probs, dims, s_bar = e.amplitudes, np.array(e.probabilities), e.dims, e.mixture_entropies
 
     def better(candidate, incumbent):
         # equal scores resolve toward the transform that disentangles more
@@ -624,16 +621,21 @@ def _gap_direction(e, stack, probs, s_bar, identity, mode, direction):
             incumbent[1] > TOL.value
         )
 
-    best = identity
     objectives = tuple(functools.partial(_gap_objective, probs=probs, dims=dims, s_bar=s_bar,
                                          side=side) for side in "AB")
-    seed = _direction_seed(mode.seed, direction)
-    for r, t in _searched_transforms(stack, dims, mode, direction, objectives, seed):
-        s_fin = mixture_marginal_entropies(t, probs, dims)
+    seeds = {d: _direction_seed(mode.seed, d) for d in DIRECTIONS}
+    candidates = _searched_transforms(stack, dims, mode, objectives, seeds)
+    transformed = np.stack([t for _, _, t in candidates])
+    s_a, s_b = mixture_marginal_entropies(transformed, probs, dims)
+    ents = entanglement_entropies(transformed.reshape(-1, transformed.shape[-1]), dims)
+    identity = (0.0, entropy_bits(e.spectra), (0.0, 0.0), 0, s_bar)
+    best = dict.fromkeys(seeds, identity)
+    for (d, r, _), contrib, s_fin in zip(candidates, ents.reshape(len(candidates), -1),
+                                         zip(s_a.tolist(), s_b.tolist())):
         gaps = (s_bar[0] - s_fin[0], s_bar[1] - s_fin[1])
-        candidate = (max(gaps), entanglement_entropies(t, dims), gaps, r, s_fin)
-        if better(candidate, best):
-            best = candidate
+        candidate = (max(gaps), contrib, gaps, r, s_fin)
+        if better(candidate, best[d]):
+            best[d] = candidate
     return best
 
 

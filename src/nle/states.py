@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -60,6 +61,9 @@ class Ensemble:
 
     ``amplitudes`` holds the members once more as one read-only
     ``(k, d_A*d_B)`` array (row i is ``states[i].amplitudes``) for batched use.
+    Two facts of that stack are computed on first use and kept: ``spectra``,
+    the members' squared Schmidt coefficients, and ``mixture_entropies``, the
+    marginal entropies ``(S_A, S_B)`` of the mixture.
     """
 
     dims: tuple[int, int]
@@ -97,7 +101,20 @@ class Ensemble:
         return bool(np.max(np.abs(g - np.eye(len(self)))) <= atol)
 
     def is_product(self, atol: float = TOL.product_rank) -> bool:
-        return bool(np.all(schmidt_spectra(self.amplitudes, self.dims)[:, 0] >= 1.0 - atol))
+        return bool(np.all(self.spectra[:, 0] >= 1.0 - atol))
+
+    @cached_property
+    def spectra(self) -> np.ndarray:
+        """Read-only ``(k, min(d_A, d_B))`` squared Schmidt coefficients, descending;
+        ``entropy_bits(spectra)`` is the members' entanglement."""
+        spectra = schmidt_spectra(self.amplitudes, self.dims)
+        spectra.flags.writeable = False
+        return spectra
+
+    @cached_property
+    def mixture_entropies(self) -> tuple[float, float]:
+        """``(S(rho_A), S(rho_B))`` of the mixture ``sum_i p_i |psi_i><psi_i|``."""
+        return mixture_marginal_entropies(self.amplitudes, self.probabilities, self.dims)
 
     def subset(self, indices) -> "Ensemble":
         """Sub-ensemble on the given member indices, probabilities renormalized."""
@@ -198,4 +215,4 @@ def average_state(e: Ensemble) -> np.ndarray:
 
 def marginal_entropies(e: Ensemble) -> tuple[float, float]:
     """(S(rho_A), S(rho_B)) of the ensemble-average state."""
-    return mixture_marginal_entropies(e.amplitudes, e.probabilities, e.dims)
+    return e.mixture_entropies

@@ -300,3 +300,35 @@ class TestFileLoading:
 
     def test_missing_source_is_domain_error(self, capsys):
         assert main(["delta"]) == 2
+
+
+def _outcome(argv, capsys):
+    """(exit code, stdout, stderr) of one in-process ``main`` call."""
+    try:
+        code = main(argv)
+    except SystemExit as exc:  # argparse usage errors
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def test_parser_reuse_keeps_each_call_independent(capsys):
+    from nle import cli
+
+    argvs = [
+        ["delta", "--ensemble", "nlwe-3x3", "--json"],
+        ["bounds", "--ensemble", "case-3x2", "--direction", "left", "--json"],
+        ["big-delta", "--ensemble", "bell-triple"],
+        ["delta", "--ensemble", "nlwe-3x3", "--mode", "no-such-mode"],
+        ["delta", "--ensemble", "e2-case2", "--json"],
+    ]
+    in_sequence = [_outcome(argv, capsys) for argv in argvs]
+    assert cli._parser() is cli._parser()
+    alone = []
+    for argv in argvs:
+        cli._parser.cache_clear()  # a fresh parser, as in a new process
+        alone.append(_outcome(argv, capsys))
+    assert in_sequence == alone
+    assert [code for code, _, _ in alone] == [0, 0, 0, 2, 0]
+    assert "invalid choice" in alone[3][2]
+    assert json.loads(alone[1][1])["direction"] == "left"

@@ -67,6 +67,22 @@ class TestCnot:
         with pytest.raises(DimensionMismatch):
             cnot_permutation((2, 2), "C")
 
+    def test_permutation_is_cached_and_read_only(self):
+        perm = cnot_permutation((2, 3), "A", 2)
+        assert cnot_permutation((2, 3), "A", 2) is perm
+        assert cnot_permutation([2, 3], "A", np.int64(2)) is perm
+        assert cnot_permutation((2, 3), "B", 2) is not perm
+        with pytest.raises(ValueError):
+            perm[0] = 1
+
+    @pytest.mark.parametrize("reps", [1.5, 1.0, True, False, "1", None, -1])
+    def test_rejects_non_integer_repetitions(self, reps):
+        # 1.5 once gave the float array [0, 1, 2, 4.5, 5.5, 3.5] and True ran as 1
+        with pytest.raises(BadParams):
+            cnot_permutation((2, 3), "A", reps)
+        with pytest.raises(BadParams):
+            cnot((2, 2), "A", reps)
+
     @given(st.integers(2, 4), st.integers(2, 4), st.sampled_from(["A", "B"]), st.integers(1, 3))
     @settings(max_examples=60, deadline=None)
     def test_permutation_matrix(self, d_a, d_b, control, reps):

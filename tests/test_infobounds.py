@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from nle import catalog
 from nle.catalog import bell_state
-from nle.errors import UnsupportedDims
+from nle.errors import BadParams, UnsupportedDims
 from nle.gates import apply_cnot
 from nle.infobounds import chsh_max, cnot_bounds, concurrence, holevo_chi, local_holevo
 from nle.states import (
@@ -134,6 +134,12 @@ class TestCnotBounds:
         assert abs(got - reference) <= 1e-12
         assert abs(report.local_holevo - local_holevo(e)) <= 1e-12
         assert report.entangled_members_after == int(np.count_nonzero(ents > 1e-9))
+
+
+@pytest.mark.parametrize("direction", ["sideways", "both", "", None, "Right"])
+def test_cnot_bounds_rejects_unknown_direction(direction):
+    with pytest.raises(BadParams):
+        cnot_bounds(catalog.build("nlwe-3x3"), direction)
 
 
 class TestChsh:

@@ -1,0 +1,203 @@
+"""Each spectrum once: the memoized ensemble facts and the batched candidate
+evaluation against the computations they replace, bit for bit.
+
+``Ensemble.spectra`` and ``Ensemble.mixture_entropies`` are computed on first
+use and kept; they must equal fresh ``schmidt_spectra`` and
+``mixture_marginal_entropies`` calls exactly, and a freshly built ensemble
+holds neither. ``quantify._delta_search`` and ``quantify._gap_search`` value
+the candidates of both directions with one kernel call each; they must
+return what a transcription taking one direction and one repetition count
+at a time returns, to the last bit, in fixed and ensemble-lu modes.
+"""
+
+import functools
+
+import numpy as np
+import pytest
+
+from nle import catalog, quantify
+from nle.quantify import (
+    DIRECTIONS,
+    Mode,
+    _delta_objective,
+    _delta_search,
+    _direction_seed,
+    _gap_objective,
+    _gap_search,
+    _searched_transforms,
+    average_entropy_gap,
+    nonlocal_entropy,
+)
+from nle.states import (
+    Ensemble,
+    PureState,
+    entanglement_entropies,
+    mixture_marginal_entropies,
+    schmidt_spectra,
+)
+
+DIMS = [(2, 2), (2, 3), (3, 2), (3, 3)]
+PRODUCT_CATALOG = ["e2-case2", "walgate-hardy", "case-3x2", "nlwe-3x3", "tiles-upb"]
+GENERAL_CATALOG = ["bell-triple", "orth-pair", "ghosh-nonmax", "case-3x2", "more-nl-mixed"]
+MODES = [
+    Mode("fixed"),
+    Mode("ensemble-lu", restarts=1, seed=3, rotate="target"),
+    Mode("ensemble-lu", restarts=1, seed=5, rotate="both"),
+]
+
+
+def _unit(rng, n):
+    v = rng.normal(size=n) + 1j * rng.normal(size=n)
+    return v / np.linalg.norm(v)
+
+
+def _random(dims, product: bool, seed: int, k: int = 4) -> Ensemble:
+    rng = np.random.default_rng(seed)
+    if product:
+        members = [np.kron(_unit(rng, dims[0]), _unit(rng, dims[1])) for _ in range(k)]
+    else:
+        members = [_unit(rng, dims[0] * dims[1]) for _ in range(k)]
+    p = rng.uniform(0.2, 1.0, size=k)
+    return Ensemble(dims, tuple(p / p.sum()), tuple(PureState(dims, m) for m in members))
+
+
+def _bits(x):
+    """``x`` with every float written as its hex string, arrays as lists."""
+    if isinstance(x, np.ndarray):
+        return [_bits(v) for v in x.tolist()]
+    if isinstance(x, (float, np.floating)):
+        return float(x).hex()
+    if isinstance(x, (tuple, list)):
+        return [_bits(v) for v in x]
+    if isinstance(x, dict):
+        return {key: _bits(v) for key, v in x.items()}
+    return x
+
+
+def _inputs(product: bool):
+    names = PRODUCT_CATALOG if product else GENERAL_CATALOG
+    yield from ((name, catalog.build(name)) for name in names)
+    for n, dims in enumerate(DIMS):
+        yield f"random-{dims[0]}x{dims[1]}", _random(dims, product, 40 + n)
+
+
+PRODUCT_INPUTS = list(_inputs(True))
+GENERAL_INPUTS = list(_inputs(False))
+
+
+# ---------------------------------------------------------------------------
+# the memoized facts
+
+
+def test_fresh_ensemble_holds_no_memo():
+    # the facts are computed on first use, never while an ensemble is built
+    for _, e in PRODUCT_INPUTS + GENERAL_INPUTS:
+        fresh = Ensemble(e.dims, e.probabilities, e.states)
+        assert "spectra" not in vars(fresh)
+        assert "mixture_entropies" not in vars(fresh)
+        assert "spectra" not in vars(fresh.subset([0]))
+
+
+@pytest.mark.parametrize("name,e", PRODUCT_INPUTS + GENERAL_INPUTS,
+                         ids=[n for n, _ in PRODUCT_INPUTS + GENERAL_INPUTS])
+def test_memo_equals_fresh_computation(name, e):
+    e = Ensemble(e.dims, e.probabilities, e.states)
+    spectra = e.spectra
+    assert spectra is e.spectra
+    assert not spectra.flags.writeable
+    assert spectra.tobytes() == schmidt_spectra(e.amplitudes, e.dims).tobytes()
+    fresh = mixture_marginal_entropies(e.amplitudes, np.array(e.probabilities), e.dims)
+    assert _bits(e.mixture_entropies) == _bits(fresh)
+    assert all(type(s) is float for s in e.mixture_entropies)
+
+
+# ---------------------------------------------------------------------------
+# batched candidates against one direction, one r at a time
+
+
+def _delta_one_at_a_time(e, mode):
+    stack, probs, dims = e.amplitudes, np.array(e.probabilities), e.dims
+    objectives = (functools.partial(_delta_objective, probs=probs, dims=dims),)
+    out = {}
+    for direction in DIRECTIONS:
+        best = None
+        seed = _direction_seed(mode.seed, direction)
+        for _, r, t in _searched_transforms(stack, dims, mode, objectives, {direction: seed}):
+            contrib = entanglement_entropies(t, dims)
+            value = float(probs @ contrib)
+            if best is None or value > best[0] + 1e-15:
+                best = (value, contrib, r)
+        out[direction] = best
+    return out
+
+
+def _gap_one_at_a_time(e, mode):
+    stack, probs, dims = e.amplitudes, np.array(e.probabilities), e.dims
+    s_bar = mixture_marginal_entropies(stack, probs, dims)
+
+    def better(candidate, incumbent):
+        if candidate[0] > incumbent[0] + 1e-12:
+            return True
+        if candidate[0] < incumbent[0] - 1e-12:
+            return False
+        return np.count_nonzero(candidate[1] > 1e-9) < np.count_nonzero(incumbent[1] > 1e-9)
+
+    objectives = tuple(functools.partial(_gap_objective, probs=probs, dims=dims, s_bar=s_bar,
+                                         side=side) for side in "AB")
+    out = {}
+    for direction in DIRECTIONS:
+        best = (0.0, entanglement_entropies(stack, dims), (0.0, 0.0), 0, s_bar)
+        seed = _direction_seed(mode.seed, direction)
+        for _, r, t in _searched_transforms(stack, dims, mode, objectives, {direction: seed}):
+            s_fin = mixture_marginal_entropies(t, probs, dims)
+            gaps = (s_bar[0] - s_fin[0], s_bar[1] - s_fin[1])
+            candidate = (max(gaps), entanglement_entropies(t, dims), gaps, r, s_fin)
+            if better(candidate, best):
+                best = candidate
+        out[direction] = best
+    return out
+
+
+@pytest.mark.parametrize("mode", MODES, ids=lambda m: f"{m.name}-{m.rotate}")
+@pytest.mark.parametrize("name,e", PRODUCT_INPUTS, ids=[n for n, _ in PRODUCT_INPUTS])
+def test_batched_delta_equals_one_at_a_time(name, e, mode):
+    seeds = {d: _direction_seed(mode.seed, d) for d in DIRECTIONS}
+    batched = _delta_search(e.amplitudes, np.array(e.probabilities), e.dims, mode, seeds)
+    assert _bits(batched) == _bits(_delta_one_at_a_time(e, mode))
+
+
+@pytest.mark.parametrize("mode", MODES, ids=lambda m: f"{m.name}-{m.rotate}")
+@pytest.mark.parametrize("name,e", GENERAL_INPUTS, ids=[n for n, _ in GENERAL_INPUTS])
+def test_batched_gap_equals_one_at_a_time(name, e, mode):
+    e = Ensemble(e.dims, e.probabilities, e.states)
+    batched = _gap_search(e, mode)
+    assert _bits(batched) == _bits(_gap_one_at_a_time(e, mode))
+
+
+# ---------------------------------------------------------------------------
+# one kernel call per quantifier call
+
+
+def _counting(monkeypatch, name):
+    calls = []
+    original = getattr(quantify, name)
+
+    def counted(*args, **kwargs):
+        calls.append(name)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(quantify, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("name", ["nlwe-3x3", "case-3x2", "walgate-hardy"])
+def test_one_kernel_call_per_quantifier(monkeypatch, name):
+    # nlwe and case-3x2 have two repetition counts in some direction
+    e = catalog.build(name)
+    e.spectra, e.mixture_entropies  # the memo, shared by every later question
+    svd = _counting(monkeypatch, "entanglement_entropies")
+    marginals = _counting(monkeypatch, "mixture_marginal_entropies")
+    nonlocal_entropy(e, Mode("fixed"))
+    assert (len(svd), len(marginals)) == (1, 0)
+    average_entropy_gap(e, Mode("fixed"))
+    assert (len(svd), len(marginals)) == (2, 1)
