@@ -20,84 +20,68 @@ set is reducible from a side exactly when its graph is disconnected.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
 from .config import TOL
-from .errors import DimensionMismatch, GramNotIdentity, NotAState, NotProductEnsemble, TrivialSet
-from .states import Ensemble, product_state
+from .errors import DimensionMismatch, GramNotIdentity, NotProductEnsemble, TrivialSet
+from .states import Ensemble
 
 
 @dataclass(frozen=True)
 class ProductSet:
-    """Mutually orthogonal product states with probabilities."""
+    """A product ensemble of mutually orthogonal members, read as local parts.
 
-    dims: tuple[int, int]
-    probabilities: tuple[float, ...]
-    parts_a: tuple[np.ndarray, ...]
-    parts_b: tuple[np.ndarray, ...]
+    A view: the members, probabilities and local parts are those of
+    ``ensemble`` (its ``schmidt_pairs``). Each side's nonorthogonality graph
+    and each component partition are computed once per view and kept on it.
+    """
+
+    ensemble: Ensemble
 
     def __post_init__(self):
-        k = len(self.probabilities)
-        if k != len(self.parts_a) or k != len(self.parts_b) or k == 0:
-            raise DimensionMismatch("probabilities and parts must pair up")
-        pa = tuple(np.asarray(v, dtype=complex).ravel() for v in self.parts_a)
-        pb = tuple(np.asarray(v, dtype=complex).ravel() for v in self.parts_b)
-        if any(v.shape[0] != self.dims[0] for v in pa) or any(
-            v.shape[0] != self.dims[1] for v in pb
-        ):
-            raise DimensionMismatch("local parts do not match dims")
-        stack_a, stack_b = np.array(pa), np.array(pb)
-        # positive conditions, so that NaN fails them
-        norms = np.concatenate([np.linalg.norm(stack_a, axis=1), np.linalg.norm(stack_b, axis=1)])
-        if not np.all(np.abs(norms - 1.0) <= TOL.norm):
-            raise NotAState("local parts must be normalized")
-        if not all(0.0 < p <= 1.0 for p in self.probabilities):
-            raise NotAState("probabilities must lie in (0, 1]")
-        if not abs(sum(self.probabilities) - 1.0) <= TOL.prob_sum:
-            raise NotAState("probabilities must sum to 1")
-        overlaps_a = np.abs(np.conjugate(stack_a) @ stack_a.T)
-        overlaps_b = np.abs(np.conjugate(stack_b) @ stack_b.T)
-        joint = overlaps_a * overlaps_b
-        np.fill_diagonal(joint, 0.0)
-        if not joint.max() <= TOL.orthogonality:
-            raise GramNotIdentity(
-                "members must be mutually orthogonal (duplicates are rejected)"
-            )
-        object.__setattr__(self, "parts_a", pa)
-        object.__setattr__(self, "parts_b", pb)
+        if not self.ensemble.is_product():
+            raise NotProductEnsemble("member has Schmidt rank above one")
+        if not self.ensemble.is_orthogonal(TOL.orthogonality):
+            raise GramNotIdentity("members must be mutually orthogonal (duplicates are rejected)")
+
+    @property
+    def dims(self) -> tuple[int, int]:
+        return self.ensemble.dims
+
+    @property
+    def probabilities(self) -> tuple[float, ...]:
+        return self.ensemble.probabilities
 
     def __len__(self) -> int:
-        return len(self.probabilities)
+        return len(self.ensemble)
 
-    def parts(self, side: str):
-        if side == "A":
-            return self.parts_a
-        if side == "B":
-            return self.parts_b
+    def parts(self, side: str) -> np.ndarray:
+        """Read-only ``(k, d_side)`` local parts of the members on ``side``."""
+        return self.ensemble.schmidt_pairs[_side(side)]
+
+    @cached_property
+    def _graphs(self) -> tuple[np.ndarray, ...]:
+        """Boolean ``(k, k)`` nonorthogonality graphs of sides A and B."""
+        return tuple(np.abs(np.conjugate(v) @ v.T) > TOL.orthogonality
+                     for v in self.ensemble.schmidt_pairs)
+
+    @cached_property
+    def _partitions(self) -> dict:
+        """``(side, sorted indices)`` -> component partition, each decided once."""
+        return {}
+
+
+def _side(side: str) -> int:
+    if side not in ("A", "B"):
         raise DimensionMismatch(f"unknown party {side!r}")
-
-    def to_ensemble(self, indices=None) -> Ensemble:
-        idx = list(range(len(self))) if indices is None else list(indices)
-        mass = sum(self.probabilities[i] for i in idx)
-        return Ensemble(
-            self.dims,
-            tuple(self.probabilities[i] / mass for i in idx),
-            tuple(
-                product_state(self.dims, self.parts_a[i], self.parts_b[i]) for i in idx
-            ),
-        )
+    return ("A", "B").index(side)
 
 
 def as_product_set(e: Ensemble) -> ProductSet:
-    """Split every member of a product ensemble into its local parts."""
-    if not e.is_product():
-        raise NotProductEnsemble("member has Schmidt rank above one")
-    # the leading Schmidt pair of each member, its coefficient (1 up to
-    # normalization error) on the A part
-    u, coeffs, vh = np.linalg.svd(e.amplitudes.reshape(len(e), *e.dims))
-    parts_a, parts_b = u[:, :, 0] * coeffs[:, :1], vh[:, 0, :]
-    return ProductSet(e.dims, e.probabilities, tuple(parts_a), tuple(parts_b))
+    """The product-set view of a product ensemble with orthogonal members."""
+    return ProductSet(e)
 
 
 # ---------------------------------------------------------------------------
@@ -105,39 +89,34 @@ def as_product_set(e: Ensemble) -> ProductSet:
 
 
 def _components(pset: ProductSet, side: str, indices) -> list[tuple[int, ...]]:
-    idx = list(indices)
-    vecs = np.array([pset.parts(side)[i] for i in idx])
-    adj = np.abs(np.conjugate(vecs) @ vecs.T) > TOL.orthogonality
-    seen = [False] * len(idx)
-    groups = []
-    for start in range(len(idx)):
-        if seen[start]:
-            continue
-        frontier = [start]
-        seen[start] = True
-        group = []
-        while frontier:
-            v = frontier.pop()
-            group.append(idx[v])
-            for w in range(len(idx)):
-                if not seen[w] and adj[v, w]:
-                    seen[w] = True
-                    frontier.append(w)
-        groups.append(tuple(sorted(group)))
-    return sorted(groups)
+    """Connected components, each sorted, of the side's graph on ``indices``."""
+    idx = np.array(sorted(indices))
+    reach = pset._graphs[_side(side)][idx][:, idx]  # with its diagonal: parts are unit vectors
+    for _ in range(len(idx).bit_length()):  # paths of up to 2^n edges
+        reach = reach @ reach
+    return sorted({tuple(idx[row].tolist()) for row in reach})
 
 
 def reducible_from(pset: ProductSet, side: str, indices=None):
     """Component partition from one side, or None when irreducible.
 
     Blocks are returned sorted; vectors in different blocks are orthogonal
-    on ``side`` by construction of the nonorthogonality graph.
+    on ``side`` by construction of the nonorthogonality graph. ``indices``
+    must be distinct member indices (``BadParams`` otherwise).
     """
-    idx = list(range(len(pset))) if indices is None else list(indices)
+    idx = range(len(pset)) if indices is None else pset.ensemble.member_indices(indices)
     if len(idx) < 2:
         raise TrivialSet("need at least two members")
-    groups = _components(pset, side, idx)
-    return groups if len(groups) >= 2 else None
+    return _partition(pset, side, tuple(sorted(idx)))
+
+
+def _partition(pset: ProductSet, side: str, idx: tuple[int, ...]):
+    """``reducible_from`` on a sorted tuple of two or more valid indices,
+    decided once per view and side."""
+    if (side, idx) not in pset._partitions:
+        pset._partitions[side, idx] = _components(pset, side, idx)
+    groups = pset._partitions[side, idx]
+    return list(groups) if len(groups) >= 2 else None
 
 
 # ---------------------------------------------------------------------------
@@ -192,13 +171,13 @@ def _leaf(pset, indices) -> DissectionNode:
     idx = tuple(sorted(indices))
     if len(idx) == 1:
         return DissectionNode(idx, leaf_kind="singleton")
-    flags = {side: reducible_from(pset, side, idx) is None for side in ("A", "B")}
+    flags = {side: _partition(pset, side, idx) is None for side in ("A", "B")}
     return DissectionNode(idx, leaf_kind="irreducible", irreducible_from=flags)
 
 
 def _finishing_split(pset, indices, party) -> DissectionNode | None:
     """Split by ``party`` only if its components are all singletons."""
-    groups = reducible_from(pset, party, indices)
+    groups = _partition(pset, party, indices)
     if groups is None or any(len(g) > 1 for g in groups):
         return None
     children = tuple(_leaf(pset, g) for g in groups)
@@ -210,7 +189,7 @@ def _free_dissect(pset, indices) -> DissectionNode:
     if len(idx) == 1:
         return _leaf(pset, idx)
     for party in ("A", "B"):
-        groups = reducible_from(pset, party, idx)
+        groups = _partition(pset, party, idx)
         if groups is not None:
             children = tuple(_free_dissect(pset, g) for g in groups)
             return DissectionNode(idx, party=party, children=children)
@@ -226,7 +205,7 @@ def dissect(pset: ProductSet, first: str | None = None) -> DissectionNode:
         return _free_dissect(pset, all_idx)
     if first not in ("A", "B"):
         raise DimensionMismatch(f"unknown party {first!r}")
-    groups = reducible_from(pset, first, all_idx)
+    groups = _partition(pset, first, all_idx)
     if groups is None:
         return _leaf(pset, all_idx)
     finisher = "B" if first == "A" else "A"
@@ -274,7 +253,6 @@ def weighted_nonlocal_entropy(pset: ProductSet, first: str | None = None) -> flo
         if leaf.leaf_kind == "singleton":
             continue
         mass = sum(pset.probabilities[i] for i in leaf.indices)
-        sub = pset.to_ensemble(leaf.indices)
-        report = nonlocal_entropy(sub, Mode("fixed"))
+        report = nonlocal_entropy(pset.ensemble.subset(leaf.indices), Mode("fixed"))
         total += mass * max(report.right, report.left)
     return total

@@ -351,7 +351,7 @@ def nonlocal_entropy(e: Ensemble, mode: Mode = Mode()) -> QuantifierReport:
     probs = np.array(e.probabilities)
 
     if mode.name == "per-state-lu":
-        per_dir = {d: _per_state_direction(stack, probs, e.dims, mode, d) for d in DIRECTIONS}
+        per_dir = {d: _per_state_direction(e, probs, mode, d) for d in DIRECTIONS}
     else:
         seeds = {d: _direction_seed(mode.seed, d) for d in DIRECTIONS}
         per_dir = _delta_search(stack, probs, e.dims, mode, seeds)
@@ -379,16 +379,16 @@ def nonlocal_entropy(e: Ensemble, mode: Mode = Mode()) -> QuantifierReport:
     )
 
 
-def _per_state_direction(stack, probs, dims, mode, direction):
+def _per_state_direction(e: Ensemble, probs, mode, direction):
     """(value, contributions, None) of per-state-lu: parameters chosen member by
     member (upper-bound flavor), so no one repetition count is reported."""
     if mode.depth == 1 or mode.rotate != "control":
-        contrib = _per_state_closed(stack, dims, direction, mode.rotate)
+        contrib = _per_state_closed(e, direction, mode.rotate)
     else:  # ensemble-lu on each one-member ensemble
-        member_seeds = (_direction_seed(mode.seed, direction, i) for i in range(len(stack)))
+        member_seeds = (_direction_seed(mode.seed, direction, i) for i in range(len(e)))
         contrib = np.array([
-            _delta_search(row[None], np.ones(1), dims, mode, {direction: s})[direction][0]
-            for row, s in zip(stack, member_seeds)
+            _delta_search(row[None], np.ones(1), e.dims, mode, {direction: s})[direction][0]
+            for row, s in zip(e.amplitudes, member_seeds)
         ])
     return float(probs @ contrib), contrib, None
 
@@ -416,13 +416,13 @@ def _delta_search(stack, probs, dims, mode, seeds: dict) -> dict:
 _CAPACITY_ROUNDS = 10_000  # Blahut-Arimoto rounds before a capacity is given up
 
 
-def _per_state_closed(stack, dims, direction: str, rotate: str) -> np.ndarray:
+def _per_state_closed(e: Ensemble, direction: str, rotate: str) -> np.ndarray:
     """Each member's best entanglement over rotation layers and ``CNOT^r``.
 
     A member (product within ``TOL.product_rank``) is valued through its
-    leading Schmidt pair: control part ``a``, target part ``b``. ``CNOT^r``
-    sends ``|i>|b>`` to ``|i> X^{ri}|b>``, so the controls of one class
-    ``c = r*i mod d_t`` see the same shift. Maximized over r in ``_reps_range``:
+    leading Schmidt pair ``e.schmidt_pairs``: control ``a``, target ``b``.
+    ``CNOT^r`` sends ``|i>|b>`` to ``|i> X^{ri}|b>``, so the controls of one
+    class ``c = r*i mod d_t`` see the same shift. Maximized over r in ``_reps_range``:
 
     * target, any depth: ``H(fold_r |a|^2)``, the class masses. The control
       is never rotated, so every output is ``sum_c sqrt(w_c) |phi_c> W_c|b>``
@@ -440,13 +440,11 @@ def _per_state_closed(stack, dims, direction: str, rotate: str) -> np.ndarray:
       (``_shift_capacities``). Deeper, a second layer can do better (case-3x2
       left: 0.9864 at depth 2 against 0.9371), so those values are searched.
     """
-    k = stack.shape[0]
     if rotate == "both":
-        return np.full(k, math.log2(min(dims)))
-    u, _, vh = np.linalg.svd(stack.reshape(k, *dims))
-    part_a, part_b = u[:, :, 0], vh[:, 0, :]
+        return np.full(len(e), math.log2(min(e.dims)))
+    part_a, part_b = e.schmidt_pairs
     control, target = (part_a, part_b) if direction == "right" else (part_b, part_a)
-    classes = _shift_classes(control.shape[1], target.shape[1], _reps_range(dims, direction))
+    classes = _shift_classes(control.shape[1], target.shape[1], _reps_range(e.dims, direction))
     if rotate == "target":
         return entropy_bits(np.einsum("ki,ric->krc", np.abs(control) ** 2, classes)).max(axis=1)
     return _shift_capacities(target, classes.any(axis=1))[0].max(axis=1)

@@ -13,7 +13,7 @@ from functools import cached_property
 import numpy as np
 
 from .config import TOL
-from .errors import DimensionMismatch, NotAState
+from .errors import BadParams, DimensionMismatch, NotAState
 from .linalg import gram, partial_trace
 
 LOG2 = math.log(2.0)
@@ -61,9 +61,10 @@ class Ensemble:
 
     ``amplitudes`` holds the members once more as one read-only
     ``(k, d_A*d_B)`` array (row i is ``states[i].amplitudes``) for batched use.
-    Two facts of that stack are computed on first use and kept: ``spectra``,
-    the members' squared Schmidt coefficients, and ``mixture_entropies``, the
-    marginal entropies ``(S_A, S_B)`` of the mixture.
+    Three facts of that stack are computed on first use and kept: ``spectra``,
+    the members' squared Schmidt coefficients, ``schmidt_pairs``, their
+    leading Schmidt vectors, and ``mixture_entropies``, the marginal entropies
+    ``(S_A, S_B)`` of the mixture.
     """
 
     dims: tuple[int, int]
@@ -112,13 +113,33 @@ class Ensemble:
         return spectra
 
     @cached_property
+    def schmidt_pairs(self) -> tuple[np.ndarray, np.ndarray]:
+        """Read-only ``(k, d_A)`` and ``(k, d_B)`` unit vectors: row i holds
+        member i's leading Schmidt pair, its local parts when it is a product."""
+        u, _, vh = np.linalg.svd(self.amplitudes.reshape(len(self), *self.dims))
+        pairs = u[:, :, 0].copy(), vh[:, 0, :].copy()  # copies, so u and vh are freed
+        for part in pairs:
+            part.flags.writeable = False
+        return pairs
+
+    @cached_property
     def mixture_entropies(self) -> tuple[float, float]:
         """``(S(rho_A), S(rho_B))`` of the mixture ``sum_i p_i |psi_i><psi_i|``."""
         return mixture_marginal_entropies(self.amplitudes, self.probabilities, self.dims)
 
+    def member_indices(self, indices) -> tuple[int, ...]:
+        """``indices`` as a tuple of ints; ``BadParams`` unless they are
+        distinct integers in ``range(len(self))``."""
+        idx = tuple(indices) if np.iterable(indices) else None
+        if idx is None or not all(
+                isinstance(i, (int, np.integer)) and not isinstance(i, bool) and 0 <= i < len(self)
+                for i in idx) or len(set(idx)) != len(idx):
+            raise BadParams(f"member indices must be distinct integers in [0, {len(self)})")
+        return tuple(int(i) for i in idx)
+
     def subset(self, indices) -> "Ensemble":
         """Sub-ensemble on the given member indices, probabilities renormalized."""
-        idx = list(indices)
+        idx = self.member_indices(indices)
         mass = sum(self.probabilities[i] for i in idx)
         return Ensemble(
             self.dims,

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 
@@ -8,20 +9,25 @@ from hypothesis import strategies as st
 
 from nle import catalog, reproduce
 from nle.dissect import (
-    ProductSet,
     as_product_set,
     classify,
     dissect,
     reducible_from,
     weighted_nonlocal_entropy,
 )
-from nle.errors import GramNotIdentity, NotAState, NotProductEnsemble, TrivialSet
+from nle.errors import BadParams, GramNotIdentity, NotAState, NotProductEnsemble, TrivialSet
 from nle.linalg import haar_unitary
 from nle.states import Ensemble, product_state, schmidt
 
 
 def pset(name, params=None):
     return as_product_set(catalog.build(name, params))
+
+
+def from_parts(dims, probs, parts_a, parts_b):
+    """Product-set view of the ensemble of members ``a_i (x) b_i`` (parts normalized)."""
+    members = (product_state(dims, a, b) for a, b in zip(parts_a, parts_b))
+    return as_product_set(Ensemble(dims, tuple(probs), tuple(members)))
 
 
 def brute_force_reducible(ps, side):
@@ -41,25 +47,15 @@ def brute_force_reducible(ps, side):
 class TestProductSet:
     def test_rejects_non_orthogonal(self):
         with pytest.raises(GramNotIdentity):
-            ProductSet(
-                (2, 2),
-                (0.5, 0.5),
-                (np.array([1, 0]), np.array([1, 1]) / math.sqrt(2)),
-                (np.array([1, 0]), np.array([1, 0])),
-            )
+            from_parts((2, 2), (0.5, 0.5), ([1, 0], [1, 1]), ([1, 0], [1, 0]))
 
     def test_rejects_duplicates(self):
         with pytest.raises(GramNotIdentity):
-            ProductSet(
-                (2, 2),
-                (0.5, 0.5),
-                (np.array([1, 0]), np.array([1, 0])),
-                (np.array([0, 1]), np.array([0, 1])),
-            )
+            from_parts((2, 2), (0.5, 0.5), ([1, 0], [1, 0]), ([0, 1], [0, 1]))
 
     def test_rejects_nan_probability(self):
         with pytest.raises(NotAState):
-            ProductSet((2, 2), (math.nan,), ([1, 0],), ([1, 0],))
+            from_parts((2, 2), (math.nan,), ([1, 0],), ([1, 0],))
 
     @pytest.mark.parametrize(
         "probs",
@@ -70,21 +66,28 @@ class TestProductSet:
         # all but the NaN case sum to 1, so only the range check rejects them;
         # the message pins the reason, since a NaN also fails the sum check
         with pytest.raises(NotAState, match=r"lie in \(0, 1\]"):
-            ProductSet((2, 2), probs, ([1, 0], [1, 0], [0, 1]), ([1, 0], [0, 1], [1, 0]))
+            from_parts((2, 2), probs, ([1, 0], [1, 0], [0, 1]), ([1, 0], [0, 1], [1, 0]))
 
     def test_rejects_out_of_range_probability_before_classifying(self):
-        # this set used to construct and classify as dissectible from A alone
+        # this set would classify as dissectible from A alone
         with pytest.raises(NotAState):
-            ProductSet((2, 2), (2.0, -1.0), ([1, 0], [0, 1]), ([1, 0], [1, 0]))
+            from_parts((2, 2), (2.0, -1.0), ([1, 0], [0, 1]), ([1, 0], [1, 0]))
 
     def test_rejects_nan_part(self):
         # a NaN part has NaN overlaps, which would otherwise read as orthogonal
-        with pytest.raises(NotAState):
-            ProductSet((2, 2), (0.5, 0.5), ([1, 0], [math.nan, 0]), ([1, 0], [0, 1]))
+        with pytest.raises(NotAState), np.errstate(invalid="ignore"):
+            from_parts((2, 2), (0.5, 0.5), ([1, 0], [math.nan, 0]), ([1, 0], [0, 1]))
 
     def test_as_product_set_rejects_entangled(self):
         with pytest.raises(NotProductEnsemble):
             as_product_set(catalog.build("bell-pair"))
+
+    def test_is_a_view_of_its_ensemble(self):
+        e = catalog.build("case-3x2")
+        ps = as_product_set(e)
+        assert [f.name for f in dataclasses.fields(ps)] == ["ensemble"]
+        assert ps.ensemble is e
+        assert (ps.dims, ps.probabilities, len(ps)) == (e.dims, e.probabilities, len(e))
 
     @pytest.mark.parametrize("name", ["e2-case2", "case-3x2", "nlwe-3x3", "tiles-upb", "random"])
     def test_as_product_set_parts_match_per_state_schmidt(self, name):
@@ -98,19 +101,17 @@ class TestProductSet:
         else:
             e = catalog.build(name)
         ps = as_product_set(e)
-        for s, part_a, part_b in zip(e.states, ps.parts_a, ps.parts_b):
+        for s, part_a, part_b in zip(e.states, ps.parts("A"), ps.parts("B")):
             coeffs, left, right = schmidt(s)
             assert np.allclose(part_a, left[:, 0] * coeffs[0], rtol=0, atol=1e-12)
             assert np.allclose(part_b, right[:, 0], rtol=0, atol=1e-12)
 
     def test_roundtrip_through_ensemble(self):
+        # the local parts rebuild every member up to a phase
         ps = pset("nlwe-3x3")
-        e = ps.to_ensemble()
-        rebuilt = as_product_set(e)
-        for i in range(len(ps)):
-            joint_a = np.kron(ps.parts_a[i], ps.parts_b[i])
-            joint_b = np.kron(rebuilt.parts_a[i], rebuilt.parts_b[i])
-            assert abs(abs(np.vdot(joint_a, joint_b)) - 1.0) <= 1e-9
+        rebuilt = from_parts(ps.dims, ps.probabilities, ps.parts("A"), ps.parts("B"))
+        for original, member in zip(ps.ensemble.states, rebuilt.ensemble.states):
+            assert abs(abs(np.vdot(original.amplitudes, member.amplitudes)) - 1.0) <= 1e-9
 
 
 class TestReducibleFrom:
@@ -129,7 +130,7 @@ class TestReducibleFrom:
         assert reducible_from(ps, "B") is None
 
     def test_trivial_set(self):
-        ps = ProductSet((2, 2), (1.0,), (np.array([1, 0]),), (np.array([1, 0]),))
+        ps = from_parts((2, 2), (1.0,), ([1, 0],), ([1, 0],))
         with pytest.raises(TrivialSet) as err:
             reducible_from(ps, "A")
         assert err.value.code == "trivial-set"
@@ -146,6 +147,22 @@ class TestReducibleFrom:
                     for j in b2:
                         assert abs(np.vdot(parts[i], parts[j])) <= 1e-9
 
+    @pytest.mark.parametrize("indices", [[0, 99], (1.5, 2), [-1, 0], [0, 0, 1], [True, 0], 3],
+                             ids=["out-of-range", "float", "negative", "repeated", "bool",
+                                  "not-iterable"])
+    def test_rejects_bad_member_indices(self, indices):
+        # each used to raise IndexError or TypeError, or to return a wrong answer
+        ps = pset("e1-computational")
+        with pytest.raises(BadParams):
+            reducible_from(ps, "A", indices)
+        with pytest.raises(BadParams):
+            ps.ensemble.subset(indices)
+
+    def test_accepts_numpy_indices(self):
+        ps = pset("e1-computational")
+        assert reducible_from(ps, "A", np.arange(4)) == reducible_from(ps, "A")
+        assert ps.ensemble.subset(np.array([3, 1])).states[0] is ps.ensemble.states[3]
+
     @given(st.integers(0, 2**32 - 1))
     @settings(max_examples=40, deadline=None)
     def test_agrees_with_brute_force(self, seed):
@@ -153,12 +170,7 @@ class TestReducibleFrom:
         names = ["e1-computational", "e2-case2", "case-3x2", "tiles-upb", "nlwe-3x3"]
         ps = pset(names[seed % len(names)])
         if len(ps) > 8:
-            ps = ProductSet(
-                ps.dims,
-                tuple(1 / 8 for _ in range(8)),
-                ps.parts_a[:8],
-                ps.parts_b[:8],
-            )
+            ps = as_product_set(ps.ensemble.subset(range(8)))
         side = "A" if rng.uniform() < 0.5 else "B"
         assert (reducible_from(ps, side) is not None) == brute_force_reducible(ps, side)
 
@@ -248,7 +260,7 @@ def random_two_by_d_basis(rng, d):
             parts_a.append(a)
             parts_b.append(frame[:, col])
     k = 2 * d
-    return ProductSet((2, d), tuple(1 / k for _ in range(k)), tuple(parts_a), tuple(parts_b))
+    return from_parts((2, d), [1 / k] * k, parts_a, parts_b)
 
 
 @given(st.integers(0, 2**32 - 1), st.integers(2, 4))
@@ -257,3 +269,67 @@ def test_two_by_d_bases_fully_dissect(seed, d):
     ps = random_two_by_d_basis(np.random.default_rng(seed), d)
     assert dissect(ps, "A").fully_dissected
     assert classify(ps).startswith("dissectible")
+
+
+# ---------------------------------------------------------------------------
+# invariants: member order, party swap, local frames
+
+
+def _walgate_hardy_set(rng):
+    """{|0 eta1>, |1 eta2>, |0 eta1^perp>, |1 eta2^perp>}; half the etas are
+    basis-aligned, so both of its classes occur."""
+    e = Ensemble.uniform((2, 2), catalog.walgate_hardy_states(catalog.random_eta(rng),
+                                                              catalog.random_eta(rng)))
+    return as_product_set(e)
+
+
+def _outcome(ps):
+    return classify(ps), {side: reducible_from(ps, side) for side in "AB"}
+
+
+def _relabel(ps, perm=None, swap=False, frames=None):
+    """The set with member j := member perm[j], the parties swapped, or each
+    side's parts sent through its unitary in ``frames``."""
+    perm = np.arange(len(ps)) if perm is None else perm
+    parts_a, parts_b = ps.parts("A")[perm], ps.parts("B")[perm]
+    if frames is not None:
+        parts_a, parts_b = parts_a @ frames[0].T, parts_b @ frames[1].T
+    probs = [ps.probabilities[i] for i in perm]
+    if swap:
+        return from_parts(ps.dims[::-1], probs, parts_b, parts_a)
+    return from_parts(ps.dims, probs, parts_a, parts_b)
+
+
+@given(st.integers(0, 2**32 - 1),
+       st.sampled_from(["walgate-hardy", 2, 3, 4, "case-3x2", "tiles-upb"]))
+@settings(max_examples=40, deadline=None)
+def test_dissection_invariants(seed, kind):
+    # random Walgate-Hardy sets and 2 x d bases; two catalog sets add the
+    # B-only and non-dissectible classes
+    rng = np.random.default_rng(seed)
+    if kind == "walgate-hardy":
+        ps = _walgate_hardy_set(rng)
+    elif isinstance(kind, int):
+        ps = random_two_by_d_basis(rng, kind)
+    else:
+        ps = pset(kind)
+    label, blocks = _outcome(ps)
+
+    # member order: same class, blocks mapped through the permutation
+    perm = rng.permutation(len(ps))
+    permuted_label, permuted_blocks = _outcome(_relabel(ps, perm=perm))
+    assert permuted_label == label
+    for side in "AB":
+        mapped = permuted_blocks[side]
+        if mapped is not None:
+            mapped = sorted(tuple(sorted(int(perm[j]) for j in b)) for b in mapped)
+        assert mapped == blocks[side]
+
+    # party swap: A and B results exchange
+    swapped_label, swapped_blocks = _outcome(_relabel(ps, swap=True))
+    assert swapped_label == label.translate(str.maketrans("AB", "BA"))
+    assert swapped_blocks == {"A": blocks["B"], "B": blocks["A"]}
+
+    # local frame U_A (x) U_B: nothing changes
+    frames = (haar_unitary(ps.dims[0], rng), haar_unitary(ps.dims[1], rng))
+    assert _outcome(_relabel(ps, frames=frames)) == (label, blocks)

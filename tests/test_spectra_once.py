@@ -1,21 +1,28 @@
 """Each spectrum once: the memoized ensemble facts and the batched candidate
 evaluation against the computations they replace, bit for bit.
 
-``Ensemble.spectra`` and ``Ensemble.mixture_entropies`` are computed on first
-use and kept; they must equal fresh ``schmidt_spectra`` and
+``Ensemble.spectra``, ``Ensemble.schmidt_pairs`` and
+``Ensemble.mixture_entropies`` are computed on first use and kept; they must
+equal fresh ``schmidt_spectra``, ``np.linalg.svd`` and
 ``mixture_marginal_entropies`` calls exactly, and a freshly built ensemble
-holds neither. ``quantify._delta_search`` and ``quantify._gap_search`` value
-the candidates of both directions with one kernel call each; they must
+holds none of them. ``quantify._delta_search`` and ``quantify._gap_search``
+value the candidates of both directions with one kernel call each; they must
 return what a transcription taking one direction and one repetition count
 at a time returns, to the last bit, in fixed and ensemble-lu modes.
+
+The local parts are computed once: a ``ProductSet`` reads its parts from
+``schmidt_pairs``, closed-form per-state-lu reads the same memo for both
+directions, and ``classify`` decides each component partition once.
 """
 
 import functools
+import importlib
 
 import numpy as np
 import pytest
 
 from nle import catalog, quantify
+from nle.dissect import as_product_set, classify
 from nle.quantify import (
     DIRECTIONS,
     Mode,
@@ -83,6 +90,7 @@ def _inputs(product: bool):
 
 PRODUCT_INPUTS = list(_inputs(True))
 GENERAL_INPUTS = list(_inputs(False))
+DISSECT = importlib.import_module("nle.dissect")  # ``nle.dissect`` itself is the function
 
 
 # ---------------------------------------------------------------------------
@@ -94,6 +102,7 @@ def test_fresh_ensemble_holds_no_memo():
     for _, e in PRODUCT_INPUTS + GENERAL_INPUTS:
         fresh = Ensemble(e.dims, e.probabilities, e.states)
         assert "spectra" not in vars(fresh)
+        assert "schmidt_pairs" not in vars(fresh)
         assert "mixture_entropies" not in vars(fresh)
         assert "spectra" not in vars(fresh.subset([0]))
 
@@ -109,6 +118,21 @@ def test_memo_equals_fresh_computation(name, e):
     fresh = mixture_marginal_entropies(e.amplitudes, np.array(e.probabilities), e.dims)
     assert _bits(e.mixture_entropies) == _bits(fresh)
     assert all(type(s) is float for s in e.mixture_entropies)
+    pairs = e.schmidt_pairs
+    assert pairs is e.schmidt_pairs
+    u, _, vh = np.linalg.svd(e.amplitudes.reshape(len(e), *e.dims))
+    assert [p.tobytes() for p in pairs] == [u[:, :, 0].tobytes(), vh[:, 0, :].tobytes()]
+    for part in pairs:
+        assert not part.flags.writeable and part.flags.c_contiguous and part.base is None
+
+
+@pytest.mark.parametrize("name", PRODUCT_CATALOG)
+def test_product_set_parts_are_the_memo(name):
+    e = catalog.build(name)
+    ps = as_product_set(e)
+    for side, part in zip("AB", e.schmidt_pairs):
+        assert ps.parts(side) is part  # no copy
+        assert not ps.parts(side).flags.writeable
 
 
 # ---------------------------------------------------------------------------
@@ -201,3 +225,39 @@ def test_one_kernel_call_per_quantifier(monkeypatch, name):
     assert (len(svd), len(marginals)) == (1, 0)
     average_entropy_gap(e, Mode("fixed"))
     assert (len(svd), len(marginals)) == (2, 1)
+
+
+# ---------------------------------------------------------------------------
+# local parts and component partitions once
+
+
+@pytest.mark.parametrize("rotate", ["target", "control"])
+@pytest.mark.parametrize("name,e", PRODUCT_INPUTS, ids=[n for n, _ in PRODUCT_INPUTS])
+def test_per_state_closed_takes_one_svd(monkeypatch, name, e, rotate):
+    # both directions read e.schmidt_pairs; the spectra take no unitaries
+    e = Ensemble(e.dims, e.probabilities, e.states)
+    full = []
+    original = np.linalg.svd
+
+    def counted(a, *args, **kwargs):
+        if kwargs.get("compute_uv", True):
+            full.append(a.shape)
+        return original(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counted)
+    nonlocal_entropy(e, Mode("per-state-lu", rotate=rotate))
+    assert len(full) <= 1
+
+
+@pytest.mark.parametrize("name", PRODUCT_CATALOG)
+def test_classify_decides_each_partition_once(monkeypatch, name):
+    seen = []
+    original = DISSECT._components
+
+    def counted(pset, side, indices):
+        seen.append((side, tuple(sorted(indices))))
+        return original(pset, side, indices)
+
+    monkeypatch.setattr(DISSECT, "_components", counted)
+    classify(as_product_set(catalog.build(name)))
+    assert seen and len(seen) == len(set(seen))
