@@ -13,7 +13,7 @@ import numpy as np
 
 from .config import TOL
 from .errors import BadParams, NoSuchEntry
-from .states import Ensemble, PureState, product_state
+from .states import Ensemble, PureState, is_integer, product_state
 
 OMEGA3 = np.exp(2j * np.pi / 3)
 
@@ -92,7 +92,8 @@ def random_eta(rng: np.random.Generator) -> np.ndarray:
     return np.array([math.cos(theta), math.sin(theta) * np.exp(1j * phase)])
 
 
-def _angles_from_params(params, defaults):
+def _with_defaults(params, defaults):
+    """``defaults`` updated by ``params``; ``BadParams`` on a key not in ``defaults``."""
     vals = dict(defaults)
     vals.update(params or {})
     unknown = set(vals) - set(defaults)
@@ -101,8 +102,18 @@ def _angles_from_params(params, defaults):
     return vals
 
 
+def _integer_param(params: dict, key: str, default):
+    """``params[key]`` (``default`` if absent or None); ``BadParams`` unless ``is_integer``."""
+    value = params.get(key)
+    if value is None:
+        return default
+    if not is_integer(value):
+        raise BadParams(f"{key} must be an integer, not {value!r}")
+    return int(value)
+
+
 def _ab_pairs(params, defaults):
-    vals = _angles_from_params(params, defaults)
+    vals = _with_defaults(params, defaults)
     out = []
     for i in (1, 2):
         a, b = vals[f"a{i}"], vals[f"b{i}"]
@@ -211,7 +222,7 @@ def ghosh_states(a: float, b: float) -> list[PureState]:
 
 
 def _build_ghosh(params) -> Ensemble:
-    vals = _angles_from_params(params, _GHOSH_DEFAULTS)
+    vals = _with_defaults(params, _GHOSH_DEFAULTS)
     a, b = vals["a"], vals["b"]
     if b is None:
         if not 0.0 <= a <= 1.0:
@@ -219,7 +230,7 @@ def _build_ghosh(params) -> Ensemble:
         b = math.sqrt(max(0.0, 1.0 - a * a))
     if not abs(a * a + b * b - 1.0) <= TOL.input_norm:
         raise BadParams("a^2 + b^2 must equal 1")
-    count = int(vals["count"])
+    count = _integer_param(params, "count", 4)  # listed as 4.0
     if not 1 <= count <= 4:
         raise BadParams("count must lie in 1..4")
     return Ensemble.uniform((2, 2), ghosh_states(a, b)[:count], name="ghosh-nonmax")
@@ -254,33 +265,29 @@ def canonical_mes_state(d: int, shift: int, phase: int) -> PureState:
 
 
 def _build_canonical_mes(params) -> Ensemble:
-    vals = dict(params or {})
-    d = int(vals.pop("d", 3))
+    _with_defaults(params, dict.fromkeys(("d", "block", "count", "indices")))
+    d = _integer_param(params, "d", 3)
     if d < 2:
         raise BadParams("d must be >= 2")
-    block = vals.pop("block", None)
-    count = vals.pop("count", None)
-    indices = vals.pop("indices", None)
-    if vals:
-        raise BadParams(f"unknown parameters {sorted(vals)}")
+    block, count = _integer_param(params, "block", None), _integer_param(params, "count", None)
+    indices = params.get("indices")
     if sum(x is not None for x in (block, count, indices)) > 1:
         raise BadParams("give at most one of block, count, indices")
     if indices is None:
         if block is not None:
-            m = int(block)
-            if not 0 <= m < d:
+            if not 0 <= block < d:
                 raise BadParams("block must lie in 0..d-1")
-            indices = range(m * d, (m + 1) * d)
+            indices = range(block * d, (block + 1) * d)
         elif count is not None:
-            c = int(count)
-            if not 1 <= c <= d * d:
+            if not 1 <= count <= d * d:
                 raise BadParams("count must lie in 1..d*d")
-            indices = range(c)
+            indices = range(count)
         else:
             indices = range(d * d)
-    indices = [int(i) for i in indices]
-    if any(not 0 <= i < d * d for i in indices) or len(set(indices)) != len(indices):
-        raise BadParams("indices must be distinct and lie in 0..d*d-1")
+    indices = list(indices) if np.iterable(indices) else None
+    if indices is None or not all(is_integer(i) and 0 <= i < d * d for i in indices) \
+            or len(set(indices)) != len(indices):
+        raise BadParams("indices must be distinct integers in 0..d*d-1")
     # index = shift * d + phase, so one block occupies a contiguous chunk
     states = [canonical_mes_state(d, i // d, i % d) for i in indices]
     return Ensemble.uniform((d, d), states, name="canonical-mes")

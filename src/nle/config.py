@@ -16,8 +16,8 @@ class Tolerances:
     psd: float = 1e-10              # eigenvalues >= -psd accepted as PSD
     norm: float = 1e-10             # state-vector normalization
     prob_sum: float = 1e-10         # ensemble probabilities sum to 1
-    gram: float = 1e-9              # Gram-identity check for orthogonal flags
-    orthogonality: float = 1e-9     # inner-product threshold in dissection graphs
+    orthogonality: float = 1e-9     # Gram-identity check of orthogonal flags and the
+                                    # inner-product threshold of dissection graphs
     product_rank: float = 1e-10     # 1 - (largest squared Schmidt coeff) for product flag
     eig_floor: float = 1e-12        # eigenvalues below this contribute 0 to entropy
     value: float = 1e-9             # quantifier non-negativity clip

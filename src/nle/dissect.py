@@ -29,13 +29,14 @@ from .errors import DimensionMismatch, GramNotIdentity, NotProductEnsemble, Triv
 from .states import Ensemble
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ProductSet:
     """A product ensemble of mutually orthogonal members, read as local parts.
 
     A view: the members, probabilities and local parts are those of
     ``ensemble`` (its ``schmidt_pairs``). Each side's nonorthogonality graph
     and each component partition are computed once per view and kept on it.
+    A view is equal only to itself.
     """
 
     ensemble: Ensemble
@@ -43,7 +44,7 @@ class ProductSet:
     def __post_init__(self):
         if not self.ensemble.is_product():
             raise NotProductEnsemble("member has Schmidt rank above one")
-        if not self.ensemble.is_orthogonal(TOL.orthogonality):
+        if not self.ensemble.is_orthogonal():
             raise GramNotIdentity("members must be mutually orthogonal (duplicates are rejected)")
 
     @property

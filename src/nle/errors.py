@@ -58,7 +58,9 @@ class FileFormatError(NleError):
 
 class BadValue(NleError):
     """A numerical fault reported instead of a number: a quantifier value not
-    finite or outside ``[0, log2 min(d_A, d_B)]`` (delta; big-delta ``[0, inf)``)
-    by more than ``TOL.value``, an uncertified capacity, or an ascent out of steps."""
+    finite or outside its proven range (delta ``[0, log2 min(d_A, d_B)]``,
+    big-delta ``[0, max(S_A, S_B)]`` of the mixture) or a contribution outside
+    ``[0, log2 min(d_A, d_B)]``, by more than ``TOL.value``; an uncertified
+    capacity; or an ascent out of steps."""
 
     code = "bad-value"

@@ -26,9 +26,13 @@ every reported number names the search that produced it:
 Fixed, ensemble-lu and deeper control-rotated per-state-lu share one search
 loop over the repetition count r (``_searched_transforms``), and one kernel
 call per quantity values the candidates of both directions; every gap search
-starts from the identity (r=0). Delta values lie in ``[0, log2 min(d_A,
-d_B)]``; an ascent that runs out of steps raises ``BadValue`` rather than
-return a number.
+starts from the identity (r=0). Every mode ends in one ``_Best`` per direction
+and one report builder, ``_report``. It clips contributions into ``[0, log2
+min(d_A, d_B)]`` and values into ``[0, ceiling]``, proven ceilings: ``log2
+min(d_A, d_B)`` for delta and ``max(S_A, S_B)`` of the mixture for big-delta,
+whose side gaps are ``S_side - S_fin`` with ``S_fin >= 0``. A number outside
+by more than ``TOL.value`` or not finite, and an ascent out of steps, raise
+``BadValue`` instead.
 
 Directions: "right" means party A controls and B is the target; "left" is
 the mirror.
@@ -39,8 +43,8 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-import numbers
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -48,7 +52,8 @@ from .config import TOL
 from .errors import BadParams, BadValue, GramNotIdentity, NotProductEnsemble
 from .gates import cnot_permutation
 from .linalg import expm_hermitian_unchecked, haar_unitary
-from .states import LOG2, Ensemble, entanglement_entropies, entropy_bits, mixture_marginal_entropies
+from .states import (LOG2, Ensemble, entanglement_entropies, entropy_bits, is_integer,
+                     mixture_marginal_entropies)
 
 DIRECTIONS = ("right", "left")
 MODE_NAMES = ("fixed", "ensemble-lu", "per-state-lu", "assign")
@@ -80,7 +85,7 @@ class Mode:
             raise BadParams(f"unknown mode {self.name!r}")
         for key in ("depth", "restarts", "seed"):
             value = getattr(self, key)
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+            if not is_integer(value):
                 raise BadParams(f"{key} must be an integer, not {value!r}")
         if self.depth < 1 or self.restarts < 1:
             raise BadParams("depth and restarts must be >= 1")
@@ -108,17 +113,46 @@ class QuantifierReport:
     entangled_fraction_left: float | None = None
 
 
+class _Best(NamedTuple):
+    """One direction's winning candidate, as every mode ends: its value, the
+    members' entanglement after it, its repetition count (None if per member
+    or absent), and for big-delta the side gaps and final ``(S_A, S_B)``."""
+
+    value: float
+    contributions: np.ndarray
+    reps: int | None
+    side_gaps: tuple[float, float] | None = None
+    entropies: tuple[float, float] | None = None
+
+
+def _report(quantity: str, e: Ensemble, mode: Mode, best: dict, s_in, ceiling: float):
+    """The one ``QuantifierReport`` builder, from ``best`` (direction -> ``_Best``):
+    values clipped into ``[0, ceiling]``, contributions into ``[0, log2 min(d_A,
+    d_B)]``, work pairs from the local entropies ``s_in`` to each direction's end
+    entropies (for delta, the value on both sides), entangled fractions for big-delta."""
+    right, left = best["right"], best["left"]
+    values = _clip_values([right.value, left.value, (right.value + left.value) / 2.0], ceiling)
+    top = math.log2(min(e.dims))
+    contrib = [tuple(_clip_values(b.contributions.tolist(), top)) for b in (right, left)]
+    fractions = [None, None]
+    if quantity == "big-delta":
+        fractions = [sum(c > TOL.value for c in cs) / len(cs) for cs in contrib]
+    work = {d: _work(s_in, best[d].entropies or (best[d].value,) * 2, e.dims) for d in DIRECTIONS}
+    return QuantifierReport(quantity, *values, *contrib, mode, work, right.side_gaps,
+                            left.side_gaps, right.reps, left.reps, *fractions)
+
+
 # ---------------------------------------------------------------------------
 # shared numerics
 
 
 def _clip_values(values, ceiling: float = math.inf) -> list[float]:
     """Floats ``values`` clipped into ``[0, ceiling]``; ``BadValue`` when one
-    is not finite or lies outside by more than ``TOL.value``. One call takes
-    every value of a report (a loop over floats beats numpy at these sizes)."""
-    out = []
+    is not finite or lies outside by more than ``TOL.value`` (a loop over
+    floats beats numpy at these sizes)."""
+    out, low, high = [], -TOL.value, ceiling + TOL.value
     for v in values:
-        if not (-TOL.value <= v <= ceiling + TOL.value and math.isfinite(v)):
+        if not (low <= v <= high and math.isfinite(v)):
             raise BadValue(f"quantifier value {v} is not finite or lies outside [0, {ceiling}]")
         out.append(min(max(0.0, v), ceiling))
     return out
@@ -340,72 +374,51 @@ def nonlocal_entropy(e: Ensemble, mode: Mode = Mode()) -> QuantifierReport:
 
     The per-state contribution is the entanglement entropy of the transformed
     member; the directional value is the probability-weighted sum. Values and
-    contributions are clipped into ``[0, log2 min(d_A, d_B)]``. Raises
-    ``NotProductEnsemble`` when any member has Schmidt rank above one.
+    contributions are clipped into ``[0, log2 min(d_A, d_B)]``, the
+    entanglement of any pure state. Raises ``NotProductEnsemble`` when any
+    member has Schmidt rank above one.
     """
     if mode.name == "assign":
         raise BadParams("assign mode applies to the average-state gap only")
     if not e.is_product():
         raise NotProductEnsemble("every member must be a product state")
-    stack = e.amplitudes
     probs = np.array(e.probabilities)
-
     if mode.name == "per-state-lu":
-        per_dir = {d: _per_state_direction(e, probs, mode, d) for d in DIRECTIONS}
+        best = {d: _per_state_direction(e, probs, mode, d) for d in DIRECTIONS}
     else:
         seeds = {d: _direction_seed(mode.seed, d) for d in DIRECTIONS}
-        per_dir = _delta_search(stack, probs, e.dims, mode, seeds)
-    right, left = per_dir["right"][0], per_dir["left"][0]
-    # work pairs: pure members, so both parties see the average member entanglement
+        best = _delta_search(e.amplitudes, probs, e.dims, mode, seeds)
+    # pure members, so both parties start from the average member entanglement
     s_in = float(probs @ entropy_bits(e.spectra))
-    work = {d: _work((s_in, s_in), (per_dir[d][0],) * 2, e.dims) for d in DIRECTIONS}
-    ceiling = math.log2(min(e.dims))  # the entanglement of any pure state
-    k = len(stack)
-    clipped = _clip_values(
-        [right, left, (right + left) / 2.0, *per_dir["right"][1].tolist(), *per_dir["left"][1].tolist()],
-        ceiling,
-    )
-    return QuantifierReport(
-        quantity="delta",
-        right=clipped[0],
-        left=clipped[1],
-        symmetric=clipped[2],
-        contributions_right=tuple(clipped[3 : 3 + k]),
-        contributions_left=tuple(clipped[3 + k :]),
-        mode=mode,
-        work=work,
-        reps_right=per_dir["right"][2],
-        reps_left=per_dir["left"][2],
-    )
+    return _report("delta", e, mode, best, (s_in, s_in), math.log2(min(e.dims)))
 
 
-def _per_state_direction(e: Ensemble, probs, mode, direction):
-    """(value, contributions, None) of per-state-lu: parameters chosen member by
-    member (upper-bound flavor), so no one repetition count is reported."""
+def _per_state_direction(e: Ensemble, probs, mode, direction) -> _Best:
+    """Per-state-lu: parameters chosen member by member (upper-bound flavor),
+    so no one repetition count is reported."""
     if mode.depth == 1 or mode.rotate != "control":
         contrib = _per_state_closed(e, direction, mode.rotate)
     else:  # ensemble-lu on each one-member ensemble
         member_seeds = (_direction_seed(mode.seed, direction, i) for i in range(len(e)))
         contrib = np.array([
-            _delta_search(row[None], np.ones(1), e.dims, mode, {direction: s})[direction][0]
+            _delta_search(row[None], np.ones(1), e.dims, mode, {direction: s})[direction].value
             for row, s in zip(e.amplitudes, member_seeds)
         ])
-    return float(probs @ contrib), contrib, None
+    return _Best(float(probs @ contrib), contrib, None)
 
 
 def _delta_search(stack, probs, dims, mode, seeds: dict) -> dict:
-    """Direction -> (value, contributions, r) of the best repetition count for
-    each direction in ``seeds`` (direction -> search seed); a later r must
-    beat the best value by more than 1e-15. One kernel call values every
-    candidate."""
+    """Direction -> ``_Best`` of the best repetition count for each direction
+    in ``seeds`` (direction -> search seed); a later r must beat the best
+    value by more than 1e-15. One kernel call values every candidate."""
     objectives = (functools.partial(_delta_objective, probs=probs, dims=dims),)
     candidates = _searched_transforms(stack, dims, mode, objectives, seeds)
     ents = entanglement_entropies(np.concatenate([t for _, _, t in candidates]), dims)
     best = {}
     for (d, r, _), contrib in zip(candidates, ents.reshape(len(candidates), -1)):
         value = float(probs @ contrib)
-        if d not in best or value > best[d][0] + 1e-15:
-            best[d] = (value, contrib, r)
+        if d not in best or value > best[d].value + 1e-15:
+            best[d] = _Best(value, contrib, r)
     return best
 
 
@@ -555,41 +568,21 @@ def average_entropy_gap(e: Ensemble, mode: Mode = Mode()) -> QuantifierReport:
     one target-side basis vector, and the residual target entropy is the
     entropy of the group-mass distribution, minimized over all admissible
     partitions; the minimum is attained by sorted chunking
-    (``assign_partition``), so no search runs.
+    (``assign_partition``), so no search runs, and one result serves both
+    directions. Values are clipped into ``[0, max(S_A, S_B)]`` of the mixture.
     """
     if mode.name == "per-state-lu":
         raise BadParams("the average-state gap needs a single global transform per direction")
     s_bar = e.mixture_entropies
-
     if mode.name == "assign":
-        return _assign_gap(e, s_bar, mode)
-
-    per_dir = _gap_search(e, mode)
-
-    right, left = per_dir["right"][0], per_dir["left"][0]
-    work = {d: _work(s_bar, per_dir[d][4], e.dims) for d in DIRECTIONS}
-    right, left, symmetric = _clip_values([right, left, (right + left) / 2.0])
-    return QuantifierReport(
-        quantity="big-delta",
-        right=right,
-        left=left,
-        symmetric=symmetric,
-        contributions_right=tuple(per_dir["right"][1]),
-        contributions_left=tuple(per_dir["left"][1]),
-        mode=mode,
-        work=work,
-        side_gaps_right=per_dir["right"][2],
-        side_gaps_left=per_dir["left"][2],
-        reps_right=per_dir["right"][3],
-        reps_left=per_dir["left"][3],
-        entangled_fraction_right=_entangled_fraction(per_dir["right"][1]),
-        entangled_fraction_left=_entangled_fraction(per_dir["left"][1]),
-    )
-
-
-def _entangled_fraction(contrib) -> float:
-    contrib = np.asarray(contrib)
-    return float(np.count_nonzero(contrib > TOL.value) / contrib.size)
+        if not e.is_orthogonal():
+            raise GramNotIdentity("assign mode needs an orthogonal ensemble")
+        h = tuple(assign_partition(e, side)[1] for side in "AB")
+        gaps = (s_bar[0] - h[0], s_bar[1] - h[1])
+        best = dict.fromkeys(DIRECTIONS, _Best(max(gaps), np.zeros(len(e)), None, gaps, h))
+    else:
+        best = _gap_search(e, mode)
+    return _report("big-delta", e, mode, best, s_bar, max(s_bar))
 
 
 def _work(s_in, s_fin, dims):
@@ -603,20 +596,19 @@ def _work(s_in, s_fin, dims):
 
 
 def _gap_search(e, mode) -> dict:
-    """Direction -> (gap, contributions, side gaps, r, final side entropies) of
-    the best candidate of each direction, starting from the identity (r=0).
-    One kernel call values the mixtures of every candidate and one their
-    members' entanglement."""
+    """Direction -> ``_Best`` of each direction, starting from the identity
+    (r=0, the ensemble as it is). One kernel call values the mixtures of every
+    candidate and one their members' entanglement."""
     stack, probs, dims, s_bar = e.amplitudes, np.array(e.probabilities), e.dims, e.mixture_entropies
 
     def better(candidate, incumbent):
         # equal scores resolve toward the transform that disentangles more
-        if candidate[0] > incumbent[0] + 1e-12:
+        if candidate.value > incumbent.value + 1e-12:
             return True
-        if candidate[0] < incumbent[0] - 1e-12:
+        if candidate.value < incumbent.value - 1e-12:
             return False
-        return np.count_nonzero(candidate[1] > TOL.value) < np.count_nonzero(
-            incumbent[1] > TOL.value
+        return np.count_nonzero(candidate.contributions > TOL.value) < np.count_nonzero(
+            incumbent.contributions > TOL.value
         )
 
     objectives = tuple(functools.partial(_gap_objective, probs=probs, dims=dims, s_bar=s_bar,
@@ -626,12 +618,11 @@ def _gap_search(e, mode) -> dict:
     transformed = np.stack([t for _, _, t in candidates])
     s_a, s_b = mixture_marginal_entropies(transformed, probs, dims)
     ents = entanglement_entropies(transformed.reshape(-1, transformed.shape[-1]), dims)
-    identity = (0.0, entropy_bits(e.spectra), (0.0, 0.0), 0, s_bar)
-    best = dict.fromkeys(seeds, identity)
+    best = dict.fromkeys(seeds, _Best(0.0, entropy_bits(e.spectra), 0, (0.0, 0.0), s_bar))
     for (d, r, _), contrib, s_fin in zip(candidates, ents.reshape(len(candidates), -1),
                                          zip(s_a.tolist(), s_b.tolist())):
         gaps = (s_bar[0] - s_fin[0], s_bar[1] - s_fin[1])
-        candidate = (max(gaps), contrib, gaps, r, s_fin)
+        candidate = _Best(max(gaps), contrib, r, gaps, s_fin)
         if better(candidate, best[d]):
             best[d] = candidate
     return best
@@ -725,27 +716,3 @@ def _complete_frame(cols: np.ndarray, n: int) -> np.ndarray:
     _, vecs = np.linalg.eigh(proj)
     extra = vecs[:, k:]  # eigenvalue-1 subspace of the complement projector
     return np.hstack([cols, extra])
-
-
-def _assign_gap(e, s_bar, mode):
-    if not e.is_orthogonal():
-        raise GramNotIdentity("assign mode needs an orthogonal ensemble")
-    h_a, h_b = (assign_partition(e, side)[1] for side in "AB")
-    gaps = (s_bar[0] - h_a, s_bar[1] - h_b)
-    (value,) = _clip_values([max(gaps)])
-    zeros = (0.0,) * len(e)
-    work = {d: _work(s_bar, (h_a, h_b), e.dims) for d in DIRECTIONS}
-    return QuantifierReport(
-        quantity="big-delta",
-        right=value,
-        left=value,
-        symmetric=value,
-        contributions_right=zeros,
-        contributions_left=zeros,
-        mode=mode,
-        work=work,
-        side_gaps_right=gaps,
-        side_gaps_left=gaps,
-        entangled_fraction_right=0.0,
-        entangled_fraction_left=0.0,
-    )

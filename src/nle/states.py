@@ -19,23 +19,38 @@ from .linalg import gram, partial_trace
 LOG2 = math.log(2.0)
 
 
-@dataclass(frozen=True)
+def is_integer(value) -> bool:
+    """True for Python and numpy integers; booleans, floats and the rest are not."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+def _dims(dims) -> tuple[int, int]:
+    """``dims`` as two Python ints; ``DimensionMismatch`` unless two positive integers."""
+    try:
+        d_a, d_b = dims
+        if is_integer(d_a) and is_integer(d_b) and d_a >= 1 and d_b >= 1:
+            return int(d_a), int(d_b)
+    except (TypeError, ValueError):
+        pass
+    raise DimensionMismatch(f"dims must be two positive integers, not {dims!r}")
+
+
+@dataclass(frozen=True, eq=False)
 class PureState:
-    """A normalized pure state on C^{d_A} (x) C^{d_B}."""
+    """A normalized pure state on C^{d_A} (x) C^{d_B}; equal only to itself."""
 
     dims: tuple[int, int]
     amplitudes: np.ndarray
 
     def __post_init__(self):
         amps = np.asarray(self.amplitudes, dtype=complex).ravel()
-        d_a, d_b = self.dims
-        if d_a < 1 or d_b < 1 or amps.shape[0] != d_a * d_b:
+        d_a, d_b = _dims(self.dims)
+        if amps.shape[0] != d_a * d_b:
             raise DimensionMismatch(f"amplitude length {amps.shape[0]} != {d_a}*{d_b}")
-        if not np.all(np.isfinite(amps.view(float))):
-            raise NotAState("non-finite amplitude")
-        norm = np.linalg.norm(amps)
-        if abs(norm - 1.0) > TOL.norm:
-            raise NotAState(f"norm {norm} deviates from 1 beyond {TOL.norm}")
+        norm = math.sqrt(np.vdot(amps, amps).real)  # inf or NaN for a non-finite amplitude
+        if not abs(norm - 1.0) <= TOL.norm:
+            raise NotAState(f"norm {norm} is not finite or deviates from 1 beyond {TOL.norm}")
+        object.__setattr__(self, "dims", (d_a, d_b))
         object.__setattr__(self, "amplitudes", amps)
 
     def projector(self) -> np.ndarray:
@@ -55,9 +70,9 @@ def product_state(dims: tuple[int, int], part_a: np.ndarray, part_b: np.ndarray)
     return PureState(dims, np.kron(a, b))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Ensemble:
-    """Probability-weighted list of pure states on common dimensions.
+    """Probability-weighted list of pure states on common dimensions, equal only to itself.
 
     ``amplitudes`` holds the members once more as one read-only
     ``(k, d_A*d_B)`` array (row i is ``states[i].amplitudes``) for batched use.
@@ -70,10 +85,11 @@ class Ensemble:
     dims: tuple[int, int]
     probabilities: tuple[float, ...]
     states: tuple[PureState, ...]
-    name: str = field(default="", compare=False)
-    amplitudes: np.ndarray = field(init=False, repr=False, compare=False)
+    name: str = ""
+    amplitudes: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
+        dims = _dims(self.dims)
         probs = tuple(float(p) for p in self.probabilities)
         if len(probs) != len(self.states) or not self.states:
             raise DimensionMismatch("probabilities and states must pair up")
@@ -82,10 +98,11 @@ class Ensemble:
             raise NotAState("probabilities must lie in (0, 1]")
         if not abs(sum(probs) - 1.0) <= TOL.prob_sum:
             raise NotAState(f"probabilities sum to {sum(probs)}")
-        if any(s.dims != self.dims for s in self.states):
+        if any(s.dims != dims for s in self.states):
             raise DimensionMismatch("member dimensions disagree")
         stack = np.array([s.amplitudes for s in self.states])
         stack.flags.writeable = False
+        object.__setattr__(self, "dims", dims)
         object.__setattr__(self, "probabilities", probs)
         object.__setattr__(self, "amplitudes", stack)
 
@@ -97,7 +114,7 @@ class Ensemble:
     def __len__(self) -> int:
         return len(self.states)
 
-    def is_orthogonal(self, atol: float = TOL.gram) -> bool:
+    def is_orthogonal(self, atol: float = TOL.orthogonality) -> bool:
         g = gram(self.amplitudes)
         return bool(np.max(np.abs(g - np.eye(len(self)))) <= atol)
 
@@ -131,9 +148,8 @@ class Ensemble:
         """``indices`` as a tuple of ints; ``BadParams`` unless they are
         distinct integers in ``range(len(self))``."""
         idx = tuple(indices) if np.iterable(indices) else None
-        if idx is None or not all(
-                isinstance(i, (int, np.integer)) and not isinstance(i, bool) and 0 <= i < len(self)
-                for i in idx) or len(set(idx)) != len(idx):
+        if idx is None or not all(is_integer(i) and 0 <= i < len(self) for i in idx) \
+                or len(set(idx)) != len(idx):
             raise BadParams(f"member indices must be distinct integers in [0, {len(self)})")
         return tuple(int(i) for i in idx)
 

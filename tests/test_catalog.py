@@ -50,6 +50,34 @@ def test_bad_params_rejected():
         catalog.build("canonical-mes", {"d": 3, "block": 0, "count": 2})
 
 
+# floats and booleans are not integers, whatever their value
+@pytest.mark.parametrize("name,params", [
+    ("ghosh-nonmax", {"count": 2.7}),
+    ("ghosh-nonmax", {"count": True}),
+    ("ghosh-nonmax", {"count": 3.0}),
+    ("canonical-mes", {"d": 3.9}),
+    ("canonical-mes", {"d": True}),
+    ("canonical-mes", {"count": 4.5}),
+    ("canonical-mes", {"block": 1.0}),
+    ("canonical-mes", {"block": False}),
+    ("canonical-mes", {"indices": [0, 1.5]}),
+    ("canonical-mes", {"indices": [0, True]}),
+], ids=lambda x: repr(x) if isinstance(x, dict) else x)
+def test_integer_params_must_be_integers(name, params):
+    with pytest.raises(BadParams) as err:
+        catalog.build(name, params)
+    assert err.value.code == "bad-params"
+
+
+def test_integer_params_accept_numpy_integers():
+    assert len(catalog.build("ghosh-nonmax", {"count": np.int64(3)})) == 3
+    e = catalog.build("canonical-mes", {"d": np.int32(2), "indices": np.arange(3)})
+    assert e.dims == (2, 2) and len(e) == 3
+    assert len(catalog.build("canonical-mes", {"d": 3, "block": None, "count": None})) == 9
+    with pytest.raises(BadParams):
+        catalog.build("canonical-mes", {"indices": 5})
+
+
 def test_canonical_mes_d2_is_bell_basis_up_to_phase():
     e = catalog.build("canonical-mes", {"d": 2})
     bells = [catalog.bell_state(k).amplitudes for k in ("phi+", "phi-", "psi+", "psi-")]

@@ -68,6 +68,18 @@ class TestDeltaCommand:
         assert main(["delta", "--ensemble", "e2-case2", "--mode", "fixed"]) == 2
         assert "bad-value" in capsys.readouterr().err
 
+    def test_nan_contribution_is_domain_error(self, capsys, monkeypatch):
+        # the gap itself is finite; NaN member entropies must not reach the
+        # JSON, which has no NaN
+        from nle import quantify
+
+        monkeypatch.setattr(
+            quantify, "entanglement_entropies", lambda amps, dims: np.full(len(amps), np.nan)
+        )
+        assert main(["big-delta", "--ensemble", "bell-triple", "--json"]) == 2
+        captured = capsys.readouterr()
+        assert "bad-value" in captured.err and captured.out == ""
+
     def test_file_input_deterministic_json(self, capsys, product_file):
         argv = [
             "delta", "--file", product_file, "--mode", "ensemble-lu",

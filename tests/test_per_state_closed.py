@@ -214,7 +214,7 @@ def test_depth_two_search_reaches_closed_form(dims, rotate):
     closed = _closed(a, b, rotate)
     for direction in ("right", "left"):
         mode = Mode("ensemble-lu", depth=2, restarts=1, rotate=rotate)
-        search = _delta_search(row, np.ones(1), dims, mode, {direction: 5})[direction][0]
+        search = _delta_search(row, np.ones(1), dims, mode, {direction: 5})[direction].value
         assert abs(search - closed[direction]) <= 1e-9, (direction, search, closed[direction])
 
 

@@ -14,6 +14,11 @@ every delta value and contribution lies in ``[0, log2 min(d_A, d_B)]``.
 
 Delta at depth 1 on random 2x2 and 2x3 product sets, one restart: fixed <=
 ensemble-lu <= per-state-lu at the same rotation, for every rotation.
+
+Big-delta on random 2x2 and 2x3 general ensembles of two to four members,
+fixed and ensemble-lu: every value lies in ``[0, max(S_A, S_B)]`` of the
+mixture, and every contribution, a member's entanglement, is at most
+``log2 min(d_A, d_B)``.
 """
 
 import math
@@ -23,9 +28,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nle.linalg import haar_unitary
+from nle.linalg import haar_unitary, partial_trace
 from nle.quantify import Mode, average_entropy_gap, nonlocal_entropy
-from nle.states import Ensemble, PureState
+from nle.states import Ensemble, PureState, average_state, vn_entropy
 
 TOL = 1e-12
 QUANTIFIERS = {"delta": nonlocal_entropy, "big-delta": average_entropy_gap}
@@ -174,3 +179,23 @@ def test_delta_mode_monotonicity(rotate, seed, dims):
     for direction in ("right", "left"):
         low, mid, high = (getattr(r, direction) for r in (fixed, shared, per_state))
         assert low <= mid + TOL and mid <= high + TOL, (direction, low, mid, high)
+
+
+@pytest.mark.parametrize("mode", [Mode("fixed"), Mode("ensemble-lu", restarts=1, rotate="target")],
+                         ids=["fixed", "ensemble-lu"])
+@given(seed=st.integers(0, 2**32 - 1), dims=st.sampled_from([(2, 2), (2, 3)]))
+@settings(max_examples=25, deadline=None)
+def test_big_delta_ceiling(mode, seed, dims):
+    # each side gap is S_side - S_fin with S_fin >= 0; the mixture's side
+    # entropies are recomputed here from partial traces of the average state
+    rng = np.random.default_rng(seed)
+    k = int(rng.integers(2, 5))
+    members = tuple(PureState(dims, _unit(rng, dims[0] * dims[1])) for _ in range(k))
+    e = Ensemble(dims, tuple(rng.dirichlet(np.ones(k))), members)
+    rho = average_state(e)
+    ceiling = max(vn_entropy(partial_trace(rho, dims, side)) for side in "AB")
+    r = average_entropy_gap(e, mode)
+    for value in (r.right, r.left, r.symmetric):
+        assert 0.0 <= value <= ceiling + TOL, (value, ceiling)
+    for c in r.contributions_right + r.contributions_left:
+        assert 0.0 <= c <= math.log2(min(dims))

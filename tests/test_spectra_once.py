@@ -7,8 +7,9 @@ equal fresh ``schmidt_spectra``, ``np.linalg.svd`` and
 ``mixture_marginal_entropies`` calls exactly, and a freshly built ensemble
 holds none of them. ``quantify._delta_search`` and ``quantify._gap_search``
 value the candidates of both directions with one kernel call each; they must
-return what a transcription taking one direction and one repetition count
-at a time returns, to the last bit, in fixed and ensemble-lu modes.
+return the ``_Best`` that a transcription taking one direction and one
+repetition count at a time returns, to the last bit, in fixed and
+ensemble-lu modes.
 
 The local parts are computed once: a ``ProductSet`` reads its parts from
 ``schmidt_pairs``, closed-form per-state-lu reads the same memo for both
@@ -26,6 +27,7 @@ from nle.dissect import as_product_set, classify
 from nle.quantify import (
     DIRECTIONS,
     Mode,
+    _Best,
     _delta_objective,
     _delta_search,
     _direction_seed,
@@ -149,8 +151,8 @@ def _delta_one_at_a_time(e, mode):
         for _, r, t in _searched_transforms(stack, dims, mode, objectives, {direction: seed}):
             contrib = entanglement_entropies(t, dims)
             value = float(probs @ contrib)
-            if best is None or value > best[0] + 1e-15:
-                best = (value, contrib, r)
+            if best is None or value > best.value + 1e-15:
+                best = _Best(value, contrib, r)
         out[direction] = best
     return out
 
@@ -160,22 +162,23 @@ def _gap_one_at_a_time(e, mode):
     s_bar = mixture_marginal_entropies(stack, probs, dims)
 
     def better(candidate, incumbent):
-        if candidate[0] > incumbent[0] + 1e-12:
+        if candidate.value > incumbent.value + 1e-12:
             return True
-        if candidate[0] < incumbent[0] - 1e-12:
+        if candidate.value < incumbent.value - 1e-12:
             return False
-        return np.count_nonzero(candidate[1] > 1e-9) < np.count_nonzero(incumbent[1] > 1e-9)
+        return (np.count_nonzero(candidate.contributions > 1e-9)
+                < np.count_nonzero(incumbent.contributions > 1e-9))
 
     objectives = tuple(functools.partial(_gap_objective, probs=probs, dims=dims, s_bar=s_bar,
                                          side=side) for side in "AB")
     out = {}
     for direction in DIRECTIONS:
-        best = (0.0, entanglement_entropies(stack, dims), (0.0, 0.0), 0, s_bar)
+        best = _Best(0.0, entanglement_entropies(stack, dims), 0, (0.0, 0.0), s_bar)
         seed = _direction_seed(mode.seed, direction)
         for _, r, t in _searched_transforms(stack, dims, mode, objectives, {direction: seed}):
             s_fin = mixture_marginal_entropies(t, probs, dims)
             gaps = (s_bar[0] - s_fin[0], s_bar[1] - s_fin[1])
-            candidate = (max(gaps), entanglement_entropies(t, dims), gaps, r, s_fin)
+            candidate = _Best(max(gaps), entanglement_entropies(t, dims), r, gaps, s_fin)
             if better(candidate, best):
                 best = candidate
         out[direction] = best
@@ -187,6 +190,7 @@ def _gap_one_at_a_time(e, mode):
 def test_batched_delta_equals_one_at_a_time(name, e, mode):
     seeds = {d: _direction_seed(mode.seed, d) for d in DIRECTIONS}
     batched = _delta_search(e.amplitudes, np.array(e.probabilities), e.dims, mode, seeds)
+    assert all(type(best) is _Best for best in batched.values())
     assert _bits(batched) == _bits(_delta_one_at_a_time(e, mode))
 
 
@@ -195,6 +199,7 @@ def test_batched_delta_equals_one_at_a_time(name, e, mode):
 def test_batched_gap_equals_one_at_a_time(name, e, mode):
     e = Ensemble(e.dims, e.probabilities, e.states)
     batched = _gap_search(e, mode)
+    assert all(type(best) is _Best for best in batched.values())
     assert _bits(batched) == _bits(_gap_one_at_a_time(e, mode))
 
 

@@ -46,6 +46,21 @@ class TestPureState:
         with pytest.raises(NotAState):
             PureState((2, 1), np.array([np.nan, 0]))
 
+    # (2.5, 1.6) would pass a length check alone, as 2.5 * 1.6 == 4, and
+    # booleans are ints to Python
+    @pytest.mark.parametrize("dims", [(2.0, 2.0), (2.5, 1.6), (True, 4), (4, True), (2,), (0, 4), 4],
+                             ids=repr)
+    def test_rejects_non_integer_dims(self, dims):
+        with pytest.raises(DimensionMismatch) as err:
+            PureState(dims, np.eye(4)[0])
+        assert err.value.code == "bad-dims"
+
+    def test_accepts_numpy_integer_dims(self):
+        s = PureState((np.int64(2), np.uint8(2)), np.eye(4)[0])
+        assert s.dims == (2, 2) and all(type(d) is int for d in s.dims)
+        e = Ensemble([np.int32(2), 2], (1.0,), (s,))
+        assert e.dims == (2, 2) and all(type(d) is int for d in e.dims)
+
 
 class TestVnEntropy:
     def test_pure_state(self):
@@ -247,6 +262,27 @@ class TestEnsemble:
             assert np.array_equal(row, s.amplitudes)
         with pytest.raises(ValueError):
             e.amplitudes[0, 0] = 0.0
+
+    @pytest.mark.parametrize("dims", [(2.0, 2.0), (True, 4), (2, 2, 1)], ids=repr)
+    def test_rejects_non_integer_dims(self, dims):
+        # (2.0, 2.0) == (2, 2), so comparing with the members' dims is not enough
+        with pytest.raises(DimensionMismatch) as err:
+            Ensemble(dims, (1.0,), (bell_state("phi+"),))
+        assert err.value.code == "bad-dims"
+
+    def test_equality_is_identity(self):
+        from nle import catalog
+        from nle.dissect import as_product_set
+
+        # equal contents are still two objects; hashing is by identity
+        first, second = catalog.build("e1-computational"), catalog.build("e1-computational")
+        views = as_product_set(first), as_product_set(first)
+        for a, b in ((first, second), first.states[:2], views):
+            assert a == a and not a != a
+            assert a != b and not a == b
+            assert hash(a) == hash(a)
+            assert len({a, b, a}) == 2 and a in {a} and b not in {a}
+        assert first.states[0] != second.states[0]
 
     def test_dims_must_agree(self):
         with pytest.raises(DimensionMismatch):
