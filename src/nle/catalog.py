@@ -208,7 +208,7 @@ def _build_orth_pair(params) -> Ensemble:
     return Ensemble.uniform((2, 2), orth_pair_states([a1, b1], [a2, b2]), name="orth-pair")
 
 
-_GHOSH_DEFAULTS = {"a": 4 / 5, "b": None, "count": 4.0}
+_GHOSH_DEFAULTS = {"a": 4 / 5, "b": None, "count": 4}
 
 
 def ghosh_states(a: float, b: float) -> list[PureState]:
@@ -230,7 +230,7 @@ def _build_ghosh(params) -> Ensemble:
         b = math.sqrt(max(0.0, 1.0 - a * a))
     if not abs(a * a + b * b - 1.0) <= TOL.input_norm:
         raise BadParams("a^2 + b^2 must equal 1")
-    count = _integer_param(params, "count", 4)  # listed as 4.0
+    count = _integer_param(params, "count", 4)
     if not 1 <= count <= 4:
         raise BadParams("count must lie in 1..4")
     return Ensemble.uniform((2, 2), ghosh_states(a, b)[:count], name="ghosh-nonmax")

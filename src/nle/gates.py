@@ -3,59 +3,26 @@
 The controlled gate in dimensions (d_A, d_B) with control A sends
 |i>_A |j>_B to |i>_A |(j + i) mod d_B>_B; with control B it mirrors to
 |(i + j) mod d_A>_A |j>_B. The control index always enters modulo the
-target dimension, which is what makes unequal dimensions work.
+target dimension, which is what makes unequal dimensions work. The index
+permutation itself, ``cnot_permutation``, lives in ``nle.linalg`` (ensembles
+read it too) and is re-exported here.
 """
 
 from __future__ import annotations
 
-import numbers
 from functools import lru_cache
 
 import numpy as np
 
 from .config import TOL
-from .errors import BadParams, DimensionMismatch, NotUnitary
-from .linalg import Party, is_unitary, tensor
+from .errors import DimensionMismatch, NotUnitary
+from .linalg import Party, cnot_permutation, is_unitary, repetitions_at_least, tensor
 from .states import PureState
-
-
-def cnot_permutation(dims: tuple[int, int], control: Party, repetitions: int = 1) -> np.ndarray:
-    """Index permutation ``out[new] = in[old]`` realizing the gate.
-
-    Returns a read-only integer array ``perm`` with ``perm[old_flat_index] =
-    new_flat_index``, built once per ``(dims, control, repetitions)`` and
-    shared by later calls. ``repetitions`` must be an integer >= 0 (booleans
-    are not).
-    """
-    return _cnot_permutation(tuple(dims), control, _repetitions(repetitions, 0))
-
-
-def _repetitions(value, least: int) -> int:
-    # a plain int skips the ABC check, which costs more than the cached lookup
-    if type(value) is not int and (isinstance(value, bool) or not isinstance(value, numbers.Integral)):
-        raise BadParams(f"repetitions must be an integer, not {value!r}")
-    if value < least:
-        raise BadParams(f"repetitions must be >= {least}")
-    return int(value)
-
-
-@lru_cache(maxsize=256)
-def _cnot_permutation(dims: tuple[int, int], control: Party, repetitions: int) -> np.ndarray:
-    d_a, d_b = dims
-    i, j = np.divmod(np.arange(d_a * d_b), d_b)
-    if control == "A":
-        perm = i * d_b + (j + repetitions * i) % d_b
-    elif control == "B":
-        perm = (i + repetitions * j) % d_a * d_b + j
-    else:
-        raise DimensionMismatch(f"unknown party {control!r}")
-    perm.flags.writeable = False
-    return perm
 
 
 def cnot(dims: tuple[int, int], control: Party, repetitions: int = 1) -> np.ndarray:
     """Permutation matrix of the generalized CNOT, applied ``repetitions`` times."""
-    perm = cnot_permutation(dims, control, _repetitions(repetitions, 1))
+    perm = cnot_permutation(dims, control, repetitions_at_least(repetitions, 1))
     n = dims[0] * dims[1]
     m = np.zeros((n, n), dtype=complex)
     m[perm, np.arange(n)] = 1.0

@@ -16,9 +16,8 @@ import numpy as np
 
 from .config import TOL
 from .errors import BadParams, UnsupportedDims
-from .gates import cnot_permutation
-from .states import Ensemble, average_state, entanglement_entropies, entropy_bits, vn_entropy
-from .states import mixture_marginal_entropies
+from .linalg import DIRECTIONS, cnot_family
+from .states import Ensemble, average_state, vn_entropy
 
 
 @dataclass(frozen=True)
@@ -47,7 +46,7 @@ def holevo_chi(e: Ensemble) -> float:
 
 def local_holevo(e: Ensemble) -> float:
     """S(rho_A) + S(rho_B) - max over parties of the average member marginal entropy."""
-    return _local_holevo(e.mixture_entropies, entropy_bits(e.spectra), np.array(e.probabilities))
+    return _local_holevo(e.mixture_entropies, e.entanglement, np.array(e.probabilities))
 
 
 def _local_holevo(s_ab, ents: np.ndarray, probs: np.ndarray) -> float:
@@ -66,15 +65,15 @@ def cnot_bounds(e: Ensemble, direction: str = "right") -> BoundsReport:
     transformed local Holevo value upper-bounds the original locally
     accessible information; the bound is flagged effective when some members
     stay entangled after the gate. ``direction`` is "right" (A controls) or
-    "left" (B controls).
+    "left" (B controls). The transformed ensemble's values are the r=1 rows
+    of the ensemble's memo of the fixed circuit.
     """
-    if direction not in ("right", "left"):
+    if direction not in DIRECTIONS:
         raise BadParams(f"unknown direction {direction!r}")
     probs = np.array(e.probabilities)
-    after = np.empty_like(e.amplitudes)
-    after[:, cnot_permutation(e.dims, "A" if direction == "right" else "B")] = e.amplitudes
-    ents_after = entanglement_entropies(after, e.dims)
-    lh_after = _local_holevo(mixture_marginal_entropies(after, probs, e.dims), ents_after, probs)
+    c = cnot_family(e.dims).index((direction, 1))
+    ents_after = e.cnot_entanglement[c]
+    lh_after = _local_holevo(e.cnot_mixture_entropies[c].tolist(), ents_after, probs)
     product_input = e.is_product()
     return BoundsReport(
         chi=holevo_chi(e),

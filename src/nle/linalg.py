@@ -7,12 +7,16 @@ attention is paid to sparsity or scaling.
 
 from __future__ import annotations
 
+import numbers
+from functools import lru_cache
+
 import numpy as np
 
 from .config import TOL
-from .errors import DimensionMismatch, NotHermitian
+from .errors import BadParams, DimensionMismatch, NotHermitian
 
 Party = str  # "A" or "B"
+DIRECTIONS = ("right", "left")  # of a controlled shift: "right", A controls; "left", B does
 
 
 def dagger(m: np.ndarray) -> np.ndarray:
@@ -74,16 +78,18 @@ def expm_hermitian_unchecked(h: np.ndarray) -> np.ndarray:
     return (vecs * np.exp(1j * vals)[..., None, :]) @ np.conjugate(vecs.swapaxes(-1, -2))
 
 
-def gram(vectors: list[np.ndarray] | tuple[np.ndarray, ...]) -> np.ndarray:
-    """Gram matrix G[i, j] = <v_i | v_j>."""
-    vecs = [np.asarray(v, dtype=complex).ravel() for v in vectors]
-    n = len(vecs)
-    if n == 0:
+def gram(vectors: np.ndarray | list[np.ndarray] | tuple[np.ndarray, ...]) -> np.ndarray:
+    """Gram matrix G[i, j] = <v_i | v_j> of a sequence of vectors, or of the
+    rows of a 2-D array, which is read as it is."""
+    if isinstance(vectors, np.ndarray) and vectors.ndim == 2:
+        stack = vectors.astype(complex, copy=False)
+    else:
+        vecs = [np.asarray(v, dtype=complex).ravel() for v in vectors]
+        if any(v.shape[0] != vecs[0].shape[0] for v in vecs):
+            raise DimensionMismatch("vectors differ in length")
+        stack = np.array(vecs)
+    if len(stack) == 0:
         raise DimensionMismatch("empty vector list")
-    length = vecs[0].shape[0]
-    if any(v.shape[0] != length for v in vecs):
-        raise DimensionMismatch("vectors differ in length")
-    stack = np.array(vecs)
     return np.conjugate(stack) @ stack.T
 
 
@@ -92,3 +98,47 @@ def haar_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
     z = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
     q, r = np.linalg.qr(z)
     return q * (np.diagonal(r) / np.abs(np.diagonal(r)))
+
+
+def cnot_permutation(dims: tuple[int, int], control: Party, repetitions: int = 1) -> np.ndarray:
+    """Index permutation ``out[new] = in[old]`` realizing the generalized CNOT
+    (``nle.gates``) applied ``repetitions`` times.
+
+    Returns a read-only integer array ``perm`` with ``perm[old_flat_index] =
+    new_flat_index``, built once per ``(dims, control, repetitions)`` and
+    shared by later calls. ``repetitions`` must be an integer >= 0 (booleans
+    are not).
+    """
+    return _cnot_permutation(tuple(dims), control, repetitions_at_least(repetitions, 0))
+
+
+def repetitions_at_least(value, least: int) -> int:
+    """``value`` as an int; ``BadParams`` unless an integer (not a boolean) >= ``least``."""
+    # a plain int skips the ABC check, which costs more than the cached lookup
+    if type(value) is not int and (isinstance(value, bool) or not isinstance(value, numbers.Integral)):
+        raise BadParams(f"repetitions must be an integer, not {value!r}")
+    if value < least:
+        raise BadParams(f"repetitions must be >= {least}")
+    return int(value)
+
+
+@lru_cache(maxsize=256)
+def _cnot_permutation(dims: tuple[int, int], control: Party, repetitions: int) -> np.ndarray:
+    d_a, d_b = dims
+    i, j = np.divmod(np.arange(d_a * d_b), d_b)
+    if control == "A":
+        perm = i * d_b + (j + repetitions * i) % d_b
+    elif control == "B":
+        perm = (i + repetitions * j) % d_a * d_b + j
+    else:
+        raise DimensionMismatch(f"unknown party {control!r}")
+    perm.flags.writeable = False
+    return perm
+
+
+@lru_cache(maxsize=256)
+def cnot_family(dims: tuple[int, int]) -> tuple[tuple[str, int], ...]:
+    """``(direction, r)`` of each shift ``CNOT^r`` a circuit chooses from, in the
+    one order every consumer reads: ``DIRECTIONS`` in turn, r = 1 .. d_t - 1
+    (just 1 when d_t = 1) for target dimension d_t."""
+    return tuple((d, r) for d, d_t in zip(DIRECTIONS, dims[::-1]) for r in range(1, max(d_t, 2)))

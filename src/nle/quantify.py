@@ -9,7 +9,9 @@ every reported number names the search that produced it:
 
 * ``fixed``: the controlled shift alone, best repetition count: the
   parameter-free member of the ensemble-lu family, one layer with no
-  rotated side (``depth``, ``restarts`` and ``seed`` have no effect).
+  rotated side (``depth``, ``restarts`` and ``seed`` have no effect). Its
+  candidates are valued once per ensemble, in ``Ensemble.cnot_entanglement``
+  and ``Ensemble.cnot_mixture_entropies``, which ``nle.infobounds`` reads too.
 * ``ensemble-lu``: layers of (local unitaries, controlled shift) with one
   shared set of unitaries, found by Riemannian gradient ascent on the
   unitary groups (``_ascend``) from the identity and seeded restarts.
@@ -23,10 +25,12 @@ every reported number names the search that produced it:
   orthonormal product frame, in closed form: members sorted by probability
   and cut into consecutive groups (exact by majorization).
 
-Fixed, ensemble-lu and deeper control-rotated per-state-lu share one search
-loop over the repetition count r (``_searched_transforms``), and one kernel
-call per quantity values the candidates of both directions; every gap search
-starts from the identity (r=0). Every mode ends in one ``_Best`` per direction
+Ensemble-lu and deeper control-rotated per-state-lu share one search loop
+over the repetition count r (``_searched_transforms``), and one kernel call
+per quantity values the candidates of both directions. Fixed mode runs no
+search: it picks from the ensemble's memo, through the same selection code
+(``_pick_delta``, ``_gap_search``); every gap selection starts from the
+identity (r=0). Every mode ends in one ``_Best`` per direction
 and one report builder, ``_report``. It clips contributions into ``[0, log2
 min(d_A, d_B)]`` and values into ``[0, ceiling]``, proven ceilings: ``log2
 min(d_A, d_B)`` for delta and ``max(S_A, S_B)`` of the mixture for big-delta,
@@ -50,12 +54,11 @@ import numpy as np
 
 from .config import TOL
 from .errors import BadParams, BadValue, GramNotIdentity, NotProductEnsemble
-from .gates import cnot_permutation
-from .linalg import expm_hermitian_unchecked, haar_unitary
+from .linalg import (DIRECTIONS, cnot_family, cnot_permutation, expm_hermitian_unchecked,
+                     haar_unitary)
 from .states import (LOG2, Ensemble, entanglement_entropies, entropy_bits, is_integer,
                      mixture_marginal_entropies)
 
-DIRECTIONS = ("right", "left")
 MODE_NAMES = ("fixed", "ensemble-lu", "per-state-lu", "assign")
 ROTATE_CHOICES = ("both", "target", "control")
 
@@ -158,11 +161,6 @@ def _clip_values(values, ceiling: float = math.inf) -> list[float]:
     return out
 
 
-def _reps_range(dims: tuple[int, int], direction: str) -> range:
-    """Shift repetition counts 1 .. d_t - 1 (just 1 when d_t = 1) for target dimension d_t."""
-    return range(1, max(dims[1] if direction == "right" else dims[0], 2))
-
-
 # ---------------------------------------------------------------------------
 # Riemannian gradient ascent on products of unitary groups
 
@@ -263,21 +261,23 @@ def _gaussian_hermitian(rng: np.random.Generator, d: int) -> np.ndarray:
 
 
 class _LuCircuit:
-    """Depth-layered circuit: per layer local rotations (``rotate=None``: none) then CNOT^reps.
+    """Depth-layered circuit of the lu searches: per layer local rotations, then CNOT^reps.
 
     A point of the circuit is a list of unitaries: per layer, the A rotation
     and then the B rotation, of the sides in ``sides``; ``unitary_dims``
     holds their dimensions. Rotations act on a member ``M`` (its
-    ``(d_A, d_B)`` amplitude matrix) as ``U_A M U_B^T``.
+    ``(d_A, d_B)`` amplitude matrix) as ``U_A M U_B^T``. The fixed circuit,
+    with no rotated side, is not one of these: fixed mode reads its
+    candidates from the ensemble's memo.
     """
 
-    def __init__(self, dims, direction: str, rotate: str | None, depth: int, reps: int):
+    def __init__(self, dims, direction: str, rotate: str, depth: int, reps: int):
         self.dims = dims
         self.depth = depth
         control = "A" if direction == "right" else "B"
         self.perm = cnot_permutation(dims, control, reps)
         target = "B" if direction == "right" else "A"
-        self.sides = {"both": ("A", "B"), "target": (target,), "control": (control,), None: ()}[rotate]
+        self.sides = {"both": ("A", "B"), "target": (target,), "control": (control,)}[rotate]
         self.unitary_dims = [dims["AB".index(p)] for p in self.sides] * depth
 
     def transform(self, stack: np.ndarray, unitaries) -> np.ndarray:
@@ -286,17 +286,15 @@ class _LuCircuit:
 
     def forward(self, stack: np.ndarray, unitaries):
         """The transformed stack and the input of each rotation, which
-        ``backward`` reads. With no rotated side a layer is the bare
-        permutation of the flat stack."""
+        ``backward`` reads."""
         k, (d_a, d_b) = stack.shape[0], self.dims
         inputs, us, t = [], iter(unitaries), stack
         for _ in range(self.depth):
-            if self.sides:
-                m = t.reshape(k, d_a, d_b)
-                for side in self.sides:
-                    inputs.append(m)
-                    m = next(us) @ m if side == "A" else m @ next(us).T
-                t = m.reshape(k, d_a * d_b)
+            m = t.reshape(k, d_a, d_b)
+            for side in self.sides:
+                inputs.append(m)
+                m = next(us) @ m if side == "A" else m @ next(us).T
+            t = m.reshape(k, d_a * d_b)
             out = np.empty_like(t)
             out[:, self.perm] = t
             t = out
@@ -339,24 +337,21 @@ class _LuCircuit:
 
 
 def _searched_transforms(stack, dims, mode: Mode, objectives, seeds: dict) -> list:
-    """``(direction, r, transformed stack)`` for each direction in ``seeds``
-    (direction -> search seed) and each of its repetition counts r, in order.
+    """``(direction, r, transformed stack)`` for each candidate of
+    ``cnot_family(dims)`` whose direction is in ``seeds`` (direction -> search
+    seed), in that order.
 
     The stack goes through the mode's circuit at the unitaries ``_maximize``
     finds for the best of ``objectives``, each ascended on its own from the
-    same starts. The fixed circuit is the parameter-free one, a single layer
-    with no rotated side whatever ``mode.depth`` says, and runs no ascent.
+    same starts.
     """
-    rotate, depth = (None, 1) if mode.name == "fixed" else (mode.rotate, mode.depth)
     out = []
-    for direction, seed in seeds.items():
-        for r in _reps_range(dims, direction):
-            circuit = _LuCircuit(dims, direction, rotate, depth, r)
-            unitaries = []
-            if circuit.sides:
-                found = (_maximize(circuit.on(stack, o), circuit.unitary_dims, mode.restarts, seed)
-                         for o in objectives)
-                unitaries = max(found, key=lambda candidate: candidate[0])[1]  # first of equals
+    for direction, r in cnot_family(dims):
+        if direction in seeds:
+            circuit = _LuCircuit(dims, direction, mode.rotate, mode.depth, r)
+            found = (_maximize(circuit.on(stack, o), circuit.unitary_dims, mode.restarts,
+                               seeds[direction]) for o in objectives)
+            unitaries = max(found, key=lambda candidate: candidate[0])[1]  # first of equals
             out.append((direction, r, circuit.transform(stack, unitaries)))
     return out
 
@@ -385,11 +380,13 @@ def nonlocal_entropy(e: Ensemble, mode: Mode = Mode()) -> QuantifierReport:
     probs = np.array(e.probabilities)
     if mode.name == "per-state-lu":
         best = {d: _per_state_direction(e, probs, mode, d) for d in DIRECTIONS}
+    elif mode.name == "fixed":
+        best = _pick_delta(cnot_family(e.dims), e.cnot_entanglement, probs)
     else:
         seeds = {d: _direction_seed(mode.seed, d) for d in DIRECTIONS}
         best = _delta_search(e.amplitudes, probs, e.dims, mode, seeds)
     # pure members, so both parties start from the average member entanglement
-    s_in = float(probs @ entropy_bits(e.spectra))
+    s_in = float(probs @ e.entanglement)
     return _report("delta", e, mode, best, (s_in, s_in), math.log2(min(e.dims)))
 
 
@@ -409,13 +406,20 @@ def _per_state_direction(e: Ensemble, probs, mode, direction) -> _Best:
 
 def _delta_search(stack, probs, dims, mode, seeds: dict) -> dict:
     """Direction -> ``_Best`` of the best repetition count for each direction
-    in ``seeds`` (direction -> search seed); a later r must beat the best
-    value by more than 1e-15. One kernel call values every candidate."""
+    in ``seeds`` (direction -> search seed), as ``_pick_delta`` selects. One
+    kernel call values every candidate."""
     objectives = (functools.partial(_delta_objective, probs=probs, dims=dims),)
     candidates = _searched_transforms(stack, dims, mode, objectives, seeds)
-    ents = entanglement_entropies(np.concatenate([t for _, _, t in candidates]), dims)
+    ents = entanglement_entropies(np.stack([t for _, _, t in candidates]), dims)
+    return _pick_delta([(d, r) for d, r, _ in candidates], ents, probs)
+
+
+def _pick_delta(labels, ents: np.ndarray, probs) -> dict:
+    """Direction -> ``_Best`` among the candidates ``labels`` (``(direction, r)``
+    pairs), whose members' entanglement are the rows of ``ents``; a later r
+    must beat the best value by more than 1e-15."""
     best = {}
-    for (d, r, _), contrib in zip(candidates, ents.reshape(len(candidates), -1)):
+    for (d, r), contrib in zip(labels, ents):
         value = float(probs @ contrib)
         if d not in best or value > best[d].value + 1e-15:
             best[d] = _Best(value, contrib, r)
@@ -435,7 +439,8 @@ def _per_state_closed(e: Ensemble, direction: str, rotate: str) -> np.ndarray:
     A member (product within ``TOL.product_rank``) is valued through its
     leading Schmidt pair ``e.schmidt_pairs``: control ``a``, target ``b``.
     ``CNOT^r`` sends ``|i>|b>`` to ``|i> X^{ri}|b>``, so the controls of one
-    class ``c = r*i mod d_t`` see the same shift. Maximized over r in ``_reps_range``:
+    class ``c = r*i mod d_t`` see the same shift. Maximized over the
+    direction's r in ``cnot_family``:
 
     * target, any depth: ``H(fold_r |a|^2)``, the class masses. The control
       is never rotated, so every output is ``sum_c sqrt(w_c) |phi_c> W_c|b>``
@@ -457,16 +462,17 @@ def _per_state_closed(e: Ensemble, direction: str, rotate: str) -> np.ndarray:
         return np.full(len(e), math.log2(min(e.dims)))
     part_a, part_b = e.schmidt_pairs
     control, target = (part_a, part_b) if direction == "right" else (part_b, part_a)
-    classes = _shift_classes(control.shape[1], target.shape[1], _reps_range(e.dims, direction))
+    reps = [r for d, r in cnot_family(e.dims) if d == direction]
+    classes = _shift_classes(control.shape[1], target.shape[1], reps)
     if rotate == "target":
         return entropy_bits(np.einsum("ki,ric->krc", np.abs(control) ** 2, classes)).max(axis=1)
     return _shift_capacities(target, classes.any(axis=1))[0].max(axis=1)
 
 
-def _shift_classes(d_c: int, d_t: int, reps_range) -> np.ndarray:
+def _shift_classes(d_c: int, d_t: int, reps) -> np.ndarray:
     """``(R, d_c, d_t)`` indicator: control index i lies in class ``r*i mod d_t``."""
-    classes = np.zeros((len(reps_range), d_c, d_t))
-    for n, r in enumerate(reps_range):
+    classes = np.zeros((len(reps), d_c, d_t))
+    for n, r in enumerate(reps):
         classes[n, np.arange(d_c), r * np.arange(d_c) % d_t] = 1.0
     return classes
 
@@ -597,9 +603,10 @@ def _work(s_in, s_fin, dims):
 
 def _gap_search(e, mode) -> dict:
     """Direction -> ``_Best`` of each direction, starting from the identity
-    (r=0, the ensemble as it is). One kernel call values the mixtures of every
-    candidate and one their members' entanglement."""
-    stack, probs, dims, s_bar = e.amplitudes, np.array(e.probabilities), e.dims, e.mixture_entropies
+    (r=0, the ensemble as it is). Fixed mode reads the candidates' values
+    from the ensemble's memo; the lu searches value the mixtures of every
+    candidate with one kernel call and their members' entanglement with one."""
+    probs, dims, s_bar = np.array(e.probabilities), e.dims, e.mixture_entropies
 
     def better(candidate, incumbent):
         # equal scores resolve toward the transform that disentangles more
@@ -611,16 +618,20 @@ def _gap_search(e, mode) -> dict:
             incumbent.contributions > TOL.value
         )
 
-    objectives = tuple(functools.partial(_gap_objective, probs=probs, dims=dims, s_bar=s_bar,
-                                         side=side) for side in "AB")
-    seeds = {d: _direction_seed(mode.seed, d) for d in DIRECTIONS}
-    candidates = _searched_transforms(stack, dims, mode, objectives, seeds)
-    transformed = np.stack([t for _, _, t in candidates])
-    s_a, s_b = mixture_marginal_entropies(transformed, probs, dims)
-    ents = entanglement_entropies(transformed.reshape(-1, transformed.shape[-1]), dims)
-    best = dict.fromkeys(seeds, _Best(0.0, entropy_bits(e.spectra), 0, (0.0, 0.0), s_bar))
-    for (d, r, _), contrib, s_fin in zip(candidates, ents.reshape(len(candidates), -1),
-                                         zip(s_a.tolist(), s_b.tolist())):
+    if mode.name == "fixed":
+        labels, ents = cnot_family(dims), e.cnot_entanglement
+        s_fins = map(tuple, e.cnot_mixture_entropies.tolist())
+    else:
+        objectives = tuple(functools.partial(_gap_objective, probs=probs, dims=dims, s_bar=s_bar,
+                                             side=side) for side in "AB")
+        seeds = {d: _direction_seed(mode.seed, d) for d in DIRECTIONS}
+        candidates = _searched_transforms(e.amplitudes, dims, mode, objectives, seeds)
+        transformed = np.stack([t for _, _, t in candidates])
+        s_a, s_b = mixture_marginal_entropies(transformed, probs, dims)
+        labels, ents = [(d, r) for d, r, _ in candidates], entanglement_entropies(transformed, dims)
+        s_fins = zip(s_a.tolist(), s_b.tolist())
+    best = dict.fromkeys(DIRECTIONS, _Best(0.0, e.entanglement, 0, (0.0, 0.0), s_bar))
+    for (d, r), contrib, s_fin in zip(labels, ents, s_fins):
         gaps = (s_bar[0] - s_fin[0], s_bar[1] - s_fin[1])
         candidate = _Best(max(gaps), contrib, r, gaps, s_fin)
         if better(candidate, best[d]):
@@ -684,7 +695,9 @@ def assign_partition(e: Ensemble, reduction_side: str) -> tuple[tuple[tuple[int,
     order = sorted(range(k), key=probs.__getitem__, reverse=True)  # stable: ties keep index order
     parts = sorted(tuple(sorted(order[i : i + max_size])) for i in range(0, k, max_size))
     masses = np.array([probs[list(part)].sum() for part in parts])
-    h = float(-(masses * (np.log(masses) / LOG2)).sum()) + 0.0
+    # floored: probabilities may sum to a little over 1 (``TOL.prob_sum``),
+    # and a full group's mass above 1 has a negative entropy
+    h = max(0.0, float(-(masses * (np.log(masses) / LOG2)).sum()))
     return tuple(parts), h
 
 

@@ -14,7 +14,7 @@ import numpy as np
 
 from .config import TOL
 from .errors import BadParams, DimensionMismatch, NotAState
-from .linalg import gram, partial_trace
+from .linalg import cnot_family, cnot_permutation, gram, partial_trace
 
 LOG2 = math.log(2.0)
 
@@ -76,10 +76,13 @@ class Ensemble:
 
     ``amplitudes`` holds the members once more as one read-only
     ``(k, d_A*d_B)`` array (row i is ``states[i].amplitudes``) for batched use.
-    Three facts of that stack are computed on first use and kept: ``spectra``,
-    the members' squared Schmidt coefficients, ``schmidt_pairs``, their
-    leading Schmidt vectors, and ``mixture_entropies``, the marginal entropies
-    ``(S_A, S_B)`` of the mixture.
+    Facts of that stack are computed on first use and kept: ``spectra``, the
+    members' squared Schmidt coefficients, and ``entanglement``, their
+    entropies; ``schmidt_pairs``, their leading Schmidt vectors;
+    ``mixture_entropies``, the marginal entropies ``(S_A, S_B)`` of the
+    mixture; and the fixed circuit's valuations, ``cnot_entanglement`` and
+    ``cnot_mixture_entropies``. Only valuations are kept, never transformed
+    stacks.
     """
 
     dims: tuple[int, int]
@@ -140,9 +143,43 @@ class Ensemble:
         return pairs
 
     @cached_property
+    def entanglement(self) -> np.ndarray:
+        """Read-only ``(k,)`` entanglement entropies of the members, ``entropy_bits(spectra)``."""
+        ents = entropy_bits(self.spectra)
+        ents.flags.writeable = False
+        return ents
+
+    @cached_property
     def mixture_entropies(self) -> tuple[float, float]:
         """``(S(rho_A), S(rho_B))`` of the mixture ``sum_i p_i |psi_i><psi_i|``."""
         return mixture_marginal_entropies(self.amplitudes, self.probabilities, self.dims)
+
+    def _shifted_stacks(self) -> np.ndarray:
+        """``(C, k, d_A*d_B)``: the members after each candidate ``CNOT^r`` of
+        ``cnot_family(dims)``; made afresh for each memo that reads it, never kept."""
+        family = cnot_family(self.dims)
+        out = np.empty((len(family),) + self.amplitudes.shape, dtype=complex)
+        for t, (direction, r) in zip(out, family):
+            control = "A" if direction == "right" else "B"
+            t[:, cnot_permutation(self.dims, control, r)] = self.amplitudes
+        return out
+
+    @cached_property
+    def cnot_entanglement(self) -> np.ndarray:
+        """Read-only ``(C, k)``: row c holds the members' entanglement after
+        candidate c of ``cnot_family(dims)``, from one batched SVD."""
+        ents = entanglement_entropies(self._shifted_stacks(), self.dims)
+        ents.flags.writeable = False
+        return ents
+
+    @cached_property
+    def cnot_mixture_entropies(self) -> np.ndarray:
+        """Read-only ``(C, 2)``: row c holds ``(S_A, S_B)`` of the mixture after
+        candidate c of ``cnot_family(dims)``, from one batched call."""
+        s_a, s_b = mixture_marginal_entropies(self._shifted_stacks(), self.probabilities, self.dims)
+        out = np.stack([s_a, s_b], axis=1)
+        out.flags.writeable = False
+        return out
 
     def member_indices(self, indices) -> tuple[int, ...]:
         """``indices`` as a tuple of ints; ``BadParams`` unless they are
@@ -205,19 +242,19 @@ def schmidt(s: PureState) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 def schmidt_spectra(amplitudes: np.ndarray, dims: tuple[int, int]) -> np.ndarray:
-    """Squared Schmidt coefficients, descending, of each row of a (k, d_A*d_B) stack."""
-    sv = np.linalg.svd(amplitudes.reshape(-1, dims[0], dims[1]), compute_uv=False)
+    """Squared Schmidt coefficients, descending, of each row of a (..., d_A*d_B) stack."""
+    sv = np.linalg.svd(amplitudes.reshape(amplitudes.shape[:-1] + tuple(dims)), compute_uv=False)
     return sv**2
 
 
 def entanglement_entropies(amplitudes: np.ndarray, dims: tuple[int, int]) -> np.ndarray:
-    """Entanglement entropy of each row of a (k, d_A*d_B) amplitude stack."""
+    """Entanglement entropy of each row of a (..., d_A*d_B) amplitude stack."""
     return entropy_bits(schmidt_spectra(amplitudes, dims))
 
 
 def entanglement_entropy(s: PureState) -> float:
     """Entropy of either marginal; the entanglement of a pure state."""
-    return float(entanglement_entropies(s.amplitudes, s.dims)[0])
+    return float(entanglement_entropies(s.amplitudes, s.dims))
 
 
 def mixture(amplitudes: np.ndarray, probs) -> np.ndarray:

@@ -18,6 +18,14 @@ def test_every_entry_builds_and_matches_descriptor():
         assert e.is_product() == entry.product
 
 
+def test_listed_parameters_build_the_entry():
+    # every listed default, passed back in, builds the same ensemble
+    for entry in catalog.entries():
+        e = catalog.build(entry.name, entry.parameters)
+        assert np.array_equal(e.amplitudes, catalog.build(entry.name).amplitudes), entry.name
+        assert e.probabilities == catalog.build(entry.name).probabilities
+
+
 def test_listing_is_stable_and_documented():
     names = [entry.name for entry in catalog.entries()]
     assert names[0] == "e1-computational"

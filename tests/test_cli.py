@@ -60,10 +60,11 @@ class TestDeltaCommand:
         assert "no-such-entry" in capsys.readouterr().err
 
     def test_nan_value_is_domain_error(self, capsys, monkeypatch):
-        from nle import quantify
+        # the fixed candidates' entanglement comes from the ensemble's memo
+        from nle import states
 
         monkeypatch.setattr(
-            quantify, "entanglement_entropies", lambda amps, dims: np.full(len(amps), np.nan)
+            states, "entanglement_entropies", lambda amps, dims: np.full(amps.shape[:-1], np.nan)
         )
         assert main(["delta", "--ensemble", "e2-case2", "--mode", "fixed"]) == 2
         assert "bad-value" in capsys.readouterr().err
@@ -71,10 +72,10 @@ class TestDeltaCommand:
     def test_nan_contribution_is_domain_error(self, capsys, monkeypatch):
         # the gap itself is finite; NaN member entropies must not reach the
         # JSON, which has no NaN
-        from nle import quantify
+        from nle import states
 
         monkeypatch.setattr(
-            quantify, "entanglement_entropies", lambda amps, dims: np.full(len(amps), np.nan)
+            states, "entanglement_entropies", lambda amps, dims: np.full(amps.shape[:-1], np.nan)
         )
         assert main(["big-delta", "--ensemble", "bell-triple", "--json"]) == 2
         captured = capsys.readouterr()

@@ -196,6 +196,18 @@ def test_gram_tiles_states_orthogonal():
 def test_gram_length_mismatch():
     with pytest.raises(DimensionMismatch):
         gram([np.eye(2)[0], np.eye(3)[0]])
+    with pytest.raises(DimensionMismatch):
+        gram([])
+
+
+@given(st.integers(0, 2**32 - 1), st.integers(1, 6), st.integers(1, 9))
+@settings(max_examples=25, deadline=None)
+def test_gram_of_a_stack_equals_gram_of_its_rows(seed, k, n):
+    # a 2-D array is read as it is, with the same product as the row list
+    rng = np.random.default_rng(seed)
+    stack = rng.normal(size=(k, n)) + 1j * rng.normal(size=(k, n))
+    assert gram(stack).tobytes() == gram(list(stack)).tobytes()
+    assert gram(stack.real).tobytes() == gram(list(stack.real)).tobytes()
 
 
 @given(st.integers(0, 2**32 - 1), st.integers(2, 5))

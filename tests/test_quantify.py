@@ -8,7 +8,7 @@ from nle import catalog
 from nle.dissect import as_product_set, reducible_from
 from nle.errors import BadParams, BadValue, GramNotIdentity, NleError, NotProductEnsemble
 from nle.gates import cnot_permutation
-from nle.linalg import is_unitary
+from nle.linalg import cnot_family, is_unitary
 from nle.quantify import (
     Mode,
     _clip_values,
@@ -22,7 +22,7 @@ from nle.quantify import (
     nonlocal_entropy,
     partitions_with_caps,
 )
-from nle.states import Ensemble, PureState, entanglement_entropy
+from nle.states import Ensemble, PureState, entanglement_entropies, entanglement_entropy
 
 LOG2_3 = math.log2(3.0)
 
@@ -140,9 +140,11 @@ class TestLuModes:
             circuit = _LuCircuit((3, 3), "right", "both", 1, reps)
             identity = [np.eye(d) for d in circuit.unitary_dims]
             assert np.allclose(circuit.transform(stack, identity), shifted)
-            fixed = _LuCircuit((3, 3), "right", None, 1, reps)
-            assert fixed.unitary_dims == []
-            assert np.array_equal(fixed.transform(stack, []), shifted)
+            # the fixed circuit is the bare permutation: the memo's row for
+            # (right, reps) is the entanglement of the hand-shifted stack
+            row = cnot_family(e.dims).index(("right", reps))
+            fixed = entanglement_entropies(shifted, e.dims)
+            assert np.array_equal(e.cnot_entanglement[row], fixed)
 
     @pytest.mark.parametrize("name", ["case-3x2", "e2-case2", "ghosh-nonmax"])
     @pytest.mark.parametrize("quantifier", [nonlocal_entropy, average_entropy_gap])
@@ -254,6 +256,18 @@ class TestAssignMachinery:
         sizes = sorted(len(g) for g in partition)
         assert sizes == [1, 2]
         assert abs(h - (math.log2(3) - 2 / 3)) <= 1e-12
+
+    def test_side_gaps_within_mixture_entropy_when_probabilities_exceed_one(self):
+        # the probabilities sum to 1 + 4e-11 (within TOL.prob_sum), so the one
+        # full group's mass exceeds 1; its entropy is floored at 0 and no side
+        # gap exceeds the entropy it is a drop from
+        bell = catalog.build("bell-pair")
+        e = Ensemble(bell.dims, (0.5 + 4e-11, 0.5), bell.states)
+        assert assign_partition(e, "B") == (((0, 1),), 0.0)
+        r = average_entropy_gap(e, Mode("assign"))
+        for gaps in (r.side_gaps_right, r.side_gaps_left):
+            assert all(g <= s for g, s in zip(gaps, e.mixture_entropies))
+        assert r.side_gaps_right == e.mixture_entropies
 
     def test_assign_unitary_realizes_relabeling(self):
         e = catalog.build("more-nl-mes")

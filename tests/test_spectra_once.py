@@ -1,15 +1,21 @@
 """Each spectrum once: the memoized ensemble facts and the batched candidate
 evaluation against the computations they replace, bit for bit.
 
-``Ensemble.spectra``, ``Ensemble.schmidt_pairs`` and
-``Ensemble.mixture_entropies`` are computed on first use and kept; they must
-equal fresh ``schmidt_spectra``, ``np.linalg.svd`` and
+``Ensemble.spectra``, ``Ensemble.entanglement``, ``Ensemble.schmidt_pairs``
+and ``Ensemble.mixture_entropies`` are computed on first use and kept; they
+must equal fresh ``schmidt_spectra``, ``entropy_bits``, ``np.linalg.svd`` and
 ``mixture_marginal_entropies`` calls exactly, and a freshly built ensemble
-holds none of them. ``quantify._delta_search`` and ``quantify._gap_search``
-value the candidates of both directions with one kernel call each; they must
-return the ``_Best`` that a transcription taking one direction and one
-repetition count at a time returns, to the last bit, in fixed and
-ensemble-lu modes.
+holds none of them. The fixed circuit's candidates are valued once per
+ensemble (``Ensemble.cnot_entanglement``, ``Ensemble.cnot_mixture_entropies``):
+the memo must agree with a member-by-member reference built from
+``apply_cnot``, ``entanglement_entropy`` and partial traces, and fixed delta,
+fixed big-delta and ``cnot_bounds`` together take one family SVD, which no
+ensemble-lu, per-state or assign call takes. Fixed mode selects from the memo
+and ``quantify._delta_search`` and ``quantify._gap_search`` value the searched
+candidates of both directions with one kernel call each; they must return the
+``_Best`` that a transcription taking one direction and one repetition count
+at a time returns (the fixed circuit by a hand-built permutation), to the last
+bit, in fixed and ensemble-lu modes.
 
 The local parts are computed once: a ``ProductSet`` reads its parts from
 ``schmidt_pairs``, closed-form per-state-lu reads the same memo for both
@@ -21,9 +27,15 @@ import importlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from nle import catalog, quantify
+from nle import catalog, quantify, states
 from nle.dissect import as_product_set, classify
+from nle.errors import BadParams, GramNotIdentity, NotProductEnsemble
+from nle.gates import apply_cnot, cnot_permutation
+from nle.infobounds import cnot_bounds
+from nle.linalg import cnot_family, partial_trace
 from nle.quantify import (
     DIRECTIONS,
     Mode,
@@ -33,6 +45,7 @@ from nle.quantify import (
     _direction_seed,
     _gap_objective,
     _gap_search,
+    _pick_delta,
     _searched_transforms,
     average_entropy_gap,
     nonlocal_entropy,
@@ -41,8 +54,11 @@ from nle.states import (
     Ensemble,
     PureState,
     entanglement_entropies,
+    entanglement_entropy,
+    entropy_bits,
     mixture_marginal_entropies,
     schmidt_spectra,
+    vn_entropy,
 )
 
 DIMS = [(2, 2), (2, 3), (3, 2), (3, 3)]
@@ -99,14 +115,16 @@ DISSECT = importlib.import_module("nle.dissect")  # ``nle.dissect`` itself is th
 # the memoized facts
 
 
+MEMOS = ("spectra", "entanglement", "schmidt_pairs", "mixture_entropies", "cnot_entanglement",
+         "cnot_mixture_entropies")
+
+
 def test_fresh_ensemble_holds_no_memo():
     # the facts are computed on first use, never while an ensemble is built
     for _, e in PRODUCT_INPUTS + GENERAL_INPUTS:
         fresh = Ensemble(e.dims, e.probabilities, e.states)
-        assert "spectra" not in vars(fresh)
-        assert "schmidt_pairs" not in vars(fresh)
-        assert "mixture_entropies" not in vars(fresh)
-        assert "spectra" not in vars(fresh.subset([0]))
+        assert not set(MEMOS) & set(vars(fresh))
+        assert not set(MEMOS) & set(vars(fresh.subset([0])))
 
 
 @pytest.mark.parametrize("name,e", PRODUCT_INPUTS + GENERAL_INPUTS,
@@ -117,6 +135,8 @@ def test_memo_equals_fresh_computation(name, e):
     assert spectra is e.spectra
     assert not spectra.flags.writeable
     assert spectra.tobytes() == schmidt_spectra(e.amplitudes, e.dims).tobytes()
+    assert e.entanglement is e.entanglement
+    assert e.entanglement.tobytes() == entropy_bits(schmidt_spectra(e.amplitudes, e.dims)).tobytes()
     fresh = mixture_marginal_entropies(e.amplitudes, np.array(e.probabilities), e.dims)
     assert _bits(e.mixture_entropies) == _bits(fresh)
     assert all(type(s) is float for s in e.mixture_entropies)
@@ -138,17 +158,117 @@ def test_product_set_parts_are_the_memo(name):
 
 
 # ---------------------------------------------------------------------------
+# the fixed circuit's memo
+
+
+def _mixed_members(dims, seed: int, k: int) -> Ensemble:
+    """``k`` random members of ``dims``, each a product or a general state."""
+    rng = np.random.default_rng(seed)
+    members = [np.kron(_unit(rng, dims[0]), _unit(rng, dims[1])) if rng.random() < 0.5
+               else _unit(rng, dims[0] * dims[1]) for _ in range(k)]
+    p = rng.dirichlet(np.ones(k))
+    return Ensemble(dims, tuple(p), tuple(PureState(dims, m) for m in members))
+
+
+def _marginal_entropies(e, members):
+    rho = sum(p * s.projector() for p, s in zip(e.probabilities, members))
+    return [vn_entropy(partial_trace(rho, e.dims, side)) for side in "AB"]
+
+
+@given(seed=st.integers(0, 2**32 - 1), dims=st.sampled_from(DIMS), k=st.integers(1, 5))
+@settings(max_examples=60, deadline=None)
+def test_family_memo_matches_member_by_member(seed, dims, k):
+    # reference: each member through apply_cnot, right then left, r = 1 .. d_t - 1
+    e = _mixed_members(dims, seed, k)
+    ents, mixtures = [], []
+    for control, d_t in (("A", dims[1]), ("B", dims[0])):
+        for r in range(1, d_t):
+            after = [apply_cnot(s, control, r) for s in e.states]
+            ents.append([entanglement_entropy(s) for s in after])
+            mixtures.append(_marginal_entropies(e, after))
+    assert e.cnot_entanglement.shape == (len(ents), k)
+    assert np.array_equal(e.cnot_entanglement, np.array(ents))  # the same kernel, member by member
+    assert np.allclose(e.cnot_mixture_entropies, np.array(mixtures), rtol=0.0, atol=1e-12)
+
+
+def test_family_memo_is_read_only():
+    e = _random((2, 3), False, 7)
+    for name in ("entanglement", "cnot_entanglement", "cnot_mixture_entropies"):
+        memo = getattr(e, name)
+        assert memo is getattr(e, name)
+        assert not memo.flags.writeable
+        with pytest.raises(ValueError):
+            memo[0] = 0.0
+
+
+def _counting(monkeypatch, module, name):
+    calls = []
+    original = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls.append(name)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("name", ["nlwe-3x3", "case-3x2", "walgate-hardy"])
+def test_fixed_quantifiers_and_bounds_take_one_family_svd(monkeypatch, name):
+    e = catalog.build(name)
+    e.mixture_entropies  # the mixture as it is, a fact of its own
+    svd = _counting(monkeypatch, states, "entanglement_entropies")
+    marginals = _counting(monkeypatch, states, "mixture_marginal_entropies")
+    nonlocal_entropy(e, Mode("fixed"))
+    average_entropy_gap(e, Mode("fixed"))
+    for direction in DIRECTIONS:
+        cnot_bounds(e, direction)
+    assert (len(svd), len(marginals)) == (1, 1)
+
+
+@pytest.mark.parametrize("mode", [Mode("ensemble-lu", restarts=1, rotate="target"),
+                                  Mode("per-state-lu", rotate="target"),
+                                  Mode("per-state-lu", depth=2, restarts=1, rotate="control"),
+                                  Mode("assign")], ids=lambda m: f"{m.name}-{m.depth}")
+@pytest.mark.parametrize("name", ["case-3x2", "bell-triple"])
+def test_other_modes_take_no_family_svd(monkeypatch, name, mode):
+    e = catalog.build(name)
+    svd = _counting(monkeypatch, states, "entanglement_entropies")
+    for quantifier in (nonlocal_entropy, average_entropy_gap):
+        try:
+            quantifier(e, mode)
+        except (BadParams, NotProductEnsemble, GramNotIdentity):
+            pass  # a mode or input the quantity does not take
+    assert svd == [] and "cnot_entanglement" not in vars(e)
+    assert "cnot_mixture_entropies" not in vars(e)
+
+
+# ---------------------------------------------------------------------------
 # batched candidates against one direction, one r at a time
 
 
+def _one_direction(e, mode, objectives, direction):
+    """``(r, transformed stack)`` of one direction: the fixed circuit through a
+    hand-built permutation, the lu modes through ``_searched_transforms``."""
+    if mode.name == "fixed":
+        control, d_t = ("A", e.dims[1]) if direction == "right" else ("B", e.dims[0])
+        for r in range(1, max(d_t, 2)):
+            t = np.empty_like(e.amplitudes)
+            t[:, cnot_permutation(e.dims, control, r)] = e.amplitudes
+            yield r, t
+    else:
+        seeds = {direction: _direction_seed(mode.seed, direction)}
+        for _, r, t in _searched_transforms(e.amplitudes, e.dims, mode, objectives, seeds):
+            yield r, t
+
+
 def _delta_one_at_a_time(e, mode):
-    stack, probs, dims = e.amplitudes, np.array(e.probabilities), e.dims
+    probs, dims = np.array(e.probabilities), e.dims
     objectives = (functools.partial(_delta_objective, probs=probs, dims=dims),)
     out = {}
     for direction in DIRECTIONS:
         best = None
-        seed = _direction_seed(mode.seed, direction)
-        for _, r, t in _searched_transforms(stack, dims, mode, objectives, {direction: seed}):
+        for r, t in _one_direction(e, mode, objectives, direction):
             contrib = entanglement_entropies(t, dims)
             value = float(probs @ contrib)
             if best is None or value > best.value + 1e-15:
@@ -174,8 +294,7 @@ def _gap_one_at_a_time(e, mode):
     out = {}
     for direction in DIRECTIONS:
         best = _Best(0.0, entanglement_entropies(stack, dims), 0, (0.0, 0.0), s_bar)
-        seed = _direction_seed(mode.seed, direction)
-        for _, r, t in _searched_transforms(stack, dims, mode, objectives, {direction: seed}):
+        for r, t in _one_direction(e, mode, objectives, direction):
             s_fin = mixture_marginal_entropies(t, probs, dims)
             gaps = (s_bar[0] - s_fin[0], s_bar[1] - s_fin[1])
             candidate = _Best(max(gaps), entanglement_entropies(t, dims), r, gaps, s_fin)
@@ -188,8 +307,12 @@ def _gap_one_at_a_time(e, mode):
 @pytest.mark.parametrize("mode", MODES, ids=lambda m: f"{m.name}-{m.rotate}")
 @pytest.mark.parametrize("name,e", PRODUCT_INPUTS, ids=[n for n, _ in PRODUCT_INPUTS])
 def test_batched_delta_equals_one_at_a_time(name, e, mode):
-    seeds = {d: _direction_seed(mode.seed, d) for d in DIRECTIONS}
-    batched = _delta_search(e.amplitudes, np.array(e.probabilities), e.dims, mode, seeds)
+    e, probs = Ensemble(e.dims, e.probabilities, e.states), np.array(e.probabilities)
+    if mode.name == "fixed":  # nonlocal_entropy's selection from the memo
+        batched = _pick_delta(cnot_family(e.dims), e.cnot_entanglement, probs)
+    else:
+        seeds = {d: _direction_seed(mode.seed, d) for d in DIRECTIONS}
+        batched = _delta_search(e.amplitudes, probs, e.dims, mode, seeds)
     assert all(type(best) is _Best for best in batched.values())
     assert _bits(batched) == _bits(_delta_one_at_a_time(e, mode))
 
@@ -207,28 +330,25 @@ def test_batched_gap_equals_one_at_a_time(name, e, mode):
 # one kernel call per quantifier call
 
 
-def _counting(monkeypatch, name):
-    calls = []
-    original = getattr(quantify, name)
-
-    def counted(*args, **kwargs):
-        calls.append(name)
-        return original(*args, **kwargs)
-
-    monkeypatch.setattr(quantify, name, counted)
-    return calls
-
-
 @pytest.mark.parametrize("name", ["nlwe-3x3", "case-3x2", "walgate-hardy"])
 def test_one_kernel_call_per_quantifier(monkeypatch, name):
-    # nlwe and case-3x2 have two repetition counts in some direction
+    # nlwe and case-3x2 have two repetition counts in some direction; the
+    # fixed candidates are valued by the memo's two batched calls, once per
+    # ensemble, and an lu search values its candidates with one call per kernel
     e = catalog.build(name)
     e.spectra, e.mixture_entropies  # the memo, shared by every later question
-    svd = _counting(monkeypatch, "entanglement_entropies")
-    marginals = _counting(monkeypatch, "mixture_marginal_entropies")
+    svd = _counting(monkeypatch, states, "entanglement_entropies")
+    marginals = _counting(monkeypatch, states, "mixture_marginal_entropies")
     nonlocal_entropy(e, Mode("fixed"))
     assert (len(svd), len(marginals)) == (1, 0)
     average_entropy_gap(e, Mode("fixed"))
+    assert (len(svd), len(marginals)) == (1, 1)
+    lu = Mode("ensemble-lu", restarts=1, rotate="target")
+    svd = _counting(monkeypatch, quantify, "entanglement_entropies")
+    marginals = _counting(monkeypatch, quantify, "mixture_marginal_entropies")
+    nonlocal_entropy(e, lu)
+    assert (len(svd), len(marginals)) == (1, 0)
+    average_entropy_gap(e, lu)
     assert (len(svd), len(marginals)) == (2, 1)
 
 
