@@ -6,6 +6,7 @@ amplitudes explicitly and default to uniform probabilities.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -335,19 +336,32 @@ _CATALOG = {
 }
 
 
+@functools.cache
+def _default(name: str) -> Ensemble:
+    """The entry built with its defaults, once per process; every array of it is read-only."""
+    return _CATALOG[name][0]({})
+
+
 def entries() -> list[CatalogEntry]:
     """Catalog descriptors in a stable, documented order; dims, size and the
     orthogonal and product flags are those of the entry's default build."""
     out = []
-    for name, (builder, description, defaults) in _CATALOG.items():
-        e = builder({})
+    for name, (_, description, defaults) in _CATALOG.items():
+        e = _default(name)
         out.append(CatalogEntry(name, e.dims, len(e), description, dict(defaults),
                                 e.is_orthogonal(), e.is_product()))
     return out
 
 
 def build(name: str, params: dict | None = None) -> Ensemble:
-    """Build a named ensemble; parameterized entries accept overrides."""
+    """A named ensemble. With no ``params`` (or ``{}``) the one default build of
+    the entry, shared by every caller; parameterized entries build afresh from
+    overrides, and the rest reject any."""
     if name not in _CATALOG:
         raise NoSuchEntry(f"unknown catalog entry {name!r}")
-    return _CATALOG[name][0](params or {})
+    if not params:
+        return _default(name)
+    builder, _, defaults = _CATALOG[name]
+    if not defaults:
+        raise BadParams(f"{name} takes no parameters, not {sorted(params)}")
+    return builder(params)

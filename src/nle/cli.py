@@ -24,7 +24,7 @@ from dataclasses import asdict
 
 import numpy as np
 
-from . import catalog, reproduce
+from . import catalog
 from .config import TOL
 from .dissect import as_product_set, classify, dissect
 from .errors import FileFormatError, NleError
@@ -344,6 +344,8 @@ def _cmd_show(args) -> int:
 
 
 def _cmd_reproduce(args) -> int:
+    from . import reproduce  # the table is only read here, so other commands skip loading it
+
     rows = reproduce.run_rows()
     if args.json:
         _emit_json({"rows": [asdict(r) for r in rows]})

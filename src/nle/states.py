@@ -37,7 +37,11 @@ def _dims(dims) -> tuple[int, int]:
 
 @dataclass(frozen=True, eq=False)
 class PureState:
-    """A normalized pure state on C^{d_A} (x) C^{d_B}; equal only to itself."""
+    """A normalized pure state on C^{d_A} (x) C^{d_B}; equal only to itself.
+
+    ``amplitudes`` is read-only; it is a flat view of the array given, not a
+    copy, when that array is complex and contiguous already.
+    """
 
     dims: tuple[int, int]
     amplitudes: np.ndarray
@@ -50,6 +54,7 @@ class PureState:
         norm = math.sqrt(np.vdot(amps, amps).real)  # inf or NaN for a non-finite amplitude
         if not abs(norm - 1.0) <= TOL.norm:
             raise NotAState(f"norm {norm} is not finite or deviates from 1 beyond {TOL.norm}")
+        amps.flags.writeable = False  # a view: the caller's array keeps its own flag
         object.__setattr__(self, "dims", (d_a, d_b))
         object.__setattr__(self, "amplitudes", amps)
 

@@ -1,6 +1,13 @@
 import pytest
 
-from nle import reproduce
+from nle import catalog, reproduce
+
+
+@pytest.fixture(autouse=True)
+def fresh_catalog_defaults():
+    """Each test builds its own catalog defaults: they live for the whole
+    process, and a test that patches a kernel must not leave its memos on them."""
+    catalog._default.cache_clear()
 
 
 @pytest.fixture

@@ -164,3 +164,49 @@ def test_case_3x2_members_match_construction():
     expected = np.zeros(6)
     expected[[2, 4]] = 1 / math.sqrt(2)
     assert np.allclose(amps, expected)
+
+
+def test_default_build_is_one_instance_per_process():
+    for entry in catalog.entries():
+        e = catalog.build(entry.name)
+        assert catalog.build(entry.name) is e
+        assert catalog.build(entry.name, {}) is e and catalog.build(entry.name, None) is e
+    fresh = catalog.build("ghosh-nonmax", {"count": 4})
+    assert fresh is not catalog.build("ghosh-nonmax")
+    assert np.array_equal(fresh.amplitudes, catalog.build("ghosh-nonmax").amplitudes)
+    assert catalog.build("canonical-mes", {"d": 3}) is not catalog.build("canonical-mes", {"d": 3})
+
+
+def test_entries_report_the_shared_defaults():
+    listed = catalog.entries()
+    built = catalog._default.cache_info().misses
+    assert built == len(listed) == catalog._default.cache_info().currsize
+    for entry in listed:
+        catalog.build(entry.name)
+    catalog.entries()
+    assert catalog._default.cache_info().misses == built
+
+
+def test_default_arrays_are_read_only():
+    for entry in catalog.entries():
+        e = catalog.build(entry.name)
+        arrays = [e.amplitudes, e.spectra, *e.schmidt_pairs, e.entanglement,
+                  e.cnot_entanglement, e.cnot_mixture_entropies]
+        arrays += [s.amplitudes for s in e.states]
+        for a in arrays:
+            with pytest.raises(ValueError):
+                a[...] = 0
+        assert isinstance(e.mixture_entropies, tuple)
+
+
+@pytest.mark.parametrize("name,params", [
+    ("bell-full", {"count": 2}),
+    ("nlwe-3x3", {"d": 4}),
+    ("e1-computational", {"anything": None}),
+    ("more-nl-mixed", {"a": 0.5}),
+], ids=lambda x: repr(x) if isinstance(x, dict) else x)
+def test_entries_without_parameters_reject_any(name, params):
+    # these were once ignored: bell-full with count 2 had 4 members
+    with pytest.raises(BadParams) as err:
+        catalog.build(name, params)
+    assert err.value.code == "bad-params"

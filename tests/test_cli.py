@@ -1,5 +1,7 @@
 import json
 import math
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -194,6 +196,17 @@ class TestEveryCatalogName:
 
 
 class TestReproduceCommand:
+    def test_other_commands_leave_the_table_unloaded(self):
+        code = (
+            "import sys\n"
+            "from nle.cli import main\n"
+            "assert main(['delta', '--ensemble', 'e2-case2', '--mode', 'fixed']) == 0\n"
+            "assert 'nle.reproduce' not in sys.modules\n"
+            "assert main(['reproduce', '--json']) == 0\n"
+            "assert 'nle.reproduce' in sys.modules\n"
+        )
+        subprocess.run([sys.executable, "-c", code], check=True, stdout=subprocess.DEVNULL)
+
     def test_exit_code_tracks_failures(self, capsys, monkeypatch):
         from nle import reproduce
 

@@ -33,7 +33,7 @@ def test_statuses_of_a_fake_table():
 
 
 def test_import_computes_nothing():
-    # `nle.cli` imports the table; building it must not run a report
+    # importing the CLI and then the table must not run a report
     code = (
         "import nle.cli\n"
         "from nle import reproduce as r\n"

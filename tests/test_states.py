@@ -61,6 +61,28 @@ class TestPureState:
         e = Ensemble([np.int32(2), 2], (1.0,), (s,))
         assert e.dims == (2, 2) and all(type(d) is int for d in e.dims)
 
+    def test_amplitudes_are_a_read_only_view(self):
+        v = np.eye(4, dtype=complex)[1].copy()
+        s = PureState((2, 2), v)
+        assert np.shares_memory(s.amplitudes, v)  # no copy
+        with pytest.raises(ValueError):
+            s.amplitudes[0] = 1.0
+        v[1] = 1.0  # the caller's own array keeps its flag
+
+    @pytest.mark.xfail(
+        strict=True,
+        raises=AssertionError,
+        reason="the state views the caller's array, so a later write changes it unchecked "
+        "(ROADMAP item 5: an ensemble built from its stack removes the cause)",
+    )
+    def test_caller_cannot_change_a_state(self):
+        v = np.array([1, 0, 0, 0], dtype=complex)
+        s = PureState((2, 2), v)
+        v[:] = [5, 0, 0, 0]
+        e = Ensemble.uniform((2, 2), [s])
+        assert np.linalg.norm(s.amplitudes) == 1.0
+        assert np.linalg.norm(e.subset([0]).amplitudes[0]) == 1.0
+
 
 class TestVnEntropy:
     def test_pure_state(self):
@@ -271,11 +293,13 @@ class TestEnsemble:
         assert err.value.code == "bad-dims"
 
     def test_equality_is_identity(self):
-        from nle import catalog
         from nle.dissect import as_product_set
 
+        def computational():
+            return Ensemble.uniform((2, 2), [PureState((2, 2), row) for row in np.eye(4)])
+
         # equal contents are still two objects; hashing is by identity
-        first, second = catalog.build("e1-computational"), catalog.build("e1-computational")
+        first, second = computational(), computational()
         views = as_product_set(first), as_product_set(first)
         for a, b in ((first, second), first.states[:2], views):
             assert a == a and not a != a
