@@ -47,14 +47,14 @@ def bell_state(kind: str) -> PureState:
 # builders
 
 
-def _build_e1(params) -> Ensemble:
+def _build_e1(vals) -> Ensemble:
     dims = (2, 2)
     states = [_joint(dims, [1, 0], [1, 0]), _joint(dims, [1, 0], [0, 1]),
               _joint(dims, [0, 1], [1, 0]), _joint(dims, [0, 1], [0, 1])]
     return Ensemble.uniform(dims, states, name="e1-computational")
 
 
-def _build_e2(params) -> Ensemble:
+def _build_e2(vals) -> Ensemble:
     dims = (2, 2)
     states = [_joint(dims, [1, 0], [1, 1]), _joint(dims, [1, 0], [1, -1]),
               _joint(dims, [0, 1], [1, 0]), _joint(dims, [0, 1], [0, 1])]
@@ -94,29 +94,28 @@ def random_eta(rng: np.random.Generator) -> np.ndarray:
 
 
 def _with_defaults(params, defaults):
-    """``defaults`` updated by ``params``; ``BadParams`` on a key not in ``defaults``."""
-    vals = dict(defaults)
-    vals.update(params or {})
-    unknown = set(vals) - set(defaults)
+    """``defaults`` updated by the non-None ``params``; ``BadParams`` on a key not in ``defaults``."""
+    unknown = set(params) - set(defaults)
     if unknown:
         raise BadParams(f"unknown parameters {sorted(unknown)}")
-    return vals
+    return {**defaults, **{k: v for k, v in params.items() if v is not None}}
 
 
-def _integer_param(params: dict, key: str, default):
-    """``params[key]`` (``default`` if absent or None); ``BadParams`` unless ``is_integer``."""
-    value = params.get(key)
+def _integer_param(vals: dict, key: str):
+    """``vals[key]`` as an int, None if None; ``BadParams`` unless ``is_integer``."""
+    value = vals[key]
     if value is None:
-        return default
+        return None
     if not is_integer(value):
         raise BadParams(f"{key} must be an integer, not {value!r}")
     return int(value)
 
 
-def _ab_pairs(params, defaults):
-    vals = _with_defaults(params, defaults)
+def _ab_pairs(vals, suffixes):
+    """The ``(a, b)`` pair of each suffix, from ``vals["a<suffix>"]`` and
+    ``vals["b<suffix>"]``; a None ``b`` completes ``a`` to norm 1."""
     out = []
-    for i in (1, 2):
+    for i in suffixes:
         a, b = vals[f"a{i}"], vals[f"b{i}"]
         if b is None:
             if not 0.0 <= a <= 1.0:
@@ -128,16 +127,13 @@ def _ab_pairs(params, defaults):
     return out
 
 
-_WH_DEFAULTS = {"a1": 1 / math.sqrt(2), "b1": None, "a2": 1.0, "b2": None}
-
-
-def _build_walgate_hardy(params) -> Ensemble:
-    (a1, b1), (a2, b2) = _ab_pairs(params, _WH_DEFAULTS)
+def _build_walgate_hardy(vals) -> Ensemble:
+    (a1, b1), (a2, b2) = _ab_pairs(vals, "12")
     return Ensemble.uniform((2, 2), walgate_hardy_states([a1, b1], [a2, b2]),
                             name="walgate-hardy")
 
 
-def _build_case_3x2(params) -> Ensemble:
+def _build_case_3x2(vals) -> Ensemble:
     dims = (3, 2)
     states = [_joint(dims, [0, 1, 1], [1, 0]), _joint(dims, [0, 1, -1], [1, 0]),
               _joint(dims, [0, 1, 0], [0, 1]), _joint(dims, [0, 0, 1], [0, 1]),
@@ -145,7 +141,7 @@ def _build_case_3x2(params) -> Ensemble:
     return Ensemble.uniform(dims, states, name="case-3x2")
 
 
-def _build_nlwe(params) -> Ensemble:
+def _build_nlwe(vals) -> Ensemble:
     dims = (3, 3)
     states = [
         _joint(dims, [0, 1, 0], [0, 1, 0]),
@@ -161,7 +157,7 @@ def _build_nlwe(params) -> Ensemble:
     return Ensemble.uniform(dims, states, name="nlwe-3x3")
 
 
-def _build_tiles(params) -> Ensemble:
+def _build_tiles(vals) -> Ensemble:
     dims = (3, 3)
     states = [
         _joint(dims, [1, 0, 0], [1, -1, 0]),
@@ -173,25 +169,22 @@ def _build_tiles(params) -> Ensemble:
     return Ensemble.uniform(dims, states, name="tiles-upb")
 
 
-def _build_bell_pair(params) -> Ensemble:
+def _build_bell_pair(vals) -> Ensemble:
     return Ensemble.uniform((2, 2), [bell_state("phi+"), bell_state("phi-")], name="bell-pair")
 
 
-def _build_bell_triple(params) -> Ensemble:
+def _build_bell_triple(vals) -> Ensemble:
     return Ensemble.uniform(
         (2, 2), [bell_state("phi+"), bell_state("phi-"), bell_state("psi-")], name="bell-triple"
     )
 
 
-def _build_bell_full(params) -> Ensemble:
+def _build_bell_full(vals) -> Ensemble:
     return Ensemble.uniform(
         (2, 2),
         [bell_state("phi+"), bell_state("phi-"), bell_state("psi+"), bell_state("psi-")],
         name="bell-full",
     )
-
-
-_ORTH_DEFAULTS = {"a1": 4 / 5, "b1": None, "a2": 3 / 4, "b2": None}
 
 
 def orth_pair_states(eta1, eta2) -> list[PureState]:
@@ -204,12 +197,9 @@ def orth_pair_states(eta1, eta2) -> list[PureState]:
     return [PureState(dims, psi1), PureState(dims, psi2)]
 
 
-def _build_orth_pair(params) -> Ensemble:
-    (a1, b1), (a2, b2) = _ab_pairs(params, _ORTH_DEFAULTS)
+def _build_orth_pair(vals) -> Ensemble:
+    (a1, b1), (a2, b2) = _ab_pairs(vals, "12")
     return Ensemble.uniform((2, 2), orth_pair_states([a1, b1], [a2, b2]), name="orth-pair")
-
-
-_GHOSH_DEFAULTS = {"a": 4 / 5, "b": None, "count": 4}
 
 
 def ghosh_states(a: float, b: float) -> list[PureState]:
@@ -222,22 +212,15 @@ def ghosh_states(a: float, b: float) -> list[PureState]:
     ]
 
 
-def _build_ghosh(params) -> Ensemble:
-    vals = _with_defaults(params, _GHOSH_DEFAULTS)
-    a, b = vals["a"], vals["b"]
-    if b is None:
-        if not 0.0 <= a <= 1.0:
-            raise BadParams("a must lie in [0, 1] when b is omitted")
-        b = math.sqrt(max(0.0, 1.0 - a * a))
-    if not abs(a * a + b * b - 1.0) <= TOL.input_norm:
-        raise BadParams("a^2 + b^2 must equal 1")
-    count = _integer_param(params, "count", 4)
+def _build_ghosh(vals) -> Ensemble:
+    [(a, b)] = _ab_pairs(vals, [""])
+    count = _integer_param(vals, "count")
     if not 1 <= count <= 4:
         raise BadParams("count must lie in 1..4")
     return Ensemble.uniform((2, 2), ghosh_states(a, b)[:count], name="ghosh-nonmax")
 
 
-def _build_more_nl_mes(params) -> Ensemble:
+def _build_more_nl_mes(vals) -> Ensemble:
     dims = (3, 3)
     states = [
         _pure(dims, [1, 0, 0, 0, OMEGA3, 0, 0, 0, OMEGA3**2]),
@@ -247,7 +230,7 @@ def _build_more_nl_mes(params) -> Ensemble:
     return Ensemble.uniform(dims, states, name="more-nl-mes")
 
 
-def _build_more_nl_mixed(params) -> Ensemble:
+def _build_more_nl_mixed(vals) -> Ensemble:
     dims = (3, 3)
     states = [
         _pure(dims, [1, 0, 0, 0, OMEGA3, 0, 0, 0, OMEGA3**2]),
@@ -265,13 +248,12 @@ def canonical_mes_state(d: int, shift: int, phase: int) -> PureState:
     return PureState((d, d), amps)
 
 
-def _build_canonical_mes(params) -> Ensemble:
-    _with_defaults(params, dict.fromkeys(("d", "block", "count", "indices")))
-    d = _integer_param(params, "d", 3)
+def _build_canonical_mes(vals) -> Ensemble:
+    d = _integer_param(vals, "d")
     if d < 2:
         raise BadParams("d must be >= 2")
-    block, count = _integer_param(params, "block", None), _integer_param(params, "count", None)
-    indices = params.get("indices")
+    block, count = _integer_param(vals, "block"), _integer_param(vals, "count")
+    indices = vals["indices"]
     if sum(x is not None for x in (block, count, indices)) > 1:
         raise BadParams("give at most one of block, count, indices")
     if indices is None:
@@ -309,12 +291,15 @@ class CatalogEntry:
     product: bool
 
 
-# name: (builder, description, parameter defaults), in the documented order
+# name: (builder, description, parameter defaults), in the documented order;
+# the defaults are the one source of each parameter's value: a builder is
+# called with them, updated by the caller's non-None params
 _CATALOG = {
     "e1-computational": (_build_e1, "two-qubit computational product basis", {}),
     "e2-case2": (_build_e2, "product basis distinguishable only when A starts", {}),
     "walgate-hardy": (_build_walgate_hardy,
-                      "general two-qubit product basis from two single-qubit states", _WH_DEFAULTS),
+                      "general two-qubit product basis from two single-qubit states",
+                      {"a1": 1 / math.sqrt(2), "b1": None, "a2": 1.0, "b2": None}),
     "case-3x2": (_build_case_3x2, "3x2 product basis that blocks an A-start protocol", {}),
     "nlwe-3x3": (_build_nlwe,
                  "two-qutrit full product basis exhibiting nonlocality without entanglement", {}),
@@ -322,9 +307,10 @@ _CATALOG = {
     "bell-pair": (_build_bell_pair, "two maximally entangled states phi+, phi-", {}),
     "bell-triple": (_build_bell_triple, "three Bell states phi+, phi-, psi-", {}),
     "bell-full": (_build_bell_full, "the full Bell basis", {}),
-    "orth-pair": (_build_orth_pair, "two orthogonal, generally entangled states", _ORTH_DEFAULTS),
+    "orth-pair": (_build_orth_pair, "two orthogonal, generally entangled states",
+                  {"a1": 4 / 5, "b1": None, "a2": 3 / 4, "b2": None}),
     "ghosh-nonmax": (_build_ghosh, "full basis of nonmaximally entangled two-qubit states",
-                     _GHOSH_DEFAULTS),
+                     {"a": 4 / 5, "b": None, "count": 4}),
     "more-nl-mes": (_build_more_nl_mes,
                     "three maximally entangled qutrit states, locally distinguishable", {}),
     "more-nl-mixed": (
@@ -332,14 +318,15 @@ _CATALOG = {
         "two maximally entangled states plus a product state, locally indistinguishable", {}),
     "canonical-mes": (_build_canonical_mes,
                       "canonical maximally entangled basis, organized into shift blocks",
-                      {"d": 3, "block": None, "count": None}),
+                      {"d": 3, "block": None, "count": None, "indices": None}),
 }
 
 
 @functools.cache
 def _default(name: str) -> Ensemble:
     """The entry built with its defaults, once per process; every array of it is read-only."""
-    return _CATALOG[name][0]({})
+    builder, _, defaults = _CATALOG[name]
+    return builder(dict(defaults))
 
 
 def entries() -> list[CatalogEntry]:
@@ -364,4 +351,4 @@ def build(name: str, params: dict | None = None) -> Ensemble:
     builder, _, defaults = _CATALOG[name]
     if not defaults:
         raise BadParams(f"{name} takes no parameters, not {sorted(params)}")
-    return builder(params)
+    return builder(_with_defaults(params, defaults))

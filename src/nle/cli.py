@@ -11,6 +11,10 @@ schema::
 Probabilities are optional (uniform when absent for all states); complex
 amplitudes are two-element [re, im] arrays of length dA*dB. Exit codes:
 0 success, 2 domain error, 3 unparseable input.
+
+``delta``, ``big-delta`` and ``bounds`` build one record per report:
+``--json`` prints it, and text output prints its fields as ``name = value``
+lines.
 """
 
 from __future__ import annotations
@@ -18,9 +22,8 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import math
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, fields, replace
 
 import numpy as np
 
@@ -52,6 +55,8 @@ def load_ensemble_file(path: str) -> Ensemble:
         raise FileFormatError(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise FileFormatError(f"not valid JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise FileFormatError("not valid JSON: nested too deeply") from exc
 
     if not isinstance(doc, dict) or "dims" not in doc or "states" not in doc:
         raise FileFormatError("document must carry 'dims' and 'states'")
@@ -83,7 +88,7 @@ def load_ensemble_file(path: str) -> Ensemble:
             if any(isinstance(x, bool) for pair in amps for x in pair):
                 raise TypeError("boolean amplitude")
             vec = np.array([complex(re, im) for re, im in amps])
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             raise FileFormatError("amplitudes must be [re, im] pairs") from exc
         norm = np.linalg.norm(vec)
         if not abs(norm - 1.0) <= TOL.input_norm:
@@ -91,8 +96,10 @@ def load_ensemble_file(path: str) -> Ensemble:
         states.append(PureState(dims, vec / norm))
         if all(have_probs):
             p = rec["probability"]
-            # NaN and Infinity parse as floats: reject them with the booleans
-            if isinstance(p, bool) or not isinstance(p, (int, float)) or not 0 < p < math.inf:
+            # NaN, Infinity and integers beyond float range parse: reject them
+            # with the booleans
+            if isinstance(p, bool) or not isinstance(p, (int, float)) \
+                    or not 0 < p < sys.float_info.max:
                 raise FileFormatError("probabilities must be finite positive numbers")
             probs.append(float(p))
     if probs:
@@ -113,6 +120,10 @@ def _resolve_ensemble(args) -> Ensemble:
     raise NleError("give --ensemble NAME or --file PATH")
 
 
+def _source(e: Ensemble, args) -> str:
+    return e.name or args.file or ""
+
+
 def _mode_from(args) -> Mode:
     return Mode(args.mode, args.depth, args.restarts, args.seed, args.rotate)
 
@@ -121,72 +132,61 @@ def _mode_record(mode: Mode) -> dict:
     return {f"mode_{key}": value for key, value in asdict(mode).items()}
 
 
-def _emit_json(record: dict) -> None:
-    print(json.dumps(record, sort_keys=True))
+_VALUE_SUFFIX = {"right": "right", "left": "left", "symmetric": "sym"}
 
 
 def _report_record(report: QuantifierReport, source: str) -> dict:
+    """The record of a quantifier report, read off its fields: the values as
+    ``{delta|Delta}_{right,left,sym}``, the mode flattened, tuples as lists,
+    None fields left out."""
     key = "delta" if report.quantity == "delta" else "Delta"
-    record = {
-        "quantity": report.quantity,
-        "source": source,
-        f"{key}_right": report.right,
-        f"{key}_left": report.left,
-        f"{key}_sym": report.symmetric,
-        "contributions_right": list(report.contributions_right),
-        "contributions_left": list(report.contributions_left),
-        "work": report.work,
-    }
-    record.update(_mode_record(report.mode))
-    for name in ("side_gaps_right", "side_gaps_left"):
-        value = getattr(report, name)
-        if value is not None:
-            record[name] = list(value)
-    for name in (
-        "reps_right",
-        "reps_left",
-        "entangled_fraction_right",
-        "entangled_fraction_left",
-    ):
-        value = getattr(report, name)
-        if value is not None:
-            record[name] = value
+    record = {"source": source}
+    for f in fields(report):
+        value = getattr(report, f.name)
+        if f.name == "mode":
+            record.update(_mode_record(value))
+        elif f.name in _VALUE_SUFFIX:
+            record[f"{key}_{_VALUE_SUFFIX[f.name]}"] = value
+        elif value is not None:
+            record[f.name] = list(value) if isinstance(value, tuple) else value
     return record
 
 
-def _print_report(report: QuantifierReport, source: str, direction: str) -> None:
-    key = "delta" if report.quantity == "delta" else "Delta"
-    mode = report.mode
-    print(f"ensemble: {source}")
-    print(
-        f"mode: {mode.name} (depth={mode.depth}, restarts={mode.restarts}, "
-        f"seed={mode.seed}, rotate={mode.rotate})"
-    )
-    if direction in ("right", "both"):
-        print(f"{key}_right = {report.right:.6f}")
-    if direction in ("left", "both"):
-        print(f"{key}_left = {report.left:.6f}")
-    print(f"{key}_sym = {report.symmetric:.6f}")
-    if direction in ("right", "both"):
-        print("contributions_right:", " ".join(f"{c:.6f}" for c in report.contributions_right))
-    if direction in ("left", "both"):
-        print("contributions_left:", " ".join(f"{c:.6f}" for c in report.contributions_left))
-    if report.side_gaps_right is not None and direction in ("right", "both"):
-        g = report.side_gaps_right
-        print(f"side_gaps_right: A {g[0]:.6f}  B {g[1]:.6f}")
-    if report.side_gaps_left is not None and direction in ("left", "both"):
-        g = report.side_gaps_left
-        print(f"side_gaps_left: A {g[0]:.6f}  B {g[1]:.6f}")
-    if report.entangled_fraction_right is not None:
-        print(
-            f"entangled_fraction: right {report.entangled_fraction_right:.6f}"
-            f"  left {report.entangled_fraction_left:.6f}"
-        )
-    for direction_key, pairs in report.work.items():
-        if direction not in (direction_key, "both"):
+def _text(value) -> str:
+    if isinstance(value, (list, tuple)):
+        return " ".join(_text(v) for v in value)
+    if isinstance(value, bool):
+        return str(value).lower()
+    if isinstance(value, float):
+        return f"{value:.6f}"
+    return "n/a" if value is None else str(value)
+
+
+def _print_record(record: dict, skip: str | None = None, prefix: str = "") -> None:
+    """One ``name = value`` line per field of ``record``: floats to 6 places,
+    sequences joined by spaces, a nested dict's fields under the joined names,
+    None as n/a, booleans as true or false. Names with ``skip`` as one of
+    their ``_``-separated words are left out."""
+    for key, value in record.items():
+        name = prefix + key
+        if skip in name.split("_"):
             continue
-        for party, (w_in, w_fin) in pairs.items():
-            print(f"work {party} ({direction_key}): W_in = {w_in:.6f}  W_fin = {w_fin:.6f}")
+        if isinstance(value, dict):
+            _print_record(value, skip, f"{name}_")
+        else:
+            print(f"{name} = {_text(value)}")
+
+
+def _emit(record: dict, args, skip: str | None = None) -> None:
+    """``record`` as one JSON line with ``--json``, else as ``name = value`` lines."""
+    if args.json:
+        _emit_json(record)
+    else:
+        _print_record(record, skip)
+
+
+def _emit_json(record: dict) -> None:
+    print(json.dumps(record, sort_keys=True))
 
 
 def _add_source_flags(p: argparse.ArgumentParser) -> None:
@@ -209,11 +209,9 @@ def _cmd_quantifier(args) -> int:
     quantifier = nonlocal_entropy if args.command == "delta" else average_entropy_gap
     e = _resolve_ensemble(args)
     report = quantifier(e, _mode_from(args))
-    source = e.name or args.file or ""
-    if args.json:
-        _emit_json(_report_record(report, source))
-    else:
-        _print_report(report, source, args.direction)
+    # --direction right|left drops the other direction's fields from the text
+    other = {"right": "left", "left": "right"}.get(args.direction)
+    _emit(_report_record(report, _source(e, args)), args, other)
     return 0
 
 
@@ -224,14 +222,8 @@ def _cmd_dissect(args) -> int:
     tree = dissect(pset, first)
     label = classify(pset)
     if args.json:
-        _emit_json(
-            {
-                "source": e.name or args.file or "",
-                "first": args.first,
-                "classification": label,
-                "tree": _tree_record(tree),
-            }
-        )
+        _emit_json({"source": _source(e, args), "first": args.first, "classification": label,
+                    "tree": _tree_record(tree)})
     else:
         print(tree.render(pset))
         print(f"classification: {label}")
@@ -253,64 +245,25 @@ def _tree_record(node) -> dict:
 def _cmd_bounds(args) -> int:
     e = _resolve_ensemble(args)
     report = cnot_bounds(e, args.direction)
-    if args.json:
-        record = {
-            "source": e.name or args.file or "",
-            "chi": report.chi,
-            "local_holevo": report.local_holevo,
-            "cnot_lower_comparator": report.cnot_lower_comparator,
-            "cnot_upper_bound": report.cnot_upper_bound,
-            "entangled_members_after": report.entangled_members_after,
-            "direction": report.direction,
-            "applicable": report.applicable,
-        }
-        _emit_json(record)
-        return 0
-    print(f"chi = {report.chi:.6f}")
-    print(f"local_holevo = {report.local_holevo:.6f}")
-    if report.cnot_lower_comparator is not None:
-        print(f"cnot_lower_comparator = {report.cnot_lower_comparator:.6f}")
-    else:
-        print("cnot_lower_comparator = n/a")
-    if report.cnot_upper_bound is not None:
-        print(f"cnot_upper_bound = {report.cnot_upper_bound:.6f}")
-    else:
-        print("cnot_upper_bound = n/a")
-    print(f"entangled_members_after = {report.entangled_members_after}")
-    for key, flag in report.applicable.items():
-        print(f"applies[{key}] = {str(flag).lower()}")
+    record = {"source": _source(e, args), **asdict(report), "applicable": report.applicable}
+    del record["product_input"]
+    _emit(record, args)
     return 0
 
 
 def _cmd_catalog(args) -> int:
     if args.catalog_command != "list":
         raise NleError("unknown catalog subcommand")
-    rows = catalog.entries()
+    rows = [replace(r, parameters={k: v for k, v in r.parameters.items() if v is not None})
+            for r in catalog.entries()]  # None defaults are not listed
     if args.json:
-        _emit_json(
-            {
-                "entries": [
-                    {
-                        "name": r.name,
-                        "dims": list(r.dims),
-                        "size": r.size,
-                        "description": r.description,
-                        "parameters": {
-                            k: v for k, v in r.parameters.items() if v is not None
-                        },
-                        "orthogonal": r.orthogonal,
-                        "product": r.product,
-                    }
-                    for r in rows
-                ]
-            }
-        )
+        _emit_json({"entries": [asdict(r) for r in rows]})
         return 0
     for r in rows:
         flags = "product" if r.product else "entangled-members"
         params = ""
         if r.parameters:
-            shown = {k: round(v, 6) for k, v in r.parameters.items() if v is not None}
+            shown = {k: round(v, 6) for k, v in r.parameters.items()}
             params = f" params={shown}"
         print(f"{r.name:20s} {r.dims[0]}x{r.dims[1]}  {r.size} states  [{flags}]{params}")
         print(f"{'':20s} {r.description}")
@@ -320,21 +273,12 @@ def _cmd_catalog(args) -> int:
 def _cmd_show(args) -> int:
     e = _resolve_ensemble(args)
     if args.json:
-        _emit_json(
-            {
-                "source": e.name or args.file or "",
-                "dims": list(e.dims),
-                "size": len(e),
-                "probabilities": list(e.probabilities),
-                "orthogonal": e.is_orthogonal(),
-                "product": e.is_product(),
-                "states": [
-                    [[float(a.real), float(a.imag)] for a in s.amplitudes] for s in e.states
-                ],
-            }
-        )
+        states = [[[float(a.real), float(a.imag)] for a in s.amplitudes] for s in e.states]
+        _emit_json({"source": _source(e, args), "dims": list(e.dims), "size": len(e),
+                    "probabilities": list(e.probabilities), "orthogonal": e.is_orthogonal(),
+                    "product": e.is_product(), "states": states})
         return 0
-    print(f"ensemble: {e.name or args.file or ''}")
+    print(f"ensemble: {_source(e, args)}")
     print(f"dims: {e.dims[0]}x{e.dims[1]}  states: {len(e)}")
     print(f"orthogonal: {e.is_orthogonal()}  product: {e.is_product()}")
     for p, s in zip(e.probabilities, e.states):
@@ -407,12 +351,9 @@ def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
         return args.func(args)
-    except FileFormatError as exc:
-        print(f"error [{exc.code}]: {exc}", file=sys.stderr)
-        return EXIT_PARSE
     except NleError as exc:
         print(f"error [{exc.code}]: {exc}", file=sys.stderr)
-        return EXIT_DOMAIN
+        return EXIT_PARSE if isinstance(exc, FileFormatError) else EXIT_DOMAIN
 
 
 if __name__ == "__main__":

@@ -117,6 +117,35 @@ def test_ghosh_equal_amplitudes_reduce_to_maximal_entanglement():
         assert abs(entanglement_entropy(s) - 1.0) <= 1e-12
 
 
+@pytest.mark.parametrize("name,key,value,size", [
+    ("ghosh-nonmax", "count", 2, 2),
+    ("canonical-mes", "d", 2, 4),
+    ("canonical-mes", "block", 1, 3),
+])
+def test_builders_read_their_defaults_from_the_table(monkeypatch, name, key, value, size):
+    # each default is written once, in the table: changed there, the default build follows
+    builder, description, defaults = catalog._CATALOG[name]
+    monkeypatch.setitem(catalog._CATALOG, name, (builder, description, {**defaults, key: value}))
+    assert len(catalog.build(name)) == size
+    catalog._default.cache_clear()
+
+
+@pytest.mark.parametrize("name,params", [
+    ("ghosh-nonmax", {"a": None, "count": None}),
+    ("canonical-mes", {"d": None, "indices": None}),
+    ("walgate-hardy", {"a1": None, "b2": None}),
+    ("orth-pair", {"a2": None}),
+])
+def test_none_params_keep_the_defaults(name, params):
+    # a None param keeps its default, also where the default is a number
+    assert np.array_equal(catalog.build(name, params).amplitudes, catalog.build(name).amplitudes)
+
+
+def test_canonical_mes_lists_every_parameter():
+    entry = next(e for e in catalog.entries() if e.name == "canonical-mes")
+    assert entry.parameters == {"d": 3, "block": None, "count": None, "indices": None}
+
+
 def test_ghosh_count_selects_prefix():
     e = catalog.build("ghosh-nonmax", {"a": 0.8, "b": 0.6, "count": 3})
     assert len(e) == 3

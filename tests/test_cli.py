@@ -10,6 +10,7 @@ from nle.cli import load_ensemble_file, main
 from nle.errors import FileFormatError
 
 ROOT2 = 1 / math.sqrt(2)
+FILE_COMMANDS = ("delta", "big-delta", "dissect", "bounds", "show")  # every reader of --file
 
 
 @pytest.fixture
@@ -320,9 +321,27 @@ class TestFileLoading:
         # true is an int to Python; as a dimension it used to crash every command
         path = tmp_path / "bool.json"
         path.write_text(json.dumps(doc))
-        for command in ("delta", "big-delta", "dissect", "bounds", "show"):
+        for command in FILE_COMMANDS:
             assert main([command, "--file", str(path)]) == 3, command
-        assert capsys.readouterr().err.count("error [bad-file]") == 5
+        assert capsys.readouterr().err.count("error [bad-file]") == len(FILE_COMMANDS)
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            '{"dims": [2, 1], "states": [{"amplitudes": [[1%s, 0], [0, 0]]}]}' % ("0" * 400),
+            '{"dims": [2, 1], "states": [{"probability": 1%s, "amplitudes": [[1, 0], [0, 0]]}]}'
+            % ("0" * 400),
+            "[" * 100_000 + "]" * 100_000,
+        ],
+        ids=["amplitude-401-digits", "probability-401-digits", "array-100000-deep"],
+    )
+    def test_rejects_numbers_beyond_float_and_deep_nesting(self, tmp_path, capsys, text):
+        # numbers beyond float range and nesting past the parser's depth are bad files
+        path = tmp_path / "huge.json"
+        path.write_text(text)
+        for command in FILE_COMMANDS:
+            assert main([command, "--file", str(path)]) == 3, command
+        assert capsys.readouterr().err.count("error [bad-file]") == len(FILE_COMMANDS)
 
     def test_missing_source_is_domain_error(self, capsys):
         assert main(["delta"]) == 2
@@ -358,3 +377,67 @@ def test_parser_reuse_keeps_each_call_independent(capsys):
     assert [code for code, _, _ in alone] == [0, 0, 0, 2, 0]
     assert "invalid choice" in alone[3][2]
     assert json.loads(alone[1][1])["direction"] == "left"
+
+
+def _leaves(record: dict, prefix: str = ""):
+    """(name, value) of each leaf of a JSON record, nested names joined by ``_``."""
+    for key, value in record.items():
+        if isinstance(value, dict):
+            yield from _leaves(value, f"{prefix}{key}_")
+        else:
+            yield prefix + key, value
+
+
+def _shows(text: str, value) -> bool:
+    """Whether ``text`` is the printed form of the JSON value ``value``."""
+    if isinstance(value, list):
+        words = text.split()
+        return len(words) == len(value) and all(map(_shows, words, value))
+    if isinstance(value, bool):
+        return text == str(value).lower()
+    if isinstance(value, float):
+        return abs(float(text) - value) <= 5e-7
+    return text == ("n/a" if value is None else str(value))
+
+
+def _record_and_lines(capsys, argv):
+    """The JSON record of ``argv`` and its text output as name -> value."""
+    assert main(argv + ["--json"]) == 0
+    record = json.loads(capsys.readouterr().out)
+    assert main(argv) == 0
+    lines = capsys.readouterr().out.splitlines()
+    printed = dict(line.split(" = ", 1) for line in lines)
+    assert len(printed) == len(lines)  # one line per name
+    return record, printed
+
+
+LU = ["--restarts", "1", "--seed", "2"]
+REPORTS = [
+    ["delta", "--ensemble", "case-3x2", "--mode", "fixed"],
+    ["delta", "--ensemble", "case-3x2", "--mode", "ensemble-lu", *LU],
+    ["delta", "--ensemble", "case-3x2", "--mode", "per-state-lu", "--rotate", "target"],
+    ["big-delta", "--ensemble", "bell-triple", "--mode", "fixed"],
+    ["big-delta", "--ensemble", "bell-triple", "--mode", "ensemble-lu", *LU],
+    ["big-delta", "--ensemble", "bell-triple", "--mode", "assign"],
+    ["bounds", "--ensemble", "case-3x2", "--direction", "right"],
+    ["bounds", "--ensemble", "case-3x2", "--direction", "left"],
+    ["bounds", "--ensemble", "bell-triple", "--direction", "left"],
+]
+
+
+@pytest.mark.parametrize("argv", REPORTS, ids=" ".join)
+def test_text_prints_each_json_field_once(capsys, argv):
+    record, printed = _record_and_lines(capsys, argv)
+    leaves = dict(_leaves(record))
+    assert printed.keys() == leaves.keys()
+    for name, value in leaves.items():
+        assert _shows(printed[name], value), (name, printed[name], value)
+
+
+@pytest.mark.parametrize("argv", [r for r in REPORTS if r[0] != "bounds"], ids=" ".join)
+@pytest.mark.parametrize("direction,other", [("right", "left"), ("left", "right")])
+def test_direction_drops_the_other_directions_fields(capsys, argv, direction, other):
+    record, printed = _record_and_lines(capsys, argv + ["--direction", direction])
+    kept = {name for name, _ in _leaves(record) if other not in name.split("_")}
+    assert printed.keys() == kept
+    assert not [name for name in printed if name.endswith(f"_{other}") or f"_{other}_" in name]

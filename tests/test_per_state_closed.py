@@ -271,7 +271,7 @@ def test_capacity_round_cap_raises(monkeypatch):
     strict=True,
     raises=BadValue,
     reason="near-coincident letters: Blahut-Arimoto does not close its gap within the round "
-    "cap (ROADMAP item 1, open: a Newton step on the simplex)",
+    "cap (ROADMAP item 2, open: a Newton step on the simplex)",
 )
 def test_capacity_certified_for_near_coincident_letters():
     rng = np.random.default_rng(0)
