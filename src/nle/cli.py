@@ -80,10 +80,12 @@ def load_ensemble_file(path: str) -> Ensemble:
         raise FileFormatError("probabilities must be given for all states or none")
 
     probs, states = [], []
-    for rec in raw_states:
+    for i, rec in enumerate(raw_states):
         amps = rec.get("amplitudes")
-        if not isinstance(amps, list) or len(amps) != dims[0] * dims[1]:
-            raise FileFormatError(f"amplitudes must have length {dims[0] * dims[1]}")
+        if not isinstance(amps, list):
+            raise FileFormatError(f"'amplitudes' of state {i} must be a list of [re, im] pairs")
+        if len(amps) != dims[0] * dims[1]:  # the product is never printed: dims may be absurd
+            raise FileFormatError(f"'dims' do not match the {len(amps)} amplitudes of state {i}")
         try:
             if any(isinstance(x, bool) for pair in amps for x in pair):
                 raise TypeError("boolean amplitude")

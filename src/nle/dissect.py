@@ -15,6 +15,10 @@ set is reducible from a side exactly when its graph is disconnected.
   singletons or becomes an irreducible leaf of the protocol.
 * With no starting party, splits alternate freely until every block is a
   singleton or irreducible from both sides.
+
+``dissect`` builds the tree, for ``nle dissect`` and
+``weighted_nonlocal_entropy``; ``classify`` reads the same outcome off the
+component partitions and builds none.
 """
 
 from __future__ import annotations
@@ -34,8 +38,9 @@ class ProductSet:
     """A product ensemble of mutually orthogonal members, read as local parts.
 
     A view: the members, probabilities and local parts are those of
-    ``ensemble`` (its ``schmidt_pairs``). Each side's nonorthogonality graph
-    and each component partition are computed once per view and kept on it.
+    ``ensemble`` (its ``schmidt_pairs``). Each side's nonorthogonality graph,
+    as neighbour bitmasks, and each component partition are computed once
+    per view and kept on it.
     A view is equal only to itself.
     """
 
@@ -63,10 +68,13 @@ class ProductSet:
         return self.ensemble.schmidt_pairs[_side(side)]
 
     @cached_property
-    def _graphs(self) -> tuple[np.ndarray, ...]:
-        """Boolean ``(k, k)`` nonorthogonality graphs of sides A and B."""
-        return tuple(np.abs(np.conjugate(v) @ v.T) > TOL.orthogonality
-                     for v in self.ensemble.schmidt_pairs)
+    def _neighbours(self) -> tuple[tuple[int, ...], ...]:
+        """Per side, member i's neighbours in that side's nonorthogonality graph
+        as a bitmask, bit j for member j; i is its own neighbour."""
+        graphs = (np.abs(np.conjugate(v) @ v.T) > TOL.orthogonality
+                  for v in self.ensemble.schmidt_pairs)
+        return tuple(tuple(int.from_bytes(row.tobytes(), "little")
+                           for row in np.packbits(g, axis=1, bitorder="little")) for g in graphs)
 
     @cached_property
     def _partitions(self) -> dict:
@@ -90,12 +98,20 @@ def as_product_set(e: Ensemble) -> ProductSet:
 
 
 def _components(pset: ProductSet, side: str, indices) -> list[tuple[int, ...]]:
-    """Connected components, each sorted, of the side's graph on ``indices``."""
-    idx = np.array(sorted(indices))
-    reach = pset._graphs[_side(side)][idx][:, idx]  # with its diagonal: parts are unit vectors
-    for _ in range(len(idx).bit_length()):  # paths of up to 2^n edges
-        reach = reach @ reach
-    return sorted({tuple(idx[row].tolist()) for row in reach})
+    """Connected components, each sorted, of the side's graph on sorted
+    ``indices``, in the order of their least members."""
+    neighbours = pset._neighbours[_side(side)]
+    left, groups = sum(1 << i for i in indices), []
+    while left:
+        block, grown = 0, left & -left  # from the least member not yet placed
+        while grown != block:
+            block = grown
+            for i in indices:
+                if block >> i & 1:
+                    grown |= neighbours[i] & left
+        left &= ~block
+        groups.append(tuple(i for i in indices if block >> i & 1))
+    return groups
 
 
 def reducible_from(pset: ProductSet, side: str, indices=None):
@@ -176,13 +192,10 @@ def _leaf(pset, indices) -> DissectionNode:
     return DissectionNode(idx, leaf_kind="irreducible", irreducible_from=flags)
 
 
-def _finishing_split(pset, indices, party) -> DissectionNode | None:
-    """Split by ``party`` only if its components are all singletons."""
-    groups = _partition(pset, party, indices)
-    if groups is None or any(len(g) > 1 for g in groups):
-        return None
-    children = tuple(_leaf(pset, g) for g in groups)
-    return DissectionNode(tuple(sorted(indices)), party=party, children=children)
+def _into_singletons(pset, idx, party) -> bool:
+    """True when ``party``'s components of ``idx`` are all singletons."""
+    groups = _partition(pset, party, idx)
+    return groups is not None and all(len(g) == 1 for g in groups)
 
 
 def _free_dissect(pset, indices) -> DissectionNode:
@@ -210,31 +223,49 @@ def dissect(pset: ProductSet, first: str | None = None) -> DissectionNode:
     if groups is None:
         return _leaf(pset, all_idx)
     finisher = "B" if first == "A" else "A"
-    children = []
-    for g in groups:
-        if len(g) == 1:
-            children.append(_leaf(pset, g))
-            continue
-        finished = _finishing_split(pset, g, finisher)
-        children.append(finished if finished is not None else _leaf(pset, g))
-    return DissectionNode(all_idx, party=first, children=tuple(children))
+    # the finisher splits a block only into singletons, or leaves it a leaf
+    children = tuple(
+        DissectionNode(g, party=finisher, children=tuple(_leaf(pset, (i,)) for i in g))
+        if len(g) > 1 and _into_singletons(pset, g, finisher) else _leaf(pset, g)
+        for g in groups
+    )
+    return DissectionNode(all_idx, party=first, children=children)
+
+
+def _start_finishes(pset, first: str) -> bool:
+    """``dissect(pset, first).fully_dissected``, with no tree: ``first`` splits
+    all members, and the other party splits each block into singletons."""
+    groups = _partition(pset, first, tuple(range(len(pset))))
+    finisher = "B" if first == "A" else "A"
+    return groups is not None and all(len(g) == 1 or _into_singletons(pset, g, finisher)
+                                      for g in groups)
+
+
+def _free_finishes(pset, idx) -> bool:
+    """``_free_dissect(pset, idx).fully_dissected``, with no tree: A splits the
+    block, or else B does, and so on down to singletons."""
+    if len(idx) == 1:
+        return True
+    groups = _partition(pset, "A", idx) or _partition(pset, "B", idx)
+    return groups is not None and all(_free_finishes(pset, g) for g in groups)
 
 
 def classify(pset: ProductSet) -> str:
-    """Protocol class of the set, derived from dissection outcomes.
+    """Protocol class of the set, the outcome ``dissect`` would give.
 
     A start party counts as successful when its opening split plus the other
     party's finishing moves resolve everything; free alternation is the
     fallback that distinguishes multiround sets from non-dissectible ones.
+    Decided from the component partitions alone; no tree is built.
     """
     if len(pset) < 2:
         return "dissectible-either-side"
-    full = {p: dissect(pset, p).fully_dissected for p in ("A", "B")}
+    full = {p: _start_finishes(pset, p) for p in ("A", "B")}
     if full["A"] and full["B"]:
         return "dissectible-either-side"
     if full["A"] or full["B"]:
         return f"dissectible-one-side({'A' if full['A'] else 'B'})"
-    if dissect(pset, None).fully_dissected:
+    if _free_finishes(pset, tuple(range(len(pset)))):
         return "dissectible-multiround"
     return "non-dissectible"
 

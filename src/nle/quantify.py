@@ -375,6 +375,8 @@ def nonlocal_entropy(e: Ensemble, mode: Mode = Mode()) -> QuantifierReport:
     """
     if mode.name == "assign":
         raise BadParams("assign mode applies to the average-state gap only")
+    if mode.name == "fixed":
+        e.cnot_entanglement  # its one SVD values the members as they are, e.spectra, too
     if not e.is_product():
         raise NotProductEnsemble("every member must be a product state")
     probs = np.array(e.probabilities)
@@ -579,6 +581,8 @@ def average_entropy_gap(e: Ensemble, mode: Mode = Mode()) -> QuantifierReport:
     """
     if mode.name == "per-state-lu":
         raise BadParams("the average-state gap needs a single global transform per direction")
+    if mode.name == "fixed":
+        e.cnot_mixture_entropies  # its one call values the mixture as it is, s_bar, too
     s_bar = e.mixture_entropies
     if mode.name == "assign":
         if not e.is_orthogonal():

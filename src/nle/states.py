@@ -86,8 +86,10 @@ class Ensemble:
     entropies; ``schmidt_pairs``, their leading Schmidt vectors;
     ``mixture_entropies``, the marginal entropies ``(S_A, S_B)`` of the
     mixture; and the fixed circuit's valuations, ``cnot_entanglement`` and
-    ``cnot_mixture_entropies``. Only valuations are kept, never transformed
-    stacks.
+    ``cnot_mixture_entropies``. Each of those two batched calls values the
+    members as they are too, as row 0, and keeps it as ``spectra`` or
+    ``mixture_entropies`` if that is not known yet. Only valuations are kept,
+    never transformed stacks.
     """
 
     dims: tuple[int, int]
@@ -160,11 +162,13 @@ class Ensemble:
         return mixture_marginal_entropies(self.amplitudes, self.probabilities, self.dims)
 
     def _shifted_stacks(self) -> np.ndarray:
-        """``(C, k, d_A*d_B)``: the members after each candidate ``CNOT^r`` of
-        ``cnot_family(dims)``; made afresh for each memo that reads it, never kept."""
+        """``(1 + C, k, d_A*d_B)``: the members as they are (row 0), then after
+        each candidate ``CNOT^r`` of ``cnot_family(dims)``; made afresh for each
+        memo that reads it, never kept."""
         family = cnot_family(self.dims)
-        out = np.empty((len(family),) + self.amplitudes.shape, dtype=complex)
-        for t, (direction, r) in zip(out, family):
+        out = np.empty((1 + len(family),) + self.amplitudes.shape, dtype=complex)
+        out[0] = self.amplitudes
+        for t, (direction, r) in zip(out[1:], family):
             control = "A" if direction == "right" else "B"
             t[:, cnot_permutation(self.dims, control, r)] = self.amplitudes
         return out
@@ -172,17 +176,24 @@ class Ensemble:
     @cached_property
     def cnot_entanglement(self) -> np.ndarray:
         """Read-only ``(C, k)``: row c holds the members' entanglement after
-        candidate c of ``cnot_family(dims)``, from one batched SVD."""
-        ents = entanglement_entropies(self._shifted_stacks(), self.dims)
+        candidate c of ``cnot_family(dims)``, from one batched SVD that also
+        yields ``spectra`` (row 0) when it is not known yet."""
+        spectra = schmidt_spectra(self._shifted_stacks(), self.dims)
+        row0 = spectra[0].copy()  # a copy, so the family's spectra are freed
+        row0.flags.writeable = False
+        self.__dict__.setdefault("spectra", row0)
+        ents = entropy_bits(spectra[1:])
         ents.flags.writeable = False
         return ents
 
     @cached_property
     def cnot_mixture_entropies(self) -> np.ndarray:
         """Read-only ``(C, 2)``: row c holds ``(S_A, S_B)`` of the mixture after
-        candidate c of ``cnot_family(dims)``, from one batched call."""
+        candidate c of ``cnot_family(dims)``, from one batched call that also
+        yields ``mixture_entropies`` (row 0) when it is not known yet."""
         s_a, s_b = mixture_marginal_entropies(self._shifted_stacks(), self.probabilities, self.dims)
-        out = np.stack([s_a, s_b], axis=1)
+        self.__dict__.setdefault("mixture_entropies", (float(s_a[0]), float(s_b[0])))
+        out = np.stack([s_a[1:], s_b[1:]], axis=1)
         out.flags.writeable = False
         return out
 

@@ -43,6 +43,20 @@ def product_file(tmp_path):
     return str(path)
 
 
+def _nan_after_the_gate(monkeypatch):
+    """NaN entanglement for every member after a fixed ``CNOT^r``: the family
+    memo hands ``states.entropy_bits`` its ``(C, k, min(d_A, d_B))`` spectra,
+    the one three-axis input that kernel gets in these calls."""
+    from nle import states
+
+    original = states.entropy_bits
+
+    def nan_after_the_gate(spectrum):
+        return np.full(spectrum.shape[:-1], np.nan) if spectrum.ndim == 3 else original(spectrum)
+
+    monkeypatch.setattr(states, "entropy_bits", nan_after_the_gate)
+
+
 class TestDeltaCommand:
     def test_nlwe_fixed(self, capsys):
         assert main(["delta", "--ensemble", "nlwe-3x3", "--mode", "fixed"]) == 0
@@ -64,22 +78,14 @@ class TestDeltaCommand:
 
     def test_nan_value_is_domain_error(self, capsys, monkeypatch):
         # the fixed candidates' entanglement comes from the ensemble's memo
-        from nle import states
-
-        monkeypatch.setattr(
-            states, "entanglement_entropies", lambda amps, dims: np.full(amps.shape[:-1], np.nan)
-        )
+        _nan_after_the_gate(monkeypatch)
         assert main(["delta", "--ensemble", "e2-case2", "--mode", "fixed"]) == 2
         assert "bad-value" in capsys.readouterr().err
 
     def test_nan_contribution_is_domain_error(self, capsys, monkeypatch):
         # the gap itself is finite; NaN member entropies must not reach the
         # JSON, which has no NaN
-        from nle import states
-
-        monkeypatch.setattr(
-            states, "entanglement_entropies", lambda amps, dims: np.full(amps.shape[:-1], np.nan)
-        )
+        _nan_after_the_gate(monkeypatch)
         assert main(["big-delta", "--ensemble", "bell-triple", "--json"]) == 2
         captured = capsys.readouterr()
         assert "bad-value" in captured.err and captured.out == ""
@@ -342,6 +348,17 @@ class TestFileLoading:
         for command in FILE_COMMANDS:
             assert main([command, "--file", str(path)]) == 3, command
         assert capsys.readouterr().err.count("error [bad-file]") == len(FILE_COMMANDS)
+
+    @pytest.mark.parametrize("dims", [[10**200, 2], [2, 10**200], [3, 3]])
+    def test_dims_that_do_not_match_are_reported_as_dims(self, tmp_path, capsys, dims):
+        # the product of absurd dims is a 201-digit number; it is never printed
+        path = tmp_path / "dims.json"
+        path.write_text(json.dumps({"dims": dims, "states": [{"amplitudes": [[1, 0], [0, 0]]}]}))
+        for command in FILE_COMMANDS:
+            assert main([command, "--file", str(path)]) == 3, command
+        err = capsys.readouterr().err
+        assert err.count("'dims' do not match the 2 amplitudes of state 0") == len(FILE_COMMANDS)
+        assert not any(len(word) > 20 for word in err.split())
 
     def test_missing_source_is_domain_error(self, capsys):
         assert main(["delta"]) == 2

@@ -1,4 +1,5 @@
 import dataclasses
+import importlib
 import itertools
 import math
 
@@ -18,6 +19,8 @@ from nle.dissect import (
 from nle.errors import BadParams, GramNotIdentity, NotAState, NotProductEnsemble, TrivialSet
 from nle.linalg import haar_unitary
 from nle.states import Ensemble, product_state, schmidt
+
+dissect_module = importlib.import_module("nle.dissect")  # ``nle.dissect`` itself is the function
 
 
 def pset(name, params=None):
@@ -271,6 +274,70 @@ def test_two_by_d_bases_fully_dissect(seed, d):
     assert classify(ps).startswith("dissectible")
 
 
+def multiround_basis():
+    """A 3x3 product basis that only alternating rounds dissect.
+
+    Members 0-2 are ``|0>|f_j>`` for the Fourier vectors ``f_j``, 3-4 are
+    ``(|1> +- |2>)|0>``, 5-6 are ``|1>(|1> +- |2>)`` and 7-8 ``|2>(|1> +- |2>)``.
+    A splits off {0, 1, 2}, which B finishes; B then splits the rest into
+    the pairs {3, 4}, {5, 7} and {6, 8}, and A finishes each pair. B cannot
+    open, and no finisher resolves A's opening split in one move.
+    """
+    w = np.exp(2j * np.pi / 3)
+    fourier = [np.array([1, w**j, w ** (2 * j)]) for j in range(3)]
+    zero, one, two = np.eye(3)
+    plus, minus = one + two, one - two
+    parts_a = [zero] * 3 + [plus, minus, one, one, two, two]
+    parts_b = fourier + [zero, zero, plus, minus, plus, minus]
+    return from_parts((3, 3), [1 / 9] * 9, parts_a, parts_b)
+
+
+def classify_by_trees(ps):
+    """Oracle: the class read off ``dissect`` trees, as ``classify`` once did."""
+    if len(ps) < 2:
+        return "dissectible-either-side"
+    full = {p: dissect(ps, p).fully_dissected for p in ("A", "B")}
+    if full["A"] and full["B"]:
+        return "dissectible-either-side"
+    if full["A"] or full["B"]:
+        return f"dissectible-one-side({'A' if full['A'] else 'B'})"
+    if dissect(ps, None).fully_dissected:
+        return "dissectible-multiround"
+    return "non-dissectible"
+
+
+def test_multiround_basis_needs_alternation():
+    ps = multiround_basis()
+    assert classify(ps) == classify_by_trees(ps) == "dissectible-multiround"
+    assert reducible_from(ps, "A") == [(0, 1, 2), (3, 4, 5, 6, 7, 8)]
+    assert reducible_from(ps, "B") is None
+    assert reducible_from(ps, "B", [3, 4, 5, 6, 7, 8]) == [(3, 4), (5, 7), (6, 8)]
+
+
+@pytest.mark.parametrize("name", [c.name for c in catalog.entries()
+                                  if c.product and c.orthogonal])
+def test_classify_agrees_with_trees_on_the_catalog(name):
+    assert classify(pset(name)) == classify_by_trees(pset(name))
+
+
+def test_classify_builds_no_tree(monkeypatch):
+    def no_tree(*args, **kwargs):
+        raise AssertionError("classify built a DissectionNode")
+
+    monkeypatch.setattr(dissect_module, "DissectionNode", no_tree)
+    for ps in [multiround_basis()] + [pset(c.name) for c in catalog.entries()
+                                      if c.product and c.orthogonal]:
+        classify(ps)
+
+
+@given(st.integers(0, 2**32 - 1), st.sampled_from(["walgate-hardy", 2, 3, 4]))
+@settings(max_examples=60, deadline=None)
+def test_classify_agrees_with_trees_on_random_sets(seed, kind):
+    rng = np.random.default_rng(seed)
+    ps = _walgate_hardy_set(rng) if kind == "walgate-hardy" else random_two_by_d_basis(rng, kind)
+    assert classify(ps) == classify_by_trees(ps)
+
+
 # ---------------------------------------------------------------------------
 # invariants: member order, party swap, local frames
 
@@ -301,16 +368,18 @@ def _relabel(ps, perm=None, swap=False, frames=None):
 
 
 @given(st.integers(0, 2**32 - 1),
-       st.sampled_from(["walgate-hardy", 2, 3, 4, "case-3x2", "tiles-upb"]))
+       st.sampled_from(["walgate-hardy", 2, 3, 4, "case-3x2", "tiles-upb", "multiround"]))
 @settings(max_examples=40, deadline=None)
 def test_dissection_invariants(seed, kind):
     # random Walgate-Hardy sets and 2 x d bases; two catalog sets add the
-    # B-only and non-dissectible classes
+    # B-only and non-dissectible classes, and multiround_basis the last one
     rng = np.random.default_rng(seed)
     if kind == "walgate-hardy":
         ps = _walgate_hardy_set(rng)
     elif isinstance(kind, int):
         ps = random_two_by_d_basis(rng, kind)
+    elif kind == "multiround":
+        ps = multiround_basis()
     else:
         ps = pset(kind)
     label, blocks = _outcome(ps)

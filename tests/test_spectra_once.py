@@ -9,8 +9,10 @@ holds none of them. The fixed circuit's candidates are valued once per
 ensemble (``Ensemble.cnot_entanglement``, ``Ensemble.cnot_mixture_entropies``):
 the memo must agree with a member-by-member reference built from
 ``apply_cnot``, ``entanglement_entropy`` and partial traces, and fixed delta,
-fixed big-delta and ``cnot_bounds`` together take one family SVD, which no
-ensemble-lu, per-state or assign call takes. Fixed mode selects from the memo
+fixed big-delta and ``cnot_bounds`` together take one family SVD and one
+family mixture call, which no ensemble-lu, per-state or assign call takes.
+Row 0 of those two calls is the ensemble as it is: it seeds ``spectra`` and
+``mixture_entropies``, with the bytes of the standalone computations. Fixed mode selects from the memo
 and ``quantify._delta_search`` and ``quantify._gap_search`` value the searched
 candidates of both directions with one kernel call each; they must return the
 ``_Best`` that a transcription taking one direction and one repetition count
@@ -217,13 +219,61 @@ def _counting(monkeypatch, module, name):
 def test_fixed_quantifiers_and_bounds_take_one_family_svd(monkeypatch, name):
     e = catalog.build(name)
     e.mixture_entropies  # the mixture as it is, a fact of its own
-    svd = _counting(monkeypatch, states, "entanglement_entropies")
+    svd = _counting(monkeypatch, states, "schmidt_spectra")
     marginals = _counting(monkeypatch, states, "mixture_marginal_entropies")
     nonlocal_entropy(e, Mode("fixed"))
     average_entropy_gap(e, Mode("fixed"))
     for direction in DIRECTIONS:
         cnot_bounds(e, direction)
     assert (len(svd), len(marginals)) == (1, 1)
+
+
+@pytest.mark.parametrize("name,e", PRODUCT_INPUTS, ids=[n for n, _ in PRODUCT_INPUTS])
+def test_fixed_ops_on_a_fresh_ensemble_take_one_svd_and_one_mixture_call(monkeypatch, name, e):
+    # row 0 of the family's two batched calls is the ensemble as it is, so
+    # the product check, the member entanglement and the mixture's entropies
+    # take no call of their own
+    e = Ensemble(e.dims, e.probabilities, e.states)
+    svds = []
+    original = np.linalg.svd
+
+    def counted(a, *args, **kwargs):
+        svds.append(kwargs.get("compute_uv", True))
+        return original(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counted)
+    marginals = _counting(monkeypatch, states, "mixture_marginal_entropies")
+    nonlocal_entropy(e, Mode("fixed"))
+    average_entropy_gap(e, Mode("fixed"))
+    for direction in DIRECTIONS:
+        cnot_bounds(e, direction)
+    assert svds == [False] and len(marginals) == 1
+
+
+def _seeding_inputs():
+    yield from ((c.name, catalog.build(c.name)) for c in catalog.entries())
+    for n, dims in enumerate([(2, 2), (2, 3), (3, 2), (3, 3), (3, 4), (4, 4)]):
+        for seed in range(3):
+            yield f"random-{dims[0]}x{dims[1]}-{seed}", _mixed_members(dims, 70 + 3 * n + seed, 2 + seed)
+
+
+SEEDING_INPUTS = list(_seeding_inputs())
+
+
+@pytest.mark.parametrize("family_first", ["cnot_entanglement", "cnot_mixture_entropies"])
+@pytest.mark.parametrize("name,e", SEEDING_INPUTS, ids=[n for n, _ in SEEDING_INPUTS])
+def test_row_zero_equals_the_standalone_memos(name, e, family_first):
+    # whichever family memo comes first, the facts it seeds are the bytes
+    # the standalone computations give
+    fresh = Ensemble(e.dims, e.probabilities, e.states)
+    getattr(fresh, family_first)
+    fresh.cnot_entanglement, fresh.cnot_mixture_entropies
+    assert {"spectra", "mixture_entropies"} <= set(vars(fresh))
+    assert not fresh.spectra.flags.writeable and fresh.spectra.base is None
+    assert fresh.spectra.tobytes() == schmidt_spectra(e.amplitudes, e.dims).tobytes()
+    alone = mixture_marginal_entropies(e.amplitudes, np.array(e.probabilities), e.dims)
+    assert _bits(fresh.mixture_entropies) == _bits(alone)
+    assert all(type(s) is float for s in fresh.mixture_entropies)
 
 
 @pytest.mark.parametrize("mode", [Mode("ensemble-lu", restarts=1, rotate="target"),
@@ -233,13 +283,13 @@ def test_fixed_quantifiers_and_bounds_take_one_family_svd(monkeypatch, name):
 @pytest.mark.parametrize("name", ["case-3x2", "bell-triple"])
 def test_other_modes_take_no_family_svd(monkeypatch, name, mode):
     e = catalog.build(name)
-    svd = _counting(monkeypatch, states, "entanglement_entropies")
+    family = _counting(monkeypatch, Ensemble, "_shifted_stacks")
     for quantifier in (nonlocal_entropy, average_entropy_gap):
         try:
             quantifier(e, mode)
         except (BadParams, NotProductEnsemble, GramNotIdentity):
             pass  # a mode or input the quantity does not take
-    assert svd == [] and "cnot_entanglement" not in vars(e)
+    assert family == [] and "cnot_entanglement" not in vars(e)
     assert "cnot_mixture_entropies" not in vars(e)
 
 
@@ -337,7 +387,7 @@ def test_one_kernel_call_per_quantifier(monkeypatch, name):
     # ensemble, and an lu search values its candidates with one call per kernel
     e = catalog.build(name)
     e.spectra, e.mixture_entropies  # the memo, shared by every later question
-    svd = _counting(monkeypatch, states, "entanglement_entropies")
+    svd = _counting(monkeypatch, states, "schmidt_spectra")
     marginals = _counting(monkeypatch, states, "mixture_marginal_entropies")
     nonlocal_entropy(e, Mode("fixed"))
     assert (len(svd), len(marginals)) == (1, 0)
