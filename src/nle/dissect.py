@@ -99,16 +99,17 @@ def as_product_set(e: Ensemble) -> ProductSet:
 
 def _components(pset: ProductSet, side: str, indices) -> list[tuple[int, ...]]:
     """Connected components, each sorted, of the side's graph on sorted
-    ``indices``, in the order of their least members."""
+    ``indices``, in the order of their least members; each grows from its
+    least member by a frontier of members whose neighbours are not yet read."""
     neighbours = pset._neighbours[_side(side)]
     left, groups = sum(1 << i for i in indices), []
     while left:
-        block, grown = 0, left & -left  # from the least member not yet placed
-        while grown != block:
-            block = grown
-            for i in indices:
-                if block >> i & 1:
-                    grown |= neighbours[i] & left
+        block = frontier = left & -left  # the least member not yet placed
+        while frontier:
+            low = frontier & -frontier
+            grown = neighbours[low.bit_length() - 1] & left & ~block
+            block |= grown
+            frontier = (frontier ^ low) | grown
         left &= ~block
         groups.append(tuple(i for i in indices if block >> i & 1))
     return groups

@@ -142,3 +142,16 @@ def cnot_family(dims: tuple[int, int]) -> tuple[tuple[str, int], ...]:
     one order every consumer reads: ``DIRECTIONS`` in turn, r = 1 .. d_t - 1
     (just 1 when d_t = 1) for target dimension d_t."""
     return tuple((d, r) for d, d_t in zip(DIRECTIONS, dims[::-1]) for r in range(1, max(d_t, 2)))
+
+
+@lru_cache(maxsize=256)
+def cnot_family_gather(dims: tuple[int, int]) -> np.ndarray:
+    """Read-only ``(1 + C, d_A*d_B)`` gather index of ``cnot_family(dims)``: row 0
+    is the identity and row 1 + c the inverse of candidate c's permutation, so
+    ``amplitudes[..., row]`` is the stack after that candidate."""
+    rows = [np.arange(dims[0] * dims[1])]
+    for direction, r in cnot_family(dims):
+        rows.append(np.argsort(_cnot_permutation(dims, "A" if direction == "right" else "B", r)))
+    gather = np.array(rows)
+    gather.flags.writeable = False
+    return gather

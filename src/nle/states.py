@@ -14,7 +14,7 @@ import numpy as np
 
 from .config import TOL
 from .errors import BadParams, DimensionMismatch, NotAState
-from .linalg import cnot_family, cnot_permutation, gram, partial_trace
+from .linalg import cnot_family_gather, gram, partial_trace
 
 LOG2 = math.log(2.0)
 
@@ -85,11 +85,13 @@ class Ensemble:
     members' squared Schmidt coefficients, and ``entanglement``, their
     entropies; ``schmidt_pairs``, their leading Schmidt vectors;
     ``mixture_entropies``, the marginal entropies ``(S_A, S_B)`` of the
-    mixture; and the fixed circuit's valuations, ``cnot_entanglement`` and
-    ``cnot_mixture_entropies``. Each of those two batched calls values the
-    members as they are too, as row 0, and keeps it as ``spectra`` or
-    ``mixture_entropies`` if that is not known yet. Only valuations are kept,
-    never transformed stacks.
+    mixture; the fixed circuit's valuations, ``cnot_entanglement`` and
+    ``cnot_mixture_entropies``; and ``is_product()`` at the default
+    tolerance. Each of the two family calls values the members as they are
+    too, as row 0: ``cnot_entanglement`` keeps it as ``spectra`` and
+    ``entanglement``, and ``cnot_mixture_entropies`` as ``mixture_entropies``,
+    each if that is not known yet. Only valuations are kept, never
+    transformed stacks.
     """
 
     dims: tuple[int, int]
@@ -129,7 +131,14 @@ class Ensemble:
         return bool(np.max(np.abs(g - np.eye(len(self)))) <= atol)
 
     def is_product(self, atol: float = TOL.product_rank) -> bool:
+        """Every member of Schmidt rank one within ``atol``; kept at the default ``atol``."""
+        if atol == TOL.product_rank:
+            return self._product
         return bool(np.all(self.spectra[:, 0] >= 1.0 - atol))
+
+    @cached_property
+    def _product(self) -> bool:
+        return bool(np.all(self.spectra[:, 0] >= 1.0 - TOL.product_rank))
 
     @cached_property
     def spectra(self) -> np.ndarray:
@@ -163,26 +172,25 @@ class Ensemble:
 
     def _shifted_stacks(self) -> np.ndarray:
         """``(1 + C, k, d_A*d_B)``: the members as they are (row 0), then after
-        each candidate ``CNOT^r`` of ``cnot_family(dims)``; made afresh for each
-        memo that reads it, never kept."""
-        family = cnot_family(self.dims)
-        out = np.empty((1 + len(family),) + self.amplitudes.shape, dtype=complex)
-        out[0] = self.amplitudes
-        for t, (direction, r) in zip(out[1:], family):
-            control = "A" if direction == "right" else "B"
-            t[:, cnot_permutation(self.dims, control, r)] = self.amplitudes
-        return out
+        each candidate ``CNOT^r`` of ``cnot_family(dims)``, in one gather; made
+        afresh for each memo that reads it, never kept. Contiguous, since the
+        kernels' bits depend on the layout."""
+        gather = cnot_family_gather(self.dims)
+        return np.ascontiguousarray(self.amplitudes[:, gather].swapaxes(0, 1))
 
     @cached_property
     def cnot_entanglement(self) -> np.ndarray:
         """Read-only ``(C, k)``: row c holds the members' entanglement after
-        candidate c of ``cnot_family(dims)``, from one batched SVD that also
-        yields ``spectra`` (row 0) when it is not known yet."""
+        candidate c of ``cnot_family(dims)``, from one batched SVD and one
+        entropy pass that also yield ``spectra`` and ``entanglement`` (row 0)
+        when they are not known yet."""
         spectra = schmidt_spectra(self._shifted_stacks(), self.dims)
-        row0 = spectra[0].copy()  # a copy, so the family's spectra are freed
-        row0.flags.writeable = False
-        self.__dict__.setdefault("spectra", row0)
-        ents = entropy_bits(spectra[1:])
+        ents = entropy_bits(spectra)
+        for name, rows in (("spectra", spectra), ("entanglement", ents)):
+            row0 = rows[0].copy()  # a copy, so the family's rows are freed
+            row0.flags.writeable = False
+            self.__dict__.setdefault(name, row0)
+        ents = ents[1:].copy()  # a copy: a view would keep every row alive
         ents.flags.writeable = False
         return ents
 
@@ -287,12 +295,18 @@ def mixture_marginal_entropies(amplitudes: np.ndarray, probs, dims: tuple[int, i
     With ``M_k`` a member's ``(d_A, d_B)`` amplitude matrix the marginals are
     ``rho_A = sum_k p_k M_k M_k^dag`` and ``rho_B = sum_k p_k M_k^T conj(M_k)``;
     the full mixture is never formed. Floats for one stack; for a
-    (B, k, d_A*d_B) stack, two arrays of shape (B,).
+    (B, k, d_A*d_B) stack, two arrays of shape (B,). With ``d_A == d_B`` the
+    two marginals take one eigensolve and one entropy pass together.
     """
     m = amplitudes.reshape(amplitudes.shape[:-1] + tuple(dims))
     weighted = np.asarray(probs)[:, None, None] * m
-    s_a = entropy_bits(_hermitian_spectrum(np.einsum("...kij,...klj->...il", weighted, m.conj())))
-    s_b = entropy_bits(_hermitian_spectrum(np.einsum("...kij,...kil->...jl", weighted, m.conj())))
+    conj = m.conj()
+    rho_a = np.einsum("...kij,...klj->...il", weighted, conj)
+    rho_b = np.einsum("...kij,...kil->...jl", weighted, conj)
+    if dims[0] == dims[1]:
+        s_a, s_b = entropy_bits(_hermitian_spectrum(np.stack([rho_a, rho_b])))
+    else:
+        s_a, s_b = (entropy_bits(_hermitian_spectrum(rho)) for rho in (rho_a, rho_b))
     if amplitudes.ndim == 2:
         return float(s_a), float(s_b)
     return s_a, s_b

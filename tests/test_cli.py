@@ -1,3 +1,6 @@
+import contextlib
+import copy
+import io
 import json
 import math
 import subprocess
@@ -5,12 +8,73 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nle.cli import load_ensemble_file, main
 from nle.errors import FileFormatError
 
 ROOT2 = 1 / math.sqrt(2)
 FILE_COMMANDS = ("delta", "big-delta", "dissect", "bounds", "show")  # every reader of --file
+
+
+# what a mutation puts in place of a value: each type JSON has, numbers beyond
+# float range, and the non-finite literals json.dumps writes
+SWAPS = ("1", "", True, False, None, [], {}, 0, -1, 2, 0.5, 1e-300)
+EXTREMES = (10**400, -(10**400), math.nan, math.inf, -math.inf)
+
+
+def _mutate(draw, doc):
+    """``doc`` with one value, found by a random walk from the root, replaced
+    by another type or an extreme number, shortened or lengthened, given an
+    extra or a missing key, or nested up to 40 lists deep."""
+    root = {"doc": copy.deepcopy(doc)}
+    holder, key = root, "doc"
+    while isinstance(holder[key], (dict, list)) and holder[key] and draw(st.integers(0, 3)):
+        node = holder[key]
+        holder, key = node, draw(st.sampled_from(sorted(node) if isinstance(node, dict)
+                                                 else range(len(node))))
+    value = holder[key]
+    kind = draw(st.sampled_from(["swap", "extreme", "length", "keys", "nest"]))
+    if kind == "swap":
+        holder[key] = draw(st.sampled_from(SWAPS))
+    elif kind == "extreme":
+        holder[key] = draw(st.sampled_from(EXTREMES))
+    elif kind == "length" and isinstance(value, list) and value and draw(st.booleans()):
+        value.pop(draw(st.integers(0, len(value) - 1)))
+    elif kind == "length" and isinstance(value, list):
+        value.append(copy.deepcopy(value[-1]) if value else 0)
+    elif kind == "length":
+        holder[key] = [value]
+    elif kind == "keys" and isinstance(value, dict) and value and draw(st.booleans()):
+        del value[draw(st.sampled_from(sorted(value)))]
+    elif kind == "keys":
+        holder[key] = dict(value, extra=1) if isinstance(value, dict) else {"value": value}
+    else:
+        for _ in range(draw(st.integers(1, 40))):
+            holder[key] = [holder[key]]
+    return root["doc"]
+
+
+@st.composite
+def fuzzed_documents(draw):
+    """A valid ensemble document, with up to three mutations; each member is a
+    basis state or an equal superposition of two, which may be entangled."""
+    d_a, d_b, k = draw(st.integers(1, 3)), draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    states = []
+    for _ in range(k):
+        amplitudes = [[0, 0] for _ in range(d_a * d_b)]
+        support = draw(st.lists(st.integers(0, d_a * d_b - 1), min_size=1, max_size=2, unique=True))
+        for i in support:
+            amplitudes[i] = [draw(st.sampled_from([1, -1])) / math.sqrt(len(support)), 0]
+        states.append({"amplitudes": amplitudes})
+    if draw(st.booleans()):
+        for state in states:
+            state["probability"] = 1 / k
+    doc = {"dims": [d_a, d_b], "states": states}
+    for _ in range(draw(st.integers(0, 3))):
+        doc = _mutate(draw, doc)
+    return doc
 
 
 @pytest.fixture
@@ -359,6 +423,16 @@ class TestFileLoading:
         err = capsys.readouterr().err
         assert err.count("'dims' do not match the 2 amplitudes of state 0") == len(FILE_COMMANDS)
         assert not any(len(word) > 20 for word in err.split())
+
+    @given(document=fuzzed_documents())
+    @settings(max_examples=120, deadline=None)
+    def test_fuzzed_documents_exit_with_a_code(self, tmp_path_factory, document):
+        # every run exits 0, 2 (domain) or 3 (bad file), and none raises
+        path = tmp_path_factory.mktemp("fuzz") / "doc.json"
+        path.write_text(json.dumps(document))
+        for command in FILE_COMMANDS:
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+                assert main([command, "--file", str(path)]) in (0, 2, 3), (command, document)
 
     def test_missing_source_is_domain_error(self, capsys):
         assert main(["delta"]) == 2

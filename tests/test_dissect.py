@@ -2,6 +2,7 @@ import dataclasses
 import importlib
 import itertools
 import math
+import types
 
 import numpy as np
 import pytest
@@ -18,7 +19,7 @@ from nle.dissect import (
 )
 from nle.errors import BadParams, GramNotIdentity, NotAState, NotProductEnsemble, TrivialSet
 from nle.linalg import haar_unitary
-from nle.states import Ensemble, product_state, schmidt
+from nle.states import Ensemble, PureState, product_state, schmidt
 
 dissect_module = importlib.import_module("nle.dissect")  # ``nle.dissect`` itself is the function
 
@@ -91,6 +92,18 @@ class TestProductSet:
         assert [f.name for f in dataclasses.fields(ps)] == ["ensemble"]
         assert ps.ensemble is e
         assert (ps.dims, ps.probabilities, len(ps)) == (e.dims, e.probabilities, len(e))
+
+    def test_product_flag_at_another_atol_ignores_the_memo(self):
+        # the member is 1e-6 away from Schmidt rank one: a product at atol 1e-5 only
+        eps = 1e-6
+        member = np.array([math.sqrt(1 - eps), 0, 0, math.sqrt(eps)])
+        e = Ensemble.uniform((2, 2), [product_state((2, 2), [1, 0], [1, 0]),
+                                      PureState((2, 2), member)])
+        assert not e.is_product() and vars(e)["_product"] is False
+        assert e.is_product(1e-5) and not e.is_product()
+        vars(e)["_product"] = True  # a memo the default reads, and no other atol
+        assert e.is_product()
+        assert not e.is_product(1e-8) and e.is_product(1e-5)
 
     @pytest.mark.parametrize("name", ["e2-case2", "case-3x2", "nlwe-3x3", "tiles-upb", "random"])
     def test_as_product_set_parts_match_per_state_schmidt(self, name):
@@ -306,6 +319,22 @@ def classify_by_trees(ps):
     return "non-dissectible"
 
 
+def components_by_fixpoint(ps, side, indices):
+    """Oracle: the fixpoint loop over ``indices`` that the frontier search replaced."""
+    neighbours = ps._neighbours["AB".index(side)]
+    left, groups = sum(1 << i for i in indices), []
+    while left:
+        block, grown = 0, left & -left  # from the least member not yet placed
+        while grown != block:
+            block = grown
+            for i in indices:
+                if block >> i & 1:
+                    grown |= neighbours[i] & left
+        left &= ~block
+        groups.append(tuple(i for i in indices if block >> i & 1))
+    return groups
+
+
 def test_multiround_basis_needs_alternation():
     ps = multiround_basis()
     assert classify(ps) == classify_by_trees(ps) == "dissectible-multiround"
@@ -367,21 +396,26 @@ def _relabel(ps, perm=None, swap=False, frames=None):
     return from_parts(ps.dims, probs, parts_a, parts_b)
 
 
-@given(st.integers(0, 2**32 - 1),
-       st.sampled_from(["walgate-hardy", 2, 3, 4, "case-3x2", "tiles-upb", "multiround"]))
+INVARIANT_KINDS = ["walgate-hardy", 2, 3, 4, "case-3x2", "tiles-upb", "multiround"]
+
+
+def _invariant_input(rng, kind):
+    """Random Walgate-Hardy sets and 2 x d bases; two catalog sets add the
+    B-only and non-dissectible classes, and multiround_basis the last one."""
+    if kind == "walgate-hardy":
+        return _walgate_hardy_set(rng)
+    if isinstance(kind, int):
+        return random_two_by_d_basis(rng, kind)
+    if kind == "multiround":
+        return multiround_basis()
+    return pset(kind)
+
+
+@given(st.integers(0, 2**32 - 1), st.sampled_from(INVARIANT_KINDS))
 @settings(max_examples=40, deadline=None)
 def test_dissection_invariants(seed, kind):
-    # random Walgate-Hardy sets and 2 x d bases; two catalog sets add the
-    # B-only and non-dissectible classes, and multiround_basis the last one
     rng = np.random.default_rng(seed)
-    if kind == "walgate-hardy":
-        ps = _walgate_hardy_set(rng)
-    elif isinstance(kind, int):
-        ps = random_two_by_d_basis(rng, kind)
-    elif kind == "multiround":
-        ps = multiround_basis()
-    else:
-        ps = pset(kind)
+    ps = _invariant_input(rng, kind)
     label, blocks = _outcome(ps)
 
     # member order: same class, blocks mapped through the permutation
@@ -402,3 +436,44 @@ def test_dissection_invariants(seed, kind):
     # local frame U_A (x) U_B: nothing changes
     frames = (haar_unitary(ps.dims[0], rng), haar_unitary(ps.dims[1], rng))
     assert _outcome(_relabel(ps, frames=frames)) == (label, blocks)
+
+
+# ---------------------------------------------------------------------------
+# the frontier search against the fixpoint oracle
+
+
+@given(st.integers(0, 2**32 - 1), st.sampled_from(INVARIANT_KINDS))
+@settings(max_examples=40, deadline=None)
+def test_frontier_components_equal_the_fixpoint_oracle(seed, kind):
+    # every member, and random subsets of them, from either side
+    rng = np.random.default_rng(seed)
+    ps = _invariant_input(rng, kind)
+    subsets = [tuple(range(len(ps)))]
+    subsets += [tuple(sorted(int(i) for i in rng.choice(len(ps), size, replace=False)))
+                for size in rng.integers(1, len(ps) + 1, size=4)]
+    for side in "AB":
+        for idx in subsets:
+            assert dissect_module._components(ps, side, idx) == components_by_fixpoint(ps, side, idx)
+
+
+@st.composite
+def neighbour_masks(draw):
+    """Symmetric neighbour bitmasks of a graph on k members, each its own
+    neighbour, and sorted member indices to search."""
+    k = draw(st.integers(1, 14))
+    masks = [1 << i for i in range(k)]
+    for i, j in draw(st.lists(st.tuples(st.integers(0, k - 1), st.integers(0, k - 1)),
+                              max_size=3 * k)):
+        masks[i] |= 1 << j
+        masks[j] |= 1 << i
+    indices = draw(st.lists(st.integers(0, k - 1), min_size=1, unique=True))
+    return tuple(masks), tuple(sorted(indices))
+
+
+@given(neighbour_masks())
+@settings(max_examples=200, deadline=None)
+def test_frontier_components_on_drawn_bitmasks(graph):
+    masks, indices = graph
+    view = types.SimpleNamespace(_neighbours=(masks, masks))  # the same graph on both sides
+    assert dissect_module._components(view, "A", indices) == components_by_fixpoint(view, "A",
+                                                                                      indices)

@@ -1,9 +1,12 @@
 """Pinned CLI outputs (``golden_cli.json``) of seeded searches and bounds.
 
-The seeded delta searches must reproduce their JSON records byte for byte:
-any change to the entropy kernel, the unitary parameterization or the
-transforms that moves a float shows here. The big-delta and bounds numbers
-are compared within 1e-12.
+The ``exact`` records must be reproduced byte for byte: the seeded delta
+searches, where any change to the entropy kernel, the unitary
+parameterization or the transforms that moves a float shows, and the fixed
+circuit's outputs (fixed big-delta and bounds in both directions on every
+catalog entry, fixed delta on every product entry), where a one-ulp move in
+the family or mixture path shows. The ``close`` records are compared within
+1e-12.
 """
 
 import json

@@ -11,8 +11,12 @@ the memo must agree with a member-by-member reference built from
 ``apply_cnot``, ``entanglement_entropy`` and partial traces, and fixed delta,
 fixed big-delta and ``cnot_bounds`` together take one family SVD and one
 family mixture call, which no ensemble-lu, per-state or assign call takes.
-Row 0 of those two calls is the ensemble as it is: it seeds ``spectra`` and
-``mixture_entropies``, with the bytes of the standalone computations. Fixed mode selects from the memo
+Row 0 of those two calls is the ensemble as it is: it seeds ``spectra``,
+``entanglement`` and ``mixture_entropies``, with the bytes of the standalone
+computations. The family stack is one gather (``cnot_family_gather``), byte
+for byte the per-permutation scatter it replaced, and with ``d_A == d_B`` the
+two marginals of a mixture share one eigensolve whose bits are those of two
+separate calls. Fixed mode selects from the memo
 and ``quantify._delta_search`` and ``quantify._gap_search`` value the searched
 candidates of both directions with one kernel call each; they must return the
 ``_Best`` that a transcription taking one direction and one repetition count
@@ -37,7 +41,7 @@ from nle.dissect import as_product_set, classify
 from nle.errors import BadParams, GramNotIdentity, NotProductEnsemble
 from nle.gates import apply_cnot, cnot_permutation
 from nle.infobounds import cnot_bounds
-from nle.linalg import cnot_family, partial_trace
+from nle.linalg import cnot_family, cnot_family_gather, partial_trace
 from nle.quantify import (
     DIRECTIONS,
     Mode,
@@ -59,6 +63,7 @@ from nle.states import (
     entanglement_entropy,
     entropy_bits,
     mixture_marginal_entropies,
+    _hermitian_spectrum,
     schmidt_spectra,
     vn_entropy,
 )
@@ -118,7 +123,7 @@ DISSECT = importlib.import_module("nle.dissect")  # ``nle.dissect`` itself is th
 
 
 MEMOS = ("spectra", "entanglement", "schmidt_pairs", "mixture_entropies", "cnot_entanglement",
-         "cnot_mixture_entropies")
+         "cnot_mixture_entropies", "_product")
 
 
 def test_fresh_ensemble_holds_no_memo():
@@ -260,20 +265,92 @@ def _seeding_inputs():
 SEEDING_INPUTS = list(_seeding_inputs())
 
 
-@pytest.mark.parametrize("family_first", ["cnot_entanglement", "cnot_mixture_entropies"])
+@pytest.mark.parametrize("family_first", ["cnot_entanglement", "cnot_mixture_entropies", "spectra"])
 @pytest.mark.parametrize("name,e", SEEDING_INPUTS, ids=[n for n, _ in SEEDING_INPUTS])
 def test_row_zero_equals_the_standalone_memos(name, e, family_first):
-    # whichever family memo comes first, the facts it seeds are the bytes
-    # the standalone computations give
+    # whichever memo comes first, the facts row 0 seeds are the bytes the
+    # standalone computations give; with spectra first, cnot_entanglement
+    # seeds entanglement alone
     fresh = Ensemble(e.dims, e.probabilities, e.states)
     getattr(fresh, family_first)
     fresh.cnot_entanglement, fresh.cnot_mixture_entropies
-    assert {"spectra", "mixture_entropies"} <= set(vars(fresh))
-    assert not fresh.spectra.flags.writeable and fresh.spectra.base is None
+    assert {"spectra", "entanglement", "mixture_entropies"} <= set(vars(fresh))
+    for memo in (fresh.spectra, fresh.entanglement):
+        assert not memo.flags.writeable and memo.base is None
     assert fresh.spectra.tobytes() == schmidt_spectra(e.amplitudes, e.dims).tobytes()
+    alone = entropy_bits(schmidt_spectra(e.amplitudes, e.dims))
+    assert fresh.entanglement.tobytes() == alone.tobytes()
     alone = mixture_marginal_entropies(e.amplitudes, np.array(e.probabilities), e.dims)
     assert _bits(fresh.mixture_entropies) == _bits(alone)
     assert all(type(s) is float for s in fresh.mixture_entropies)
+
+
+def _scattered_stacks(amplitudes, dims):
+    """The family stack as it was built before the gather: row 0 a copy,
+    then one scatter through each candidate's ``cnot_permutation``."""
+    family = cnot_family(dims)
+    out = np.empty((1 + len(family),) + amplitudes.shape, dtype=complex)
+    out[0] = amplitudes
+    for t, (direction, r) in zip(out[1:], family):
+        t[:, cnot_permutation(dims, "A" if direction == "right" else "B", r)] = amplitudes
+    return out
+
+
+GATHER_DIMS = [(d_a, d_b) for d_a in range(1, 5) for d_b in range(1, 5)]
+
+
+@pytest.mark.parametrize("dims", GATHER_DIMS, ids=lambda d: f"{d[0]}x{d[1]}")
+def test_family_gather_equals_the_permutation_loop(dims):
+    # d_t = 1 included: its one candidate, r = 1, is the identity
+    gather = cnot_family_gather(dims)
+    assert gather is cnot_family_gather(dims) and not gather.flags.writeable
+    assert gather.shape == (1 + len(cnot_family(dims)), dims[0] * dims[1])
+    assert np.array_equal(gather[0], np.arange(dims[0] * dims[1]))
+    for k in (1, 3):
+        e = _mixed_members(dims, 11 * k + dims[0] * 5 + dims[1], k)
+        stacks = e._shifted_stacks()
+        assert stacks.flags.c_contiguous
+        assert stacks.tobytes() == _scattered_stacks(e.amplitudes, dims).tobytes()
+
+
+def _two_eigensolves(amplitudes, probs, dims):
+    """``mixture_marginal_entropies`` with one eigensolve per marginal."""
+    m = amplitudes.reshape(amplitudes.shape[:-1] + tuple(dims))
+    weighted = np.asarray(probs)[:, None, None] * m
+    s_a = entropy_bits(_hermitian_spectrum(np.einsum("...kij,...klj->...il", weighted, m.conj())))
+    s_b = entropy_bits(_hermitian_spectrum(np.einsum("...kij,...kil->...jl", weighted, m.conj())))
+    if amplitudes.ndim == 2:
+        return float(s_a), float(s_b)
+    return s_a, s_b
+
+
+def _eigensolve_inputs():
+    yield from ((c.name, catalog.build(c.name)) for c in catalog.entries())
+    for dims in [(2, 2), (2, 3), (3, 3), (3, 4), (4, 4)]:
+        for seed in range(4):
+            yield f"random-{dims[0]}x{dims[1]}-{seed}", _mixed_members(dims, 200 + seed, 1 + seed)
+
+
+EIGENSOLVE_INPUTS = list(_eigensolve_inputs())
+
+
+@pytest.mark.parametrize("name,e", EIGENSOLVE_INPUTS, ids=[n for n, _ in EIGENSOLVE_INPUTS])
+def test_merged_eigensolve_equals_two_calls(name, e):
+    # LAPACK solves each matrix of a stack on its own, so sharing one call
+    # between the two marginals moves no bit, single stack or batched
+    probs = np.array(e.probabilities)
+    for stack in (e.amplitudes, e._shifted_stacks()):
+        got, want = (f(stack, probs, e.dims) for f in (mixture_marginal_entropies, _two_eigensolves))
+        assert _bits(got) == _bits(want) and type(got[0]) is type(want[0])
+
+
+@pytest.mark.parametrize("name,e", EIGENSOLVE_INPUTS, ids=[n for n, _ in EIGENSOLVE_INPUTS])
+def test_fixed_big_delta_on_a_fresh_ensemble_takes_one_eigensolve_when_square(monkeypatch,
+                                                                               name, e):
+    e = Ensemble(e.dims, e.probabilities, e.states)
+    eigvalsh = _counting(monkeypatch, np.linalg, "eigvalsh")
+    average_entropy_gap(e, Mode("fixed"))
+    assert len(eigvalsh) == (1 if e.dims[0] == e.dims[1] else 2)
 
 
 @pytest.mark.parametrize("mode", [Mode("ensemble-lu", restarts=1, rotate="target"),
