@@ -85,13 +85,12 @@ class Ensemble:
     members' squared Schmidt coefficients, and ``entanglement``, their
     entropies; ``schmidt_pairs``, their leading Schmidt vectors;
     ``mixture_entropies``, the marginal entropies ``(S_A, S_B)`` of the
-    mixture; the fixed circuit's valuations, ``cnot_entanglement`` and
-    ``cnot_mixture_entropies``; and ``is_product()`` at the default
-    tolerance. Each of the two family calls values the members as they are
-    too, as row 0: ``cnot_entanglement`` keeps it as ``spectra`` and
-    ``entanglement``, and ``cnot_mixture_entropies`` as ``mixture_entropies``,
-    each if that is not known yet. Only valuations are kept, never
-    transformed stacks.
+    mixture; and the fixed circuit's valuations, ``cnot_entanglement`` and
+    ``cnot_mixture_entropies``. Each of those two batched calls values the
+    members as they are too, as row 0: ``cnot_entanglement`` keeps it as
+    ``spectra`` and ``entanglement`` if ``spectra`` is not known yet, and
+    ``cnot_mixture_entropies`` as ``mixture_entropies`` if that is not known
+    yet. Only valuations are kept, never transformed stacks.
     """
 
     dims: tuple[int, int]
@@ -131,14 +130,7 @@ class Ensemble:
         return bool(np.max(np.abs(g - np.eye(len(self)))) <= atol)
 
     def is_product(self, atol: float = TOL.product_rank) -> bool:
-        """Every member of Schmidt rank one within ``atol``; kept at the default ``atol``."""
-        if atol == TOL.product_rank:
-            return self._product
         return bool(np.all(self.spectra[:, 0] >= 1.0 - atol))
-
-    @cached_property
-    def _product(self) -> bool:
-        return bool(np.all(self.spectra[:, 0] >= 1.0 - TOL.product_rank))
 
     @cached_property
     def spectra(self) -> np.ndarray:
@@ -183,13 +175,14 @@ class Ensemble:
         """Read-only ``(C, k)``: row c holds the members' entanglement after
         candidate c of ``cnot_family(dims)``, from one batched SVD and one
         entropy pass that also yield ``spectra`` and ``entanglement`` (row 0)
-        when they are not known yet."""
+        when ``spectra`` is not known yet, so the two always agree."""
         spectra = schmidt_spectra(self._shifted_stacks(), self.dims)
         ents = entropy_bits(spectra)
-        for name, rows in (("spectra", spectra), ("entanglement", ents)):
-            row0 = rows[0].copy()  # a copy, so the family's rows are freed
-            row0.flags.writeable = False
-            self.__dict__.setdefault(name, row0)
+        if "spectra" not in self.__dict__:  # then neither is entanglement
+            for name, rows in (("spectra", spectra), ("entanglement", ents)):
+                row0 = rows[0].copy()  # a copy, so the family's rows are freed
+                row0.flags.writeable = False
+                self.__dict__[name] = row0
         ents = ents[1:].copy()  # a copy: a view would keep every row alive
         ents.flags.writeable = False
         return ents

@@ -19,7 +19,7 @@ from nle.dissect import (
 )
 from nle.errors import BadParams, GramNotIdentity, NotAState, NotProductEnsemble, TrivialSet
 from nle.linalg import haar_unitary
-from nle.states import Ensemble, PureState, product_state, schmidt
+from nle.states import Ensemble, product_state, schmidt
 
 dissect_module = importlib.import_module("nle.dissect")  # ``nle.dissect`` itself is the function
 
@@ -92,18 +92,6 @@ class TestProductSet:
         assert [f.name for f in dataclasses.fields(ps)] == ["ensemble"]
         assert ps.ensemble is e
         assert (ps.dims, ps.probabilities, len(ps)) == (e.dims, e.probabilities, len(e))
-
-    def test_product_flag_at_another_atol_ignores_the_memo(self):
-        # the member is 1e-6 away from Schmidt rank one: a product at atol 1e-5 only
-        eps = 1e-6
-        member = np.array([math.sqrt(1 - eps), 0, 0, math.sqrt(eps)])
-        e = Ensemble.uniform((2, 2), [product_state((2, 2), [1, 0], [1, 0]),
-                                      PureState((2, 2), member)])
-        assert not e.is_product() and vars(e)["_product"] is False
-        assert e.is_product(1e-5) and not e.is_product()
-        vars(e)["_product"] = True  # a memo the default reads, and no other atol
-        assert e.is_product()
-        assert not e.is_product(1e-8) and e.is_product(1e-5)
 
     @pytest.mark.parametrize("name", ["e2-case2", "case-3x2", "nlwe-3x3", "tiles-upb", "random"])
     def test_as_product_set_parts_match_per_state_schmidt(self, name):
