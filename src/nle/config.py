@@ -1,4 +1,4 @@
-"""Centralized numeric tolerances.
+"""Centralized numeric tolerances and input size limits.
 
 Every module reads its thresholds from the single ``TOL`` instance so that
 all cutoffs live in one place.
@@ -28,3 +28,8 @@ class Tolerances:
 
 
 TOL = Tolerances()
+
+# Largest ensemble ``Ensemble`` accepts. Fixed mode gathers (d_A + d_B - 1) * k *
+# d_A*d_B complex numbers, at most 256 * 512 * 256 * 16 bytes = 512 MiB here.
+MAX_DIM_PRODUCT = 256  # d_A*d_B
+MAX_MEMBERS = 512      # k

@@ -56,6 +56,12 @@ class FileFormatError(NleError):
     code = "bad-file"
 
 
+class TooLarge(NleError):
+    """An ensemble beyond ``nle.config.MAX_DIM_PRODUCT`` or ``MAX_MEMBERS``."""
+
+    code = "too-large"
+
+
 class BadValue(NleError):
     """A numerical fault reported instead of a number: a quantifier value not
     finite or outside its proven range (delta ``[0, log2 min(d_A, d_B)]``,

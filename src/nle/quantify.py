@@ -176,8 +176,10 @@ _START_SCALE = 1e-3      # generator scale of the first start around the identit
 def _ascend(f, us: list) -> tuple[float, list]:
     """Steepest ascent of ``f`` over ``U(d_1) x ... x U(d_m)`` from the unitaries ``us``.
 
-    ``f(us)`` returns the value and the Euclidean gradients ``Gamma_j =
-    df/dconj(U_j)``, so that ``df = 2 Re sum_j tr(Gamma_j^dag dU_j)``. A step is
+    ``f(us)`` returns the value and a zero-argument callable that gives the
+    Euclidean gradients ``Gamma_j = df/dconj(U_j)``, so that ``df = 2 Re sum_j
+    tr(Gamma_j^dag dU_j)``; the ascent calls it only at the start and at each
+    accepted step, the points it moves from, never at a rejected trial. A step is
     ``U_j <- exp(t W_j) U_j`` with ``W_j = Gamma_j U_j^dag - U_j Gamma_j^dag``,
     the Riemannian gradient translated to the identity (Abrudan, Eriksson &
     Koivunen, IEEE TSP 2008); along it f rises at the rate ``|W|^2``, the
@@ -192,11 +194,11 @@ def _ascend(f, us: list) -> tuple[float, list]:
     ``_ASCENT_ROUNDS`` steps.
     """
 
-    def ascent(point):  # the value and the Riemannian gradient at ``point``
-        value, gammas = f(point)
-        return value, [g @ u.conj().T - u @ g.conj().T for g, u in zip(gammas, point)]
+    def riemannian(point, gammas):  # the Riemannian gradient at ``point``
+        return [g @ u.conj().T - u @ g.conj().T for g, u in zip(gammas(), point)]
 
-    v, w = ascent(us)
+    v, gammas = f(us)
+    w = riemannian(us, gammas)
     norm2 = _inner(w, w)
     t = _FIRST_ANGLE / math.sqrt(norm2) if norm2 else 0.0
     best, recent = (v, us), [v]
@@ -206,12 +208,13 @@ def _ascend(f, us: list) -> tuple[float, list]:
         floor = min(recent[-_MEMORY:])
         while True:
             cand = [expm_hermitian_unchecked(-1j * t * x) @ u for x, u in zip(w, us)]
-            v, cw = ascent(cand)
+            v, gammas = f(cand)
             if v >= floor + _ARMIJO * t * norm2:
                 break
             t *= 0.5
             if t * norm2 <= _GAIN_FLOOR:
                 return best
+        cw = riemannian(cand, gammas)
         y = [b - a for a, b in zip(w, cw)]
         sy, yy, ss = t * _inner(w, y), _inner(y, y), t * t * norm2
         us, w, norm2 = cand, cw, _inner(cw, cw)
@@ -228,23 +231,26 @@ def _inner(xs, ys) -> float:
     return sum(float(np.vdot(x, y).real) for x, y in zip(xs, ys))
 
 
-def _maximize(f, dims: list[int], restarts: int, seed: int) -> tuple[float, list]:
-    """Best ``(value, unitaries)`` of ``f`` (as in ``_ascend``) over ``U(d)`` for
-    each d in ``dims``: the identity, then one ascent per restart.
+def _starts(dims: list[int], restarts: int, seed: int) -> list:
+    """The start of each restart's ascent over ``U(d)`` for each d in ``dims``.
 
     Restart 0 starts within about ``_START_SCALE`` of the identity: a product
     input has a singular ``log rho``, and a zero gradient, at the identity
     itself. Later restarts start from Haar-random unitaries. All starts come
-    from ``seed``; a later candidate must be strictly better to win.
+    from ``seed``, drawn once per circuit and shared by its objectives.
     """
     rng = np.random.default_rng(seed)
-    identity = [np.eye(d, dtype=complex) for d in dims]
+    first = [expm_hermitian_unchecked(_START_SCALE * _gaussian_hermitian(rng, d)) for d in dims]
+    return [first] + [[haar_unitary(d, rng) for d in dims] for _ in range(restarts - 1)]
+
+
+def _maximize(f, starts: list) -> tuple[float, list]:
+    """Best ``(value, unitaries)`` of ``f`` (as in ``_ascend``): the identity,
+    valued without its gradient, then one ascent from each of ``starts``
+    (``_starts``); a later candidate must be strictly better to win."""
+    identity = [np.eye(len(u), dtype=complex) for u in starts[0]]
     best = (f(identity)[0], identity)
-    for restart in range(restarts):
-        if restart == 0:
-            start = [expm_hermitian_unchecked(_START_SCALE * _gaussian_hermitian(rng, d)) for d in dims]
-        else:
-            start = [haar_unitary(d, rng) for d in dims]
+    for start in starts:
         candidate = _ascend(f, start)
         if candidate[0] > best[0]:
             best = candidate
@@ -306,7 +312,8 @@ class _LuCircuit:
         Layer by layer in reverse: the permutation's gradient is ``grad``
         read through it; a B rotation ``Y U_B^T`` gives ``sum_k G^T conj(Y)``
         and passes ``G conj(U_B)`` on; an A rotation ``U_A X`` gives
-        ``sum_k G X^dag`` and passes ``U_A^dag G`` on.
+        ``sum_k G X^dag`` and passes ``U_A^dag G`` on, except the first
+        rotation, whose pass-on nothing reads.
         """
         k, (d_a, d_b) = grad.shape[0], self.dims
         gammas, j = [None] * len(unitaries), len(unitaries)
@@ -317,21 +324,23 @@ class _LuCircuit:
                 u, m = unitaries[j], inputs[j].conj()
                 if side == "B":
                     gammas[j] = np.einsum("kji,kjl->il", g, m)
-                    g = g @ u.conj()
+                    g = g @ u.conj() if j else g
                 else:
                     gammas[j] = np.einsum("kij,klj->il", g, m)
-                    g = u.conj().T @ g
+                    g = u.conj().T @ g if j else g
             grad = g.reshape(k, d_a * d_b)
         return gammas
 
     def on(self, stack: np.ndarray, objective):
-        """``objective`` (the transformed stack to the value and ``df/dconj``
-        of it) as a function of this circuit's unitaries, for ``_ascend``."""
+        """``objective`` (the transformed stack to the value and a callable
+        giving ``df/dconj`` of it) as a function of this circuit's unitaries,
+        for ``_ascend``: the value now, and a callable that runs the backward
+        pass only when the gradient is asked for."""
 
         def f(unitaries):
             out, inputs = self.forward(stack, unitaries)
             value, grad = objective(out)
-            return value, self.backward(unitaries, inputs, grad)
+            return value, lambda: self.backward(unitaries, inputs, grad())
 
         return f
 
@@ -343,14 +352,14 @@ def _searched_transforms(stack, dims, mode: Mode, objectives, seeds: dict) -> li
 
     The stack goes through the mode's circuit at the unitaries ``_maximize``
     finds for the best of ``objectives``, each ascended on its own from the
-    same starts.
+    circuit's one set of starts.
     """
     out = []
     for direction, r in cnot_family(dims):
         if direction in seeds:
             circuit = _LuCircuit(dims, direction, mode.rotate, mode.depth, r)
-            found = (_maximize(circuit.on(stack, o), circuit.unitary_dims, mode.restarts,
-                               seeds[direction]) for o in objectives)
+            starts = _starts(circuit.unitary_dims, mode.restarts, seeds[direction])
+            found = (_maximize(circuit.on(stack, o), starts) for o in objectives)
             unitaries = max(found, key=lambda candidate: candidate[0])[1]  # first of equals
             out.append((direction, r, circuit.transform(stack, unitaries)))
     return out
@@ -518,7 +527,8 @@ def _shift_capacities(target: np.ndarray, present: np.ndarray):
 
 
 def _delta_objective(t: np.ndarray, probs, dims):
-    """Value and gradient of a delta search at the transformed stack ``t``.
+    """Value of a delta search at the transformed stack ``t``, and a callable
+    that gives the gradient there.
 
     The value is the ``probs``-weighted entanglement of the members
     (``probs=np.ones(1)`` for a single member). With ``M_k`` a member's
@@ -529,12 +539,13 @@ def _delta_objective(t: np.ndarray, probs, dims):
     """
     m = t.reshape(len(t), *dims)
     ents, logs = _entropies_and_logs(m @ m.conj().swapaxes(1, 2))
-    return float(probs @ ents), (-probs[:, None, None] * (logs @ m)).reshape(t.shape)
+    return float(probs @ ents), lambda: (-probs[:, None, None] * (logs() @ m)).reshape(t.shape)
 
 
 def _gap_objective(t: np.ndarray, probs, dims, s_bar, side: str):
-    """Value and gradient of a gap search at the transformed stack ``t``: the
-    drop of the ``side`` entropy of the mixture from ``s_bar``.
+    """Value of a gap search at the transformed stack ``t``, the drop of the
+    ``side`` entropy of the mixture from ``s_bar``, and a callable that gives
+    the gradient there.
 
     ``rho_A = sum_k p_k M_k M_k^dag`` gives the gradient ``p_k L_A M_k``;
     ``rho_B``, taken as ``sum_k p_k M_k^dag M_k`` (the conjugate of the B
@@ -545,19 +556,27 @@ def _gap_objective(t: np.ndarray, probs, dims, s_bar, side: str):
     weighted = probs[:, None, None] * m
     if side == "A":
         s, log = _entropies_and_logs(np.einsum("kij,klj->il", weighted, m.conj()))
-        grad = log @ weighted
     else:
         s, log = _entropies_and_logs(np.einsum("kji,kjl->il", m.conj(), weighted))
-        grad = weighted @ log
-    return s_bar["AB".index(side)] - float(s), grad.reshape(t.shape)
+
+    def grad():
+        return (log() @ weighted if side == "A" else weighted @ log()).reshape(t.shape)
+
+    return s_bar["AB".index(side)] - float(s), grad
 
 
 def _entropies_and_logs(rho: np.ndarray):
-    """Entropies (``entropy_bits``) and ``log2`` of a stack of density
-    matrices; eigenvalues below ``TOL.eig_floor`` take the floor's log."""
+    """Entropies (``entropy_bits``) of a stack of density matrices, and a
+    callable that gives their ``log2`` from the same eigensolve; eigenvalues
+    below ``TOL.eig_floor`` take the floor's log. Nothing writes to the
+    arrays the callables close over, so a later call sees what the value saw."""
     lam, vecs = np.linalg.eigh(rho)
-    logs = np.log2(np.maximum(lam, TOL.eig_floor))
-    return entropy_bits(lam), (vecs * logs[..., None, :]) @ vecs.conj().swapaxes(-1, -2)
+
+    def logs():
+        floored = np.log2(np.maximum(lam, TOL.eig_floor))
+        return (vecs * floored[..., None, :]) @ vecs.conj().swapaxes(-1, -2)
+
+    return entropy_bits(lam), logs
 
 
 # ---------------------------------------------------------------------------

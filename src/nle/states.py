@@ -12,8 +12,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .config import TOL
-from .errors import BadParams, DimensionMismatch, NotAState
+from .config import MAX_DIM_PRODUCT, MAX_MEMBERS, TOL
+from .errors import BadParams, DimensionMismatch, NotAState, TooLarge
 from .linalg import cnot_family_gather, gram, partial_trace
 
 LOG2 = math.log(2.0)
@@ -101,6 +101,9 @@ class Ensemble:
 
     def __post_init__(self):
         dims = _dims(self.dims)
+        if dims[0] * dims[1] > MAX_DIM_PRODUCT or len(self.states) > MAX_MEMBERS:
+            raise TooLarge(f"{len(self.states)} members on {dims[0]}x{dims[1]}: at most "
+                           f"{MAX_MEMBERS} members and d_A*d_B <= {MAX_DIM_PRODUCT}")
         probs = tuple(float(p) for p in self.probabilities)
         if len(probs) != len(self.states) or not self.states:
             raise DimensionMismatch("probabilities and states must pair up")

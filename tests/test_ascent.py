@@ -11,6 +11,10 @@ on the target both commute with the controlled shift.
 never falls below the parameter-free circuit or above the per-state closed
 form, is deterministic for a seed, and raises ``BadValue`` (exit code 2)
 rather than return a number when its step budget runs out.
+(d) The search takes a gradient only where it moves from: one backward pass
+at each ascent's start and one per accepted step (the steps its budget
+counts), none at a rejected trial or at the identity, and the objectives of
+one circuit share one set of starts.
 """
 
 import functools
@@ -23,12 +27,15 @@ import nle.quantify as quantify
 from nle import catalog
 from nle.cli import main
 from nle.errors import BadValue
-from nle.linalg import expm_hermitian_unchecked, haar_unitary
+from nle.linalg import cnot_family, expm_hermitian_unchecked, haar_unitary
 from nle.quantify import (
     Mode,
+    _ascend,
     _delta_objective,
     _gap_objective,
     _LuCircuit,
+    _maximize,
+    _starts,
     average_entropy_gap,
     nonlocal_entropy,
 )
@@ -69,7 +76,7 @@ def test_gradient_matches_central_differences(dims, kind, depth, rotate, directi
     f = circuit.on(e.amplitudes, _objective(kind, e))
     rng = np.random.default_rng(len(kind) + 7 * depth)
     us = [haar_unitary(d, rng) for d in circuit.unitary_dims]
-    _, gammas = f(us)
+    gammas = f(us)[1]()
     for _ in range(3):
         xs = [_skew(rng, d) for d in circuit.unitary_dims]
         # d/de f(exp(e X_j) U_j) at 0 is 2 Re sum_j tr(Gamma_j^dag X_j U_j)
@@ -91,7 +98,7 @@ def test_gauge_directions_have_zero_gradient(dims, kind, direction):
     circuit = _LuCircuit(dims, direction, "both", 1, 1)
     rng = np.random.default_rng(3)
     us = [haar_unitary(d, rng) for d in circuit.unitary_dims]
-    _, gammas = circuit.on(e.amplitudes, _objective(kind, e))(us)
+    gammas = circuit.on(e.amplitudes, _objective(kind, e))(us)[1]()
     w = dict(zip("AB", (g @ u.conj().T - u @ g.conj().T for g, u in zip(gammas, us))))
     control, target = ("A", "B") if direction == "right" else ("B", "A")
     d_t = w[target].shape[0]
@@ -141,3 +148,39 @@ def test_step_budget_raises_bad_value(monkeypatch, capsys):
     assert err.value.code == "bad-value"
     assert main(["big-delta", "--ensemble", "bell-triple", "--mode", "ensemble-lu"]) == 2
     assert "bad-value" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("rotate", ROTATIONS)
+@pytest.mark.parametrize("kind", OBJECTIVES)
+def test_gradient_taken_only_where_the_ascent_moves(monkeypatch, kind, rotate):
+    e = _random_ensemble((2, 3), 3, seed=6)
+    circuit = _LuCircuit(e.dims, "right", rotate, 1, 1)
+    passes, backward = [], circuit.backward
+    circuit.backward = lambda *args: passes.append(args) or backward(*args)
+    f = circuit.on(e.amplitudes, _objective(kind, e))
+    starts = _starts(circuit.unitary_dims, 3, seed=11)
+    per_ascent = []
+    for start in starts:
+        passes.clear()
+        value = _ascend(f, start)[0]
+        n = len(passes)
+        # n - 1 accepted steps: a budget of n steps finishes, one of n - 1 runs out
+        monkeypatch.setattr(quantify, "_ASCENT_ROUNDS", n)
+        assert _ascend(f, start)[0] == value
+        monkeypatch.setattr(quantify, "_ASCENT_ROUNDS", n - 1)
+        with pytest.raises(BadValue):
+            _ascend(f, start)
+        monkeypatch.undo()
+        per_ascent.append(n)
+    assert min(per_ascent) > 2  # every ascent took steps
+    passes.clear()
+    _maximize(f, starts)
+    assert len(passes) == sum(per_ascent)  # none for the identity
+
+
+@pytest.mark.parametrize("name", ["bell-triple", "more-nl-mixed"])
+def test_gap_objectives_share_one_set_of_starts(monkeypatch, name):
+    e, drawn = catalog.build(name), []
+    monkeypatch.setattr(quantify, "_starts", lambda *args: drawn.append(args) or _starts(*args))
+    average_entropy_gap(e, Mode("ensemble-lu", restarts=2, seed=3))
+    assert len(drawn) == len(cnot_family(e.dims))  # one per circuit, not one per side

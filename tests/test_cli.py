@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nle.cli import load_ensemble_file, main
+from nle.config import MAX_DIM_PRODUCT, MAX_MEMBERS
 from nle.errors import FileFormatError
 
 ROOT2 = 1 / math.sqrt(2)
@@ -423,6 +424,16 @@ class TestFileLoading:
         err = capsys.readouterr().err
         assert err.count("'dims' do not match the 2 amplitudes of state 0") == len(FILE_COMMANDS)
         assert not any(len(word) > 20 for word in err.split())
+
+    @pytest.mark.parametrize("dims,members", [((MAX_DIM_PRODUCT + 1, 1), 1),
+                                              ((1, 1), MAX_MEMBERS + 1)], ids=["dims", "members"])
+    def test_too_large_exits_as_domain_error(self, tmp_path, capsys, dims, members):
+        amplitudes = [[1, 0]] + [[0, 0]] * (dims[0] * dims[1] - 1)
+        path = tmp_path / "large.json"
+        path.write_text(json.dumps({"dims": dims, "states": [{"amplitudes": amplitudes}] * members}))
+        for command in FILE_COMMANDS:
+            assert main([command, "--file", str(path)]) == 2, command
+        assert capsys.readouterr().err.count("error [too-large]") == len(FILE_COMMANDS)
 
     @given(document=fuzzed_documents())
     @settings(max_examples=120, deadline=None)

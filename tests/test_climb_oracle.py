@@ -26,16 +26,18 @@ from nle import catalog
 from nle.config import TOL
 from nle.gates import hermitian_from_coeffs
 from nle.linalg import expm_hermitian_unchecked, haar_unitary
-from nle.quantify import _ascend, _delta_objective, _gap_objective, _LuCircuit, _maximize
+from nle.quantify import (_ascend, _delta_objective, _gap_objective, _LuCircuit, _maximize,
+                          _starts)
 from nle.states import mixture_marginal_entropies
 
 
 def sequential_ascend(f, us, rounds=10_000):
-    """Riemannian steepest ascent of ``f`` (value, ``df/dconj(U_j)``) from ``us``."""
+    """Riemannian steepest ascent of ``f`` (value, callable giving
+    ``df/dconj(U_j)``) from ``us``; it takes the gradient at every point."""
 
     def riemannian(point):
         value, gammas = f(point)
-        return value, [g @ u.conj().T - u @ g.conj().T for g, u in zip(gammas, point)]
+        return value, [g @ u.conj().T - u @ g.conj().T for g, u in zip(gammas(), point)]
 
     def inner(xs, ys):
         return sum(float(np.vdot(x, y).real) for x, y in zip(xs, ys))
@@ -112,10 +114,11 @@ def _one_at_a_time(circuit, stack, objective):
     def f(unitaries):
         passes = [circuit.forward(stack[i : i + 1], unitaries) for i in range(len(stack))]
         value, grad = objective(np.concatenate([out for out, _ in passes]))
+        grad = grad()
         gammas = [0.0] * len(unitaries)
         for i, (_, inputs) in enumerate(passes):
             gammas = [a + b for a, b in zip(gammas, circuit.backward(unitaries, inputs, grad[i : i + 1]))]
-        return value, gammas
+        return value, lambda: gammas
 
     return f
 
@@ -175,7 +178,7 @@ def _noisy(dims):
     def f(unitaries):
         value = sum(float(np.vdot(c, u).real) for c, u in zip(cs, unitaries))
         ripple = sum(float(np.sin(1e7 * u.real).sum()) for u in unitaries)
-        return value + 1e-10 * ripple, [c / 2.0 for c in cs]
+        return value + 1e-10 * ripple, lambda: [c / 2.0 for c in cs]
 
     return f
 
@@ -187,7 +190,7 @@ def test_batched_climb_walks_the_sequential_path(kind, n, restarts, seed):
     if kind == "noisy":
         f = _noisy(NOISY_DIMS[n])
         want_v, want_us, _ = sequential_maximize(f, NOISY_DIMS[n], restarts, seed)
-        got_v, got_us = _maximize(f, NOISY_DIMS[n], restarts, seed)
+        got_v, got_us = _maximize(f, _starts(NOISY_DIMS[n], restarts, seed))
         assert type(got_v) is float
         assert _same_bits(got_v, want_v), (got_v, want_v)
         assert len(got_us) == len(want_us)
@@ -197,7 +200,7 @@ def test_batched_climb_walks_the_sequential_path(kind, n, restarts, seed):
     assert sum(d * d for d in circuit.unitary_dims) == n
     for sequential, stacked in pairs:
         want_v, _, walks = sequential_maximize(sequential, circuit.unitary_dims, restarts, seed)
-        got_v, got_us = _maximize(stacked, circuit.unitary_dims, restarts, seed)
+        got_v, got_us = _maximize(stacked, _starts(circuit.unitary_dims, restarts, seed))
         assert type(got_v) is float
         assert abs(got_v - want_v) <= 1e-12, (got_v, want_v)
         assert abs(stacked(got_us)[0] - got_v) <= 1e-12

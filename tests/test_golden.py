@@ -2,11 +2,14 @@
 
 The ``exact`` records must be reproduced byte for byte: the seeded delta
 searches, where any change to the entropy kernel, the unitary
-parameterization or the transforms that moves a float shows, and the fixed
-circuit's outputs (fixed big-delta and bounds in both directions on every
-catalog entry, fixed delta on every product entry), where a one-ulp move in
-the family or mixture path shows. The ``close`` records are compared within
-1e-12.
+parameterization or the transforms that moves a float shows; the seeded gap
+searches (ensemble-lu big-delta with 2 restarts and seed 3 on four entries,
+each rotated side), where any change to the gap objective, its gradient or
+the starts shows; and the fixed circuit's outputs (fixed big-delta and
+bounds in both directions on every catalog entry, fixed delta on every
+product entry), where a one-ulp move in the family or mixture path shows.
+The ``close`` records, compared within 1e-12, are the commands no ``exact``
+record pins.
 """
 
 import json

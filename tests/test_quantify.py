@@ -15,6 +15,7 @@ from nle.quantify import (
     _delta_objective,
     _LuCircuit,
     _maximize,
+    _starts,
     _work,
     assign_partition,
     assign_unitary,
@@ -291,9 +292,9 @@ def optimize_unitary(objective, dim: int, restarts: int = 8, seed: int = 0):
 
     def f(us):
         value, gamma = objective(us[0])
-        return value, [gamma]
+        return value, lambda: [gamma]
 
-    val, us = _maximize(f, [dim], restarts, seed)
+    val, us = _maximize(f, _starts([dim], restarts, seed))
     return val, us[0]
 
 
@@ -326,7 +327,7 @@ class TestOptimizeUnitary:
         stack = np.ones((1, 9), dtype=complex) / 3.0
         circuit = _LuCircuit((3, 3), "right", "target", 1, 1)
         f = circuit.on(stack, lambda t: _delta_objective(t, np.ones(1), (3, 3)))
-        val, us = _maximize(f, circuit.unitary_dims, 8, 0)
+        val, us = _maximize(f, _starts(circuit.unitary_dims, 8, 0))
         assert abs(val - LOG2_3) <= 1e-9
         out = circuit.transform(stack, us)
         assert abs(entanglement_entropy(PureState((3, 3), out[0])) - LOG2_3) <= 1e-9

@@ -6,7 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nle.catalog import bell_state
-from nle.errors import DimensionMismatch, NotAState
+from nle.config import MAX_DIM_PRODUCT, MAX_MEMBERS
+from nle.errors import DimensionMismatch, NotAState, TooLarge
 from nle.linalg import haar_unitary, partial_trace, tensor
 from nle.states import (
     Ensemble,
@@ -291,6 +292,29 @@ class TestEnsemble:
         with pytest.raises(DimensionMismatch) as err:
             Ensemble(dims, (1.0,), (bell_state("phi+"),))
         assert err.value.code == "bad-dims"
+
+    @pytest.mark.parametrize("dims", [(MAX_DIM_PRODUCT + 1, 1), (1, MAX_DIM_PRODUCT + 1), (15, 18)])
+    def test_rejects_too_many_dimensions(self, dims):
+        state = PureState(dims, np.eye(1, dims[0] * dims[1])[0])
+        with pytest.raises(TooLarge) as err:
+            Ensemble(dims, (1.0,), (state,))
+        assert err.value.code == "too-large"
+
+    def test_rejects_too_many_members(self):
+        state = PureState((1, 1), [1.0])
+        with pytest.raises(TooLarge) as err:
+            Ensemble.uniform((1, 1), [state] * (MAX_MEMBERS + 1))
+        assert err.value.code == "too-large"
+
+    def test_admits_the_limits(self):
+        # the largest fixed-mode stack, (d_A + d_B - 1) * k * d_A*d_B complex
+        # numbers, is largest for dims (MAX_DIM_PRODUCT, 1), and stays under 1 GB
+        assert MAX_DIM_PRODUCT * MAX_MEMBERS * MAX_DIM_PRODUCT * 16 < 2**30
+        e = Ensemble.uniform((1, 1), [PureState((1, 1), [1.0])] * MAX_MEMBERS)
+        assert len(e) == MAX_MEMBERS
+        for dims in [(MAX_DIM_PRODUCT, 1), (16, MAX_DIM_PRODUCT // 16)]:
+            state = PureState(dims, np.eye(1, MAX_DIM_PRODUCT)[0])
+            assert Ensemble(dims, (1.0,), (state,)).dims == dims
 
     def test_equality_is_identity(self):
         from nle.dissect import as_product_set
