@@ -3,21 +3,17 @@
 
 For the first three members of the four-state family {a|00>+b|11>,
 -b|00>+a|11>, a|01>+b|10>, -b|01>+a|10>} the fixed-transform gap has the
-closed form (1/3)[2 - (2-b^2)log2(2-b^2) - (1+b^2)log2(1+b^2)]; this script
-sweeps b, compares the numerical value against the expression, and also
-reports the full-set and best-pair values for context.
+closed form (1/3)[2 - (2-b^2)log2(2-b^2) - (1+b^2)log2(1+b^2)], which
+``nle.reproduce`` checks; this script sweeps b, compares the numerical value
+against the expression, and also reports the full-set and best-pair values
+for context.
 """
 
 import argparse
-import math
 
 from nle import catalog
 from nle.quantify import Mode, average_entropy_gap
-
-
-def closed_form(b: float) -> float:
-    b2 = b * b
-    return (2.0 - (2.0 - b2) * math.log2(2.0 - b2) - (1.0 + b2) * math.log2(1.0 + b2)) / 3.0
+from nle.reproduce import _ghosh_three
 
 
 def main() -> None:
@@ -30,11 +26,11 @@ def main() -> None:
           f"{'full set':>10} {'pair':>8}")
     for i in range(1, args.points + 1):
         b = i / (args.points + 1)
-        a = math.sqrt(1.0 - b * b)
-        first3 = catalog.build("ghosh-nonmax", {"a": a, "b": b, "count": 3})
-        full = catalog.build("ghosh-nonmax", {"a": a, "b": b})
+        pairs, expr = _ghosh_three(b)
+        params = dict(pairs)
+        first3 = catalog.build("ghosh-nonmax", params)
+        full = catalog.build("ghosh-nonmax", {**params, "count": 4})
         got = average_entropy_gap(first3, fixed).right
-        expr = closed_form(b)
         full_gap = average_entropy_gap(full, fixed).right
         pair_gap = average_entropy_gap(full.subset([0, 2]), assign).right
         print(f"{b:6.3f} {got:12.8f} {expr:12.8f} {abs(got - expr):10.2e} "

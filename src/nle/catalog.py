@@ -1,7 +1,7 @@
-"""Constructors for the named ensembles exercised throughout the package.
+"""The named ensembles exercised throughout the package, as one table.
 
-Entry names are stable identifiers used by the CLI. Builders normalize all
-amplitudes explicitly and default to uniform probabilities.
+Entry names are stable identifiers used by the CLI. Each member is normalized
+explicitly, and each entry is built with uniform probabilities.
 """
 
 from __future__ import annotations
@@ -12,8 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import TOL
-from .errors import BadParams, NoSuchEntry
+from .config import MAX_DIM_PRODUCT, TOL
+from .errors import BadParams, NoSuchEntry, TooLarge
 from .states import Ensemble, PureState, is_integer, product_state
 
 OMEGA3 = np.exp(2j * np.pi / 3)
@@ -24,7 +24,8 @@ def _ket(*amps) -> np.ndarray:
     return v / np.linalg.norm(v)
 
 
-def _joint(dims, a, b) -> PureState:
+def _joint(dims, parts) -> PureState:
+    a, b = parts
     return product_state(dims, _ket(*a), _ket(*b))
 
 
@@ -43,22 +44,12 @@ def bell_state(kind: str) -> PureState:
     return _pure((2, 2), np.array(table[kind]) / math.sqrt(2))
 
 
+def _bell(dims, kind) -> PureState:
+    return bell_state(kind)
+
+
 # ---------------------------------------------------------------------------
 # builders
-
-
-def _build_e1(vals) -> Ensemble:
-    dims = (2, 2)
-    states = [_joint(dims, [1, 0], [1, 0]), _joint(dims, [1, 0], [0, 1]),
-              _joint(dims, [0, 1], [1, 0]), _joint(dims, [0, 1], [0, 1])]
-    return Ensemble.uniform(dims, states, name="e1-computational")
-
-
-def _build_e2(vals) -> Ensemble:
-    dims = (2, 2)
-    states = [_joint(dims, [1, 0], [1, 1]), _joint(dims, [1, 0], [1, -1]),
-              _joint(dims, [0, 1], [1, 0]), _joint(dims, [0, 1], [0, 1])]
-    return Ensemble.uniform(dims, states, name="e2-case2")
 
 
 def _eta_pair(a: complex, b: complex) -> tuple[np.ndarray, np.ndarray]:
@@ -127,64 +118,8 @@ def _ab_pairs(vals, suffixes):
     return out
 
 
-def _build_walgate_hardy(vals) -> Ensemble:
-    (a1, b1), (a2, b2) = _ab_pairs(vals, "12")
-    return Ensemble.uniform((2, 2), walgate_hardy_states([a1, b1], [a2, b2]),
-                            name="walgate-hardy")
-
-
-def _build_case_3x2(vals) -> Ensemble:
-    dims = (3, 2)
-    states = [_joint(dims, [0, 1, 1], [1, 0]), _joint(dims, [0, 1, -1], [1, 0]),
-              _joint(dims, [0, 1, 0], [0, 1]), _joint(dims, [0, 0, 1], [0, 1]),
-              _joint(dims, [1, 0, 0], [1, 0]), _joint(dims, [1, 0, 0], [0, 1])]
-    return Ensemble.uniform(dims, states, name="case-3x2")
-
-
-def _build_nlwe(vals) -> Ensemble:
-    dims = (3, 3)
-    states = [
-        _joint(dims, [0, 1, 0], [0, 1, 0]),
-        _joint(dims, [1, 0, 0], [1, 1, 0]),
-        _joint(dims, [1, 0, 0], [1, -1, 0]),
-        _joint(dims, [0, 0, 1], [0, 1, 1]),
-        _joint(dims, [0, 0, 1], [0, 1, -1]),
-        _joint(dims, [0, 1, 1], [1, 0, 0]),
-        _joint(dims, [0, 1, -1], [1, 0, 0]),
-        _joint(dims, [1, 1, 0], [0, 0, 1]),
-        _joint(dims, [1, -1, 0], [0, 0, 1]),
-    ]
-    return Ensemble.uniform(dims, states, name="nlwe-3x3")
-
-
-def _build_tiles(vals) -> Ensemble:
-    dims = (3, 3)
-    states = [
-        _joint(dims, [1, 0, 0], [1, -1, 0]),
-        _joint(dims, [0, 0, 1], [0, 1, -1]),
-        _joint(dims, [1, -1, 0], [0, 0, 1]),
-        _joint(dims, [0, 1, -1], [1, 0, 0]),
-        _joint(dims, [1, 1, 1], [1, 1, 1]),
-    ]
-    return Ensemble.uniform(dims, states, name="tiles-upb")
-
-
-def _build_bell_pair(vals) -> Ensemble:
-    return Ensemble.uniform((2, 2), [bell_state("phi+"), bell_state("phi-")], name="bell-pair")
-
-
-def _build_bell_triple(vals) -> Ensemble:
-    return Ensemble.uniform(
-        (2, 2), [bell_state("phi+"), bell_state("phi-"), bell_state("psi-")], name="bell-triple"
-    )
-
-
-def _build_bell_full(vals) -> Ensemble:
-    return Ensemble.uniform(
-        (2, 2),
-        [bell_state("phi+"), bell_state("phi-"), bell_state("psi+"), bell_state("psi-")],
-        name="bell-full",
-    )
+def _build_walgate_hardy(vals):
+    return (2, 2), walgate_hardy_states(*_ab_pairs(vals, "12"))
 
 
 def orth_pair_states(eta1, eta2) -> list[PureState]:
@@ -197,9 +132,8 @@ def orth_pair_states(eta1, eta2) -> list[PureState]:
     return [PureState(dims, psi1), PureState(dims, psi2)]
 
 
-def _build_orth_pair(vals) -> Ensemble:
-    (a1, b1), (a2, b2) = _ab_pairs(vals, "12")
-    return Ensemble.uniform((2, 2), orth_pair_states([a1, b1], [a2, b2]), name="orth-pair")
+def _build_orth_pair(vals):
+    return (2, 2), orth_pair_states(*_ab_pairs(vals, "12"))
 
 
 def ghosh_states(a: float, b: float) -> list[PureState]:
@@ -212,32 +146,12 @@ def ghosh_states(a: float, b: float) -> list[PureState]:
     ]
 
 
-def _build_ghosh(vals) -> Ensemble:
+def _build_ghosh(vals):
     [(a, b)] = _ab_pairs(vals, [""])
     count = _integer_param(vals, "count")
     if not 1 <= count <= 4:
         raise BadParams("count must lie in 1..4")
-    return Ensemble.uniform((2, 2), ghosh_states(a, b)[:count], name="ghosh-nonmax")
-
-
-def _build_more_nl_mes(vals) -> Ensemble:
-    dims = (3, 3)
-    states = [
-        _pure(dims, [1, 0, 0, 0, OMEGA3, 0, 0, 0, OMEGA3**2]),
-        _pure(dims, [1, 0, 0, 0, OMEGA3**2, 0, 0, 0, OMEGA3]),
-        _pure(dims, [0, 1, 0, 0, 0, 1, 1, 0, 0]),
-    ]
-    return Ensemble.uniform(dims, states, name="more-nl-mes")
-
-
-def _build_more_nl_mixed(vals) -> Ensemble:
-    dims = (3, 3)
-    states = [
-        _pure(dims, [1, 0, 0, 0, OMEGA3, 0, 0, 0, OMEGA3**2]),
-        _pure(dims, [1, 0, 0, 0, OMEGA3**2, 0, 0, 0, OMEGA3]),
-        _pure(dims, [0, 1, 0, 0, 0, 0, 0, 0, 0]),
-    ]
-    return Ensemble.uniform(dims, states, name="more-nl-mixed")
+    return (2, 2), ghosh_states(a, b)[:count]
 
 
 def canonical_mes_state(d: int, shift: int, phase: int) -> PureState:
@@ -248,10 +162,12 @@ def canonical_mes_state(d: int, shift: int, phase: int) -> PureState:
     return PureState((d, d), amps)
 
 
-def _build_canonical_mes(vals) -> Ensemble:
+def _build_canonical_mes(vals):
     d = _integer_param(vals, "d")
     if d < 2:
         raise BadParams("d must be >= 2")
+    if d * d > MAX_DIM_PRODUCT:
+        raise TooLarge(f"canonical-mes on {d}x{d}: d_A*d_B must be <= {MAX_DIM_PRODUCT}")
     block, count = _integer_param(vals, "block"), _integer_param(vals, "count")
     indices = vals["indices"]
     if sum(x is not None for x in (block, count, indices)) > 1:
@@ -272,12 +188,7 @@ def _build_canonical_mes(vals) -> Ensemble:
             or len(set(indices)) != len(indices):
         raise BadParams("indices must be distinct integers in 0..d*d-1")
     # index = shift * d + phase, so one block occupies a contiguous chunk
-    states = [canonical_mes_state(d, i // d, i % d) for i in indices]
-    return Ensemble.uniform((d, d), states, name="canonical-mes")
-
-
-# ---------------------------------------------------------------------------
-# the table
+    return (d, d), [canonical_mes_state(d, i // d, i % d) for i in indices]
 
 
 @dataclass(frozen=True)
@@ -291,30 +202,62 @@ class CatalogEntry:
     product: bool
 
 
+# ---------------------------------------------------------------------------
+# the table
+
+
 # name: (builder, description, parameter defaults), in the documented order;
 # the defaults are the one source of each parameter's value: a builder is
-# called with them, updated by the caller's non-None params
+# called with them, updated by the caller's non-None params, and gives
+# ``(dims, members)``. A fixed set's builder is the row ``(dims, normalize,
+# specs)``: its members are ``normalize(dims, spec)``, each spec unnormalized.
 _CATALOG = {
-    "e1-computational": (_build_e1, "two-qubit computational product basis", {}),
-    "e2-case2": (_build_e2, "product basis distinguishable only when A starts", {}),
+    "e1-computational": (((2, 2), _joint, [([1, 0], [1, 0]), ([1, 0], [0, 1]),
+                                           ([0, 1], [1, 0]), ([0, 1], [0, 1])]),
+                         "two-qubit computational product basis", {}),
+    "e2-case2": (((2, 2), _joint, [([1, 0], [1, 1]), ([1, 0], [1, -1]),
+                                   ([0, 1], [1, 0]), ([0, 1], [0, 1])]),
+                 "product basis distinguishable only when A starts", {}),
     "walgate-hardy": (_build_walgate_hardy,
                       "general two-qubit product basis from two single-qubit states",
                       {"a1": 1 / math.sqrt(2), "b1": None, "a2": 1.0, "b2": None}),
-    "case-3x2": (_build_case_3x2, "3x2 product basis that blocks an A-start protocol", {}),
-    "nlwe-3x3": (_build_nlwe,
+    "case-3x2": (((3, 2), _joint, [([0, 1, 1], [1, 0]), ([0, 1, -1], [1, 0]),
+                                   ([0, 1, 0], [0, 1]), ([0, 0, 1], [0, 1]),
+                                   ([1, 0, 0], [1, 0]), ([1, 0, 0], [0, 1])]),
+                 "3x2 product basis that blocks an A-start protocol", {}),
+    "nlwe-3x3": (((3, 3), _joint, [([0, 1, 0], [0, 1, 0]),
+                                   ([1, 0, 0], [1, 1, 0]),
+                                   ([1, 0, 0], [1, -1, 0]),
+                                   ([0, 0, 1], [0, 1, 1]),
+                                   ([0, 0, 1], [0, 1, -1]),
+                                   ([0, 1, 1], [1, 0, 0]),
+                                   ([0, 1, -1], [1, 0, 0]),
+                                   ([1, 1, 0], [0, 0, 1]),
+                                   ([1, -1, 0], [0, 0, 1])]),
                  "two-qutrit full product basis exhibiting nonlocality without entanglement", {}),
-    "tiles-upb": (_build_tiles, "tiles unextendible product basis in two qutrits", {}),
-    "bell-pair": (_build_bell_pair, "two maximally entangled states phi+, phi-", {}),
-    "bell-triple": (_build_bell_triple, "three Bell states phi+, phi-, psi-", {}),
-    "bell-full": (_build_bell_full, "the full Bell basis", {}),
+    "tiles-upb": (((3, 3), _joint, [([1, 0, 0], [1, -1, 0]),
+                                    ([0, 0, 1], [0, 1, -1]),
+                                    ([1, -1, 0], [0, 0, 1]),
+                                    ([0, 1, -1], [1, 0, 0]),
+                                    ([1, 1, 1], [1, 1, 1])]),
+                  "tiles unextendible product basis in two qutrits", {}),
+    "bell-pair": (((2, 2), _bell, ["phi+", "phi-"]),
+                  "two maximally entangled states phi+, phi-", {}),
+    "bell-triple": (((2, 2), _bell, ["phi+", "phi-", "psi-"]),
+                    "three Bell states phi+, phi-, psi-", {}),
+    "bell-full": (((2, 2), _bell, ["phi+", "phi-", "psi+", "psi-"]), "the full Bell basis", {}),
     "orth-pair": (_build_orth_pair, "two orthogonal, generally entangled states",
                   {"a1": 4 / 5, "b1": None, "a2": 3 / 4, "b2": None}),
     "ghosh-nonmax": (_build_ghosh, "full basis of nonmaximally entangled two-qubit states",
                      {"a": 4 / 5, "b": None, "count": 4}),
-    "more-nl-mes": (_build_more_nl_mes,
+    "more-nl-mes": (((3, 3), _pure, [[1, 0, 0, 0, OMEGA3, 0, 0, 0, OMEGA3**2],
+                                     [1, 0, 0, 0, OMEGA3**2, 0, 0, 0, OMEGA3],
+                                     [0, 1, 0, 0, 0, 1, 1, 0, 0]]),
                     "three maximally entangled qutrit states, locally distinguishable", {}),
     "more-nl-mixed": (
-        _build_more_nl_mixed,
+        ((3, 3), _pure, [[1, 0, 0, 0, OMEGA3, 0, 0, 0, OMEGA3**2],
+                         [1, 0, 0, 0, OMEGA3**2, 0, 0, 0, OMEGA3],
+                         [0, 1, 0, 0, 0, 0, 0, 0, 0]]),
         "two maximally entangled states plus a product state, locally indistinguishable", {}),
     "canonical-mes": (_build_canonical_mes,
                       "canonical maximally entangled basis, organized into shift blocks",
@@ -322,11 +265,22 @@ _CATALOG = {
 }
 
 
+def _make(name: str, vals: dict) -> Ensemble:
+    """Entry ``name`` from its row, with uniform probabilities and its table key
+    as its name; ``vals`` are the parameters a parameterized entry's builder reads."""
+    row = _CATALOG[name][0]
+    if callable(row):
+        dims, members = row(vals)
+    else:
+        dims, normalize, specs = row
+        members = [normalize(dims, spec) for spec in specs]
+    return Ensemble.uniform(dims, members, name=name)
+
+
 @functools.cache
 def _default(name: str) -> Ensemble:
     """The entry built with its defaults, once per process; every array of it is read-only."""
-    builder, _, defaults = _CATALOG[name]
-    return builder(dict(defaults))
+    return _make(name, dict(_CATALOG[name][2]))
 
 
 def entries() -> list[CatalogEntry]:
@@ -348,7 +302,7 @@ def build(name: str, params: dict | None = None) -> Ensemble:
         raise NoSuchEntry(f"unknown catalog entry {name!r}")
     if not params:
         return _default(name)
-    builder, _, defaults = _CATALOG[name]
+    defaults = _CATALOG[name][2]
     if not defaults:
         raise BadParams(f"{name} takes no parameters, not {sorted(params)}")
-    return builder(_with_defaults(params, defaults))
+    return _make(name, _with_defaults(params, defaults))

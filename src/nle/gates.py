@@ -4,8 +4,10 @@ The controlled gate in dimensions (d_A, d_B) with control A sends
 |i>_A |j>_B to |i>_A |(j + i) mod d_B>_B; with control B it mirrors to
 |(i + j) mod d_A>_A |j>_B. The control index always enters modulo the
 target dimension, which is what makes unequal dimensions work. The index
-permutation itself, ``cnot_permutation``, lives in ``nle.linalg`` (ensembles
-read it too) and is re-exported here.
+permutation itself, ``cnot_permutation``, lives in ``nle.linalg`` with the
+family gather ensembles read; it is re-exported here for ``cnot``,
+``apply_cnot`` and the benchmark tracer, which wraps it as
+``gates.cnot_permutation``.
 """
 
 from __future__ import annotations

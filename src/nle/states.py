@@ -128,12 +128,12 @@ class Ensemble:
     def __len__(self) -> int:
         return len(self.states)
 
-    def is_orthogonal(self, atol: float = TOL.orthogonality) -> bool:
+    def is_orthogonal(self) -> bool:
         g = gram(self.amplitudes)
-        return bool(np.max(np.abs(g - np.eye(len(self)))) <= atol)
+        return bool(np.max(np.abs(g - np.eye(len(self)))) <= TOL.orthogonality)
 
-    def is_product(self, atol: float = TOL.product_rank) -> bool:
-        return bool(np.all(self.spectra[:, 0] >= 1.0 - atol))
+    def is_product(self) -> bool:
+        return bool(np.all(self.spectra[:, 0] >= 1.0 - TOL.product_rank))
 
     @cached_property
     def spectra(self) -> np.ndarray:

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from nle import catalog
-from nle.errors import BadParams, NoSuchEntry
-from nle.linalg import partial_trace
+from nle.errors import BadParams, DimensionMismatch, NoSuchEntry, TooLarge
+from nle.linalg import gram, partial_trace
 from nle.states import entanglement_entropy
 
 
@@ -37,7 +37,7 @@ def test_listing_is_stable_and_documented():
 def test_nlwe_gram_identity():
     e = catalog.build("nlwe-3x3")
     assert len(e) == 9
-    assert e.is_orthogonal(1e-12)
+    assert np.max(np.abs(gram(e.amplitudes) - np.eye(9))) <= 1e-12
     assert e.is_product()
 
 
@@ -111,6 +111,24 @@ def test_canonical_mes_block_and_count_selection():
     assert len(top) == 4
 
 
+def test_canonical_mes_size_limit_precedes_the_members(monkeypatch):
+    # d*d > MAX_DIM_PRODUCT is rejected from d alone, before any member is built
+    calls = []
+    state = catalog.canonical_mes_state
+    monkeypatch.setattr(catalog, "canonical_mes_state", lambda *a: calls.append(a) or state(*a))
+    with pytest.raises(TooLarge) as err:
+        catalog.build("canonical-mes", {"d": 17})
+    assert err.value.code == "too-large" and calls == []
+    e = catalog.build("canonical-mes", {"d": 16})
+    assert e.dims == (16, 16) and len(e) == 256 and len(calls) == 256
+
+
+def test_canonical_mes_empty_indices_are_bad_dims():
+    with pytest.raises(DimensionMismatch) as err:
+        catalog.build("canonical-mes", {"d": 3, "indices": []})
+    assert err.value.code == "bad-dims"
+
+
 def test_ghosh_equal_amplitudes_reduce_to_maximal_entanglement():
     e = catalog.build("ghosh-nonmax", {"a": 1 / math.sqrt(2)})
     for s in e.states:
@@ -163,7 +181,7 @@ def test_more_nl_mixed_replaces_last_with_product():
 
 def test_orth_pair_members_orthogonal_and_entangled():
     e = catalog.build("orth-pair")
-    assert e.is_orthogonal(1e-12)
+    assert np.max(np.abs(gram(e.amplitudes) - np.eye(2))) <= 1e-12
     for i, s in enumerate(e.states):
         assert entanglement_entropy(s) > 1e-3
         assert not e.subset([i]).is_product()

@@ -7,8 +7,9 @@ searches (ensemble-lu big-delta with 2 restarts and seed 3 on four entries,
 each rotated side), where any change to the gap objective, its gradient or
 the starts shows; and the fixed circuit's outputs (fixed big-delta and
 bounds in both directions on every catalog entry, fixed delta on every
-product entry), where a one-ulp move in the family or mixture path shows.
-The ``close`` records, compared within 1e-12, are the commands no ``exact``
+product entry), where a one-ulp move in the family or mixture path shows;
+and ``show --json`` of every catalog entry's default build, which pins each
+member's amplitudes bit for bit (JSON floats round-trip). The ``close`` records, compared within 1e-12, are the commands no ``exact``
 record pins.
 """
 
