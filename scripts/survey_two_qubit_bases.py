@@ -13,10 +13,7 @@ import argparse
 
 import numpy as np
 
-from nle import catalog
-from nle.dissect import as_product_set, reducible_from
-from nle.quantify import Mode, nonlocal_entropy
-from nle.states import Ensemble
+from nle.reproduce import walgate_hardy_draws
 
 
 def main() -> None:
@@ -25,14 +22,9 @@ def main() -> None:
     parser.add_argument("--seed", type=int, default=0)
     args = parser.parse_args()
 
-    rng = np.random.default_rng(args.seed)
     cells = {(True, True): 0, (True, False): 0, (False, True): 0, (False, False): 0}
     values = []
-    for _ in range(args.draws):
-        etas = [catalog.random_eta(rng) for _ in range(2)]
-        e = Ensemble.uniform((2, 2), catalog.walgate_hardy_states(*etas))
-        report = nonlocal_entropy(e, Mode("fixed"))
-        irreducible = reducible_from(as_product_set(e), "B") is None
+    for report, irreducible in walgate_hardy_draws(args.seed, args.draws):
         cells[(irreducible, report.left > 1e-9)] += 1
         if report.left > 1e-9:
             values.append(report.left)

@@ -8,6 +8,8 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -52,8 +54,10 @@ def _bell(dims, kind) -> PureState:
 # builders
 
 
-def _eta_pair(a: complex, b: complex) -> tuple[np.ndarray, np.ndarray]:
-    eta = np.array([a, b], dtype=complex)
+def _eta_pair(eta) -> tuple[np.ndarray, np.ndarray]:
+    eta = np.asarray(eta, dtype=complex)
+    if eta.shape != (2,) or not np.isfinite(eta).all():
+        raise BadParams(f"eta must be two finite components, not {eta.tolist()}")
     n = np.linalg.norm(eta)
     if n == 0:
         raise BadParams("eta must be nonzero")
@@ -65,8 +69,8 @@ def _eta_pair(a: complex, b: complex) -> tuple[np.ndarray, np.ndarray]:
 def walgate_hardy_states(eta1, eta2) -> list[PureState]:
     """The four-product-state family {|0 eta1>, |1 eta2>, |0 eta1^perp>, |1 eta2^perp>}."""
     dims = (2, 2)
-    e1, p1 = _eta_pair(*np.asarray(eta1, dtype=complex))
-    e2, p2 = _eta_pair(*np.asarray(eta2, dtype=complex))
+    e1, p1 = _eta_pair(eta1)
+    e2, p2 = _eta_pair(eta2)
     zero, one = _ket(1, 0), _ket(0, 1)
     return [product_state(dims, zero, e1), product_state(dims, one, e2),
             product_state(dims, zero, p1), product_state(dims, one, p2)]
@@ -102,12 +106,24 @@ def _integer_param(vals: dict, key: str):
     return int(value)
 
 
+def _real_param(vals: dict, key: str):
+    """``vals[key]`` as a float, None if None; ``BadParams`` unless a finite
+    real number (booleans are not)."""
+    value = vals[key]
+    if value is None:
+        return None
+    if isinstance(value, bool) or not isinstance(value, numbers.Real) \
+            or not abs(value) <= sys.float_info.max:
+        raise BadParams(f"{key} must be a finite real number, not {value!r}")
+    return float(value)
+
+
 def _ab_pairs(vals, suffixes):
     """The ``(a, b)`` pair of each suffix, from ``vals["a<suffix>"]`` and
     ``vals["b<suffix>"]``; a None ``b`` completes ``a`` to norm 1."""
     out = []
     for i in suffixes:
-        a, b = vals[f"a{i}"], vals[f"b{i}"]
+        a, b = _real_param(vals, f"a{i}"), _real_param(vals, f"b{i}")
         if b is None:
             if not 0.0 <= a <= 1.0:
                 raise BadParams(f"a{i} must lie in [0, 1] when b{i} is omitted")
@@ -125,8 +141,8 @@ def _build_walgate_hardy(vals):
 def orth_pair_states(eta1, eta2) -> list[PureState]:
     """Two orthogonal (generally entangled) states built from eta1, eta2."""
     dims = (2, 2)
-    e1, p1 = _eta_pair(*np.asarray(eta1, dtype=complex))
-    e2, p2 = _eta_pair(*np.asarray(eta2, dtype=complex))
+    e1, p1 = _eta_pair(eta1)
+    e2, p2 = _eta_pair(eta2)
     psi1 = np.concatenate([e1, e2]) / math.sqrt(2)
     psi2 = np.concatenate([p1, p2]) / math.sqrt(2)
     return [PureState(dims, psi1), PureState(dims, psi2)]
@@ -184,9 +200,9 @@ def _build_canonical_mes(vals):
         else:
             indices = range(d * d)
     indices = list(indices) if np.iterable(indices) else None
-    if indices is None or not all(is_integer(i) and 0 <= i < d * d for i in indices) \
+    if not indices or not all(is_integer(i) and 0 <= i < d * d for i in indices) \
             or len(set(indices)) != len(indices):
-        raise BadParams("indices must be distinct integers in 0..d*d-1")
+        raise BadParams("indices must be one or more distinct integers in 0..d*d-1")
     # index = shift * d + phase, so one block occupies a contiguous chunk
     return (d, d), [canonical_mes_state(d, i // d, i % d) for i in indices]
 

@@ -16,9 +16,11 @@ set is reducible from a side exactly when its graph is disconnected.
 * With no starting party, splits alternate freely until every block is a
   singleton or irreducible from both sides.
 
+A block of members is a bitmask, bit i for member i; index tuples are made
+only for the blocks ``reducible_from`` returns and ``DissectionNode.indices``.
 ``dissect`` builds the tree, for ``nle dissect`` and
-``weighted_nonlocal_entropy``; ``classify`` reads the same outcome off the
-component partitions and builds none.
+``weighted_nonlocal_entropy``; ``classify`` reads the same outcome off one
+component search per split, and a finishing move is one edge test.
 """
 
 from __future__ import annotations
@@ -39,8 +41,7 @@ class ProductSet:
 
     A view: the members, probabilities and local parts are those of
     ``ensemble`` (its ``schmidt_pairs``). Each side's nonorthogonality graph,
-    as neighbour bitmasks, and each component partition are computed once
-    per view and kept on it.
+    as neighbour bitmasks, is computed once per view and kept on it.
     A view is equal only to itself.
     """
 
@@ -76,11 +77,6 @@ class ProductSet:
         return tuple(tuple(int.from_bytes(row.tobytes(), "little")
                            for row in np.packbits(g, axis=1, bitorder="little")) for g in graphs)
 
-    @cached_property
-    def _partitions(self) -> dict:
-        """``(side, sorted indices)`` -> component partition, each decided once."""
-        return {}
-
 
 def _side(side: str) -> int:
     if side not in ("A", "B"):
@@ -97,12 +93,17 @@ def as_product_set(e: Ensemble) -> ProductSet:
 # reducibility
 
 
-def _components(pset: ProductSet, side: str, indices) -> list[tuple[int, ...]]:
-    """Connected components, each sorted, of the side's graph on sorted
-    ``indices``, in the order of their least members; each grows from its
+def _members(block: int) -> tuple[int, ...]:
+    """The sorted member indices of a bitmask block."""
+    return tuple(i for i in range(block.bit_length()) if block >> i & 1)
+
+
+def _components(pset: ProductSet, side: str, mask: int) -> list[int]:
+    """Connected components of the side's graph on the members in ``mask``,
+    one mask each, in the order of their least members; each grows from its
     least member by a frontier of members whose neighbours are not yet read."""
     neighbours = pset._neighbours[_side(side)]
-    left, groups = sum(1 << i for i in indices), []
+    left, blocks = mask, []
     while left:
         block = frontier = left & -left  # the least member not yet placed
         while frontier:
@@ -111,8 +112,8 @@ def _components(pset: ProductSet, side: str, indices) -> list[tuple[int, ...]]:
             block |= grown
             frontier = (frontier ^ low) | grown
         left &= ~block
-        groups.append(tuple(i for i in indices if block >> i & 1))
-    return groups
+        blocks.append(block)
+    return blocks
 
 
 def reducible_from(pset: ProductSet, side: str, indices=None):
@@ -125,16 +126,8 @@ def reducible_from(pset: ProductSet, side: str, indices=None):
     idx = range(len(pset)) if indices is None else pset.ensemble.member_indices(indices)
     if len(idx) < 2:
         raise TrivialSet("need at least two members")
-    return _partition(pset, side, tuple(sorted(idx)))
-
-
-def _partition(pset: ProductSet, side: str, idx: tuple[int, ...]):
-    """``reducible_from`` on a sorted tuple of two or more valid indices,
-    decided once per view and side."""
-    if (side, idx) not in pset._partitions:
-        pset._partitions[side, idx] = _components(pset, side, idx)
-    groups = pset._partitions[side, idx]
-    return list(groups) if len(groups) >= 2 else None
+    blocks = _components(pset, side, sum(1 << i for i in idx))
+    return [_members(b) for b in blocks] if len(blocks) >= 2 else None
 
 
 # ---------------------------------------------------------------------------
@@ -164,91 +157,77 @@ class DissectionNode:
         return all(leaf.leaf_kind == "singleton" for leaf in self.leaves())
 
     def render(self, pset: ProductSet | None = None, prefix: str = "") -> str:
+        label = f"{prefix}[{','.join(map(str, self.indices))}]"
         mass = ""
         if pset is not None:
             mass = f" mass={sum(pset.probabilities[i] for i in self.indices):.4f}"
+        if self.leaf_kind == "singleton":
+            return f"{label} leaf: singleton"
         if self.is_leaf:
-            if self.leaf_kind == "singleton":
-                head = f"{prefix}[{','.join(map(str, self.indices))}] leaf: singleton"
-            else:
-                sides = ",".join(s for s in ("A", "B") if self.irreducible_from.get(s))
-                head = (
-                    f"{prefix}[{','.join(map(str, self.indices))}] leaf: irreducible"
-                    f" (from {sides or 'start party'}){mass}"
-                )
-            return head
-        lines = [
-            f"{prefix}[{','.join(map(str, self.indices))}] split by {self.party}{mass}"
-        ]
-        for child in self.children:
-            lines.append(child.render(pset, prefix + "  "))
+            sides = ",".join(s for s in ("A", "B") if self.irreducible_from.get(s))
+            return f"{label} leaf: irreducible (from {sides or 'start party'}){mass}"
+        lines = [f"{label} split by {self.party}{mass}"]
+        lines += [child.render(pset, prefix + "  ") for child in self.children]
         return "\n".join(lines)
 
 
-def _leaf(pset, indices) -> DissectionNode:
-    idx = tuple(sorted(indices))
+def _leaf(pset, block: int) -> DissectionNode:
+    idx = _members(block)
     if len(idx) == 1:
         return DissectionNode(idx, leaf_kind="singleton")
-    flags = {side: _partition(pset, side, idx) is None for side in ("A", "B")}
+    flags = {side: len(_components(pset, side, block)) < 2 for side in ("A", "B")}
     return DissectionNode(idx, leaf_kind="irreducible", irreducible_from=flags)
 
 
-def _into_singletons(pset, idx, party) -> bool:
-    """True when ``party``'s components of ``idx`` are all singletons."""
-    groups = _partition(pset, party, idx)
-    return groups is not None and all(len(g) == 1 for g in groups)
+def _finishes(pset, party: str, block: int) -> bool:
+    """True when ``party`` splits ``block`` into singletons: no edge of its
+    graph joins two members of the block."""
+    neighbours = pset._neighbours[_side(party)]
+    return all(neighbours[i] & block == 1 << i for i in _members(block))
 
 
-def _free_dissect(pset, indices) -> DissectionNode:
-    idx = tuple(sorted(indices))
-    if len(idx) == 1:
-        return _leaf(pset, idx)
+def _free_dissect(pset, block: int) -> DissectionNode:
+    if block & (block - 1) == 0:
+        return _leaf(pset, block)
     for party in ("A", "B"):
-        groups = _partition(pset, party, idx)
-        if groups is not None:
-            children = tuple(_free_dissect(pset, g) for g in groups)
-            return DissectionNode(idx, party=party, children=children)
-    return _leaf(pset, idx)
+        blocks = _components(pset, party, block)
+        if len(blocks) >= 2:
+            children = tuple(_free_dissect(pset, b) for b in blocks)
+            return DissectionNode(_members(block), party=party, children=children)
+    return _leaf(pset, block)
 
 
 def dissect(pset: ProductSet, first: str | None = None) -> DissectionNode:
     """Dissection tree; ``first`` fixes the party performing the opening split."""
-    all_idx = tuple(range(len(pset)))
-    if len(all_idx) == 1:
-        return _leaf(pset, all_idx)
+    everyone = (1 << len(pset)) - 1
+    if len(pset) == 1:
+        return _leaf(pset, everyone)
     if first is None:
-        return _free_dissect(pset, all_idx)
+        return _free_dissect(pset, everyone)
     if first not in ("A", "B"):
         raise DimensionMismatch(f"unknown party {first!r}")
-    groups = _partition(pset, first, all_idx)
-    if groups is None:
-        return _leaf(pset, all_idx)
+    blocks = _components(pset, first, everyone)
+    if len(blocks) < 2:
+        return _leaf(pset, everyone)
     finisher = "B" if first == "A" else "A"
     # the finisher splits a block only into singletons, or leaves it a leaf
     children = tuple(
-        DissectionNode(g, party=finisher, children=tuple(_leaf(pset, (i,)) for i in g))
-        if len(g) > 1 and _into_singletons(pset, g, finisher) else _leaf(pset, g)
-        for g in groups
+        DissectionNode(_members(b), party=finisher,
+                       children=tuple(_leaf(pset, 1 << i) for i in _members(b)))
+        if b & (b - 1) and _finishes(pset, finisher, b) else _leaf(pset, b)
+        for b in blocks
     )
-    return DissectionNode(all_idx, party=first, children=children)
+    return DissectionNode(_members(everyone), party=first, children=children)
 
 
-def _start_finishes(pset, first: str) -> bool:
-    """``dissect(pset, first).fully_dissected``, with no tree: ``first`` splits
-    all members, and the other party splits each block into singletons."""
-    groups = _partition(pset, first, tuple(range(len(pset))))
-    finisher = "B" if first == "A" else "A"
-    return groups is not None and all(len(g) == 1 or _into_singletons(pset, g, finisher)
-                                      for g in groups)
-
-
-def _free_finishes(pset, idx) -> bool:
-    """``_free_dissect(pset, idx).fully_dissected``, with no tree: A splits the
-    block, or else B does, and so on down to singletons."""
-    if len(idx) == 1:
-        return True
-    groups = _partition(pset, "A", idx) or _partition(pset, "B", idx)
-    return groups is not None and all(_free_finishes(pset, g) for g in groups)
+def _free_finishes(pset, splits) -> bool:
+    """``_free_dissect(...).fully_dissected``, with no tree: ``splits`` yields
+    A's components of a block, then B's, and the first of two or more blocks
+    is taken; each of its blocks is a singleton or finishes alike."""
+    blocks = next((s for s in splits if len(s) >= 2), None)
+    return blocks is not None and all(
+        b & (b - 1) == 0 or _free_finishes(pset, (_components(pset, p, b) for p in ("A", "B")))
+        for b in blocks)
 
 
 def classify(pset: ProductSet) -> str:
@@ -257,16 +236,20 @@ def classify(pset: ProductSet) -> str:
     A start party counts as successful when its opening split plus the other
     party's finishing moves resolve everything; free alternation is the
     fallback that distinguishes multiround sets from non-dissectible ones.
-    Decided from the component partitions alone; no tree is built.
+    Each opening split is searched once and read by both checks; no tree is
+    built.
     """
     if len(pset) < 2:
         return "dissectible-either-side"
-    full = {p: _start_finishes(pset, p) for p in ("A", "B")}
+    everyone = (1 << len(pset)) - 1
+    opening = {p: _components(pset, p, everyone) for p in ("A", "B")}
+    full = {p: len(opening[p]) >= 2 and all(_finishes(pset, finisher, b) for b in opening[p])
+            for p, finisher in (("A", "B"), ("B", "A"))}
     if full["A"] and full["B"]:
         return "dissectible-either-side"
     if full["A"] or full["B"]:
         return f"dissectible-one-side({'A' if full['A'] else 'B'})"
-    if _free_finishes(pset, tuple(range(len(pset)))):
+    if _free_finishes(pset, (opening[p] for p in ("A", "B"))):
         return "dissectible-multiround"
     return "non-dissectible"
 

@@ -115,18 +115,23 @@ def _chsh_e2() -> tuple[bool, int]:
     return consistent, entangled
 
 
+def walgate_hardy_draws(seed: int, draws: int):
+    """Seeded random Walgate-Hardy bases, one ``(fixed report, irreducible
+    from B)`` pair each; each basis takes two ``catalog.random_eta`` draws."""
+    rng = np.random.default_rng(seed)
+    for _ in range(draws):
+        etas = [catalog.random_eta(rng) for _ in range(2)]
+        e = Ensemble.uniform((2, 2), catalog.walgate_hardy_states(*etas))
+        yield nonlocal_entropy(e, FIXED), reducible_from(as_product_set(e), "B") is None
+
+
 @cache
 def _theorem1(seed: int) -> tuple[int, int]:
     """Over 200 random Walgate-Hardy bases: the draws where the left value is
     positive iff the set is irreducible from B and the right value vanishes,
     and the draws reducible from B."""
-    rng = np.random.default_rng(seed)
     holds = reducible = 0
-    for _ in range(200):
-        etas = [catalog.random_eta(rng) for _ in range(2)]
-        e = Ensemble.uniform((2, 2), catalog.walgate_hardy_states(*etas))
-        report = nonlocal_entropy(e, FIXED)
-        irreducible_b = reducible_from(as_product_set(e), "B") is None
+    for report, irreducible_b in walgate_hardy_draws(seed, 200):
         holds += (report.left > 1e-9) == irreducible_b and report.right <= 1e-12
         reducible += not irreducible_b
     return holds, reducible

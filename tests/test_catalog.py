@@ -2,11 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from nle import catalog
-from nle.errors import BadParams, DimensionMismatch, NoSuchEntry, TooLarge
+from nle.errors import BadParams, NleError, NoSuchEntry, TooLarge
 from nle.linalg import gram, partial_trace
-from nle.states import entanglement_entropy
+from nle.states import Ensemble, entanglement_entropy
 
 
 def test_every_entry_builds_and_matches_descriptor():
@@ -123,10 +125,53 @@ def test_canonical_mes_size_limit_precedes_the_members(monkeypatch):
     assert e.dims == (16, 16) and len(e) == 256 and len(calls) == 256
 
 
-def test_canonical_mes_empty_indices_are_bad_dims():
-    with pytest.raises(DimensionMismatch) as err:
+def test_canonical_mes_empty_indices_are_bad_params():
+    # an empty selection is a parameter error, not a mismatch of probabilities and states
+    with pytest.raises(BadParams) as err:
         catalog.build("canonical-mes", {"d": 3, "indices": []})
-    assert err.value.code == "bad-dims"
+    assert err.value.code == "bad-params"
+
+
+@pytest.mark.parametrize("call", [
+    lambda: catalog.walgate_hardy_states([1, 0, 0], [1, 0]),
+    lambda: catalog.walgate_hardy_states([1], [1, 0]),
+    lambda: catalog.orth_pair_states([1, 0, 0], [1, 0]),
+    lambda: catalog.walgate_hardy_states([float("nan"), 0], [1, 0]),
+    lambda: catalog.build("walgate-hardy", {"a1": [1, 0, 0]}),
+    lambda: catalog.build("ghosh-nonmax", {"a": "x"}),
+], ids=["wh-eta1-three", "wh-eta1-one", "orth-pair-eta1-three", "wh-eta1-nan", "wh-a1-list",
+       "ghosh-a-text"])
+def test_params_of_the_wrong_shape_or_type_are_bad_params(call):
+    # these once raised a bare TypeError from unpacking or comparing the value,
+    # or (a NaN eta) divided by a NaN norm
+    with pytest.raises(BadParams) as err:
+        call()
+    assert err.value.code == "bad-params"
+
+
+PARAMETERIZED = [(entry.name, tuple(entry.parameters)) for entry in catalog.entries()
+                 if entry.parameters]
+ANY_VALUE = st.one_of(
+    st.none(), st.booleans(), st.integers(),
+    st.floats(allow_nan=True, allow_infinity=True), st.complex_numbers(), st.text(max_size=4),
+    st.lists(st.one_of(st.integers(-2, 20), st.floats(), st.booleans(), st.text(max_size=2)),
+             max_size=5),
+)
+
+
+@given(st.sampled_from(PARAMETERIZED).flatmap(lambda row: st.tuples(
+    st.just(row[0]), st.fixed_dictionaries({}, optional=dict.fromkeys(row[1], ANY_VALUE)))))
+@example(("ghosh-nonmax", {"a": 10**200, "b": 0}))  # a*a overflows a float
+@example(("walgate-hardy", {"a1": 10**400}))  # no float holds it
+@settings(max_examples=300, deadline=None)
+def test_any_param_values_build_or_raise_an_nle_error(case):
+    # a library caller may pass anything; the answer is an ensemble or a coded error
+    name, params = case
+    try:
+        e = catalog.build(name, params)
+    except NleError:
+        return
+    assert isinstance(e, Ensemble)
 
 
 def test_ghosh_equal_amplitudes_reduce_to_maximal_entanglement():

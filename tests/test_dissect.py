@@ -2,7 +2,6 @@ import dataclasses
 import importlib
 import itertools
 import math
-import types
 
 import numpy as np
 import pytest
@@ -307,6 +306,11 @@ def classify_by_trees(ps):
     return "non-dissectible"
 
 
+def mask(indices):
+    """The bitmask block of member ``indices``, bit i for member i."""
+    return sum(1 << i for i in indices)
+
+
 def components_by_fixpoint(ps, side, indices):
     """Oracle: the fixpoint loop over ``indices`` that the frontier search replaced."""
     neighbours = ps._neighbours["AB".index(side)]
@@ -441,27 +445,42 @@ def test_frontier_components_equal_the_fixpoint_oracle(seed, kind):
                 for size in rng.integers(1, len(ps) + 1, size=4)]
     for side in "AB":
         for idx in subsets:
-            assert dissect_module._components(ps, side, idx) == components_by_fixpoint(ps, side, idx)
+            assert dissect_module._components(ps, side, mask(idx)) == [
+                mask(g) for g in components_by_fixpoint(ps, side, idx)]
+
+
+class DrawnGraphs:
+    """A stand-in product-set view: only the members' count and each side's
+    neighbour bitmasks, which is all the protocol reads."""
+
+    def __init__(self, masks_a, masks_b):
+        self._neighbours = (masks_a, masks_b)
+
+    def __len__(self):
+        return len(self._neighbours[0])
 
 
 @st.composite
 def neighbour_masks(draw):
-    """Symmetric neighbour bitmasks of a graph on k members, each its own
-    neighbour, and sorted member indices to search."""
+    """Symmetric neighbour bitmasks of an A and a B graph on k members, each
+    member its own neighbour and no two members adjacent on both sides (as
+    for orthogonal product members), and sorted member indices to search."""
     k = draw(st.integers(1, 14))
-    masks = [1 << i for i in range(k)]
-    for i, j in draw(st.lists(st.tuples(st.integers(0, k - 1), st.integers(0, k - 1)),
-                              max_size=3 * k)):
-        masks[i] |= 1 << j
-        masks[j] |= 1 << i
+    masks = {side: [1 << i for i in range(k)] for side in "AB"}
+    for i, j in itertools.combinations(range(k), 2):
+        side = draw(st.sampled_from(["", "A", "B"]))  # adjacent on one side at most
+        if side:
+            masks[side][i] |= 1 << j
+            masks[side][j] |= 1 << i
     indices = draw(st.lists(st.integers(0, k - 1), min_size=1, unique=True))
-    return tuple(masks), tuple(sorted(indices))
+    return DrawnGraphs(tuple(masks["A"]), tuple(masks["B"])), tuple(sorted(indices))
 
 
 @given(neighbour_masks())
 @settings(max_examples=200, deadline=None)
 def test_frontier_components_on_drawn_bitmasks(graph):
-    masks, indices = graph
-    view = types.SimpleNamespace(_neighbours=(masks, masks))  # the same graph on both sides
-    assert dissect_module._components(view, "A", indices) == components_by_fixpoint(view, "A",
-                                                                                      indices)
+    view, indices = graph
+    for side in "AB":
+        assert dissect_module._components(view, side, mask(indices)) == [
+            mask(g) for g in components_by_fixpoint(view, side, indices)]
+    assert classify(view) == classify_by_trees(view)

@@ -9,8 +9,12 @@ the starts shows; and the fixed circuit's outputs (fixed big-delta and
 bounds in both directions on every catalog entry, fixed delta on every
 product entry), where a one-ulp move in the family or mixture path shows;
 and ``show --json`` of every catalog entry's default build, which pins each
-member's amplitudes bit for bit (JSON floats round-trip). The ``close`` records, compared within 1e-12, are the commands no ``exact``
-record pins.
+member's amplitudes bit for bit (JSON floats round-trip); and ``dissect
+--ensemble NAME --first {A,B,any}``, in text and with ``--json``, on
+``e1-computational``, ``e2-case2``, ``walgate-hardy``, ``case-3x2``,
+``nlwe-3x3`` and ``tiles-upb`` (36 records), which pin each tree, its
+irreducibility flags, leaf masses and the class. The ``close`` records,
+compared within 1e-12, are the commands no ``exact`` record pins.
 """
 
 import json

@@ -25,7 +25,9 @@ bit, in fixed and ensemble-lu modes.
 
 The local parts are computed once: a ``ProductSet`` reads its parts from
 ``schmidt_pairs``, closed-form per-state-lu reads the same memo for both
-directions, and ``classify`` decides each component partition once.
+directions, and ``classify`` searches the components of each block from
+each side at most once: it keeps no partitions, so each opening split is
+searched once and handed to the free-alternation check.
 """
 
 import functools
@@ -507,9 +509,9 @@ def test_classify_decides_each_partition_once(monkeypatch, name):
     seen = []
     original = DISSECT._components
 
-    def counted(pset, side, indices):
-        seen.append((side, tuple(sorted(indices))))
-        return original(pset, side, indices)
+    def counted(pset, side, mask):
+        seen.append((side, mask))
+        return original(pset, side, mask)
 
     monkeypatch.setattr(DISSECT, "_components", counted)
     classify(as_product_set(catalog.build(name)))
