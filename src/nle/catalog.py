@@ -55,7 +55,10 @@ def _bell(dims, kind) -> PureState:
 
 
 def _eta_pair(eta) -> tuple[np.ndarray, np.ndarray]:
-    eta = np.asarray(eta, dtype=complex)
+    try:
+        eta = np.asarray(eta, dtype=complex)
+    except (TypeError, ValueError) as err:  # not numbers, or a ragged nesting
+        raise BadParams(f"eta must be two finite components, not {eta!r}") from err
     if eta.shape != (2,) or not np.isfinite(eta).all():
         raise BadParams(f"eta must be two finite components, not {eta.tolist()}")
     n = np.linalg.norm(eta)

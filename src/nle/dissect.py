@@ -171,11 +171,15 @@ class DissectionNode:
         return "\n".join(lines)
 
 
-def _leaf(pset, block: int) -> DissectionNode:
+def _leaf(pset, block: int, found: dict | None = None) -> DissectionNode:
+    """The leaf of ``block``; ``found`` holds the components of the sides
+    already searched, and only the others are searched."""
     idx = _members(block)
     if len(idx) == 1:
         return DissectionNode(idx, leaf_kind="singleton")
-    flags = {side: len(_components(pset, side, block)) < 2 for side in ("A", "B")}
+    found = found or {}
+    flags = {side: len(found[side] if side in found else _components(pset, side, block)) < 2
+             for side in ("A", "B")}
     return DissectionNode(idx, leaf_kind="irreducible", irreducible_from=flags)
 
 
@@ -189,12 +193,13 @@ def _finishes(pset, party: str, block: int) -> bool:
 def _free_dissect(pset, block: int) -> DissectionNode:
     if block & (block - 1) == 0:
         return _leaf(pset, block)
+    found = {}
     for party in ("A", "B"):
-        blocks = _components(pset, party, block)
+        blocks = found[party] = _components(pset, party, block)
         if len(blocks) >= 2:
             children = tuple(_free_dissect(pset, b) for b in blocks)
             return DissectionNode(_members(block), party=party, children=children)
-    return _leaf(pset, block)
+    return _leaf(pset, block, found)
 
 
 def dissect(pset: ProductSet, first: str | None = None) -> DissectionNode:
@@ -208,7 +213,7 @@ def dissect(pset: ProductSet, first: str | None = None) -> DissectionNode:
         raise DimensionMismatch(f"unknown party {first!r}")
     blocks = _components(pset, first, everyone)
     if len(blocks) < 2:
-        return _leaf(pset, everyone)
+        return _leaf(pset, everyone, {first: blocks})
     finisher = "B" if first == "A" else "A"
     # the finisher splits a block only into singletons, or leaves it a leaf
     children = tuple(

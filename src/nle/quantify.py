@@ -20,18 +20,22 @@ every reported number names the search that produced it:
   a member, product within ``TOL.product_rank``, is valued through its
   leading Schmidt pair) at every depth when the target or both sides are
   rotated, and at depth 1 when the control is; deeper control-rotated
-  values run ensemble-lu on each one-member ensemble.
+  values run ensemble-lu on each one-member ensemble, all members in one
+  search.
 * ``assign`` (gap only, orthogonal ensembles): the best relabeling onto an
   orthonormal product frame, in closed form: members sorted by probability
   and cut into consecutive groups (exact by majorization).
 
-Ensemble-lu and deeper control-rotated per-state-lu share one search loop
-over the repetition count r (``_searched_transforms``), and one kernel call
-per quantity values the candidates of both directions. Fixed mode runs no
-search: it picks from the ensemble's memo, through the same selection code
-(``_pick_delta``, ``_gap_search``); every gap selection starts from the
-identity (r=0). Every mode ends in one ``_Best`` per direction
-and one report builder, ``_report``. It clips contributions into ``[0, log2
+Ensemble-lu and deeper control-rotated per-state-lu share one search over
+the repetition count r (``_searched_transforms``), and one kernel call per
+quantity values the candidates of both directions. Its ascents, one per
+(direction, r, objective side, restart, member), run in lockstep batches
+(``_ascend``): each round makes one stacked call per kernel for every ascent
+still running, and each ascent walks its one-at-a-time path bit for bit.
+Fixed mode runs no search: it picks from the ensemble's memo, through the
+same selection code (``_pick_delta``, ``_gap_search``); every gap selection
+starts from the identity (r=0). Every mode ends in one ``_Best`` per
+direction and one report builder, ``_report``. It clips contributions into ``[0, log2
 min(d_A, d_B)]`` and values into ``[0, ceiling]``, proven ceilings: ``log2
 min(d_A, d_B)`` for delta and ``max(S_A, S_B)`` of the mixture for big-delta,
 whose side gaps are ``S_side - S_fin`` with ``S_fin >= 0``. A number outside
@@ -173,62 +177,109 @@ _GAIN_FLOOR = 1e-15      # a step predicted to gain less is lost in float noise
 _START_SCALE = 1e-3      # generator scale of the first start around the identity
 
 
-def _ascend(f, us: list) -> tuple[float, list]:
-    """Steepest ascent of ``f`` over ``U(d_1) x ... x U(d_m)`` from the unitaries ``us``.
+def _ascend(f, starts: list) -> list:
+    """Steepest ascents of a batch of problems over ``U(d_1) x ... x U(d_m)``, in lockstep.
 
-    ``f(us)`` returns the value and a zero-argument callable that gives the
-    Euclidean gradients ``Gamma_j = df/dconj(U_j)``, so that ``df = 2 Re sum_j
-    tr(Gamma_j^dag dU_j)``; the ascent calls it only at the start and at each
-    accepted step, the points it moves from, never at a rejected trial. A step is
-    ``U_j <- exp(t W_j) U_j`` with ``W_j = Gamma_j U_j^dag - U_j Gamma_j^dag``,
-    the Riemannian gradient translated to the identity (Abrudan, Eriksson &
-    Koivunen, IEEE TSP 2008); along it f rises at the rate ``|W|^2``, the
-    squared Frobenius norms summed. The length ``t`` alternates the two
+    Problem i starts from the unitaries ``starts[i]``; all share ``d_1 .. d_m``.
+    ``f(rows, point)`` values the problems ``rows`` at ``point``, a list of
+    ``(len(rows), d_j, d_j)`` stacks, and returns their values and a callable
+    that gives, for positions ``pos`` into ``rows`` (an index array, or
+    ``slice(None)`` for all), the Euclidean gradients ``Gamma_j =
+    df/dconj(U_j)`` of those problems, so that ``df = 2 Re sum_j
+    tr(Gamma_j^dag dU_j)``. Each round values one trial step of every problem
+    still running with one call of ``f``, and asks the gradient only of the
+    problems whose trial was accepted: a problem's gradient is taken at its
+    start and at each accepted step, the points it moves from, never at a
+    rejected trial.
+
+    Every problem walks its own sequential path, bit for bit as if it were
+    ascended alone: the kernels act on each row as on a lone matrix, and its
+    step length, norms, value memory and budget are its own Python scalars. A
+    step is ``U_j <- exp(t W_j) U_j`` with ``W_j = Gamma_j U_j^dag - U_j
+    Gamma_j^dag``, the Riemannian gradient translated to the identity (Abrudan,
+    Eriksson & Koivunen, IEEE TSP 2008); along it f rises at the rate ``|W|^2``,
+    the squared Frobenius norms summed. The length ``t`` alternates the two
     Barzilai-Borwein lengths ``<s, s> / |<s, y>|`` and ``|<s, y>| / <y, y>`` of
     the last step ``s = t W`` and gradient change ``y`` (Wen & Yin, Math.
     Program. 2013), halved until the step gains at least ``_ARMIJO * t *
     |W|^2`` over the lowest of the last ``_MEMORY`` values (nonmonotone Armijo;
-    Grippo, Lampariello & Lucidi 1986). The ascent stops once ``|W|`` is at
-    most ``TOL.gradient``, or once a step predicted to gain ``_GAIN_FLOOR``
-    or less fails, and returns the best point it visited; ``BadValue`` after
-    ``_ASCENT_ROUNDS`` steps.
+    Grippo, Lampariello & Lucidi 1986). A problem stops once ``|W|`` is at most
+    ``TOL.gradient``, or once a step predicted to gain ``_GAIN_FLOOR`` or less
+    fails. Returns each problem's best visited ``(value, unitaries)``;
+    ``BadValue`` once a problem has taken ``_ASCENT_ROUNDS`` steps.
     """
+    n = len(starts)
+    run = list(range(n))  # the problems still running; ``us`` and ``w`` hold their rows
+    us = [np.array(stack) for stack in zip(*starts)]
+    values, gammas = f(np.arange(n), us)
+    w = _riemannian(gammas(slice(None)), us)
+    norm2 = [_inner(w, w, p) for p in run]
+    t = [_FIRST_ANGLE / math.sqrt(x) if x else 0.0 for x in norm2]
+    best, kept = list(values), [list(start) for start in starts]
+    recent, steps, floor = [[v] for v in values], [0] * n, [0.0] * n
 
-    def riemannian(point, gammas):  # the Riemannian gradient at ``point``
-        return [g @ u.conj().T - u @ g.conj().T for g, u in zip(gammas(), point)]
+    def settle(p) -> bool:  # the top of problem p's next step: whether it goes on
+        if steps[p] == _ASCENT_ROUNDS:
+            raise BadValue(f"lu ascent not converged within {_ASCENT_ROUNDS} steps")
+        floor[p] = min(recent[p][-_MEMORY:])
+        return norm2[p] > TOL.gradient**2
 
-    v, gammas = f(us)
-    w = riemannian(us, gammas)
-    norm2 = _inner(w, w)
-    t = _FIRST_ANGLE / math.sqrt(norm2) if norm2 else 0.0
-    best, recent = (v, us), [v]
-    for step in range(_ASCENT_ROUNDS):
-        if norm2 <= TOL.gradient**2:
-            return best
-        floor = min(recent[-_MEMORY:])
-        while True:
-            cand = [expm_hermitian_unchecked(-1j * t * x) @ u for x, u in zip(w, us)]
-            v, gammas = f(cand)
-            if v >= floor + _ARMIJO * t * norm2:
-                break
-            t *= 0.5
-            if t * norm2 <= _GAIN_FLOOR:
-                return best
-        cw = riemannian(cand, gammas)
-        y = [b - a for a, b in zip(w, cw)]
-        sy, yy, ss = t * _inner(w, y), _inner(y, y), t * t * norm2
-        us, w, norm2 = cand, cw, _inner(cw, cw)
-        recent.append(v)
-        if v > best[0]:
-            best = (v, us)
-        if sy:
-            t = ss / abs(sy) if step % 2 == 0 else abs(sy) / yy
-    raise BadValue(f"lu ascent not converged within {_ASCENT_ROUNDS} steps")
+    going = [i for i, p in enumerate(run) if settle(p)]
+    rows = np.arange(n)
+    while going:
+        if len(going) < len(run):
+            at = np.array(going)
+            run, rows, us, w = [run[i] for i in going], rows[at], [u[at] for u in us], [x[at] for x in w]
+        angles = np.array([-1j * t[p] for p in run]).reshape(-1, 1, 1)
+        point = [expm_hermitian_unchecked(angles * x) @ u for x, u in zip(w, us)]
+        values, gammas = f(rows, point)
+        moved, going = [], []
+        for i, p in enumerate(run):
+            if values[i] >= floor[p] + _ARMIJO * t[p] * norm2[p]:
+                moved.append(i)
+                continue
+            t[p] *= 0.5
+            if t[p] * norm2[p] > _GAIN_FLOOR:
+                going.append(i)
+        if moved:
+            at = slice(None) if len(moved) == len(run) else np.array(moved)
+            cand = [x[at] for x in point]
+            cw = _riemannian(gammas(at), cand)
+            y = [b - a[at] for a, b in zip(w, cw)]
+            for i, row in enumerate(moved):
+                p = run[row]
+                sy, yy, ss = t[p] * _inner(w, y, row, i), _inner(y, y, i), t[p] * t[p] * norm2[p]
+                norm2[p] = _inner(cw, cw, i)
+                recent[p].append(values[row])
+                if values[row] > best[p]:
+                    best[p], kept[p] = values[row], [c[i] for c in cand]
+                if sy:
+                    t[p] = ss / abs(sy) if steps[p] % 2 == 0 else abs(sy) / yy
+                steps[p] += 1
+                if settle(p):
+                    going.append(row)
+            if len(moved) == len(run):
+                w, us = cw, cand
+            else:  # into fresh stacks: ``kept`` may hold rows of the current ones
+                w, us = [a.copy() for a in w], [u.copy() for u in us]
+                for a, b, u, c in zip(w, cw, us, cand):
+                    a[at], u[at] = b, c
+            going.sort()
+    return list(zip(best, kept))
 
 
-def _inner(xs, ys) -> float:
-    """Real inner product ``Re sum_j tr(x_j^dag y_j)`` of two lists of matrices."""
-    return sum(float(np.vdot(x, y).real) for x, y in zip(xs, ys))
+def _riemannian(gammas, point) -> list:
+    """``Gamma U^dag - U Gamma^dag`` of each stack of gradients and unitaries."""
+    return [g @ u.conj().swapaxes(-1, -2) - u @ g.conj().swapaxes(-1, -2) for g, u in zip(gammas, point)]
+
+
+def _inner(xs, ys, i: int, j: int | None = None) -> float:
+    """Real inner product ``Re sum_j tr(x_j^dag y_j)`` of row ``i`` of the stacks
+    ``xs`` with row ``j`` (default ``i``) of the stacks ``ys``."""
+    j, total = i if j is None else j, 0
+    for x, y in zip(xs, ys):
+        total += float(np.vdot(x[i], y[j]).real)
+    return total
 
 
 def _starts(dims: list[int], restarts: int, seed: int) -> list:
@@ -244,16 +295,35 @@ def _starts(dims: list[int], restarts: int, seed: int) -> list:
     return [first] + [[haar_unitary(d, rng) for d in dims] for _ in range(restarts - 1)]
 
 
-def _maximize(f, starts: list) -> tuple[float, list]:
-    """Best ``(value, unitaries)`` of ``f`` (as in ``_ascend``): the identity,
-    valued without its gradient, then one ascent from each of ``starts``
-    (``_starts``); a later candidate must be strictly better to win."""
+def _maximize(f, starts: list, groups: int = 1) -> list:
+    """Best ``(value, unitaries)`` of each of ``groups`` equal runs of
+    consecutive problems of ``f`` (as in ``_ascend``), problem i starting from
+    ``starts[i]`` (``_starts``): the identity, valued for the run's first
+    problem without its gradient, then the ascent of each problem of the run,
+    in order; a later candidate must be strictly better to win. All ascents
+    of all runs are one lockstep batch, and its first call of ``f`` values
+    the identities too.
+    """
+    size = len(starts) // groups
     identity = [np.eye(len(u), dtype=complex) for u in starts[0]]
-    best = (f(identity)[0], identity)
-    for start in starts:
-        candidate = _ascend(f, start)
-        if candidate[0] > best[0]:
-            best = candidate
+    heads, values = np.arange(0, len(starts), size), []
+
+    def first(rows, point):  # the ascents' first call values the identities too
+        if values:
+            return f(rows, point)
+        both, gammas = f(np.concatenate([rows, heads]),
+                         [np.concatenate([x, np.array([u] * groups)]) for x, u in zip(point, identity)])
+        values.extend(both[len(rows):])
+        return both[: len(rows)], lambda pos: gammas(np.arange(len(rows))[pos])
+
+    found = _ascend(first, starts)
+    best = []
+    for g, value in enumerate(values):
+        top = (value, identity)
+        for candidate in found[g * size : (g + 1) * size]:
+            if candidate[0] > top[0]:
+                top = candidate
+        best.append(top)
     return best
 
 
@@ -266,48 +336,72 @@ def _gaussian_hermitian(rng: np.random.Generator, d: int) -> np.ndarray:
 # layered (local unitary, controlled shift) circuits
 
 
-class _LuCircuit:
-    """Depth-layered circuit of the lu searches: per layer local rotations, then CNOT^reps.
+def _rotated_sides(direction: str, rotate: str) -> tuple[str, ...]:
+    control, target = ("A", "B") if direction == "right" else ("B", "A")
+    return {"both": ("A", "B"), "target": (target,), "control": (control,)}[rotate]
 
-    A point of the circuit is a list of unitaries: per layer, the A rotation
-    and then the B rotation, of the sides in ``sides``; ``unitary_dims``
-    holds their dimensions. Rotations act on a member ``M`` (its
-    ``(d_A, d_B)`` amplitude matrix) as ``U_A M U_B^T``. The fixed circuit,
-    with no rotated side, is not one of these: fixed mode reads its
-    candidates from the ensemble's memo.
+
+class _LuCircuit:
+    """Depth-layered circuits of the lu searches, one per problem of a batch:
+    per layer local rotations, then CNOT^reps.
+
+    Problem i's circuit shifts as ``shifts[i] = (direction, reps)``; all
+    share ``dims``, ``depth`` and ``unitary_dims``, the dimension of each
+    rotation: per layer, the A rotation and then the B rotation, of the sides
+    ``rotate`` picks. A point of the batch is a list of stacks, one per
+    rotation, whose row i is problem i's unitary. Rotations act on a member
+    ``M`` (its ``(d_A, d_B)`` amplitude matrix) as ``U_A M U_B^T``; on square
+    ``dims`` the target or control rotation of the two directions turns
+    different sides at one dimension, and then each rotation kernel runs once
+    per side present. The fixed circuit, with no rotated side, is not one of
+    these: fixed mode reads its candidates from the ensemble's memo.
     """
 
-    def __init__(self, dims, direction: str, rotate: str, depth: int, reps: int):
-        self.dims = dims
-        self.depth = depth
-        control = "A" if direction == "right" else "B"
-        self.perm = cnot_permutation(dims, control, reps)
-        target = "B" if direction == "right" else "A"
-        self.sides = {"both": ("A", "B"), "target": (target,), "control": (control,)}[rotate]
-        self.unitary_dims = [dims["AB".index(p)] for p in self.sides] * depth
+    def __init__(self, dims, rotate: str, depth: int, shifts):
+        self.dims, self.depth = dims, depth
+        sides = [_rotated_sides(direction, rotate) for direction, _ in shifts]
+        self.layer = len(sides[0])
+        self.unitary_dims = [dims["AB".index(p)] for p in sides[0]] * depth  # the same for all
+        self.on_a = np.array([[p == "A" for p in s] * depth for s in sides])
+        self.perm = np.array([cnot_permutation(dims, "A" if d == "right" else "B", r) for d, r in shifts])
+        self.gather = np.argsort(self.perm, axis=1)  # out = t[..., gather], as out[..., perm] = t
+        self._memo = {}
 
-    def transform(self, stack: np.ndarray, unitaries) -> np.ndarray:
-        """The circuit applied to a (k, d_A*d_B) stack."""
-        return self.forward(stack, unitaries)[0]
+    def _rows(self, rows, k: int):
+        """For problems ``rows`` with k members each, kept per row set: the flat
+        gather and scatter indices of the permutations, and the side of each
+        rotation, True or False when all turn A or all B, else a row mask."""
+        key = (rows.tobytes(), k)
+        if key not in self._memo:
+            size = self.perm.shape[1]
+            offsets = (np.arange(len(rows) * k) * size).reshape(len(rows), k, 1)
+            sides = [_uniform(col) for col in self.on_a[rows].T]
+            self._memo[key] = (self.gather[rows][:, None, :] + offsets,
+                               self.perm[rows][:, :, None] + offsets.swapaxes(1, 2), sides)
+        return self._memo[key]
 
-    def forward(self, stack: np.ndarray, unitaries):
-        """The transformed stack and the input of each rotation, which
-        ``backward`` reads."""
-        k, (d_a, d_b) = stack.shape[0], self.dims
-        inputs, us, t = [], iter(unitaries), stack
+    def transform(self, rows, stacks: np.ndarray, point) -> np.ndarray:
+        """The circuits of problems ``rows`` applied to their (len(rows), k, d_A*d_B) stacks."""
+        return self.forward(rows, stacks, point)[0]
+
+    def forward(self, rows, stacks: np.ndarray, point):
+        """The transformed stacks and the input of each rotation, which ``backward`` reads."""
+        (n, k, _), (d_a, d_b) = stacks.shape, self.dims
+        gather, _, on_a = self._rows(rows, k)
+        inputs, t = [], stacks
         for _ in range(self.depth):
-            m = t.reshape(k, d_a, d_b)
-            for side in self.sides:
+            m = t.reshape(n, k, d_a, d_b)
+            for _ in range(self.layer):
+                j = len(inputs)
                 inputs.append(m)
-                m = next(us) @ m if side == "A" else m @ next(us).T
-            t = m.reshape(k, d_a * d_b)
-            out = np.empty_like(t)
-            out[:, self.perm] = t
-            t = out
+                m = _by_side(on_a[j], lambda u, m: u[:, None] @ m,
+                             lambda u, m: m @ u.swapaxes(-1, -2)[:, None], point[j], m)
+            t = m.take(gather)
         return t, inputs
 
-    def backward(self, unitaries, inputs, grad: np.ndarray) -> list:
-        """``df/dconj(U_j)`` of every rotation from ``grad = df/dconj(out)``.
+    def backward(self, rows, point, inputs, grad: np.ndarray) -> list:
+        """``df/dconj(U_j)`` of every rotation of problems ``rows`` from ``grad =
+        df/dconj(out)``, a (len(rows), k, d_A*d_B) stack.
 
         Layer by layer in reverse: the permutation's gradient is ``grad``
         read through it; a B rotation ``Y U_B^T`` gives ``sum_k G^T conj(Y)``
@@ -315,53 +409,105 @@ class _LuCircuit:
         ``sum_k G X^dag`` and passes ``U_A^dag G`` on, except the first
         rotation, whose pass-on nothing reads.
         """
-        k, (d_a, d_b) = grad.shape[0], self.dims
-        gammas, j = [None] * len(unitaries), len(unitaries)
+        (n, k, size), (d_a, d_b) = grad.shape, self.dims
+        _, perm, on_a = self._rows(rows, k)
+        gammas, j = [None] * len(point), len(point)
         for _ in range(self.depth):
-            g = grad[:, self.perm].reshape(k, d_a, d_b)
-            for side in reversed(self.sides):
+            # laid out members fastest, as a lone ``grad[:, perm]`` is: the
+            # kernels below pick their loops, so their sums, by the layout
+            g = grad.take(perm).swapaxes(1, 2).reshape(n, k, d_a, d_b)
+            for _ in range(self.layer):
                 j -= 1
-                u, m = unitaries[j], inputs[j].conj()
-                if side == "B":
-                    gammas[j] = np.einsum("kji,kjl->il", g, m)
-                    g = g @ u.conj() if j else g
-                else:
-                    gammas[j] = np.einsum("kij,klj->il", g, m)
-                    g = u.conj().T @ g if j else g
-            grad = g.reshape(k, d_a * d_b)
+                u, m = point[j], inputs[j].conj()
+                gammas[j] = _by_side(on_a[j], lambda g, m: np.einsum("nkij,nklj->nil", g, m),
+                                     lambda g, m: np.einsum("nkji,nkjl->nil", g, m), g, m)
+                if j:
+                    g = _by_side(on_a[j], lambda g, u: u.conj().swapaxes(-1, -2)[:, None] @ g,
+                                 lambda g, u: g @ u.conj()[:, None], g, u)
+            grad = g.reshape(n, k, size)
         return gammas
 
-    def on(self, stack: np.ndarray, objective):
-        """``objective`` (the transformed stack to the value and a callable
-        giving ``df/dconj`` of it) as a function of this circuit's unitaries,
-        for ``_ascend``: the value now, and a callable that runs the backward
-        pass only when the gradient is asked for."""
+    def on(self, stacks: np.ndarray, objective, on_a=None):
+        """The batch as a function of its unitaries, for ``_ascend``: problem i
+        sends ``stacks[i]`` (or the one (k, d_A*d_B) ``stacks``) through its
+        circuit and is valued on side A where ``on_a[i]`` holds (default
+        everywhere), else on side B.
 
-        def f(unitaries):
-            out, inputs = self.forward(stack, unitaries)
-            value, grad = objective(out)
-            return value, lambda: self.backward(unitaries, inputs, grad())
+        ``objective(out, sides)`` maps an (n, k, d_A*d_B) stack of outputs and
+        their sides (True or False when all rows share one, else a row mask)
+        to their values and a callable giving ``df/dconj(out)`` at positions
+        ``pos``. The backward pass runs only when the gradient is asked for,
+        and only for the problems asked.
+        """
+        stacks = np.broadcast_to(stacks, (len(self.perm),) + stacks.shape[-2:])
+        on_a = np.ones(len(self.perm), bool) if on_a is None else np.asarray(on_a)
+        memo = {}  # per row set: its stacks and sides
+
+        def f(rows, point):
+            key = rows.tobytes()
+            if key not in memo:
+                memo[key] = stacks[rows], _uniform(on_a[rows])
+            out, inputs = self.forward(rows, memo[key][0], point)
+            values, grad = objective(out, memo[key][1])
+
+            def gammas(pos):
+                return self.backward(rows[pos], [u[pos] for u in point], [x[pos] for x in inputs], grad(pos))
+
+            return values, gammas
 
         return f
 
 
-def _searched_transforms(stack, dims, mode: Mode, objectives, seeds: dict) -> list:
-    """``(direction, r, transformed stack)`` for each candidate of
-    ``cnot_family(dims)`` whose direction is in ``seeds`` (direction -> search
-    seed), in that order.
+def _uniform(on_a: np.ndarray):
+    """``on_a`` as ``_by_side`` reads it: True or False when all rows agree."""
+    return bool(on_a[0]) if on_a.all() or not on_a.any() else on_a
 
-    The stack goes through the mode's circuit at the unitaries ``_maximize``
-    finds for the best of ``objectives``, each ascended on its own from the
-    circuit's one set of starts.
+
+def _by_side(on_a, side_a, side_b, *stacks) -> np.ndarray:
+    """``side_a`` of ``stacks`` if ``on_a`` is True, ``side_b`` if False; for a
+    row mask ``on_a``, both over every row, each row kept from its side. A
+    row's result does not depend on the other rows, and a kernel call costs
+    more than its rows at these sizes."""
+    if on_a is True or on_a is False:
+        return side_a(*stacks) if on_a else side_b(*stacks)
+    a, b = side_a(*stacks), side_b(*stacks)
+    return np.where(on_a.reshape((-1,) + (1,) * (a.ndim - 1)), a, b)
+
+
+def _searched_transforms(stacks, dims, mode: Mode, objective, seeds: list, sides: str = "A") -> list:
+    """For each search i, the (k, d_A*d_B) stack ``stacks[i]`` with ``seeds[i]``
+    (direction -> search seed): ``(direction, r, transformed stack)`` for each
+    candidate of ``cnot_family(dims)`` whose direction is in ``seeds[i]``, in
+    that order.
+
+    A stack goes through the mode's circuit at the unitaries ``_maximize``
+    finds for the best side of ``objective`` (``_LuCircuit.on``) in ``sides``
+    (the first of equals), each side ascended on its own from the circuit's
+    one set of starts. Each (circuit, side, restart) ascent is one problem;
+    the problems of every circuit that rotates the same ``unitary_dims`` form
+    one lockstep batch.
     """
-    out = []
-    for direction, r in cnot_family(dims):
-        if direction in seeds:
-            circuit = _LuCircuit(dims, direction, mode.rotate, mode.depth, r)
-            starts = _starts(circuit.unitary_dims, mode.restarts, seeds[direction])
-            found = (_maximize(circuit.on(stack, o), starts) for o in objectives)
-            unitaries = max(found, key=lambda candidate: candidate[0])[1]  # first of equals
-            out.append((direction, r, circuit.transform(stack, unitaries)))
+    circuits = [(i, d, r) for i, chosen in enumerate(seeds) for d, r in cnot_family(dims) if d in chosen]
+    batches, transformed = {}, {}
+    for c, (_, d, _) in enumerate(circuits):
+        unitary_dims = tuple(dims["AB".index(p)] for p in _rotated_sides(d, mode.rotate)) * mode.depth
+        batches.setdefault(unitary_dims, []).append(c)
+    for unitary_dims, members in batches.items():
+        problems = [(side, c) for side in sides for c in members for _ in range(mode.restarts)]
+        batch = _LuCircuit(dims, mode.rotate, mode.depth, [circuits[c][1:] for _, c in problems])
+        problem_stacks = stacks[[circuits[c][0] for _, c in problems]]
+        starts = {c: _starts(unitary_dims, mode.restarts, seeds[circuits[c][0]][circuits[c][1]])
+                  for c in members}
+        found = _maximize(batch.on(problem_stacks, objective, [side == "A" for side, _ in problems]),
+                          [s for _ in sides for c in members for s in starts[c]], len(sides) * len(members))
+        winners = [max(found[c :: len(members)], key=lambda candidate: candidate[0])[1]  # first of equals
+                   for c in range(len(members))]
+        heads = np.arange(len(members)) * mode.restarts
+        point = [np.array(us) for us in zip(*winners)]
+        transformed.update(zip(members, batch.transform(heads, problem_stacks[heads], point)))
+    out = [[] for _ in seeds]
+    for c, (i, d, r) in enumerate(circuits):
+        out[i].append((d, r, transformed[c]))
     return out
 
 
@@ -395,7 +541,7 @@ def nonlocal_entropy(e: Ensemble, mode: Mode = Mode()) -> QuantifierReport:
         best = _pick_delta(cnot_family(e.dims), e.cnot_entanglement, probs)
     else:
         seeds = {d: _direction_seed(mode.seed, d) for d in DIRECTIONS}
-        best = _delta_search(e.amplitudes, probs, e.dims, mode, seeds)
+        best = _delta_search(e.amplitudes[None], probs, e.dims, mode, [seeds])[0]
     # pure members, so both parties start from the average member entanglement
     s_in = float(probs @ e.entanglement)
     return _report("delta", e, mode, best, (s_in, s_in), math.log2(min(e.dims)))
@@ -406,23 +552,21 @@ def _per_state_direction(e: Ensemble, probs, mode, direction) -> _Best:
     so no one repetition count is reported."""
     if mode.depth == 1 or mode.rotate != "control":
         contrib = _per_state_closed(e, direction, mode.rotate)
-    else:  # ensemble-lu on each one-member ensemble
-        member_seeds = (_direction_seed(mode.seed, direction, i) for i in range(len(e)))
-        contrib = np.array([
-            _delta_search(row[None], np.ones(1), e.dims, mode, {direction: s})[direction].value
-            for row, s in zip(e.amplitudes, member_seeds)
-        ])
+    else:  # ensemble-lu on each one-member ensemble, all in one search batch
+        seeds = [{direction: _direction_seed(mode.seed, direction, i)} for i in range(len(e))]
+        found = _delta_search(e.amplitudes[:, None], np.ones(1), e.dims, mode, seeds)
+        contrib = np.array([best[direction].value for best in found])
     return _Best(float(probs @ contrib), contrib, None)
 
 
-def _delta_search(stack, probs, dims, mode, seeds: dict) -> dict:
-    """Direction -> ``_Best`` of the best repetition count for each direction
-    in ``seeds`` (direction -> search seed), as ``_pick_delta`` selects. One
-    kernel call values every candidate."""
-    objectives = (functools.partial(_delta_objective, probs=probs, dims=dims),)
-    candidates = _searched_transforms(stack, dims, mode, objectives, seeds)
-    ents = entanglement_entropies(np.stack([t for _, _, t in candidates]), dims)
-    return _pick_delta([(d, r) for d, r, _ in candidates], ents, probs)
+def _delta_search(stacks, probs, dims, mode, seeds: list) -> list:
+    """For each search i of ``_searched_transforms``: direction -> ``_Best`` of
+    the best repetition count for each direction in ``seeds[i]``, as
+    ``_pick_delta`` selects. One kernel call values every candidate."""
+    objective = functools.partial(_delta_objective, probs=probs, dims=dims)
+    searches = _searched_transforms(stacks, dims, mode, objective, seeds)
+    ents = iter(entanglement_entropies(np.stack([t for found in searches for _, _, t in found]), dims))
+    return [_pick_delta([(d, r) for d, r, _ in found], ents, probs) for found in searches]
 
 
 def _pick_delta(labels, ents: np.ndarray, probs) -> dict:
@@ -526,9 +670,10 @@ def _shift_capacities(target: np.ndarray, present: np.ndarray):
     raise BadValue(f"shift capacity not certified within {_CAPACITY_ROUNDS} rounds")
 
 
-def _delta_objective(t: np.ndarray, probs, dims):
-    """Value of a delta search at the transformed stack ``t``, and a callable
-    that gives the gradient there.
+def _delta_objective(t: np.ndarray, sides, probs, dims):
+    """Values of a delta search at the (n, k, d_A*d_B) transformed stacks
+    ``t``, and a callable that gives the gradient at the stacks ``pos``;
+    ``sides`` has no effect, since a pure member has one entanglement.
 
     The value is the ``probs``-weighted entanglement of the members
     (``probs=np.ones(1)`` for a single member). With ``M_k`` a member's
@@ -537,44 +682,66 @@ def _delta_objective(t: np.ndarray, probs, dims):
     keep ``tr rho_k = 1``), so the gradient ``df/dconj(M_k)`` is
     ``-p_k L_k M_k``.
     """
-    m = t.reshape(len(t), *dims)
-    ents, logs = _entropies_and_logs(m @ m.conj().swapaxes(1, 2))
-    return float(probs @ ents), lambda: (-probs[:, None, None] * (logs() @ m)).reshape(t.shape)
+    m = t.reshape(t.shape[:-1] + tuple(dims))
+    ents, logs = _entropies_and_logs(m @ m.conj().swapaxes(-1, -2))
+    # one dot per stack: a stacked product sums in another order
+    return [float(probs @ e) for e in ents], lambda pos: (
+        -probs[:, None, None] * (logs(pos) @ m[pos])).reshape((-1,) + t.shape[1:])
 
 
-def _gap_objective(t: np.ndarray, probs, dims, s_bar, side: str):
-    """Value of a gap search at the transformed stack ``t``, the drop of the
-    ``side`` entropy of the mixture from ``s_bar``, and a callable that gives
-    the gradient there.
+def _gap_objective(t: np.ndarray, on_a, probs, dims, s_bar):
+    """Values of a gap search at the (n, k, d_A*d_B) transformed stacks ``t``,
+    the drops of each mixture's A entropy from ``s_bar`` where ``on_a`` holds
+    (True, False, or a row mask) and of its B entropy elsewhere, and a
+    callable that gives the gradient at the stacks ``pos``.
 
     ``rho_A = sum_k p_k M_k M_k^dag`` gives the gradient ``p_k L_A M_k``;
     ``rho_B``, taken as ``sum_k p_k M_k^dag M_k`` (the conjugate of the B
     marginal, same spectrum), gives ``p_k M_k L_B``. The sign is that of a
-    drop, ``d(-S) = tr(drho L)``.
+    drop, ``d(-S) = tr(drho L)``. Both sides take one eigensolve together
+    when their marginals have one shape, ``d_A == d_B``.
     """
-    m = t.reshape(len(t), *dims)
-    weighted = probs[:, None, None] * m
-    if side == "A":
-        s, log = _entropies_and_logs(np.einsum("kij,klj->il", weighted, m.conj()))
+    m = t.reshape(t.shape[:-1] + tuple(dims))
+    weighted, conj = probs[:, None, None] * m, m.conj()
+    rho_a = lambda: np.einsum("nkij,nklj->nil", weighted, conj)  # noqa: E731
+    rho_b = lambda: np.einsum("nkji,nkjl->nil", conj, weighted)  # noqa: E731
+    if isinstance(on_a, bool):  # every row on one side
+        s, log = _entropies_and_logs(rho_a() if on_a else rho_b())
+        top = s_bar[0] if on_a else s_bar[1]
+
+        def grad(pos):
+            logs, w = log(pos)[:, None], weighted[pos]
+            return (logs @ w if on_a else w @ logs).reshape((-1,) + t.shape[1:])
+
+        return [top - v for v in s.tolist()], grad
+    if dims[0] == dims[1]:
+        s, log = _entropies_and_logs(_by_side(on_a, rho_a, rho_b))
+        s, logs = (s, s), lambda pos: (log(pos),) * 2
     else:
-        s, log = _entropies_and_logs(np.einsum("kji,kjl->il", m.conj(), weighted))
+        (s_a, log_a), (s_b, log_b) = _entropies_and_logs(rho_a()), _entropies_and_logs(rho_b())
+        s, logs = (s_a, s_b), lambda pos: (log_a(pos), log_b(pos))
 
-    def grad():
-        return (log() @ weighted if side == "A" else weighted @ log()).reshape(t.shape)
+    def grad(pos):
+        (l_a, l_b), w = logs(pos), weighted[pos]
+        return _by_side(on_a[pos], lambda: l_a[:, None] @ w, lambda: w @ l_b[:, None]).reshape(
+            (-1,) + t.shape[1:])
 
-    return s_bar["AB".index(side)] - float(s), grad
+    return [s_bar[0] - a if flag else s_bar[1] - b
+            for flag, a, b in zip(on_a.tolist(), s[0].tolist(), s[1].tolist())], grad
 
 
 def _entropies_and_logs(rho: np.ndarray):
-    """Entropies (``entropy_bits``) of a stack of density matrices, and a
-    callable that gives their ``log2`` from the same eigensolve; eigenvalues
-    below ``TOL.eig_floor`` take the floor's log. Nothing writes to the
-    arrays the callables close over, so a later call sees what the value saw."""
+    """Entropies (``entropy_bits``) of an (n, ...) stack of density matrices,
+    and a callable that gives the ``log2`` of those at ``pos`` from the same
+    eigensolve; eigenvalues below ``TOL.eig_floor`` take the floor's log.
+    Nothing writes to the arrays the callables close over, so a later call
+    sees what the value saw."""
     lam, vecs = np.linalg.eigh(rho)
 
-    def logs():
-        floored = np.log2(np.maximum(lam, TOL.eig_floor))
-        return (vecs * floored[..., None, :]) @ vecs.conj().swapaxes(-1, -2)
+    def logs(pos):
+        at = vecs[pos]
+        floored = np.log2(np.maximum(lam[pos], TOL.eig_floor))
+        return (at * floored[..., None, :]) @ at.conj().swapaxes(-1, -2)
 
     return entropy_bits(lam), logs
 
@@ -645,10 +812,9 @@ def _gap_search(e, mode) -> dict:
         labels, ents = cnot_family(dims), e.cnot_entanglement
         s_fins = map(tuple, e.cnot_mixture_entropies.tolist())
     else:
-        objectives = tuple(functools.partial(_gap_objective, probs=probs, dims=dims, s_bar=s_bar,
-                                             side=side) for side in "AB")
+        objective = functools.partial(_gap_objective, probs=probs, dims=dims, s_bar=s_bar)
         seeds = {d: _direction_seed(mode.seed, d) for d in DIRECTIONS}
-        candidates = _searched_transforms(e.amplitudes, dims, mode, objectives, seeds)
+        candidates = _searched_transforms(e.amplitudes[None], dims, mode, objective, [seeds], "AB")[0]
         transformed = np.stack([t for _, _, t in candidates])
         s_a, s_b = mixture_marginal_entropies(transformed, probs, dims)
         labels, ents = [(d, r) for d, r, _ in candidates], entanglement_entropies(transformed, dims)

@@ -11,10 +11,11 @@ on the target both commute with the controlled shift.
 never falls below the parameter-free circuit or above the per-state closed
 form, is deterministic for a seed, and raises ``BadValue`` (exit code 2)
 rather than return a number when its step budget runs out.
-(d) The search takes a gradient only where it moves from: one backward pass
+(d) The search takes a gradient only where it moves from: one backward row
 at each ascent's start and one per accepted step (the steps its budget
-counts), none at a rejected trial or at the identity, and the objectives of
-one circuit share one set of starts.
+counts), none at a rejected trial or at the identity; the ascents of one
+batch share each backward call, and the objectives of one circuit share one
+set of starts.
 """
 
 import functools
@@ -53,11 +54,30 @@ def _random_ensemble(dims, k, seed):
 
 
 def _objective(kind, e):
+    """The objective of ``kind`` on ``e`` and whether it values side A."""
     probs = np.array(e.probabilities)
     if kind == "delta":
-        return functools.partial(_delta_objective, probs=probs, dims=e.dims)
+        return functools.partial(_delta_objective, probs=probs, dims=e.dims), True
     s_bar = mixture_marginal_entropies(e.amplitudes, probs, e.dims)
-    return functools.partial(_gap_objective, probs=probs, dims=e.dims, s_bar=s_bar, side=kind[-1])
+    return functools.partial(_gap_objective, probs=probs, dims=e.dims, s_bar=s_bar), kind == "gap-A"
+
+
+def _batch(dims, direction, rotate, depth, e, kind, size=1):
+    """``size`` copies of one circuit and the batch's function for ``_ascend``."""
+    circuit = _LuCircuit(dims, rotate, depth, [(direction, 1)] * size)
+    objective, on_a = _objective(kind, e)
+    return circuit, circuit.on(e.amplitudes, objective, [on_a] * size)
+
+
+def _single(f):
+    """Problem 0 of the batch function ``f`` as ``us -> (value, callable giving
+    its gradients)``."""
+
+    def single(us):
+        values, gammas = f(np.arange(1), [u[None] for u in us])
+        return values[0], lambda: [g[0] for g in gammas(slice(None))]
+
+    return single
 
 
 def _skew(rng, d):
@@ -72,8 +92,8 @@ def _skew(rng, d):
 @pytest.mark.parametrize("dims", [(2, 3), (3, 2)], ids=["2x3", "3x2"])
 def test_gradient_matches_central_differences(dims, kind, depth, rotate, direction):
     e = _random_ensemble(dims, 3, seed=dims[0] * 10 + depth)
-    circuit = _LuCircuit(dims, direction, rotate, depth, 1)
-    f = circuit.on(e.amplitudes, _objective(kind, e))
+    circuit, batch = _batch(dims, direction, rotate, depth, e, kind)
+    f = _single(batch)
     rng = np.random.default_rng(len(kind) + 7 * depth)
     us = [haar_unitary(d, rng) for d in circuit.unitary_dims]
     gammas = f(us)[1]()
@@ -95,10 +115,10 @@ def test_gradient_matches_central_differences(dims, kind, depth, rotate, directi
 @pytest.mark.parametrize("dims", [(3, 3), (2, 3), (3, 2)], ids=["3x3", "2x3", "3x2"])
 def test_gauge_directions_have_zero_gradient(dims, kind, direction):
     e = _random_ensemble(dims, 4, seed=sum(dims))
-    circuit = _LuCircuit(dims, direction, "both", 1, 1)
+    circuit, batch = _batch(dims, direction, "both", 1, e, kind)
     rng = np.random.default_rng(3)
     us = [haar_unitary(d, rng) for d in circuit.unitary_dims]
-    gammas = circuit.on(e.amplitudes, _objective(kind, e))(us)[1]()
+    gammas = _single(batch)(us)[1]()
     w = dict(zip("AB", (g @ u.conj().T - u @ g.conj().T for g, u in zip(gammas, us))))
     control, target = ("A", "B") if direction == "right" else ("B", "A")
     d_t = w[target].shape[0]
@@ -154,28 +174,28 @@ def test_step_budget_raises_bad_value(monkeypatch, capsys):
 @pytest.mark.parametrize("kind", OBJECTIVES)
 def test_gradient_taken_only_where_the_ascent_moves(monkeypatch, kind, rotate):
     e = _random_ensemble((2, 3), 3, seed=6)
-    circuit = _LuCircuit(e.dims, "right", rotate, 1, 1)
+    circuit, f = _batch(e.dims, "right", rotate, 1, e, kind, size=3)
     passes, backward = [], circuit.backward
-    circuit.backward = lambda *args: passes.append(args) or backward(*args)
-    f = circuit.on(e.amplitudes, _objective(kind, e))
+    circuit.backward = lambda rows, *args: passes.append(len(rows)) or backward(rows, *args)
     starts = _starts(circuit.unitary_dims, 3, seed=11)
     per_ascent = []
     for start in starts:
         passes.clear()
-        value = _ascend(f, start)[0]
-        n = len(passes)
+        value = _ascend(f, [start])[0][0]
+        n = sum(passes)
         # n - 1 accepted steps: a budget of n steps finishes, one of n - 1 runs out
         monkeypatch.setattr(quantify, "_ASCENT_ROUNDS", n)
-        assert _ascend(f, start)[0] == value
+        assert _ascend(f, [start])[0][0] == value
         monkeypatch.setattr(quantify, "_ASCENT_ROUNDS", n - 1)
         with pytest.raises(BadValue):
-            _ascend(f, start)
+            _ascend(f, [start])
         monkeypatch.undo()
         per_ascent.append(n)
     assert min(per_ascent) > 2  # every ascent took steps
     passes.clear()
     _maximize(f, starts)
-    assert len(passes) == sum(per_ascent)  # none for the identity
+    assert sum(passes) == sum(per_ascent)  # none for the identity
+    assert len(passes) < sum(per_ascent)  # the lockstep ascents share backward calls
 
 
 @pytest.mark.parametrize("name", ["bell-triple", "more-nl-mixed"])

@@ -7,16 +7,19 @@ Haar-random unitaries), each step ``U <- exp(t W) U`` with ``W = Gamma U^dag
 - U Gamma^dag``, Barzilai-Borwein lengths alternated and halved under a
 nonmonotone Armijo rule. It drives the circuits member by member: each
 member goes through the circuit alone, forward and backward, and the
-gradients are summed. The search on the stacked circuit must walk the same
-path: from each start it reaches the same value, to 1e-12, on the delta and
-gap objectives of the lu searches, for every group size, restart count and
-seed below. On a noisy objective, the same function on both sides,
-it must return the same value and point bit for bit; the noise is in the
-value only, so late trial steps fail at random and most ascents end
-through the step-length floor, short of the gradient tolerance. The stacked circuit pieces must equal their
-one-member results exactly, because the stacked searches rely on it.
+gradients are summed. The search on the stacked circuit, every restart one
+problem of a lockstep batch, must walk the same path: from each start it
+reaches the same value, to 1e-12, on the delta and gap objectives of the lu
+searches, for every group size, restart count and seed below. On a noisy
+objective, the same function on both sides (each row of the batch valued
+alone), it must return the same value and point bit for bit; the noise is in
+the value only, so late trial steps fail at random and most ascents end
+through the step-length floor, short of the gradient tolerance. The stacked
+circuit pieces must equal their one-member results exactly, because the
+stacked searches rely on it.
 """
 
+import functools
 import math
 
 import numpy as np
@@ -107,64 +110,74 @@ GAP_CIRCUITS = {4: ("bell-triple", "target"), 8: ("bell-triple", "both"),
 NOISY_DIMS = {0: [], 4: [2], 8: [2, 2], 9: [3], 18: [3, 3]}
 
 
-def _one_at_a_time(circuit, stack, objective):
-    """``circuit.on(stack, objective)`` with every member sent through the
-    circuit alone, forward and backward, and the gradients summed."""
+def _one_at_a_time(circuit, stack, objective, on_a):
+    """Problem 0 of ``circuit.on(stack, objective, ...)`` valued on side A if
+    ``on_a``, as ``us -> (value, callable giving the gradients)``, with every
+    member sent through the circuit alone, forward and backward, and the
+    gradients summed."""
+    rows = np.arange(1)
 
     def f(unitaries):
-        passes = [circuit.forward(stack[i : i + 1], unitaries) for i in range(len(stack))]
-        value, grad = objective(np.concatenate([out for out, _ in passes]))
-        grad = grad()
+        point = [u[None] for u in unitaries]
+        passes = [circuit.forward(rows, stack[None, i : i + 1], point) for i in range(len(stack))]
+        values, grad = objective(np.concatenate([out for out, _ in passes], axis=1), on_a)
+        grad = grad(slice(None))
         gammas = [0.0] * len(unitaries)
         for i, (_, inputs) in enumerate(passes):
-            gammas = [a + b for a, b in zip(gammas, circuit.backward(unitaries, inputs, grad[i : i + 1]))]
-        return value, lambda: gammas
+            summand = circuit.backward(rows, point, inputs, grad[:, i : i + 1])
+            gammas = [a + b[0] for a, b in zip(gammas, summand)]
+        return values[0], lambda: gammas
 
     return f
 
 
-def _delta_pair(n):
+def _single(f):
+    """Problem 0 of the batch function ``f`` as ``us -> value``."""
+    return lambda us: f(np.arange(1), [u[None] for u in us])[0][0]
+
+
+def _batched(single):
+    """The one-problem function ``single`` (``us -> (value, callable giving
+    the gradients)``) as a batch function for ``_ascend``: each row alone."""
+
+    def f(rows, point):
+        found = [single([u[i] for u in point]) for i in range(len(rows))]
+
+        def gammas(pos):
+            picked = [found[i][1]() for i in np.arange(len(rows))[pos]]
+            return [np.array(g) for g in zip(*picked)]
+
+        return [value for value, _ in found], gammas
+
+    return f
+
+
+def _delta_case(n):
     name, members, rotate = DELTA_CIRCUITS[n]
     e = catalog.build(name)
     e = e if members is None else e.subset(members)
-    stack, probs = e.amplitudes, np.array(e.probabilities)
-    circuit = _LuCircuit(e.dims, "right", rotate, 1, 1)
-
-    def objective(t):
-        return _delta_objective(t, probs, e.dims)
-
-    return circuit, [(_one_at_a_time(circuit, stack, objective), circuit.on(stack, objective))]
+    probs = np.array(e.probabilities)
+    objective = functools.partial(_delta_objective, probs=probs, dims=e.dims)
+    return e.dims, "right", rotate, e.amplitudes, objective, (True,)
 
 
-def _per_state_pair(n):
+def _per_state_case(n):
     name, rotate = PER_STATE_CIRCUITS[n]
     e = catalog.build(name)
-    row = e.amplitudes[1:2]
-    circuit = _LuCircuit(e.dims, "left", rotate, 1, 1)
-
-    def objective(t):
-        return _delta_objective(t, np.ones(1), e.dims)
-
-    return circuit, [(_one_at_a_time(circuit, row, objective), circuit.on(row, objective))]
+    objective = functools.partial(_delta_objective, probs=np.ones(1), dims=e.dims)
+    return e.dims, "left", rotate, e.amplitudes[1:2], objective, (True,)
 
 
-def _gap_pair(n):
+def _gap_case(n):
     name, rotate = GAP_CIRCUITS[n]
     e = catalog.build(name)
     stack, probs = e.amplitudes, np.array(e.probabilities)
     s_bar = mixture_marginal_entropies(stack, probs, e.dims)
-    circuit = _LuCircuit(e.dims, "right", rotate, 1, 1)
-    pairs = []
-    for side in "AB":  # each drop ascended on its own, the larger kept
-
-        def objective(t, side=side):
-            return _gap_objective(t, probs, e.dims, s_bar, side)
-
-        pairs.append((_one_at_a_time(circuit, stack, objective), circuit.on(stack, objective)))
-    return circuit, pairs
+    objective = functools.partial(_gap_objective, probs=probs, dims=e.dims, s_bar=s_bar)
+    return e.dims, "right", rotate, stack, objective, (True, False)  # each drop on its own
 
 
-OBJECTIVES = {"delta": _delta_pair, "per-state": _per_state_pair, "gap": _gap_pair}
+OBJECTIVES = {"delta": _delta_case, "per-state": _per_state_case, "gap": _gap_case}
 CASES = [(kind, n) for kind in (*OBJECTIVES, "noisy") for n in (0, 4, 8, 9, 18)
          if n or kind == "noisy"]
 
@@ -190,29 +203,32 @@ def test_batched_climb_walks_the_sequential_path(kind, n, restarts, seed):
     if kind == "noisy":
         f = _noisy(NOISY_DIMS[n])
         want_v, want_us, _ = sequential_maximize(f, NOISY_DIMS[n], restarts, seed)
-        got_v, got_us = _maximize(f, _starts(NOISY_DIMS[n], restarts, seed))
+        got_v, got_us = _maximize(_batched(f), _starts(NOISY_DIMS[n], restarts, seed))[0]
         assert type(got_v) is float
         assert _same_bits(got_v, want_v), (got_v, want_v)
         assert len(got_us) == len(want_us)
         assert all(_same_bits(a, b) for a, b in zip(got_us, want_us))
         return
-    circuit, pairs = OBJECTIVES[kind](n)
+    dims, direction, rotate, stack, objective, sides = OBJECTIVES[kind](n)
+    circuit = _LuCircuit(dims, rotate, 1, [(direction, 1)] * restarts)
     assert sum(d * d for d in circuit.unitary_dims) == n
-    for sequential, stacked in pairs:
+    for on_a in sides:
+        sequential = _one_at_a_time(circuit, stack, objective, on_a)
+        stacked = circuit.on(stack, objective, [on_a] * restarts)
         want_v, _, walks = sequential_maximize(sequential, circuit.unitary_dims, restarts, seed)
-        got_v, got_us = _maximize(stacked, _starts(circuit.unitary_dims, restarts, seed))
+        got_v, got_us = _maximize(stacked, _starts(circuit.unitary_dims, restarts, seed))[0]
         assert type(got_v) is float
         assert abs(got_v - want_v) <= 1e-12, (got_v, want_v)
-        assert abs(stacked(got_us)[0] - got_v) <= 1e-12
+        assert abs(_single(stacked)(got_us) - got_v) <= 1e-12
         # restarts tie to the last bits and maxima are flat (the gauge, and
         # more), so the points can part where the values agree: each
         # restart's ascent must reach the same value, at unitaries where the
         # stacked and the one-at-a-time objectives agree
-        for start, walk_v, walk_us in walks:
-            v, us = _ascend(stacked, start)
+        ascents = _ascend(stacked, [start for start, _, _ in walks])
+        for (start, walk_v, walk_us), (v, us) in zip(walks, ascents):
             assert abs(v - walk_v) <= 1e-12, (v, walk_v)
             assert abs(sequential(us)[0] - v) <= 1e-12
-            assert abs(stacked(walk_us)[0] - walk_v) <= 1e-12
+            assert abs(_single(stacked)(walk_us) - walk_v) <= 1e-12
             assert all(np.abs(u.conj().T @ u - np.eye(len(u))).max() <= 1e-12 for u in us)
 
 
@@ -233,18 +249,19 @@ def test_stacked_generators_and_exponentials_equal_their_rows(dim):
 @pytest.mark.parametrize("direction,depth,reps", [("right", 1, 1), ("left", 2, 2)])
 def test_stacked_transform_equals_its_rows(name, rotate, direction, depth, reps):
     e = catalog.build(name)
-    circuit = _LuCircuit(e.dims, direction, rotate, depth, reps)
+    circuit, rows = _LuCircuit(e.dims, rotate, depth, [(direction, reps)]), np.arange(1)
     rng = np.random.default_rng(7)
-    us = [haar_unitary(d, rng) for d in circuit.unitary_dims]
-    out, inputs = circuit.forward(e.amplitudes, us)
-    assert out.shape == (len(e), e.dims[0] * e.dims[1])
+    us = [haar_unitary(d, rng)[None] for d in circuit.unitary_dims]
+    out, inputs = circuit.forward(rows, e.amplitudes[None], us)
+    assert out.shape == (1, len(e), e.dims[0] * e.dims[1])
     assert len(inputs) == len(us)
     grad = rng.normal(size=out.shape) + 1j * rng.normal(size=out.shape)
-    gammas = circuit.backward(us, inputs, grad)
+    gammas = circuit.backward(rows, us, inputs, grad)
     summed = [np.zeros_like(g) for g in gammas]
     for k in range(len(e)):
-        row_out, row_inputs = circuit.forward(e.amplitudes[k : k + 1], us)
-        assert _same_bits(out[k : k + 1], row_out)
-        summed = [a + b for a, b in zip(summed, circuit.backward(us, row_inputs, grad[k : k + 1]))]
+        row_out, row_inputs = circuit.forward(rows, e.amplitudes[None, k : k + 1], us)
+        assert _same_bits(out[:, k : k + 1], row_out)
+        row_gammas = circuit.backward(rows, us, row_inputs, grad[:, k : k + 1])
+        summed = [a + b for a, b in zip(summed, row_gammas)]
     for g, s in zip(gammas, summed):
         assert np.abs(g - s).max() <= 1e-13

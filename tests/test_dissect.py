@@ -484,3 +484,19 @@ def test_frontier_components_on_drawn_bitmasks(graph):
         assert dissect_module._components(view, side, mask(indices)) == [
             mask(g) for g in components_by_fixpoint(view, side, indices)]
     assert classify(view) == classify_by_trees(view)
+
+
+@pytest.mark.parametrize("first", [None, "A", "B"])
+def test_dissect_searches_an_unsplit_block_once_per_side(monkeypatch, first):
+    # tiles-upb splits from neither side: its one leaf reads the searches
+    # that found no split instead of repeating them
+    seen, original = [], dissect_module._components
+
+    def counted(pset, side, mask):
+        seen.append((side, mask))
+        return original(pset, side, mask)
+
+    monkeypatch.setattr(dissect_module, "_components", counted)
+    tree = dissect(as_product_set(catalog.build("tiles-upb")), first)
+    assert tree.is_leaf and tree.leaf_kind == "irreducible"
+    assert sorted(seen) == [("A", 31), ("B", 31)]

@@ -104,9 +104,11 @@ def test_closed_form_never_below_search(dims, rotate):
     row = np.kron(a, b)[None]
     closed = _closed(a, b, rotate)
     for direction in ("right", "left"):
-        circuits = [_LuCircuit(dims, direction, rotate, 1, r) for r in _reps(dims, direction)]
+        reps = _reps(dims, direction)
+        circuits = _LuCircuit(dims, rotate, 1, [(direction, r) for r in reps])
         objective = functools.partial(_delta_objective, probs=np.ones(1), dims=dims)
-        search = max(_maximize(c.on(row, objective), _starts(c.unitary_dims, 1, 7))[0] for c in circuits)
+        starts = [s for _ in reps for s in _starts(circuits.unitary_dims, 1, 7)]
+        search = max(v for v, _ in _maximize(circuits.on(row, objective), starts, len(reps)))
         assert closed[direction] >= search - 1e-12, (direction, closed[direction], search)
 
 
@@ -188,7 +190,9 @@ def test_deeper_values_attained(dims, rotate):
             if direction == "left":  # the circuit takes the A rotation first
                 first, second = first[::-1], second[::-1]
             layers, reps = first + second, [1]
-        outputs = [_LuCircuit(dims, direction, rotate, 2, r).transform(row, layers) for r in reps]
+        circuits = _LuCircuit(dims, rotate, 2, [(direction, r) for r in reps])
+        rows = np.arange(len(reps))
+        outputs = circuits.transform(rows, np.array([row] * len(reps)), [np.array([u] * len(reps)) for u in layers])
         attained = max(float(entanglement_entropies(out, dims)[0]) for out in outputs)
         assert abs(attained - closed[direction]) <= 1e-12
 
@@ -215,7 +219,7 @@ def test_depth_two_search_reaches_closed_form(dims, rotate):
     closed = _closed(a, b, rotate)
     for direction in ("right", "left"):
         mode = Mode("ensemble-lu", depth=2, restarts=1, rotate=rotate)
-        search = _delta_search(row, np.ones(1), dims, mode, {direction: 5})[direction].value
+        search = _delta_search(row[None], np.ones(1), dims, mode, [{direction: 5}])[0][direction].value
         assert abs(search - closed[direction]) <= 1e-9, (direction, search, closed[direction])
 
 

@@ -4,7 +4,10 @@ Fixed mode, both quantifiers (dims in {2, 3}^2, at most five members;
 product members for delta, general pure members for big-delta): a party swap
 exchanges right and left, and the member order changes neither. On 2x2
 inputs, ensemble-lu is never below fixed: its climb starts at the fixed
-circuit, and both gap searches start from the identity.
+circuit, and both gap searches start from the identity. The identity makes
+this hold for big-delta with a qutrit side too (3x2, 2x3 and 3x3 draws),
+where the target rotation of the two directions turns different dimensions
+and one search runs as two lockstep batches.
 
 Depth-1 per-state-lu delta (dims in {2, 3, 4}^2, product members): the value
 with both sides rotated is invariant under any local frame change
@@ -41,9 +44,10 @@ def _unit(rng, n):
     return v / np.linalg.norm(v)
 
 
-def _random_ensemble(seed: int, quantity: str, max_dim: int = 3) -> Ensemble:
+def _random_ensemble(seed: int, quantity: str, max_dim: int = 3, dims=None) -> Ensemble:
     rng = np.random.default_rng(seed)
-    dims = (int(rng.integers(2, max_dim + 1)), int(rng.integers(2, max_dim + 1)))
+    drawn = (int(rng.integers(2, max_dim + 1)), int(rng.integers(2, max_dim + 1)))
+    dims = drawn if dims is None else dims
     k = int(rng.integers(1, 6))
     if quantity == "delta":
         members = [np.kron(_unit(rng, dims[0]), _unit(rng, dims[1])) for _ in range(k)]
@@ -96,6 +100,16 @@ def test_ensemble_lu_never_below_fixed(quantity, seed):
     quantifier = QUANTIFIERS[quantity]
     fixed = quantifier(e, Mode("fixed"))
     searched = quantifier(e, Mode("ensemble-lu", restarts=1, seed=seed, rotate="target"))
+    for direction in ("right", "left"):
+        assert getattr(fixed, direction) <= getattr(searched, direction) + TOL, direction
+
+
+@given(seed=st.integers(0, 2**32 - 1), dims=st.sampled_from([(3, 2), (2, 3), (3, 3)]))
+@settings(max_examples=30, deadline=None)
+def test_gap_ensemble_lu_never_below_fixed_with_a_qutrit(seed, dims):
+    e = _random_ensemble(seed, "big-delta", dims=dims)
+    fixed = average_entropy_gap(e, Mode("fixed"))
+    searched = average_entropy_gap(e, Mode("ensemble-lu", restarts=1, seed=seed, rotate="target"))
     for direction in ("right", "left"):
         assert getattr(fixed, direction) <= getattr(searched, direction) + TOL, direction
 

@@ -138,9 +138,9 @@ class TestLuModes:
         for reps in (1, 2):
             shifted = np.empty_like(stack)
             shifted[:, cnot_permutation((3, 3), "A", reps)] = stack
-            circuit = _LuCircuit((3, 3), "right", "both", 1, reps)
-            identity = [np.eye(d) for d in circuit.unitary_dims]
-            assert np.allclose(circuit.transform(stack, identity), shifted)
+            circuit = _LuCircuit((3, 3), "both", 1, [("right", reps)])
+            identity = [np.eye(d)[None] for d in circuit.unitary_dims]
+            assert np.allclose(circuit.transform(np.arange(1), stack[None], identity)[0], shifted)
             # the fixed circuit is the bare permutation: the memo's row for
             # (right, reps) is the entanglement of the hand-shifted stack
             row = cnot_family(e.dims).index(("right", reps))
@@ -290,11 +290,11 @@ def optimize_unitary(objective, dim: int, restarts: int = 8, seed: int = 0):
     searches' Riemannian ascent; ``objective`` returns the value and
     ``d value / d conj(U)``. Returns ``(best value, best U)``."""
 
-    def f(us):
-        value, gamma = objective(us[0])
-        return value, lambda: [gamma]
+    def f(rows, point):  # every problem is the one objective, valued row by row
+        found = [objective(u) for u in point[0]]
+        return [v for v, _ in found], lambda pos: [np.array([g for _, g in found])[pos]]
 
-    val, us = _maximize(f, _starts([dim], restarts, seed))
+    val, us = _maximize(f, _starts([dim], restarts, seed))[0]
     return val, us[0]
 
 
@@ -325,11 +325,11 @@ class TestOptimizeUnitary:
         # rotating the uniform target part onto a basis vector yields the
         # maximally entangled output, so the optimum is log2(3)
         stack = np.ones((1, 9), dtype=complex) / 3.0
-        circuit = _LuCircuit((3, 3), "right", "target", 1, 1)
-        f = circuit.on(stack, lambda t: _delta_objective(t, np.ones(1), (3, 3)))
-        val, us = _maximize(f, _starts(circuit.unitary_dims, 8, 0))
+        circuit = _LuCircuit((3, 3), "target", 1, [("right", 1)] * 8)
+        f = circuit.on(stack, lambda t, sides: _delta_objective(t, sides, np.ones(1), (3, 3)))
+        val, us = _maximize(f, _starts(circuit.unitary_dims, 8, 0))[0]
         assert abs(val - LOG2_3) <= 1e-9
-        out = circuit.transform(stack, us)
+        out = circuit.transform(np.arange(1), stack[None], [u[None] for u in us])[0]
         assert abs(entanglement_entropy(PureState((3, 3), out[0])) - LOG2_3) <= 1e-9
 
 

@@ -377,7 +377,7 @@ def test_other_modes_take_no_family_svd(monkeypatch, name, mode):
 # batched candidates against one direction, one r at a time
 
 
-def _one_direction(e, mode, objectives, direction):
+def _one_direction(e, mode, objective, sides, direction):
     """``(r, transformed stack)`` of one direction: the fixed circuit through a
     hand-built permutation, the lu modes through ``_searched_transforms``."""
     if mode.name == "fixed":
@@ -388,17 +388,17 @@ def _one_direction(e, mode, objectives, direction):
             yield r, t
     else:
         seeds = {direction: _direction_seed(mode.seed, direction)}
-        for _, r, t in _searched_transforms(e.amplitudes, e.dims, mode, objectives, seeds):
+        for _, r, t in _searched_transforms(e.amplitudes[None], e.dims, mode, objective, [seeds], sides)[0]:
             yield r, t
 
 
 def _delta_one_at_a_time(e, mode):
     probs, dims = np.array(e.probabilities), e.dims
-    objectives = (functools.partial(_delta_objective, probs=probs, dims=dims),)
+    objective = functools.partial(_delta_objective, probs=probs, dims=dims)
     out = {}
     for direction in DIRECTIONS:
         best = None
-        for r, t in _one_direction(e, mode, objectives, direction):
+        for r, t in _one_direction(e, mode, objective, "A", direction):
             contrib = entanglement_entropies(t, dims)
             value = float(probs @ contrib)
             if best is None or value > best.value + 1e-15:
@@ -419,12 +419,11 @@ def _gap_one_at_a_time(e, mode):
         return (np.count_nonzero(candidate.contributions > 1e-9)
                 < np.count_nonzero(incumbent.contributions > 1e-9))
 
-    objectives = tuple(functools.partial(_gap_objective, probs=probs, dims=dims, s_bar=s_bar,
-                                         side=side) for side in "AB")
+    objective = functools.partial(_gap_objective, probs=probs, dims=dims, s_bar=s_bar)
     out = {}
     for direction in DIRECTIONS:
         best = _Best(0.0, entanglement_entropies(stack, dims), 0, (0.0, 0.0), s_bar)
-        for r, t in _one_direction(e, mode, objectives, direction):
+        for r, t in _one_direction(e, mode, objective, "AB", direction):
             s_fin = mixture_marginal_entropies(t, probs, dims)
             gaps = (s_bar[0] - s_fin[0], s_bar[1] - s_fin[1])
             candidate = _Best(max(gaps), entanglement_entropies(t, dims), r, gaps, s_fin)
@@ -442,7 +441,7 @@ def test_batched_delta_equals_one_at_a_time(name, e, mode):
         batched = _pick_delta(cnot_family(e.dims), e.cnot_entanglement, probs)
     else:
         seeds = {d: _direction_seed(mode.seed, d) for d in DIRECTIONS}
-        batched = _delta_search(e.amplitudes, probs, e.dims, mode, seeds)
+        batched = _delta_search(e.amplitudes[None], probs, e.dims, mode, [seeds])[0]
     assert all(type(best) is _Best for best in batched.values())
     assert _bits(batched) == _bits(_delta_one_at_a_time(e, mode))
 
