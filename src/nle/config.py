@@ -33,3 +33,9 @@ TOL = Tolerances()
 # d_A*d_B complex numbers, at most 256 * 512 * 256 * 16 bytes = 512 MiB here.
 MAX_DIM_PRODUCT = 256  # d_A*d_B
 MAX_MEMBERS = 512      # k
+
+# Largest search ``Mode`` accepts: a search draws ``restarts`` starts of
+# ``depth`` layers before its first step. Far above any shipped use (16
+# restarts, depth 3); a bound on absurd inputs, not on memory.
+MAX_RESTARTS = 256
+MAX_DEPTH = 32

@@ -56,8 +56,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .config import TOL
-from .errors import BadParams, BadValue, GramNotIdentity, NotProductEnsemble
+from .config import MAX_DEPTH, MAX_RESTARTS, TOL
+from .errors import BadParams, BadValue, GramNotIdentity, NotProductEnsemble, TooLarge
 from .linalg import (DIRECTIONS, cnot_family, cnot_permutation, expm_hermitian_unchecked,
                      haar_unitary)
 from .states import (LOG2, Ensemble, entanglement_entropies, entropy_bits, is_integer,
@@ -78,7 +78,9 @@ class Mode:
     runs none except at depth > 1 with ``rotate="control"``, so elsewhere they
     do not affect it. Fixed mode has no rotations and one layer, so it
     ignores ``depth``, ``restarts``, ``seed`` and ``rotate``. ``depth``,
-    ``restarts`` and ``seed`` must be integers (booleans are not).
+    ``restarts`` and ``seed`` must be integers (booleans are not), and
+    ``depth`` and ``restarts`` at most ``MAX_DEPTH`` and ``MAX_RESTARTS``
+    (``TooLarge`` beyond).
     """
 
     name: str = "fixed"
@@ -96,6 +98,9 @@ class Mode:
                 raise BadParams(f"{key} must be an integer, not {value!r}")
         if self.depth < 1 or self.restarts < 1:
             raise BadParams("depth and restarts must be >= 1")
+        if self.depth > MAX_DEPTH or self.restarts > MAX_RESTARTS:
+            raise TooLarge(f"depth {self.depth} and restarts {self.restarts}: at most "
+                           f"depth {MAX_DEPTH} and {MAX_RESTARTS} restarts")
         if self.rotate not in ROTATE_CHOICES:
             raise BadParams(f"unknown rotate choice {self.rotate!r}")
 
@@ -528,6 +533,8 @@ def nonlocal_entropy(e: Ensemble, mode: Mode = Mode()) -> QuantifierReport:
     entanglement of any pure state. Raises ``NotProductEnsemble`` when any
     member has Schmidt rank above one.
     """
+    if not isinstance(mode, Mode):
+        raise BadParams(f"mode must be a Mode, not {mode!r}")
     if mode.name == "assign":
         raise BadParams("assign mode applies to the average-state gap only")
     if mode.name == "fixed":
@@ -626,10 +633,8 @@ def _per_state_closed(e: Ensemble, direction: str, rotate: str) -> np.ndarray:
 
 def _shift_classes(d_c: int, d_t: int, reps) -> np.ndarray:
     """``(R, d_c, d_t)`` indicator: control index i lies in class ``r*i mod d_t``."""
-    classes = np.zeros((len(reps), d_c, d_t))
-    for n, r in enumerate(reps):
-        classes[n, np.arange(d_c), r * np.arange(d_c) % d_t] = 1.0
-    return classes
+    residues = np.array(reps)[:, None] * np.arange(d_c) % d_t
+    return (residues[:, :, None] == np.arange(d_t)).astype(float)
 
 
 def _shift_capacities(target: np.ndarray, present: np.ndarray):
@@ -643,30 +648,40 @@ def _shift_capacities(target: np.ndarray, present: np.ndarray):
     ``S(rho)`` is attained by the current ``q`` and ``max_c D(b_c||rho)``
     bounds the capacity from above, so a channel stops at ``S(rho)`` once
     their gap (with the unfloored entropy, as ``D`` sees the same spectrum) is
-    at most ``TOL.capacity_gap``. ``BadValue`` if one is still open after
+    at most ``TOL.capacity_gap``. The loop returns once every running channel
+    is certified; while every channel runs it reads the letters, ``present``
+    and ``q`` whole, the letters broadcast over the R classes, and after that
+    the running channels by index. ``BadValue`` if one is still open after
     ``_CAPACITY_ROUNDS`` rounds.
     """
     k, d_t = target.shape
-    letters = np.stack([np.roll(target, c, axis=1) for c in range(d_t)], axis=1)  # row c: X^c|b>
-    letters = np.repeat(letters, len(present), axis=0)
-    present = np.tile(present, (k, 1))
-    q = present / present.sum(axis=1, keepdims=True)
-    values = np.empty(len(q))
-    running = np.arange(len(q))
+    j = np.arange(d_t)
+    letters = target[:, (j - j[:, None]) % d_t]  # (k, d_t, d_t), row c: X^c|b>
+    q = np.empty((k,) + present.shape)
+    q[:] = present / present.sum(axis=1, keepdims=True)
+    values = np.empty(q.shape[:-1])
+    b, mask, running = letters[:, None], present, ...  # ...: every channel runs, read whole
     for _ in range(_CAPACITY_ROUNDS):
-        b, mask = letters[running], present[running]
-        lam, vecs = np.linalg.eigh(np.einsum("mc,mci,mcj->mij", q[running], b, np.conjugate(b)))
+        lam, vecs = np.linalg.eigh(np.einsum("...c,...ci,...cj->...ij", q[running], b, np.conjugate(b)))
         logs = np.log2(np.where(lam > 0.0, lam, 1.0))
-        div = -(np.abs(b @ np.conjugate(vecs)) ** 2 * logs[:, None, :]).sum(-1)  # D(b_c||rho)
+        div = -(np.abs(b @ np.conjugate(vecs)) ** 2 * logs[..., None, :]).sum(-1)  # D(b_c||rho)
         div = np.where(mask, div, -np.inf)
-        top = div.max(axis=1)
+        top = div.max(axis=-1)
         done = top + (lam * logs).sum(-1) <= TOL.capacity_gap
-        values[running[done]] = entropy_bits(lam[done])
-        w = q[running] * np.exp2(div - top[:, None])
-        q[running[~done]] = (w / w.sum(axis=1, keepdims=True))[~done]
-        running = running[~done]
-        if running.size == 0:
-            return values.reshape(k, -1), q.reshape(k, -1, d_t)
+        if done.all():
+            values[running] = entropy_bits(lam)
+            return values, q
+        w = q[running] * np.exp2(div - top[..., None])
+        w /= w.sum(axis=-1, keepdims=True)
+        if running is ... and not done.any():
+            q = w
+            continue
+        # (member, class) index pairs of the channels that stop and of those that run on
+        at = np.nonzero if running is ... else (lambda s, r=running: (r[0][s], r[1][s]))
+        stopped, running = at(done), at(~done)
+        values[stopped] = entropy_bits(lam[done])
+        q[running] = w[~done]
+        b, mask = letters[running[0]], present[running[1]]
     raise BadValue(f"shift capacity not certified within {_CAPACITY_ROUNDS} rounds")
 
 
@@ -765,6 +780,8 @@ def average_entropy_gap(e: Ensemble, mode: Mode = Mode()) -> QuantifierReport:
     (``assign_partition``), so no search runs, and one result serves both
     directions. Values are clipped into ``[0, max(S_A, S_B)]`` of the mixture.
     """
+    if not isinstance(mode, Mode):
+        raise BadParams(f"mode must be a Mode, not {mode!r}")
     if mode.name == "per-state-lu":
         raise BadParams("the average-state gap needs a single global transform per direction")
     if mode.name == "fixed":

@@ -211,8 +211,11 @@ class Ensemble:
         return tuple(int(i) for i in idx)
 
     def subset(self, indices) -> "Ensemble":
-        """Sub-ensemble on the given member indices, probabilities renormalized."""
+        """Sub-ensemble on the given member indices, probabilities renormalized;
+        ``BadParams`` unless they name at least one member."""
         idx = self.member_indices(indices)
+        if not idx:
+            raise BadParams("a sub-ensemble needs at least one member")
         mass = sum(self.probabilities[i] for i in idx)
         return Ensemble(
             self.dims,

@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nle.cli import load_ensemble_file, main
-from nle.config import MAX_DIM_PRODUCT, MAX_MEMBERS
+from nle.config import MAX_DEPTH, MAX_DIM_PRODUCT, MAX_MEMBERS, MAX_RESTARTS
 from nle.errors import FileFormatError
 
 ROOT2 = 1 / math.sqrt(2)
@@ -434,6 +434,13 @@ class TestFileLoading:
         for command in FILE_COMMANDS:
             assert main([command, "--file", str(path)]) == 2, command
         assert capsys.readouterr().err.count("error [too-large]") == len(FILE_COMMANDS)
+
+    @pytest.mark.parametrize("flag,value", [("--restarts", MAX_RESTARTS + 1),
+                                            ("--depth", MAX_DEPTH + 1)], ids=["restarts", "depth"])
+    def test_search_sizes_beyond_the_limits_exit_as_domain_error(self, capsys, flag, value):
+        argv = ["delta", "--ensemble", "case-3x2", "--mode", "ensemble-lu", flag, str(value)]
+        assert main(argv) == 2
+        assert "error [too-large]" in capsys.readouterr().err
 
     @given(document=fuzzed_documents())
     @settings(max_examples=120, deadline=None)

@@ -161,6 +161,15 @@ class TestReducibleFrom:
         with pytest.raises(BadParams):
             ps.ensemble.subset(indices)
 
+    def test_empty_indices(self):
+        # an empty subset used to exit bad-dims about probabilities never given;
+        # a reducibility question on no members stays a trivial set
+        ps = pset("case-3x2")
+        with pytest.raises(BadParams, match="at least one member"):
+            ps.ensemble.subset([])
+        with pytest.raises(TrivialSet):
+            reducible_from(ps, "A", [])
+
     def test_accepts_numpy_indices(self):
         ps = pset("e1-computational")
         assert reducible_from(ps, "A", np.arange(4)) == reducible_from(ps, "A")

@@ -15,6 +15,10 @@ with the target or both sides rotated equal depth 1.
 ``TOL.capacity_gap``, also where control classes repeat, and raises
 ``BadValue`` rather than return a number when its round cap is hit. Where
 the letters ``X^c|b>`` nearly coincide it still hits the cap (strict xfail).
+(d) ``_shift_classes`` and ``_shift_capacities`` give bit for bit the values
+and class distributions of their earlier loop forms, kept here as oracles,
+on batches certified in one round, in several, and in different rounds per
+channel.
 """
 
 import functools
@@ -261,6 +265,8 @@ def test_capacity_near_a_shift_eigenvector_certified():
     for n in range(len(present)):
         gap, entropy = _certified_gap(b, present[n], q[0, n])
         assert gap <= TOL.capacity_gap and abs(values[0, n] - entropy) <= 1e-15
+    oracle_values, oracle_q = _oracle_shift_capacities(b[None], present)
+    assert np.array_equal(values, oracle_values) and np.array_equal(q, oracle_q)
 
 
 def test_capacity_round_cap_raises(monkeypatch):
@@ -296,3 +302,106 @@ def test_per_state_reports_no_repetition_count():
     for depth in (1, 2):
         r = nonlocal_entropy(e, Mode("per-state-lu", depth=depth, restarts=1, rotate="target"))
         assert r.reps_right is None and r.reps_left is None
+
+
+# The earlier forms of ``_shift_classes`` and ``_shift_capacities``, verbatim:
+# one ``np.roll`` per letter, the letters repeated and ``present`` tiled over
+# every channel, and a copy of the running rows in every round.
+_CAPACITY_ROUNDS = 10_000
+
+
+def _oracle_shift_classes(d_c: int, d_t: int, reps) -> np.ndarray:
+    """``(R, d_c, d_t)`` indicator: control index i lies in class ``r*i mod d_t``."""
+    classes = np.zeros((len(reps), d_c, d_t))
+    for n, r in enumerate(reps):
+        classes[n, np.arange(d_c), r * np.arange(d_c) % d_t] = 1.0
+    return classes
+
+
+def _oracle_shift_capacities(target: np.ndarray, present: np.ndarray):
+    """Capacities of the channels ``c -> X^c|b>`` over the classes ``present`` marks.
+
+    ``target`` is ``(k, d_t)`` and ``present`` ``(R, d_t)``; returns the values
+    and the optimal class distributions, ``(k, R)`` and ``(k, R, d_t)``. One
+    letter per class: duplicated letters slow the iteration down. All ``k*R``
+    channels run the quantum Blahut-Arimoto iteration (Nagaoka 1998) from the
+    uniform ``q``, one stacked ``eigh`` per round: ``q_c <- q_c 2^{D(b_c||rho)}``.
+    ``S(rho)`` is attained by the current ``q`` and ``max_c D(b_c||rho)``
+    bounds the capacity from above, so a channel stops at ``S(rho)`` once
+    their gap (with the unfloored entropy, as ``D`` sees the same spectrum) is
+    at most ``TOL.capacity_gap``. ``BadValue`` if one is still open after
+    ``_CAPACITY_ROUNDS`` rounds.
+    """
+    k, d_t = target.shape
+    letters = np.stack([np.roll(target, c, axis=1) for c in range(d_t)], axis=1)  # row c: X^c|b>
+    letters = np.repeat(letters, len(present), axis=0)
+    present = np.tile(present, (k, 1))
+    q = present / present.sum(axis=1, keepdims=True)
+    values = np.empty(len(q))
+    running = np.arange(len(q))
+    for _ in range(_CAPACITY_ROUNDS):
+        b, mask = letters[running], present[running]
+        lam, vecs = np.linalg.eigh(np.einsum("mc,mci,mcj->mij", q[running], b, np.conjugate(b)))
+        logs = np.log2(np.where(lam > 0.0, lam, 1.0))
+        div = -(np.abs(b @ np.conjugate(vecs)) ** 2 * logs[:, None, :]).sum(-1)  # D(b_c||rho)
+        div = np.where(mask, div, -np.inf)
+        top = div.max(axis=1)
+        done = top + (lam * logs).sum(-1) <= TOL.capacity_gap
+        values[running[done]] = entropy_bits(lam[done])
+        w = q[running] * np.exp2(div - top[:, None])
+        q[running[~done]] = (w / w.sum(axis=1, keepdims=True))[~done]
+        running = running[~done]
+        if running.size == 0:
+            return values.reshape(k, -1), q.reshape(k, -1, d_t)
+    raise BadValue(f"shift capacity not certified within {_CAPACITY_ROUNDS} rounds")
+
+
+def _channel_rounds(monkeypatch, target, present) -> list:
+    """Rounds each channel of the batch takes alone: the oracle's ``eigh`` calls."""
+    calls = []
+    eigh = np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda m: calls.append(1) or eigh(m))
+    rounds = []
+    for b, row in itertools.product(target, present):
+        calls.clear()
+        _oracle_shift_capacities(b[None], row[None])
+        rounds.append(len(calls))
+    monkeypatch.undo()
+    return rounds
+
+
+ORACLE_DIMS = list(itertools.product(range(2, 6), repeat=2))
+
+
+def _oracle_batches(dims):
+    """Seeded ``(target, present)`` batches of one to four members on ``dims``."""
+    d_c, d_t = dims
+    present = _shift_classes(d_c, d_t, range(1, max(d_t, 2))).any(axis=1)
+    for seed in range(8):
+        rng = np.random.default_rng(1000 * d_c + 10 * d_t + seed)
+        yield np.array([_unit(rng, d_t) for _ in range(1 + seed % 4)]), present
+
+
+@pytest.mark.parametrize("dims", ORACLE_DIMS, ids=[f"{a}x{b}" for a, b in ORACLE_DIMS])
+def test_shift_capacities_match_the_loop_oracle(dims):
+    reps = range(1, max(dims[1], 2))
+    classes, oracle_classes = _shift_classes(*dims, reps), _oracle_shift_classes(*dims, reps)
+    assert classes.dtype == oracle_classes.dtype and np.array_equal(classes, oracle_classes)
+    for target, present in _oracle_batches(dims):
+        values, q = _shift_capacities(target, present)
+        oracle_values, oracle_q = _oracle_shift_capacities(target, present)
+        assert values.shape == oracle_values.shape and np.array_equal(values, oracle_values)
+        assert q.shape == oracle_q.shape and np.array_equal(q, oracle_q)
+
+
+def test_oracle_batches_cover_every_way_a_batch_ends(monkeypatch):
+    # uniform q is optimal by symmetry for two letters or all d_t of them, so
+    # the batches that run on are those with three or more classes out of d_t
+    kinds = set()
+    for dims in ORACLE_DIMS:
+        for target, present in _oracle_batches(dims):
+            rounds = _channel_rounds(monkeypatch, target, present)
+            kinds.add("one round" if max(rounds) == 1 else "several rounds")
+            if len(set(rounds)) > 1:
+                kinds.add("channels stop in different rounds")
+    assert kinds == {"one round", "several rounds", "channels stop in different rounds"}

@@ -6,7 +6,9 @@ import pytest
 
 from nle import catalog
 from nle.dissect import as_product_set, reducible_from
-from nle.errors import BadParams, BadValue, GramNotIdentity, NleError, NotProductEnsemble
+from nle.config import MAX_DEPTH, MAX_RESTARTS
+from nle.errors import (BadParams, BadValue, GramNotIdentity, NleError, NotProductEnsemble,
+                        TooLarge)
 from nle.gates import cnot_permutation
 from nle.linalg import cnot_family, is_unitary
 from nle.quantify import (
@@ -53,6 +55,24 @@ class TestMode:
 
     def test_accepts_numpy_integers(self):
         assert Mode("ensemble-lu", depth=np.int64(2), seed=np.int32(3)).depth == 2
+
+    @pytest.mark.parametrize("field,bound", [("restarts", MAX_RESTARTS), ("depth", MAX_DEPTH)])
+    def test_rejects_search_sizes_beyond_the_limits(self, field, bound):
+        # restarts=10**12 used to construct, and a search would draw that many
+        # starts before its first step; a mode builds nothing, so this is cheap
+        assert getattr(Mode("ensemble-lu", **{field: bound}), field) == bound
+        with pytest.raises(TooLarge) as err:
+            Mode("ensemble-lu", **{field: bound + 1})
+        assert err.value.code == "too-large"
+
+    @pytest.mark.parametrize("mode", ["fixed", None, ("fixed",)], ids=["name", "none", "tuple"])
+    def test_quantifiers_reject_a_mode_that_is_not_a_mode(self, mode):
+        # each used to raise a bare AttributeError on mode.name
+        e = catalog.build("case-3x2")
+        for quantifier in (nonlocal_entropy, average_entropy_gap):
+            with pytest.raises(BadParams) as err:
+                quantifier(e, mode)
+            assert err.value.code == "bad-params"
 
 
 class TestClipValue:
