@@ -80,7 +80,8 @@ class Mode:
     ignores ``depth``, ``restarts``, ``seed`` and ``rotate``. ``depth``,
     ``restarts`` and ``seed`` must be integers (booleans are not), and
     ``depth`` and ``restarts`` at most ``MAX_DEPTH`` and ``MAX_RESTARTS``
-    (``TooLarge`` beyond).
+    (``TooLarge`` beyond). Like the integer checks, the bounds hold in every
+    mode, also where the mode ignores the field.
     """
 
     name: str = "fixed"
@@ -648,40 +649,27 @@ def _shift_capacities(target: np.ndarray, present: np.ndarray):
     ``S(rho)`` is attained by the current ``q`` and ``max_c D(b_c||rho)``
     bounds the capacity from above, so a channel stops at ``S(rho)`` once
     their gap (with the unfloored entropy, as ``D`` sees the same spectrum) is
-    at most ``TOL.capacity_gap``. The loop returns once every running channel
-    is certified; while every channel runs it reads the letters, ``present``
-    and ``q`` whole, the letters broadcast over the R classes, and after that
-    the running channels by index. ``BadValue`` if one is still open after
-    ``_CAPACITY_ROUNDS`` rounds.
+    at most ``TOL.capacity_gap``; its ``q`` is then frozen, so each later round
+    gives it the same spectrum. Every round runs every channel, the letters
+    broadcast over the R classes, and the loop returns once all are certified.
+    ``BadValue`` if one is still open after ``_CAPACITY_ROUNDS`` rounds.
     """
     k, d_t = target.shape
     j = np.arange(d_t)
-    letters = target[:, (j - j[:, None]) % d_t]  # (k, d_t, d_t), row c: X^c|b>
+    b = target[:, (j - j[:, None]) % d_t][:, None]  # (k, 1, d_t, d_t), row c: X^c|b>
     q = np.empty((k,) + present.shape)
     q[:] = present / present.sum(axis=1, keepdims=True)
-    values = np.empty(q.shape[:-1])
-    b, mask, running = letters[:, None], present, ...  # ...: every channel runs, read whole
     for _ in range(_CAPACITY_ROUNDS):
-        lam, vecs = np.linalg.eigh(np.einsum("...c,...ci,...cj->...ij", q[running], b, np.conjugate(b)))
+        lam, vecs = np.linalg.eigh(np.einsum("...c,...ci,...cj->...ij", q, b, np.conjugate(b)))
         logs = np.log2(np.where(lam > 0.0, lam, 1.0))
         div = -(np.abs(b @ np.conjugate(vecs)) ** 2 * logs[..., None, :]).sum(-1)  # D(b_c||rho)
-        div = np.where(mask, div, -np.inf)
+        div = np.where(present, div, -np.inf)
         top = div.max(axis=-1)
         done = top + (lam * logs).sum(-1) <= TOL.capacity_gap
         if done.all():
-            values[running] = entropy_bits(lam)
-            return values, q
-        w = q[running] * np.exp2(div - top[..., None])
-        w /= w.sum(axis=-1, keepdims=True)
-        if running is ... and not done.any():
-            q = w
-            continue
-        # (member, class) index pairs of the channels that stop and of those that run on
-        at = np.nonzero if running is ... else (lambda s, r=running: (r[0][s], r[1][s]))
-        stopped, running = at(done), at(~done)
-        values[stopped] = entropy_bits(lam[done])
-        q[running] = w[~done]
-        b, mask = letters[running[0]], present[running[1]]
+            return entropy_bits(lam), q
+        w = q * np.exp2(div - top[..., None])
+        q = np.where(done[..., None], q, w / w.sum(axis=-1, keepdims=True))
     raise BadValue(f"shift capacity not certified within {_CAPACITY_ROUNDS} rounds")
 
 
