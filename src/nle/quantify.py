@@ -14,7 +14,10 @@ every reported number names the search that produced it:
   and ``Ensemble.cnot_mixture_entropies``, which ``nle.infobounds`` reads too.
 * ``ensemble-lu``: layers of (local unitaries, controlled shift) with one
   shared set of unitaries, found by Riemannian gradient ascent on the
-  unitary groups (``_ascend``) from the identity and seeded restarts.
+  unitary groups (``_ascend``) from the identity and seeded restarts;
+  big-delta on two qubits with the target rotated at depth 1 is a closed
+  form instead (``_qubit_target_transforms``; ``restarts`` and ``seed``
+  have no effect).
 * ``per-state-lu``: the same circuit family optimized per member; in closed
   form (``_per_state_closed``; ``restarts`` and ``seed`` have no effect, and
   a member, product within ``TOL.product_rank``, is valued through its
@@ -75,12 +78,13 @@ class Mode:
     lu modes: "both" (default), "target" (the shifted side), or "control".
     ``restarts`` and ``seed`` drive the gradient ascents (restart 0 starts
     next to the identity, later ones at seeded random unitaries); per-state-lu
-    runs none except at depth > 1 with ``rotate="control"``, so elsewhere they
-    do not affect it. Fixed mode has no rotations and one layer, so it
-    ignores ``depth``, ``restarts``, ``seed`` and ``rotate``. ``depth``,
-    ``restarts`` and ``seed`` must be integers (booleans are not), and
-    ``depth`` and ``restarts`` at most ``MAX_DEPTH`` and ``MAX_RESTARTS``
-    (``TooLarge`` beyond). Like the integer checks, the bounds hold in every
+    runs none except at depth > 1 with ``rotate="control"``, and ensemble-lu
+    big-delta none on two qubits with ``rotate="target"`` at depth 1, so
+    there they do not affect the value. Fixed mode has no rotations and one
+    layer, so it ignores ``depth``, ``restarts``, ``seed`` and ``rotate``.
+    ``depth``, ``restarts`` and ``seed`` must be integers (booleans are
+    not), and ``depth`` and ``restarts`` at most ``MAX_DEPTH`` and
+    ``MAX_RESTARTS`` (``TooLarge`` beyond). Like the integer checks, the bounds hold in every
     mode, also where the mode ignores the field.
     """
 
@@ -759,7 +763,10 @@ def average_entropy_gap(e: Ensemble, mode: Mode = Mode()) -> QuantifierReport:
     In fixed and ensemble-lu modes the transform family is the same
     controlled-shift circuit used by ``nonlocal_entropy`` plus the identity,
     the first candidate of every direction, so the gap is never negative;
-    the report records how many members remain entangled. Assign mode
+    the report records how many members remain entangled. On two qubits
+    with only the target rotated, at depth 1, the ensemble-lu optimum is a
+    closed form (``_qubit_target_transforms``), so no search runs and
+    ``restarts`` and ``seed`` have no effect. Assign mode
     relabels an orthogonal ensemble onto orthonormal product outputs:
     members are grouped, each group shares
     one target-side basis vector, and the residual target entropy is the
@@ -799,8 +806,10 @@ def _work(s_in, s_fin, dims):
 def _gap_search(e, mode) -> dict:
     """Direction -> ``_Best`` of each direction, starting from the identity
     (r=0, the ensemble as it is). Fixed mode reads the candidates' values
-    from the ensemble's memo; the lu searches value the mixtures of every
-    candidate with one kernel call and their members' entanglement with one."""
+    from the ensemble's memo; ensemble-lu values the mixtures of every
+    candidate it finds (searched, or in closed form on two qubits with the
+    target rotated at depth 1) with one kernel call and their members'
+    entanglement with one."""
     probs, dims, s_bar = np.array(e.probabilities), e.dims, e.mixture_entropies
 
     def better(candidate, incumbent):
@@ -817,9 +826,12 @@ def _gap_search(e, mode) -> dict:
         labels, ents = cnot_family(dims), e.cnot_entanglement
         s_fins = map(tuple, e.cnot_mixture_entropies.tolist())
     else:
-        objective = functools.partial(_gap_objective, probs=probs, dims=dims, s_bar=s_bar)
-        seeds = {d: _direction_seed(mode.seed, d) for d in DIRECTIONS}
-        candidates = _searched_transforms(e.amplitudes[None], dims, mode, objective, [seeds], "AB")[0]
+        if dims == (2, 2) and mode.rotate == "target" and mode.depth == 1:
+            candidates = _qubit_target_transforms(e, probs, s_bar)
+        else:
+            objective = functools.partial(_gap_objective, probs=probs, dims=dims, s_bar=s_bar)
+            seeds = {d: _direction_seed(mode.seed, d) for d in DIRECTIONS}
+            candidates = _searched_transforms(e.amplitudes[None], dims, mode, objective, [seeds], "AB")[0]
         transformed = np.stack([t for _, _, t in candidates])
         s_a, s_b = mixture_marginal_entropies(transformed, probs, dims)
         labels, ents = [(d, r) for d, r, _ in candidates], entanglement_entropies(transformed, dims)
@@ -831,6 +843,76 @@ def _gap_search(e, mode) -> dict:
         if better(candidate, best[d]):
             best[d] = candidate
     return best
+
+
+# the identity, then sigma_x, sigma_y and sigma_z
+_PAULI = np.array([[[1, 0], [0, 1]], [[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]])
+
+
+def _qubit_target_transforms(e, probs, s_bar) -> list:
+    """``(direction, 1, transformed stack)`` of each direction of a two-qubit
+    ensemble-lu gap search with the target rotated at depth 1, in closed form.
+
+    Let row i of ``m_k`` be member k's target part at control value i (its
+    amplitude matrix's row for "right", column for "left"). The rotation
+    ``U`` and ``CNOT`` send row i to ``X^i U m_{k,i}``, so the shift enters
+    only through ``W = U^dag X U = n.sigma``, and every unit ``n`` is reached.
+    Both marginals have trace ``t = sum_k p_k |m_k|^2`` and, for some ``v``,
+    eigenvalues ``(t +- |v|) / 2``, so a side's entropy falls as ``|v|^2 =
+    beta + 4 n^T Q n`` rises:
+
+    * control: the diagonal ``(t_0, t_1)`` stays and the off-diagonal entry
+      is ``tr(W C) = n.c``, with ``C = sum_k p_k m_{k,0} m_{k,1}^dag`` and
+      ``c_j = tr(sigma_j C) = a_j + i b_j``; so ``beta = (t_0 - t_1)^2`` and
+      ``Q = aa^T + bb^T``;
+    * target: the marginal is ``U R_0 U^dag + X U R_1 U^dag X``, with ``R_i =
+      sum_k p_k m_{k,i} m_{k,i}^dag = (t_i + r_i.sigma) / 2``; conjugated by
+      ``U`` it is ``R_0 + W R_1 W``, whose Bloch vector is ``r_0 - r_1 +
+      2 (n.r_1) n``; so ``beta = |r_0 - r_1|^2`` and ``Q`` is the symmetric part
+      of ``r_0 r_1^T``.
+
+    Each side's best drop is at the top eigenvector of its ``Q``; the
+    reflection ``U = m.sigma``, ``m`` the unit bisector of ``x`` and ``n``,
+    has ``W = n.sigma``; ``Q`` cannot tell ``n`` from ``-n``, so the sign
+    with ``n.x >= 0`` is taken, and the bisector never vanishes. As in ``_maximize`` the identity (``n =
+    x``) is kept unless the axis is strictly better, and as in
+    ``_searched_transforms`` side A wins equals. No such form holds beyond
+    two qubits: ``U^dag X U`` on a qutrit target is no Bloch axis, and a
+    qutrit control's marginal is a 3x3 matrix affine in ``n``, whose entropy
+    no one quadratic form decides.
+    """
+    m = e.amplitudes.reshape(len(e), 2, 2)
+    m = np.stack([m, m.swapaxes(1, 2)])  # per direction, row i: the target part at control i
+    outer = np.einsum("k,dkia,dkjb->dijab", probs, m, m.conj())  # sum_k p_k m_{k,i} m_{k,j}^dag
+    bloch = np.einsum("sba,dijab->dijs", _PAULI, outer)  # tr(sigma_s ...)
+    c, r_0, r_1 = bloch[:, 0, 1, 1:], bloch[:, 0, 0, 1:].real, bloch[:, 1, 1, 1:].real
+    mass = bloch[:, [0, 1], [0, 1], 0].real  # (t_0, t_1)
+    # per direction, the control side and then the target side
+    q = np.stack([(c[:, :, None] * c[:, None].conj()).real,
+                  (r_0[:, :, None] * r_1[:, None] + r_1[:, :, None] * r_0[:, None]) / 2.0], 1)
+    beta = np.stack([(mass[:, 0] - mass[:, 1]) ** 2, ((r_0 - r_1) ** 2).sum(-1)], 1)
+    top, axes = np.linalg.eigh(q)
+    forms = np.stack([q[..., 0, 0], top[..., -1]], -1)  # n^T Q n at the identity (n = x), at the axis
+    v = np.sqrt(np.maximum(beta[..., None] + 4.0 * forms, 0.0))
+    total = mass.sum(-1)[:, None, None]
+    entropies = entropy_bits(np.stack([total + v, total - v], -1) / 2.0)
+    drops = np.array([s_bar, s_bar[::-1]])[..., None] - entropies
+    n = axes[..., -1] * np.where(axes[..., 0, -1] < 0.0, -1.0, 1.0)[..., None]
+    bisector = n + np.array([1.0, 0.0, 0.0])
+    bisector /= np.linalg.norm(bisector, axis=-1)[..., None]
+    reflections = np.einsum("...s,sab->...ab", bisector, _PAULI[1:])
+    point, identity = [], np.eye(2, dtype=complex)
+    for d, sides in enumerate(((0, 1), (1, 0))):  # control, target as the objective sides A, B
+        best = (-math.inf, None)
+        for side in sides:
+            at_identity, at_axis = drops[d, side]
+            candidate = (at_axis, reflections[d, side]) if at_axis > at_identity else (at_identity, identity)
+            if candidate[0] > best[0]:
+                best = candidate
+        point.append(best[1])
+    circuit = _LuCircuit((2, 2), "target", 1, cnot_family((2, 2)))
+    out = circuit.transform(np.arange(2), np.stack([e.amplitudes] * 2), [np.array(point)])
+    return [(d, r, t) for (d, r), t in zip(cnot_family((2, 2)), out)]
 
 
 # ---------------------------------------------------------------------------

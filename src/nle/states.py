@@ -147,6 +147,7 @@ class Ensemble:
     def schmidt_pairs(self) -> tuple[np.ndarray, np.ndarray]:
         """Read-only ``(k, d_A)`` and ``(k, d_B)`` unit vectors: row i holds
         member i's leading Schmidt pair, its local parts when it is a product."""
+        # not shared with ``spectra``: a full SVD's values differ in the last bits
         u, _, vh = np.linalg.svd(self.amplitudes.reshape(len(self), *self.dims))
         pairs = u[:, :, 0].copy(), vh[:, 0, :].copy()  # copies, so u and vh are freed
         for part in pairs:
