@@ -15,9 +15,9 @@ every reported number names the search that produced it:
 * ``ensemble-lu``: layers of (local unitaries, controlled shift) with one
   shared set of unitaries, found by Riemannian gradient ascent on the
   unitary groups (``_ascend``) from the identity and seeded restarts;
-  big-delta on two qubits with the target rotated at depth 1 is a closed
-  form instead (``_qubit_target_transforms``; ``restarts`` and ``seed``
-  have no effect).
+  big-delta on two qubits at depth 1 is a closed form instead, for every
+  rotation (``_qubit_transforms``; ``restarts`` and ``seed`` have no
+  effect).
 * ``per-state-lu``: the same circuit family optimized per member; in closed
   form (``_per_state_closed``; ``restarts`` and ``seed`` have no effect, and
   a member, product within ``TOL.product_rank``, is valued through its
@@ -79,9 +79,9 @@ class Mode:
     ``restarts`` and ``seed`` drive the gradient ascents (restart 0 starts
     next to the identity, later ones at seeded random unitaries); per-state-lu
     runs none except at depth > 1 with ``rotate="control"``, and ensemble-lu
-    big-delta none on two qubits with ``rotate="target"`` at depth 1, so
-    there they do not affect the value. Fixed mode has no rotations and one
-    layer, so it ignores ``depth``, ``restarts``, ``seed`` and ``rotate``.
+    big-delta none on two qubits at depth 1, so there they do not affect the
+    value. Fixed mode has no rotations and one layer, so it ignores
+    ``depth``, ``restarts``, ``seed`` and ``rotate``.
     ``depth``, ``restarts`` and ``seed`` must be integers (booleans are
     not), and ``depth`` and ``restarts`` at most ``MAX_DEPTH`` and
     ``MAX_RESTARTS`` (``TooLarge`` beyond). Like the integer checks, the bounds hold in every
@@ -763,12 +763,11 @@ def average_entropy_gap(e: Ensemble, mode: Mode = Mode()) -> QuantifierReport:
     In fixed and ensemble-lu modes the transform family is the same
     controlled-shift circuit used by ``nonlocal_entropy`` plus the identity,
     the first candidate of every direction, so the gap is never negative;
-    the report records how many members remain entangled. On two qubits
-    with only the target rotated, at depth 1, the ensemble-lu optimum is a
-    closed form (``_qubit_target_transforms``), so no search runs and
-    ``restarts`` and ``seed`` have no effect. Assign mode
-    relabels an orthogonal ensemble onto orthonormal product outputs:
-    members are grouped, each group shares
+    the report records how many members remain entangled. On two qubits at
+    depth 1 the ensemble-lu optimum is a closed form for every rotation
+    (``_qubit_transforms``), so no search runs and ``restarts`` and ``seed``
+    have no effect. Assign mode relabels an orthogonal ensemble onto
+    orthonormal product outputs: members are grouped, each group shares
     one target-side basis vector, and the residual target entropy is the
     entropy of the group-mass distribution, minimized over all admissible
     partitions; the minimum is attained by sorted chunking
@@ -807,9 +806,8 @@ def _gap_search(e, mode) -> dict:
     """Direction -> ``_Best`` of each direction, starting from the identity
     (r=0, the ensemble as it is). Fixed mode reads the candidates' values
     from the ensemble's memo; ensemble-lu values the mixtures of every
-    candidate it finds (searched, or in closed form on two qubits with the
-    target rotated at depth 1) with one kernel call and their members'
-    entanglement with one."""
+    candidate it finds (searched, or in closed form on two qubits at depth
+    1) with one kernel call and their members' entanglement with one."""
     probs, dims, s_bar = np.array(e.probabilities), e.dims, e.mixture_entropies
 
     def better(candidate, incumbent):
@@ -826,8 +824,8 @@ def _gap_search(e, mode) -> dict:
         labels, ents = cnot_family(dims), e.cnot_entanglement
         s_fins = map(tuple, e.cnot_mixture_entropies.tolist())
     else:
-        if dims == (2, 2) and mode.rotate == "target" and mode.depth == 1:
-            candidates = _qubit_target_transforms(e, probs, s_bar)
+        if dims == (2, 2) and mode.depth == 1:
+            candidates = _qubit_transforms(e, probs, s_bar, mode.rotate)
         else:
             objective = functools.partial(_gap_objective, probs=probs, dims=dims, s_bar=s_bar)
             seeds = {d: _direction_seed(mode.seed, d) for d in DIRECTIONS}
@@ -847,72 +845,90 @@ def _gap_search(e, mode) -> dict:
 
 # the identity, then sigma_x, sigma_y and sigma_z
 _PAULI = np.array([[[1, 0], [0, 1]], [[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]])
+# row 4i + j dotted with rho.ravel() is tr(rho s_i (x) s_j), the transpose
+# mattering for s_y; row 16 is zero, the entry that folded-away data reads
+_PAULI_PAIRS = np.array([np.kron(s, t).T.ravel() for s in _PAULI for t in _PAULI] + [np.zeros(16)])
+_REF = np.eye(3)[[2, 0]]  # the control's axis u and the target's n at the identity: e_z, e_x
 
 
-def _qubit_target_transforms(e, probs, s_bar) -> list:
+def _qubit_transforms(e, probs, s_bar, rotate: str) -> list:
     """``(direction, 1, transformed stack)`` of each direction of a two-qubit
-    ensemble-lu gap search with the target rotated at depth 1, in closed form.
+    ensemble-lu gap search at depth 1, in closed form for every ``rotate``.
 
-    Let row i of ``m_k`` be member k's target part at control value i (its
-    amplitude matrix's row for "right", column for "left"). The rotation
-    ``U`` and ``CNOT`` send row i to ``X^i U m_{k,i}``, so the shift enters
-    only through ``W = U^dag X U = n.sigma``, and every unit ``n`` is reached.
-    Both marginals have trace ``t = sum_k p_k |m_k|^2`` and, for some ``v``,
-    eigenvalues ``(t +- |v|) / 2``, so a side's entropy falls as ``|v|^2 =
-    beta + 4 n^T Q n`` rises:
+    Write the mixture as ``(I + a.s (x) I + I (x) b.s + T_ij s_i (x) s_j) / 4``;
+    local unitaries rotate ``a``, ``b`` and ``T`` (R. & M. Horodecki, PRA 54,
+    1838 (1996)). After ``CNOT (U_c (x) U_t)`` of "right" (A controls), with
+    ``u = R_c^T e_z`` and ``n = R_t^T e_x``, the control marginal's squared
+    Bloch norm is ``(u.a)^2 + |Tn|^2 - (u.Tn)^2`` and the target's ``(n.b)^2 +
+    |T^T u|^2 - (n.T^T u)^2``; "left" swaps ``a``, ``b`` and ``T``, ``T^T``.
+    A side's entropy falls as its norm rises. With ``c`` the side's own
+    vector, ``K`` its ``T`` or ``T^T``, and ``p``, ``q`` its own and the other
+    axis, the norm is ``(p.c)^2 + |P K q|^2``, ``P`` the projector off ``p``.
+    For any unit ``z`` off ``p``, ``|P K q|^2 - |P c|^2 <= |K^T z|^2 -
+    (z.c)^2``, so the norm is at most ``|c|^2 + lambda_max(K K^T - c c^T)``,
+    and the top eigenvector ``w`` attains it with ``p`` along ``P_w c`` (any
+    unit vector off ``w`` when that vanishes) and ``q`` along ``K^T w``. An
+    axis that does not turn is folded into the data: its own axis fixed at
+    ``p_0`` makes ``c`` ``(p_0.c) p_0`` and ``K`` ``P_0 K``, where ``p = p_0``
+    maximizes both terms, and the other fixed at ``q_0`` makes ``K`` ``K q_0
+    q_0^T``, where ``q = +-q_0`` does.
 
-    * control: the diagonal ``(t_0, t_1)`` stays and the off-diagonal entry
-      is ``tr(W C) = n.c``, with ``C = sum_k p_k m_{k,0} m_{k,1}^dag`` and
-      ``c_j = tr(sigma_j C) = a_j + i b_j``; so ``beta = (t_0 - t_1)^2`` and
-      ``Q = aa^T + bb^T``;
-    * target: the marginal is ``U R_0 U^dag + X U R_1 U^dag X``, with ``R_i =
-      sum_k p_k m_{k,i} m_{k,i}^dag = (t_i + r_i.sigma) / 2``; conjugated by
-      ``U`` it is ``R_0 + W R_1 W``, whose Bloch vector is ``r_0 - r_1 +
-      2 (n.r_1) n``; so ``beta = |r_0 - r_1|^2`` and ``Q`` is the symmetric part
-      of ``r_0 r_1^T``.
-
-    Each side's best drop is at the top eigenvector of its ``Q``; the
-    reflection ``U = m.sigma``, ``m`` the unit bisector of ``x`` and ``n``,
-    has ``W = n.sigma``; ``Q`` cannot tell ``n`` from ``-n``, so the sign
-    with ``n.x >= 0`` is taken, and the bisector never vanishes. As in ``_maximize`` the identity (``n =
-    x``) is kept unless the axis is strictly better, and as in
-    ``_searched_transforms`` side A wins equals. No such form holds beyond
-    two qubits: ``U^dag X U`` on a qutrit target is no Bloch axis, and a
-    qutrit control's marginal is a 3x3 matrix affine in ``n``, whose entropy
-    no one quadratic form decides.
+    The four (side, direction) forms take one eigensolve. The norm is even in
+    each axis, so each is taken with a non-negative reference component, and
+    the reflection ``m.s``, ``m`` the unit bisector of the axis and its
+    reference, which never vanishes, reaches it. As in ``_maximize`` the
+    identity is kept unless the optimum is strictly better, and as in
+    ``_searched_transforms`` side A wins equals. No such form holds beyond two
+    qubits: a qutrit marginal's entropy is no function of one Bloch norm.
     """
-    m = e.amplitudes.reshape(len(e), 2, 2)
-    m = np.stack([m, m.swapaxes(1, 2)])  # per direction, row i: the target part at control i
-    outer = np.einsum("k,dkia,dkjb->dijab", probs, m, m.conj())  # sum_k p_k m_{k,i} m_{k,j}^dag
-    bloch = np.einsum("sba,dijab->dijs", _PAULI, outer)  # tr(sigma_s ...)
-    c, r_0, r_1 = bloch[:, 0, 1, 1:], bloch[:, 0, 0, 1:].real, bloch[:, 1, 1, 1:].real
-    mass = bloch[:, [0, 1], [0, 1], 0].real  # (t_0, t_1)
-    # per direction, the control side and then the target side
-    q = np.stack([(c[:, :, None] * c[:, None].conj()).real,
-                  (r_0[:, :, None] * r_1[:, None] + r_1[:, :, None] * r_0[:, None]) / 2.0], 1)
-    beta = np.stack([(mass[:, 0] - mass[:, 1]) ** 2, ((r_0 - r_1) ** 2).sum(-1)], 1)
-    top, axes = np.linalg.eigh(q)
-    forms = np.stack([q[..., 0, 0], top[..., -1]], -1)  # n^T Q n at the identity (n = x), at the axis
-    v = np.sqrt(np.maximum(beta[..., None] + 4.0 * forms, 0.0))
-    total = mass.sum(-1)[:, None, None]
-    entropies = entropy_bits(np.stack([total + v, total - v], -1) / 2.0)
-    drops = np.array([s_bar, s_bar[::-1]])[..., None] - entropies
-    n = axes[..., -1] * np.where(axes[..., 0, -1] < 0.0, -1.0, 1.0)[..., None]
-    bisector = n + np.array([1.0, 0.0, 0.0])
-    bisector /= np.linalg.norm(bisector, axis=-1)[..., None]
-    reflections = np.einsum("...s,sab->...ab", bisector, _PAULI[1:])
-    point, identity = [], np.eye(2, dtype=complex)
-    for d, sides in enumerate(((0, 1), (1, 0))):  # control, target as the objective sides A, B
-        best = (-math.inf, None)
-        for side in sides:
-            at_identity, at_axis = drops[d, side]
-            candidate = (at_axis, reflections[d, side]) if at_axis > at_identity else (at_identity, identity)
-            if candidate[0] > best[0]:
-                best = candidate
-        point.append(best[1])
-    circuit = _LuCircuit((2, 2), "target", 1, cnot_family((2, 2)))
-    out = circuit.transform(np.arange(2), np.stack([e.amplitudes] * 2), [np.array(point)])
+    c_at, k_at, identity_at, circuit = _qubit_layout(rotate)
+    rho = (e.amplitudes.T * probs) @ e.amplitudes.conj()
+    corr = (_PAULI_PAIRS @ rho.ravel()).real
+    c, k = corr[c_at], corr[k_at]  # [side, direction], sides the control's and the target's
+    top, vecs = np.linalg.eigh(k @ k.swapaxes(-1, -2) - c[..., :, None] * c[..., None, :])
+    # P_w c through the eigenvectors off w, so it stays off w, plus a trace of
+    # the first of them, which p is when P_w c vanishes; K^T w vanishes only
+    # where every q is optimal, and its reflection is then the reference's
+    rest = vecs[..., :2]
+    p = (rest @ (c[..., None, :] @ rest + [1e-150, 0.0]).swapaxes(-1, -2))[..., 0]
+    q = (vecs[..., None, :, -1] @ k)[..., 0, :]
+    r2 = np.stack([(corr[identity_at] ** 2).sum(-1), (c**2).sum(-1) + top[..., -1]], -1)
+    v = np.sqrt(np.maximum(r2, 0.0))[..., None] * [1.0, -1.0]
+    drops = (np.array([s_bar, s_bar[::-1]])[..., None] - entropy_bits((corr[0] + v) / 2.0)).tolist()
+    axes = np.array([[p[0], q[0]], [q[1], p[1]]])  # [side, role, direction]: roles u, n
+    axes /= np.maximum(np.sqrt((axes**2).sum(-1, keepdims=True)), 1e-300)
+    m = np.where((axes * _REF[:, None]).sum(-1, keepdims=True) < 0.0, -axes, axes) + _REF[:, None]
+    m /= np.sqrt((m**2).sum(-1, keepdims=True))
+    reflections = (m @ _PAULI[1:].reshape(3, 4)).reshape(m.shape[:-1] + (2, 2))
+    chosen = []  # per direction, party -> its unitary
+    for d in (0, 1):
+        s = (d, 1 - d)[max(drops[1 - d][d]) > max(drops[d][d])]  # the objective's side A wins equals
+        us = reflections[s, :, d] if drops[s][d][1] > drops[s][d][0] else (np.eye(2),) * 2
+        chosen.append(dict(zip(("AB", "BA")[d], us)))  # the control, then the target
+    point = [np.array([chosen[d][party] for d, party in enumerate(parties)])
+             for parties in zip(*(_rotated_sides(direction, rotate) for direction in DIRECTIONS))]
+    out = circuit.transform(np.arange(2), np.stack([e.amplitudes] * 2), point)
     return [(d, r, t) for (d, r), t in zip(cnot_family((2, 2)), out)]
+
+
+@functools.lru_cache(maxsize=None)
+def _qubit_layout(rotate: str):
+    """Where ``_qubit_transforms`` reads its data in the flat ``tr(rho s_i (x)
+    s_j)``: ``c`` and ``K`` [side, direction], those that the axes ``rotate``
+    leaves fixed fold away at 16 (a zero), and each side's marginal Bloch
+    vector at the identity, ``(K_xx, K_yx, c_z)`` on the control side and
+    ``(K_yz, K_zz, c_x)`` on the target's; and the circuit it runs."""
+    a, b = 4 * np.arange(1, 4), np.arange(1, 4)
+    t = a[:, None] + b
+    c, k = np.array([[a, b], [b, a]]), np.array([[t, t.T], [t.T, t]])
+    identity = np.stack([np.stack([k[0, :, 0, 0], k[0, :, 1, 0], c[0, :, 2]], -1),
+                         np.stack([k[1, :, 1, 2], k[1, :, 2, 2], c[1, :, 0]], -1)])
+    turns = np.array({"both": (1, 1), "target": (0, 1), "control": (1, 0)}[rotate], bool)
+    turns = turns[:, None, None, None]  # per side, whether its own axis turns
+    own, other = _REF.astype(bool)[:, None], _REF[::-1].astype(bool)[:, None]  # p_0, q_0 per side
+    c = np.where(turns[..., 0] | own, c, 16)
+    k = np.where((turns | ~own[..., None]) & (turns[::-1] | other[..., None, :]), k, 16)
+    return c, k, identity, _LuCircuit((2, 2), rotate, 1, cnot_family((2, 2)))
 
 
 # ---------------------------------------------------------------------------

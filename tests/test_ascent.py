@@ -166,7 +166,7 @@ def test_step_budget_raises_bad_value(monkeypatch, capsys):
     with pytest.raises(BadValue) as err:
         nonlocal_entropy(catalog.build("e2-case2"), Mode("ensemble-lu", restarts=1))
     assert err.value.code == "bad-value"
-    assert main(["big-delta", "--ensemble", "bell-triple", "--mode", "ensemble-lu"]) == 2
+    assert main(["big-delta", "--ensemble", "bell-triple", "--mode", "ensemble-lu", "--depth", "2"]) == 2
     assert "bad-value" in capsys.readouterr().err
 
 
@@ -198,9 +198,10 @@ def test_gradient_taken_only_where_the_ascent_moves(monkeypatch, kind, rotate):
     assert len(passes) < sum(per_ascent)  # the lockstep ascents share backward calls
 
 
-@pytest.mark.parametrize("name", ["bell-triple", "more-nl-mixed"])
-def test_gap_objectives_share_one_set_of_starts(monkeypatch, name):
+@pytest.mark.parametrize("name,depth", [("bell-triple", 2), ("more-nl-mixed", 1)])
+def test_gap_objectives_share_one_set_of_starts(monkeypatch, name, depth):
+    # two qubits ascend only at depth 2: at depth 1 the gap is a closed form
     e, drawn = catalog.build(name), []
     monkeypatch.setattr(quantify, "_starts", lambda *args: drawn.append(args) or _starts(*args))
-    average_entropy_gap(e, Mode("ensemble-lu", restarts=2, seed=3))
+    average_entropy_gap(e, Mode("ensemble-lu", depth=depth, restarts=2, seed=3))
     assert len(drawn) == len(cnot_family(e.dims))  # one per circuit, not one per side

@@ -6,12 +6,11 @@ parameterization or the transforms that moves a float shows; the seeded gap
 searches (ensemble-lu big-delta with 2 restarts and seed 3 on four entries,
 each rotated side, and on the three two-qubit entries at ``--depth 2`` with
 the target rotated). Those that ascend show any change to the gap
-objective, its gradient or the starts: ``--rotate both`` and ``control`` on
-every entry, ``--rotate target`` on ``more-nl-mixed`` (3x3), and the
-``--depth 2`` records. The three two-qubit entries (``bell-triple``,
-``orth-pair``, ``ghosh-nonmax``) with ``--rotate target`` at depth 1 pin
-the closed form (``quantify._qubit_target_transforms``), which runs no
-ascent. Then the fixed circuit's outputs (fixed big-delta and
+objective, its gradient or the starts: every rotation on ``more-nl-mixed``
+(3x3) and the ``--depth 2`` records. The three two-qubit entries
+(``bell-triple``, ``orth-pair``, ``ghosh-nonmax``) at depth 1, every
+rotation, pin the closed form (``quantify._qubit_transforms``), which runs
+no ascent. Then the fixed circuit's outputs (fixed big-delta and
 bounds in both directions on every catalog entry, fixed delta on every
 product entry), where a one-ulp move in the family or mixture path shows;
 and ``show --json`` of every catalog entry's default build, which pins each

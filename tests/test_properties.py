@@ -10,9 +10,11 @@ where the target rotation of the two directions turns different dimensions
 and one search runs as two lockstep batches, and at depth 2 on 2x2 and 3x2
 draws, where the search starts next to ``CNOT^r`` applied twice.
 
-On 2x2 the target-rotated ensemble-lu gap, a closed form, is invariant per
-direction under frame changes of that direction's target: right under
-``I (x) V_B``, left under ``V_A (x) I``.
+On 2x2 at depth 1 the ensemble-lu gap, a closed form for every rotation,
+is invariant per direction under frame changes of the sides it rotates:
+with the target rotated, right under ``I (x) V_B`` and left under ``V_A (x)
+I``; with the control rotated, right under ``V_A (x) I`` and left under ``I
+(x) V_B``; with both rotated, both directions under ``V_A (x) V_B``.
 
 Depth-1 per-state-lu delta (dims in {2, 3, 4}^2, product members): the value
 with both sides rotated is invariant under any local frame change
@@ -184,6 +186,23 @@ def test_two_qubit_target_gap_frame_invariance(seed):
     for framed, direction in ((_reframe(e, eye, v_b), "right"), (_reframe(e, v_a, eye), "left")):
         change = getattr(average_entropy_gap(framed, mode), direction) - getattr(r, direction)
         assert abs(change) <= TOL, direction
+
+
+@given(seed=st.integers(0, 2**32 - 1))
+@settings(max_examples=100, deadline=None)
+def test_two_qubit_control_and_both_gap_frame_invariance(seed):
+    # with the control rotated, right is invariant under V_A (x) I and left
+    # under I (x) V_B; with both rotated, both under V_A (x) V_B
+    e = _random_ensemble(seed, "big-delta", dims=(2, 2))
+    rng = np.random.default_rng(seed + 1)
+    v_a, v_b, eye = haar_unitary(2, rng), haar_unitary(2, rng), np.eye(2)
+    framed_both = _reframe(e, v_a, v_b)
+    for rotate, framed, direction in (("control", _reframe(e, v_a, eye), "right"),
+                                      ("control", _reframe(e, eye, v_b), "left"),
+                                      ("both", framed_both, "right"), ("both", framed_both, "left")):
+        mode = Mode("ensemble-lu", restarts=1, rotate=rotate)
+        before, after = (getattr(average_entropy_gap(x, mode), direction) for x in (e, framed))
+        assert abs(after - before) <= TOL, (rotate, direction)
 
 
 def test_target_value_depends_on_the_control_basis():

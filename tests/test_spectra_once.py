@@ -21,8 +21,9 @@ and ``quantify._delta_search`` and ``quantify._gap_search`` value the searched
 candidates of both directions with one kernel call each; they must return the
 ``_Best`` that a transcription taking one direction and one repetition count
 at a time returns (the fixed circuit by a hand-built permutation), to the last
-bit, in fixed and ensemble-lu modes. The two-qubit target-rotated gap, a
-closed form with no search, must instead reach at least the searched value.
+bit, in fixed and ensemble-lu modes. The two-qubit depth-1 gap, a closed
+form with no search for every rotation, must instead reach at least the
+searched value.
 
 The local parts are computed once: a ``ProductSet`` reads its parts from
 ``schmidt_pairs``, closed-form per-state-lu reads the same memo for both
@@ -454,9 +455,9 @@ def test_batched_gap_equals_one_at_a_time(name, e, mode):
     batched = _gap_search(e, mode)
     assert all(type(best) is _Best for best in batched.values())
     oracle = _gap_one_at_a_time(e, mode)
-    if e.dims == (2, 2) and mode.name == "ensemble-lu" and mode.rotate == "target":
-        # no search runs here (``_qubit_target_transforms``): the closed form
-        # is the optimum, so the searched oracle bounds it from below
+    if e.dims == (2, 2) and mode.name == "ensemble-lu" and mode.depth == 1:
+        # no search runs here, for any rotation (``_qubit_transforms``): the
+        # closed form is the optimum, so the searched oracle bounds it from below
         for direction in DIRECTIONS:
             assert batched[direction].value >= oracle[direction].value - 1e-12, direction
     else:
