@@ -5,9 +5,12 @@ searches, where any change to the entropy kernel, the unitary
 parameterization or the transforms that moves a float shows; the seeded gap
 searches (ensemble-lu big-delta with 2 restarts and seed 3 on four entries,
 each rotated side, and on the three two-qubit entries at ``--depth 2`` with
-the target rotated). Those that ascend show any change to the gap
-objective, its gradient or the starts: every rotation on ``more-nl-mixed``
-(3x3) and the ``--depth 2`` records. The three two-qubit entries
+the target rotated, and on ``bell-triple`` and ``orth-pair`` at ``--depth
+2`` with both sides or the control rotated). Those that ascend show any
+change to the gap objective, its gradient or the starts: every rotation on
+``more-nl-mixed`` (3x3) and the ``--depth 2`` records. The two-qubit
+``e2-case2`` delta searches at ``--depth 2``, every rotation, pin the delta
+ascent on two qubits. The three two-qubit entries
 (``bell-triple``, ``orth-pair``, ``ghosh-nonmax``) at depth 1, every
 rotation, pin the closed form (``quantify._qubit_transforms``), which runs
 no ascent. Then the fixed circuit's outputs (fixed big-delta and
