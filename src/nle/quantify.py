@@ -14,10 +14,12 @@ every reported number names the search that produced it:
   and ``Ensemble.cnot_mixture_entropies``, which ``nle.infobounds`` reads too.
 * ``ensemble-lu``: layers of (local unitaries, controlled shift) with one
   shared set of unitaries, found by Riemannian gradient ascent on the
-  unitary groups (``_ascend``) from the identity and seeded restarts;
-  big-delta on two qubits at depth 1 is a closed form instead, for every
-  rotation (``_qubit_transforms``; ``restarts`` and ``seed`` have no
-  effect).
+  unitary groups (``_ascend``) from the identity and seeded restarts; on
+  two qubits at depth 1, big-delta is a closed form instead for every
+  rotation (``_qubit_transforms``), and delta runs no ascent except with
+  both sides rotated and neither party's parts on a great circle
+  (``_qubit_delta_transforms``); where no ascent runs, ``restarts`` and
+  ``seed`` have no effect.
 * ``per-state-lu``: the same circuit family optimized per member; in closed
   form (``_per_state_closed``; ``restarts`` and ``seed`` have no effect, and
   a member, product within ``TOL.product_rank``, is valued through its
@@ -78,10 +80,12 @@ class Mode:
     lu modes: "both" (default), "target" (the shifted side), or "control".
     ``restarts`` and ``seed`` drive the gradient ascents (restart 0 starts
     next to the identity, later ones at seeded random unitaries); per-state-lu
-    runs none except at depth > 1 with ``rotate="control"``, and ensemble-lu
-    big-delta none on two qubits at depth 1, so there they do not affect the
-    value. Fixed mode has no rotations and one layer, so it ignores
-    ``depth``, ``restarts``, ``seed`` and ``rotate``.
+    runs none except at depth > 1 with ``rotate="control"``, ensemble-lu
+    big-delta none on two qubits at depth 1, and ensemble-lu delta there none
+    unless both sides are rotated and neither party's parts lie on a great
+    circle, so there they do not affect the value. Fixed mode has no
+    rotations and one layer, so it ignores ``depth``, ``restarts``, ``seed``
+    and ``rotate``.
     ``depth``, ``restarts`` and ``seed`` must be integers (booleans are
     not), and ``depth`` and ``restarts`` at most ``MAX_DEPTH`` and
     ``MAX_RESTARTS`` (``TooLarge`` beyond). Like the integer checks, the bounds hold in every
@@ -537,6 +541,13 @@ def nonlocal_entropy(e: Ensemble, mode: Mode = Mode()) -> QuantifierReport:
     contributions are clipped into ``[0, log2 min(d_A, d_B)]``, the
     entanglement of any pure state. Raises ``NotProductEnsemble`` when any
     member has Schmidt rank above one.
+
+    Ensemble-lu on two qubits at depth 1 runs no ascent with the target or
+    the control rotated, nor with both when one party's parts lie on a great
+    circle (``_qubit_delta_transforms``): a closed form, or a search of one
+    Bloch axis on the sphere, so ``restarts`` and ``seed`` have no effect
+    there. With both rotated and neither party on a circle, and on every
+    other shape and depth, the ascent runs.
     """
     if not isinstance(mode, Mode):
         raise BadParams(f"mode must be a Mode, not {mode!r}")
@@ -551,6 +562,9 @@ def nonlocal_entropy(e: Ensemble, mode: Mode = Mode()) -> QuantifierReport:
         best = {d: _per_state_direction(e, probs, mode, d) for d in DIRECTIONS}
     elif mode.name == "fixed":
         best = _pick_delta(cnot_family(e.dims), e.cnot_entanglement, probs)
+    elif e.dims == (2, 2) and mode.depth == 1 and (found := _qubit_delta_transforms(e, probs, mode.rotate)):
+        stack = np.stack([t for _, _, t in found])
+        best = _pick_delta([(d, r) for d, r, _ in found], entanglement_entropies(stack, e.dims), probs)
     else:
         seeds = {d: _direction_seed(mode.seed, d) for d in DIRECTIONS}
         best = _delta_search(e.amplitudes[None], probs, e.dims, mode, [seeds])[0]
@@ -878,10 +892,13 @@ def _qubit_transforms(e, probs, s_bar, rotate: str) -> list:
     the reflection ``m.s``, ``m`` the unit bisector of the axis and its
     reference, which never vanishes, reaches it. As in ``_maximize`` the
     identity is kept unless the optimum is strictly better, and as in
-    ``_searched_transforms`` side A wins equals. No such form holds beyond two
-    qubits: a qutrit marginal's entropy is no function of one Bloch norm.
+    ``_searched_transforms`` side A wins equals. The form needs every rotated
+    side to be a qubit: a qutrit marginal's entropy is no function of one
+    Bloch norm. On 2xd and dx2 with only the qubit side rotated the problem
+    still lives on one sphere, where forms of this kind may hold; none is
+    used yet.
     """
-    c_at, k_at, identity_at, circuit = _qubit_layout(rotate)
+    c_at, k_at, identity_at, _ = _qubit_layout(rotate)
     rho = (e.amplitudes.T * probs) @ e.amplitudes.conj()
     corr = (_PAULI_PAIRS @ rho.ravel()).real
     c, k = corr[c_at], corr[k_at]  # [side, direction], sides the control's and the target's
@@ -897,18 +914,12 @@ def _qubit_transforms(e, probs, s_bar, rotate: str) -> list:
     drops = (np.array([s_bar, s_bar[::-1]])[..., None] - entropy_bits((corr[0] + v) / 2.0)).tolist()
     axes = np.array([[p[0], q[0]], [q[1], p[1]]])  # [side, role, direction]: roles u, n
     axes /= np.maximum(np.sqrt((axes**2).sum(-1, keepdims=True)), 1e-300)
-    m = np.where((axes * _REF[:, None]).sum(-1, keepdims=True) < 0.0, -axes, axes) + _REF[:, None]
-    m /= np.sqrt((m**2).sum(-1, keepdims=True))
-    reflections = (m @ _PAULI[1:].reshape(3, 4)).reshape(m.shape[:-1] + (2, 2))
-    chosen = []  # per direction, party -> its unitary
+    reflections = _reflections(axes, _REF[:, None])
+    chosen = []  # per direction, the control's and the target's unitary
     for d in (0, 1):
         s = (d, 1 - d)[max(drops[1 - d][d]) > max(drops[d][d])]  # the objective's side A wins equals
-        us = reflections[s, :, d] if drops[s][d][1] > drops[s][d][0] else (np.eye(2),) * 2
-        chosen.append(dict(zip(("AB", "BA")[d], us)))  # the control, then the target
-    point = [np.array([chosen[d][party] for d, party in enumerate(parties)])
-             for parties in zip(*(_rotated_sides(direction, rotate) for direction in DIRECTIONS))]
-    out = circuit.transform(np.arange(2), np.stack([e.amplitudes] * 2), point)
-    return [(d, r, t) for (d, r), t in zip(cnot_family((2, 2)), out)]
+        chosen.append(reflections[s, :, d] if drops[s][d][1] > drops[s][d][0] else (np.eye(2),) * 2)
+    return _qubit_circuit(e, rotate, chosen)
 
 
 @functools.lru_cache(maxsize=None)
@@ -917,7 +928,8 @@ def _qubit_layout(rotate: str):
     s_j)``: ``c`` and ``K`` [side, direction], those that the axes ``rotate``
     leaves fixed fold away at 16 (a zero), and each side's marginal Bloch
     vector at the identity, ``(K_xx, K_yx, c_z)`` on the control side and
-    ``(K_yz, K_zz, c_x)`` on the target's; and the circuit it runs."""
+    ``(K_yz, K_zz, c_x)`` on the target's; and the circuit it runs, which
+    ``_qubit_circuit`` runs for delta too."""
     a, b = 4 * np.arange(1, 4), np.arange(1, 4)
     t = a[:, None] + b
     c, k = np.array([[a, b], [b, a]]), np.array([[t, t.T], [t.T, t]])
@@ -929,6 +941,182 @@ def _qubit_layout(rotate: str):
     c = np.where(turns[..., 0] | own, c, 16)
     k = np.where((turns | ~own[..., None]) & (turns[::-1] | other[..., None, :]), k, 16)
     return c, k, identity, _LuCircuit((2, 2), rotate, 1, cnot_family((2, 2)))
+
+
+def _bloch(parts: np.ndarray) -> np.ndarray:
+    """Bloch vectors ``<v|s|v>`` of a (..., 2) stack of unit vectors ``v``."""
+    return np.einsum("...i,aij,...j->...a", parts.conj(), _PAULI[1:], parts).real
+
+
+def _reflections(axes: np.ndarray, ref: np.ndarray) -> np.ndarray:
+    """The (..., 2, 2) reflections ``m.s`` with ``(m.s)(ref.s)(m.s) = +-axes.s``,
+    for unit ``axes`` and ``ref`` (broadcast): ``m`` the unit bisector of
+    ``ref`` and the sign of the axis with a non-negative ``ref`` component,
+    which never vanishes."""
+    m = np.where((axes * ref).sum(-1, keepdims=True) < 0.0, -axes, axes) + ref
+    m /= np.sqrt((m**2).sum(-1, keepdims=True))
+    return (m @ _PAULI[1:].reshape(3, 4)).reshape(m.shape[:-1] + (2, 2))
+
+
+def _qubit_circuit(e, rotate: str, chosen) -> list:
+    """``(direction, 1, transformed stack)`` of each direction of a two-qubit
+    depth-1 circuit, ``chosen[d]`` holding direction d's control and target
+    unitaries; those of the sides ``rotate`` leaves fixed are not read."""
+    point = [np.array([dict(zip(("AB", "BA")[d], chosen[d]))[party] for d, party in enumerate(parties)])
+             for parties in zip(*(_rotated_sides(direction, rotate) for direction in DIRECTIONS))]
+    out = _qubit_layout(rotate)[3].transform(np.arange(2), np.stack([e.amplitudes] * 2), point)
+    return [(d, r, t) for (d, r), t in zip(cnot_family((2, 2)), out)]
+
+
+def _qubit_delta_transforms(e, probs, rotate: str):
+    """``(direction, 1, transformed stack)`` of each direction of a two-qubit
+    ensemble-lu delta search at depth 1; None when ``rotate`` is "both" and
+    neither party's parts lie on a great circle, where the ascent runs.
+
+    Member k is ``|a>|b>``, with ``a`` the control part and ``b`` the
+    target's (``e.schmidt_pairs``; for "left" the B part controls), of Bloch
+    vectors ``r_c`` and ``r_t``. Write ``U_c^dag Z U_c = u.s`` and ``U_t^dag X
+    U_t = n.s`` (``u = R_c^T e_z``, ``n = R_t^T e_x``; an unrotated side keeps
+    ``e_z`` or ``e_x``). With ``U_c a = (x_0, x_1)`` and ``b' = U_t b`` the
+    output is ``x_0|0>b' + x_1|1>Xb'``, of concurrence ``2|x_0 x_1| sqrt(1 -
+    |<b'|X|b'>|^2)`` (Wootters, PRL 80, 2245 (1998)); ``4|x_0 x_1|^2 = 1 -
+    (u.r_c)^2`` and ``<b'|X|b'> = n.r_t``, so ``C_k^2 = (1 - (u.r_c)^2)(1 -
+    (n.r_t)^2)``. The member's entanglement ``g(C^2) = h((1 + sqrt(1 -
+    C^2)) / 2)`` rises with ``C^2``, and delta is ``sum_k p_k g(C_k^2)``.
+
+    Each factor is at most 1, and it is 1 where the axis is perpendicular
+    to ``r``. So when the smallest eigenvalue of ``sum_k r_k r_k^T`` over one
+    party's parts is 0 (at most ``TOL.eig_floor``, which costs at most about
+    that much in value), its eigenvector, the normal of a great circle
+    through every ``r_k``, is that party's best axis whatever the other axis
+    is. With no axis left free every member has its per-state value
+    (``_per_state_closed``); with one, the value is a function on a sphere
+    (``_sphere_search``); both free is the "both" case left to the ascent.
+    The unitaries are reflections, as in ``_qubit_transforms``, and the
+    identity is kept unless the formula's optimum is strictly better.
+    """
+    parts = _bloch(np.stack(e.schmidt_pairs))  # [party, member, axis]
+    lam, vecs = np.linalg.eigh(parts.swapaxes(-1, -2) @ parts)
+    normals, circle = vecs[..., 0], lam[:, 0] <= TOL.eig_floor
+    if rotate == "both" and not circle.any():
+        return None
+    turns = np.array({"both": (1, 1), "target": (0, 1), "control": (1, 0)}[rotate], bool)
+    party = np.array([[0, 1], [1, 0]])  # [direction, role]: the control, then the target
+    r, free = parts[party], turns & ~circle[party]
+    axes = np.where((turns & circle[party])[..., None], normals[party], _REF)
+    if free.any():
+        other = _axis_factors(r, axes)[:, ::-1][free]
+        axes[free] = _sphere_search(r[free], other, probs, normals[party][free])
+    found, identity = (_entanglement_of(np.prod(_axis_factors(r, a), 1)) @ probs
+                       for a in (axes, np.broadcast_to(_REF, axes.shape)))
+    reflections = _reflections(axes, _REF)
+    return _qubit_circuit(e, rotate, [reflections[d] if found[d] > identity[d] else (np.eye(2),) * 2
+                                      for d in (0, 1)])
+
+
+def _axis_factors(r: np.ndarray, axes: np.ndarray) -> np.ndarray:
+    """``1 - (axis.r_k)^2`` of (..., k, 3) Bloch vectors and (..., 3) axes, in [0, 1]."""
+    return np.clip(1.0 - (r @ axes[..., None])[..., 0] ** 2, 0.0, 1.0)
+
+
+def _entanglement_of(y: np.ndarray) -> np.ndarray:
+    """``g(y) = h((1 + sqrt(1 - y)) / 2)``, the entanglement in bits of a pure
+    two-qubit state of squared concurrence ``y`` in [0, 1]; the smaller
+    eigenvalue is taken as ``y / (2 (1 + sqrt(1 - y)))``, exact near 0."""
+    q = y / (2.0 * (1.0 + np.sqrt(1.0 - y)))
+    return entropy_bits(np.stack([1.0 - q, q], -1))
+
+
+def _fibonacci_hemisphere(size: int) -> np.ndarray:
+    """``size`` unit vectors spread evenly over the upper hemisphere."""
+    z, phi = (np.arange(size) + 0.5) / size, np.arange(size) * math.pi * (3.0 - math.sqrt(5.0))
+    rho = np.sqrt(1.0 - z * z)
+    return np.stack([rho * np.cos(phi), rho * np.sin(phi), z], -1)
+
+
+_GRID = _fibonacci_hemisphere(400)  # a sphere search's first look; F is even, so it covers the sphere
+_GRID_STARTS = 3  # the best grid points each sphere search refines, beside the circle normal
+
+
+def _sphere_search(r, c, probs, normals) -> np.ndarray:
+    """For each row i, the best unit axis found of ``F_i(n) = sum_k p_k g(c_ik
+    (1 - (n.r_ik)^2))``, given (m, k, 3) vectors ``r``, (m, k) factors ``c``
+    in [0, 1] and (m, 3) starts ``normals``.
+
+    ``F`` is valued on ``_GRID``; Riemannian Newton ascents (Absil, Mahony &
+    Sepulchre, *Optimization Algorithms on Matrix Manifolds*, 2008) then
+    start at each row's ``_GRID_STARTS`` best points and its normal, all
+    rows in one stack, and each row keeps its best end (the first of equals).
+    """
+    values = _entanglement_of(c[:, None] * _axis_factors(r[:, None], _GRID)) @ probs
+    best = np.argsort(-values, axis=1, kind="stable")[:, :_GRID_STARTS]
+    starts = np.concatenate([_GRID[best], normals[:, None]], 1)
+    size = starts.shape[1]
+    ends, values = _sphere_ascent(starts.reshape(-1, 3), np.repeat(r, size, 0), np.repeat(c, size, 0), probs)
+    return ends.reshape(starts.shape)[np.arange(len(r)), values.reshape(-1, size).argmax(1)]
+
+
+def _sphere_ascent(n, r, c, probs):
+    """Riemannian Newton ascents of ``F`` (``_sphere_search``) from the (P, 3)
+    unit axes ``n``, one per row of ``r`` and ``c``, in lockstep; their ends
+    and values.
+
+    The step solves ``Hess F[s] = -grad F`` on the tangent plane, with each
+    eigenvalue of the Hessian taken as ``-max(|lambda|, 1e-9)``, so it always
+    rises: Newton's step where ``F`` is concave, a gradient step scaled by
+    the curvature elsewhere. Its length is capped at 1, it is retracted by
+    normalizing ``n + t s``, and halved until it gains ``_ARMIJO`` of its
+    first-order gain; ``t`` resets to 1 after each accepted step. An ascent
+    stops once its gradient norm is at most ``TOL.gradient`` or a step
+    predicted to gain ``_GAIN_FLOOR`` or less fails; ``BadValue`` once one has
+    run ``_ASCENT_ROUNDS`` rounds.
+    """
+    value, grad, hess = _sphere_terms(n, r, c, probs)
+    t, going = np.ones(len(n)), (grad**2).sum(-1) > TOL.gradient**2
+    for _ in range(_ASCENT_ROUNDS):
+        if not going.any():
+            return n, value
+        lam, vecs = np.linalg.eigh(hess)
+        step = (vecs @ ((grad[:, None] @ vecs)[:, 0] / np.maximum(np.abs(lam), 1e-9))[..., None])[..., 0]
+        step /= np.maximum(np.sqrt((step**2).sum(-1, keepdims=True)), 1.0)
+        gain = t * (grad * step).sum(-1)
+        trial = n + t[:, None] * step
+        trial /= np.sqrt((trial**2).sum(-1, keepdims=True))
+        tried = _sphere_terms(trial, r, c, probs)
+        ok = going & (tried[0] >= value + _ARMIJO * gain)
+        n = np.where(ok[:, None], trial, n)
+        value, grad, hess = (np.where(ok.reshape((-1,) + (1,) * (a.ndim - 1)), b, a)
+                             for a, b in zip((value, grad, hess), tried))
+        t = np.where(ok, 1.0, 0.5 * t)
+        going &= np.where(ok, (grad**2).sum(-1) > TOL.gradient**2, 0.5 * gain > _GAIN_FLOOR)
+    raise BadValue(f"sphere ascent not converged within {_ASCENT_ROUNDS} steps")
+
+
+def _sphere_terms(n, r, c, probs):
+    """``F`` at the (P, 3) unit axes ``n``, its Riemannian gradient, and its
+    Riemannian Hessian as a (P, 3, 3) map of the tangent plane, ``P(H - (n.G)
+    I)P`` from the Euclidean gradient ``G`` and Hessian ``H``, ``P`` the
+    projector off ``n``.
+
+    Per member, with ``x = n.r``, ``y = c(1 - x^2)`` and ``s = sqrt(1 - y)``,
+    ``dg/dy = A / (2 ln 2)`` and ``d2g/dy2 = -B / (4 ln 2)`` for ``A =
+    atanh(s) / s`` and ``B = A'(s) / s = (s / y - atanh(s)) / s^3``, so
+    ``dg/dx = -c x A / ln 2`` and ``d2g/dx2 = -c (A + c x^2 B) / ln 2``. ``s``
+    is clipped into ``[1e-100, 1 - 2^-53]``, so both stay finite; ``B``'s
+    rounding error, about ``1e-16 / s^2``, meets a factor ``c x^2 <= s^2``.
+    """
+    x = (r @ n[:, :, None])[..., 0]
+    y = c * (1.0 - x * x).clip(0.0, 1.0)
+    s = np.sqrt(1.0 - y).clip(1e-100, 1.0 - 2.0**-53)
+    atanh = np.arctanh(s)
+    a, b = atanh / s, (s / (1.0 - s * s) - atanh) / s**3
+    weights = c * probs / -LOG2
+    grad = (weights * x * a)[:, None] @ r
+    hess = (r.swapaxes(1, 2) * (weights * (a + c * x * x * b))[:, None]) @ r
+    radial = (grad[:, 0] * n).sum(-1)
+    off = np.eye(3) - n[:, :, None] * n[:, None, :]
+    hess = off @ (hess - radial[:, None, None] * np.eye(3)) @ off
+    return _entanglement_of(y) @ probs, grad[:, 0] - radial[:, None] * n, hess
 
 
 # ---------------------------------------------------------------------------

@@ -164,7 +164,7 @@ def test_same_seed_same_report(quantifier):
 def test_step_budget_raises_bad_value(monkeypatch, capsys):
     monkeypatch.setattr(quantify, "_ASCENT_ROUNDS", 1)
     with pytest.raises(BadValue) as err:
-        nonlocal_entropy(catalog.build("e2-case2"), Mode("ensemble-lu", restarts=1))
+        nonlocal_entropy(catalog.build("e2-case2"), Mode("ensemble-lu", depth=2, restarts=1))
     assert err.value.code == "bad-value"
     assert main(["big-delta", "--ensemble", "bell-triple", "--mode", "ensemble-lu", "--depth", "2"]) == 2
     assert "bad-value" in capsys.readouterr().err

@@ -10,7 +10,10 @@ the target rotated, and on ``bell-triple`` and ``orth-pair`` at ``--depth
 change to the gap objective, its gradient or the starts: every rotation on
 ``more-nl-mixed`` (3x3) and the ``--depth 2`` records. The two-qubit
 ``e2-case2`` delta searches at ``--depth 2``, every rotation, pin the delta
-ascent on two qubits. The three two-qubit entries
+ascent on two qubits; at depth 1 they pin the Bloch-axis form
+(``quantify._qubit_delta_transforms``), which runs no search there for any
+rotation, since each party's parts lie on a great circle, so ``--restarts``
+and ``--seed`` have no effect on them. The three two-qubit entries
 (``bell-triple``, ``orth-pair``, ``ghosh-nonmax``) at depth 1, every
 rotation, pin the closed form (``quantify._qubit_transforms``), which runs
 no ascent. Then the fixed circuit's outputs (fixed big-delta and

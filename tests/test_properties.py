@@ -22,8 +22,15 @@ with both sides rotated is invariant under any local frame change
 that side only. It lies between the fixed value and the both-sides value, and
 every delta value and contribution lies in ``[0, log2 min(d_A, d_B)]``.
 
-Delta at depth 1 on random 2x2 and 2x3 product sets, one restart: fixed <=
-ensemble-lu <= per-state-lu at the same rotation, for every rotation.
+Delta at depth 1 on random product sets of every shape up to 3x3, some
+with one or both parties' parts real, one restart: fixed <= ensemble-lu <=
+per-state-lu at the same rotation, for every rotation. On 2x2, where
+ensemble-lu delta is a closed form or a sphere search
+(``quantify._qubit_delta_transforms``), any product set of one to six
+members: the frame invariance above; a party swap exchanges right and left;
+and fixed <= target <= both, control <= both. Where "both" enters, one
+party's parts are real, so their Bloch vectors lie on a great circle and it
+runs no ascent either.
 
 Big-delta on random 2x2 and 2x3 general ensembles of two to four members,
 fixed and ensemble-lu: every value lies in ``[0, max(S_A, S_B)]`` of the
@@ -205,6 +212,64 @@ def test_two_qubit_control_and_both_gap_frame_invariance(seed):
         assert abs(after - before) <= TOL, (rotate, direction)
 
 
+def _qubit_product_set(seed: int, real: str = "") -> Ensemble:
+    """One to six 2x2 product members, Dirichlet weights; the parts of the
+    parties in ``real`` are real, so their Bloch vectors lie on a great circle
+    and ensemble-lu delta with both sides rotated runs no ascent."""
+    rng = np.random.default_rng(seed)
+    k = int(rng.integers(1, 7))
+    parts = {p: [_unit(rng, 2).real if p in real else _unit(rng, 2) for _ in range(k)] for p in "AB"}
+    members = [np.kron(a / np.linalg.norm(a), b / np.linalg.norm(b)) for a, b in zip(parts["A"], parts["B"])]
+    return Ensemble((2, 2), tuple(rng.dirichlet(np.ones(k))), tuple(PureState((2, 2), m) for m in members))
+
+
+def _qubit_lu(rotate: str) -> Mode:
+    return Mode("ensemble-lu", restarts=1, rotate=rotate)
+
+
+@given(seed=st.integers(0, 2**32 - 1))
+@settings(max_examples=100, deadline=None)
+def test_two_qubit_delta_frame_invariance(seed):
+    # as for the gap: with the target rotated right is invariant under I (x)
+    # V_B and left under V_A (x) I, with the control rotated the mirror, and
+    # with both rotated (one party's parts on a circle, which a frame change
+    # keeps) both directions under V_A (x) V_B
+    e, circled = _qubit_product_set(seed), _qubit_product_set(seed, "AB"[seed % 2])
+    rng = np.random.default_rng(seed + 1)
+    v_a, v_b, eye = haar_unitary(2, rng), haar_unitary(2, rng), np.eye(2)
+    cases = (("target", e, _reframe(e, eye, v_b), "right"), ("target", e, _reframe(e, v_a, eye), "left"),
+             ("control", e, _reframe(e, v_a, eye), "right"), ("control", e, _reframe(e, eye, v_b), "left"),
+             ("both", circled, _reframe(circled, v_a, v_b), "right"),
+             ("both", circled, _reframe(circled, v_a, v_b), "left"))
+    for rotate, x, framed, direction in cases:
+        before, after = (getattr(nonlocal_entropy(y, _qubit_lu(rotate)), direction) for y in (x, framed))
+        assert abs(after - before) <= TOL, (rotate, direction)
+
+
+@pytest.mark.parametrize("rotate", ["target", "control", "both"])
+@given(seed=st.integers(0, 2**32 - 1))
+@settings(max_examples=50, deadline=None)
+def test_two_qubit_delta_party_swap_exchanges_directions(rotate, seed):
+    e = _qubit_product_set(seed, "AB"[seed % 2] if rotate == "both" else "")
+    r, swapped = (nonlocal_entropy(x, _qubit_lu(rotate)) for x in (e, _swap_parties(e)))
+    assert abs(swapped.right - r.left) <= TOL and abs(swapped.left - r.right) <= TOL
+
+
+@given(seed=st.integers(0, 2**32 - 1))
+@settings(max_examples=100, deadline=None)
+def test_two_qubit_delta_rotations_are_ordered(seed):
+    # fixed <= target <= both and control <= both: each adds rotations to the
+    # same circuit; one party's parts on a circle, so "both" is exact too
+    e = _qubit_product_set(seed, "AB"[seed % 2])
+    fixed = nonlocal_entropy(e, Mode("fixed"))
+    lu = {rotate: nonlocal_entropy(e, _qubit_lu(rotate)) for rotate in ("target", "control", "both")}
+    for direction in ("right", "left"):
+        value = {name: getattr(r, direction) for name, r in (("fixed", fixed), *lu.items())}
+        assert value["fixed"] <= value["target"] + TOL, direction
+        assert value["target"] <= value["both"] + TOL, direction
+        assert value["control"] <= value["both"] + TOL, direction
+
+
 def test_target_value_depends_on_the_control_basis():
     hadamard = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0)
     e = Ensemble((2, 2), (1.0,), (PureState((2, 2), np.array([1.0, 0, 0, 0])),))
@@ -230,17 +295,21 @@ def test_per_state_ordering_and_ceiling(seed):
 
 
 @pytest.mark.parametrize("rotate", ["target", "control", "both"])
-@given(seed=st.integers(0, 2**32 - 1), dims=st.sampled_from([(2, 2), (2, 3), (3, 2), (3, 3)]))
+@given(seed=st.integers(0, 2**32 - 1), dims=st.sampled_from([(2, 2), (2, 3), (3, 2), (3, 3)]),
+       real=st.sampled_from(["", "A", "B", "AB"]))
 @settings(max_examples=25, deadline=None)
-def test_delta_mode_monotonicity(rotate, seed, dims):
+def test_delta_mode_monotonicity(rotate, seed, dims, real):
     # fixed <= ensemble-lu <= per-state-lu at depth 1 and the same rotation:
     # the shared search starts at the fixed circuit's identity rotations, and
     # per-state-lu optimizes the same circuit member by member; 3x2 is the
     # non-square shape of the control-rotated capacities (seeds 0-199 on 3x2
-    # and 3x3, every rotation: worst draw 0.7 s on a 2-core x86 machine)
+    # and 3x3, every rotation: worst draw 0.7 s on a 2-core x86 machine). The
+    # parts of the parties in ``real`` are real: on 2x2 their Bloch vectors
+    # lie on a great circle, the closed-form case of ensemble-lu
     rng = np.random.default_rng(seed)
     k = int(rng.integers(2, 6))
-    members = [np.kron(_unit(rng, dims[0]), _unit(rng, dims[1])) for _ in range(k)]
+    parts = [[_unit(rng, d).real if p in real else _unit(rng, d) for p, d in zip("AB", dims)] for _ in range(k)]
+    members = [np.kron(a / np.linalg.norm(a), b / np.linalg.norm(b)) for a, b in parts]
     e = Ensemble(dims, tuple(rng.dirichlet(np.ones(k))), tuple(PureState(dims, m) for m in members))
     fixed = nonlocal_entropy(e, Mode("fixed"))
     shared = nonlocal_entropy(e, Mode("ensemble-lu", restarts=1, seed=seed, rotate=rotate))

@@ -23,7 +23,10 @@ Bloch and correlation data. Checked here, for "target", "control" and "both":
   maximally mixed, where the control's best axis is any axis off the top
   eigenvector, and a tie of the two sides' drops, which side A wins;
 * no ``_ascend`` or ``_starts`` call, so ``restarts`` and ``seed`` have no
-  effect; depth 2, a qutrit side and delta still ascend.
+  effect; depth 2 and a qutrit side still ascend, and so does delta at depth
+  2, with a qutrit side, or with both sides rotated and neither party's parts
+  on a great circle (``test_qubit_delta_closed.py`` checks the delta cases
+  that do not).
 """
 
 import functools
@@ -194,6 +197,14 @@ def _counting(monkeypatch) -> list:
     return calls
 
 
+def _spread_product_set() -> Ensemble:
+    """``|0>|+i>``, ``|+>|0>``, ``|+i>|+>``: each party's Bloch vectors are z, x
+    and y in some order, on no great circle."""
+    zero, plus, plus_i = np.array([1, 0]), np.array([1, 1]) / math.sqrt(2.0), np.array([1, 1j]) / math.sqrt(2.0)
+    members = (np.kron(zero, plus_i), np.kron(plus, zero), np.kron(plus_i, plus))
+    return Ensemble.uniform((2, 2), tuple(PureState((2, 2), m) for m in members))
+
+
 def test_only_the_two_qubit_depth_1_gap_skips_the_ascent(monkeypatch):
     calls = _counting(monkeypatch)
     bell, case = catalog.build("bell-triple"), catalog.build("case-3x2")
@@ -207,7 +218,12 @@ def test_only_the_two_qubit_depth_1_gap_skips_the_ascent(monkeypatch):
         (average_entropy_gap, bell, Mode("ensemble-lu", depth=2, restarts=1, rotate="both")),
         (average_entropy_gap, case, Mode("ensemble-lu", restarts=1, rotate="target")),
         (average_entropy_gap, case, Mode("ensemble-lu", restarts=1, rotate="both")),
-        (nonlocal_entropy, catalog.build("e2-case2"), Mode("ensemble-lu", restarts=1, rotate="target")),
+        # delta: two qubits at depth 2, both sides rotated with neither party's
+        # parts on a great circle (Bloch vectors along x, y and z), a qutrit side
+        (nonlocal_entropy, catalog.build("e2-case2"), Mode("ensemble-lu", depth=2, restarts=1, rotate="target")),
+        (nonlocal_entropy, _spread_product_set(), Mode("ensemble-lu", restarts=1, rotate="both")),
+        (nonlocal_entropy, case, Mode("ensemble-lu", restarts=1, rotate="target")),
+        (nonlocal_entropy, case, Mode("ensemble-lu", restarts=1, rotate="control")),
     )
     for quantifier, e, mode in still_searched:
         calls.clear()
