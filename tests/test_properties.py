@@ -308,7 +308,8 @@ def test_delta_mode_monotonicity(rotate, seed, dims, real):
     # lie on a great circle, the closed-form case of ensemble-lu
     rng = np.random.default_rng(seed)
     k = int(rng.integers(2, 6))
-    parts = [[_unit(rng, d).real if p in real else _unit(rng, d) for p, d in zip("AB", dims)] for _ in range(k)]
+    parts = [[_unit(rng, d).real if p in real else _unit(rng, d) for p, d in zip("AB", dims)]
+             for _ in range(k)]
     members = [np.kron(a / np.linalg.norm(a), b / np.linalg.norm(b)) for a, b in parts]
     e = Ensemble(dims, tuple(rng.dirichlet(np.ones(k))), tuple(PureState(dims, m) for m in members))
     fixed = nonlocal_entropy(e, Mode("fixed"))

@@ -200,7 +200,7 @@ def _counting(monkeypatch) -> list:
 def _spread_product_set() -> Ensemble:
     """``|0>|+i>``, ``|+>|0>``, ``|+i>|+>``: each party's Bloch vectors are z, x
     and y in some order, on no great circle."""
-    zero, plus, plus_i = np.array([1, 0]), np.array([1, 1]) / math.sqrt(2.0), np.array([1, 1j]) / math.sqrt(2.0)
+    zero, plus, plus_i = np.array([1, 0]), np.array([1, 1]) / math.sqrt(2.0), np.array([1, 1j]) / math.sqrt(2)
     members = (np.kron(zero, plus_i), np.kron(plus, zero), np.kron(plus_i, plus))
     return Ensemble.uniform((2, 2), tuple(PureState((2, 2), m) for m in members))
 
@@ -220,7 +220,8 @@ def test_only_the_two_qubit_depth_1_gap_skips_the_ascent(monkeypatch):
         (average_entropy_gap, case, Mode("ensemble-lu", restarts=1, rotate="both")),
         # delta: two qubits at depth 2, both sides rotated with neither party's
         # parts on a great circle (Bloch vectors along x, y and z), a qutrit side
-        (nonlocal_entropy, catalog.build("e2-case2"), Mode("ensemble-lu", depth=2, restarts=1, rotate="target")),
+        (nonlocal_entropy, catalog.build("e2-case2"),
+         Mode("ensemble-lu", depth=2, restarts=1, rotate="target")),
         (nonlocal_entropy, _spread_product_set(), Mode("ensemble-lu", restarts=1, rotate="both")),
         (nonlocal_entropy, case, Mode("ensemble-lu", restarts=1, rotate="target")),
         (nonlocal_entropy, case, Mode("ensemble-lu", restarts=1, rotate="control")),
