@@ -37,7 +37,8 @@ from .quantify import (
     average_entropy_gap,
     nonlocal_entropy,
 )
-from .infobounds import BoundsReport, chsh_max, cnot_bounds, concurrence, holevo_chi, local_holevo
+from .infobounds import BoundsReport, cnot_bounds, holevo_chi, local_holevo
+from .qubits import chsh_max, concurrence
 from . import catalog
 
 __version__ = "0.1.0"

@@ -317,7 +317,7 @@ def build(name: str, params: dict | None = None) -> Ensemble:
     """A named ensemble. With no ``params`` (or ``{}``) the one default build of
     the entry, shared by every caller; parameterized entries build afresh from
     overrides, and the rest reject any."""
-    if name not in _CATALOG:
+    if not isinstance(name, str) or name not in _CATALOG:
         raise NoSuchEntry(f"unknown catalog entry {name!r}")
     if not params:
         return _default(name)

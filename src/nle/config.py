@@ -39,3 +39,8 @@ MAX_MEMBERS = 512      # k
 # restarts, depth 3); a bound on absurd inputs, not on memory.
 MAX_RESTARTS = 256
 MAX_DEPTH = 32
+
+# step rules of the U(d) ascents (``quantify._ascend``) and the sphere's (``qubits._sphere_ascent``)
+_ASCENT_ROUNDS = 10_000  # steps of one ascent before it is given up
+_ARMIJO = 1e-4           # fraction of the first-order gain a step must realize
+_GAIN_FLOOR = 1e-15      # a step predicted to gain less is lost in float noise

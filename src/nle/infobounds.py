@@ -1,5 +1,4 @@
-"""Holevo quantities, shift-gate bounds on locally accessible information,
-and the two-qubit CHSH maximum.
+"""Holevo quantities and shift-gate bounds on locally accessible information.
 
 The accessible-information relations compare quantities that cannot be
 evaluated exactly, so this module reports only the computable endpoints of
@@ -9,13 +8,12 @@ for the locally accessible information itself.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .config import TOL
-from .errors import BadParams, UnsupportedDims
+from .errors import BadParams
 from .linalg import DIRECTIONS, cnot_family
 from .states import Ensemble, average_state, vn_entropy
 
@@ -85,17 +83,3 @@ def cnot_bounds(e: Ensemble, direction: str = "right") -> BoundsReport:
         direction=direction,
     )
 
-
-def concurrence(s) -> float:
-    """Two-qubit pure-state concurrence 2|a d - b c|."""
-    if s.dims != (2, 2):
-        raise UnsupportedDims("concurrence needs a 2x2 state")
-    a, b, c, d = s.amplitudes
-    return float(2.0 * abs(a * d - b * c))
-
-
-def chsh_max(s) -> float:
-    """Largest CHSH value 2 sqrt(1 + C^2) reachable with a two-qubit pure state."""
-    if s.dims != (2, 2):
-        raise UnsupportedDims("CHSH evaluation needs a 2x2 state")
-    return float(2.0 * math.sqrt(1.0 + concurrence(s) ** 2))

@@ -3,49 +3,31 @@
 ``nonlocal_entropy`` measures, per direction, the probability-weighted
 entanglement created across a product ensemble by a controlled-shift based
 transformation; ``average_entropy_gap`` measures how far a transformation can
-lower the local entropy of the ensemble-average state. The optimization
-freedom behind either quantity is expressed through an explicit ``Mode`` so
-every reported number names the search that produced it:
+lower the local entropy of the ensemble-average state. Every reported number
+names the search that produced it through an explicit ``Mode``:
 
 * ``fixed``: the controlled shift alone, best repetition count: the
   parameter-free member of the ensemble-lu family, one layer with no
-  rotated side (``depth``, ``restarts`` and ``seed`` have no effect). Its
-  candidates are valued once per ensemble, in ``Ensemble.cnot_entanglement``
-  and ``Ensemble.cnot_mixture_entropies``, which ``nle.infobounds`` reads too.
+  rotated side. Its candidates are valued once per ensemble, in
+  ``Ensemble.cnot_entanglement`` and ``Ensemble.cnot_mixture_entropies``.
 * ``ensemble-lu``: layers of (local unitaries, controlled shift) with one
   shared set of unitaries, found by Riemannian gradient ascent on the
-  unitary groups (``_ascend``) from the identity and seeded restarts; on
-  two qubits at depth 1, big-delta is a closed form instead for every
-  rotation (``_qubit_transforms``), and delta runs no ascent except with
-  both sides rotated and neither party's parts on a great circle
-  (``_qubit_delta_transforms``); where no ascent runs, ``restarts`` and
-  ``seed`` have no effect.
-* ``per-state-lu``: the same circuit family optimized per member; in closed
-  form (``_per_state_closed``; ``restarts`` and ``seed`` have no effect, and
-  a member, product within ``TOL.product_rank``, is valued through its
-  leading Schmidt pair) at every depth when the target or both sides are
-  rotated, and at depth 1 when the control is; deeper control-rotated
-  values run ensemble-lu on each one-member ensemble, all members in one
-  search.
+  unitary groups (``_ascend``) from the identity and seeded restarts,
+  except where ``nle.qubits`` states a two-qubit depth-1 form.
+* ``per-state-lu``: the same circuit family optimized per member, in closed
+  form (``_per_state_closed``) except deeper than depth 1 with the control
+  rotated, where ensemble-lu runs on each one-member ensemble, all members
+  in one search.
 * ``assign`` (gap only, orthogonal ensembles): the best relabeling onto an
-  orthonormal product frame, in closed form: members sorted by probability
-  and cut into consecutive groups (exact by majorization).
+  orthonormal product frame, in closed form (``assign_partition``).
 
 Ensemble-lu and deeper control-rotated per-state-lu share one search over
-the repetition count r (``_searched_transforms``), and one kernel call per
-quantity values the candidates of both directions. Its ascents, one per
-(direction, r, objective side, restart, member), run in lockstep batches
-(``_ascend``): each round makes one stacked call per kernel for every ascent
-still running, and each ascent walks its one-at-a-time path bit for bit.
-Fixed mode runs no search: it picks from the ensemble's memo, through the
-same selection code (``_pick_delta``, ``_gap_search``); every gap selection
-starts from the identity (r=0). Every mode ends in one ``_Best`` per
-direction and one report builder, ``_report``. It clips contributions into ``[0, log2
-min(d_A, d_B)]`` and values into ``[0, ceiling]``, proven ceilings: ``log2
-min(d_A, d_B)`` for delta and ``max(S_A, S_B)`` of the mixture for big-delta,
-whose side gaps are ``S_side - S_fin`` with ``S_fin >= 0``. A number outside
-by more than ``TOL.value`` or not finite, and an ascent out of steps, raise
-``BadValue`` instead.
+the repetition count r (``_searched_transforms``), its ascents in lockstep
+batches (``_ascend``). Fixed mode picks from the ensemble's memo through the
+same selection code (``_pick_delta``, ``_gap_search``). Every mode ends in
+one report builder, ``_report``, which clips into proven ceilings: ``log2
+min(d_A, d_B)`` for delta, and for big-delta ``max(S_A, S_B)`` of the
+mixture, whose side gaps are ``S_side - S_fin`` with ``S_fin >= 0``.
 
 Directions: "right" means party A controls and B is the target; "left" is
 the mirror.
@@ -61,15 +43,16 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .config import MAX_DEPTH, MAX_RESTARTS, TOL
+from .config import _ARMIJO, _ASCENT_ROUNDS, _GAIN_FLOOR, MAX_DEPTH, MAX_RESTARTS, TOL
 from .errors import BadParams, BadValue, GramNotIdentity, NotProductEnsemble, TooLarge
 from .linalg import (DIRECTIONS, cnot_family, cnot_permutation, expm_hermitian_unchecked,
                      haar_unitary)
+from .qubits import _TURNS, _qubit_delta_transforms, _qubit_transforms
 from .states import (LOG2, Ensemble, entanglement_entropies, entropy_bits, is_integer,
                      mixture_marginal_entropies)
 
 MODE_NAMES = ("fixed", "ensemble-lu", "per-state-lu", "assign")
-ROTATE_CHOICES = ("both", "target", "control")
+ROTATE_CHOICES = tuple(_TURNS)
 
 
 @dataclass(frozen=True)
@@ -79,17 +62,14 @@ class Mode:
     ``rotate`` restricts which side carries the local pre-rotations in the
     lu modes: "both" (default), "target" (the shifted side), or "control".
     ``restarts`` and ``seed`` drive the gradient ascents (restart 0 starts
-    next to the identity, later ones at seeded random unitaries); per-state-lu
-    runs none except at depth > 1 with ``rotate="control"``, ensemble-lu
-    big-delta none on two qubits at depth 1, and ensemble-lu delta there none
-    unless both sides are rotated and neither party's parts lie on a great
-    circle, so there they do not affect the value. Fixed mode has no
-    rotations and one layer, so it ignores ``depth``, ``restarts``, ``seed``
-    and ``rotate``.
-    ``depth``, ``restarts`` and ``seed`` must be integers (booleans are
-    not), and ``depth`` and ``restarts`` at most ``MAX_DEPTH`` and
-    ``MAX_RESTARTS`` (``TooLarge`` beyond). Like the integer checks, the bounds hold in every
-    mode, also where the mode ignores the field.
+    next to the identity, later ones at seeded random unitaries), which
+    per-state-lu runs only at depth > 1 with ``rotate="control"``, and
+    ensemble-lu not where ``nle.qubits`` states a two-qubit form. Fixed mode
+    has no rotations and one layer, so it ignores all but ``name``.
+    ``depth``, ``restarts`` and ``seed`` must be integers (booleans are not),
+    kept as Python ints; ``depth`` and ``restarts`` at most ``MAX_DEPTH`` and
+    ``MAX_RESTARTS`` (``TooLarge`` beyond). The checks hold in every mode,
+    also where the mode ignores the field.
     """
 
     name: str = "fixed"
@@ -105,6 +85,7 @@ class Mode:
             value = getattr(self, key)
             if not is_integer(value):
                 raise BadParams(f"{key} must be an integer, not {value!r}")
+            object.__setattr__(self, key, int(value))  # a numpy integer overflows a seed's arithmetic
         if self.depth < 1 or self.restarts < 1:
             raise BadParams("depth and restarts must be >= 1")
         if self.depth > MAX_DEPTH or self.restarts > MAX_RESTARTS:
@@ -163,10 +144,6 @@ def _report(quantity: str, e: Ensemble, mode: Mode, best: dict, s_in, ceiling: f
                             left.side_gaps, right.reps, left.reps, *fractions)
 
 
-# ---------------------------------------------------------------------------
-# shared numerics
-
-
 def _clip_values(values, ceiling: float = math.inf) -> list[float]:
     """Floats ``values`` clipped into ``[0, ceiling]``; ``BadValue`` when one
     is not finite or lies outside by more than ``TOL.value`` (a loop over
@@ -183,11 +160,8 @@ def _clip_values(values, ceiling: float = math.inf) -> list[float]:
 # Riemannian gradient ascent on products of unitary groups
 
 
-_ASCENT_ROUNDS = 10_000  # gradient steps of one ascent before it is given up
-_ARMIJO = 1e-4           # fraction of the first-order gain a step must realize
 _MEMORY = 10             # values a nonmonotone step is measured against
 _FIRST_ANGLE = 0.25      # rotation (radians) of an ascent's first trial step
-_GAIN_FLOOR = 1e-15      # a step predicted to gain less is lost in float noise
 _START_SCALE = 1e-3      # generator scale of the first start around the identity
 
 
@@ -350,9 +324,9 @@ def _gaussian_hermitian(rng: np.random.Generator, d: int) -> np.ndarray:
 # layered (local unitary, controlled shift) circuits
 
 
-def _rotated_sides(direction: str, rotate: str) -> tuple[str, ...]:
-    control, target = ("A", "B") if direction == "right" else ("B", "A")
-    return {"both": ("A", "B"), "target": (target,), "control": (control,)}[rotate]
+def _rotated_sides(direction: str, rotate: str) -> tuple[str, ...]:  # A first
+    roles = ("A", "B") if direction == "right" else ("B", "A")  # the control, the target
+    return tuple(sorted(p for p, turns in zip(roles, _TURNS[rotate]) if turns))
 
 
 class _LuCircuit:
@@ -367,8 +341,7 @@ class _LuCircuit:
     ``M`` (its ``(d_A, d_B)`` amplitude matrix) as ``U_A M U_B^T``; on square
     ``dims`` the target or control rotation of the two directions turns
     different sides at one dimension, and then each rotation kernel runs once
-    per side present. The fixed circuit, with no rotated side, is not one of
-    these: fixed mode reads its candidates from the ensemble's memo.
+    per side present.
     """
 
     def __init__(self, dims, rotate: str, depth: int, shifts):
@@ -488,7 +461,7 @@ def _by_side(on_a, side_a, side_b, *stacks) -> np.ndarray:
     return np.where(on_a.reshape((-1,) + (1,) * (a.ndim - 1)), a, b)
 
 
-def _searched_transforms(stacks, dims, mode: Mode, objective, seeds: list, sides: str = "A") -> list:
+def _searched_transforms(stacks, dims, mode: Mode, objective, seeds: list, sides="A", closed=None) -> list:
     """For each search i, the (k, d_A*d_B) stack ``stacks[i]`` with ``seeds[i]``
     (direction -> search seed): ``(direction, r, transformed stack)`` for each
     candidate of ``cnot_family(dims)`` whose direction is in ``seeds[i]``, in
@@ -499,8 +472,11 @@ def _searched_transforms(stacks, dims, mode: Mode, objective, seeds: list, sides
     (the first of equals), each side ascended on its own from the circuit's
     one set of starts. Each (circuit, side, restart) ascent is one problem;
     the problems of every circuit that rotates the same ``unitary_dims`` form
-    one lockstep batch.
+    one lockstep batch. A one-search call on 2x2 at depth 1 takes instead
+    the candidates of its two-qubit form ``closed()`` (``nle.qubits``) unless None.
     """
+    if closed and dims == (2, 2) and mode.depth == 1 and (found := closed()) is not None:
+        return [found]
     circuits = [(i, d, r) for i, chosen in enumerate(seeds) for d, r in cnot_family(dims) if d in chosen]
     batches, transformed = {}, {}
     for c, (_, d, _) in enumerate(circuits):
@@ -540,14 +516,8 @@ def nonlocal_entropy(e: Ensemble, mode: Mode = Mode()) -> QuantifierReport:
     member; the directional value is the probability-weighted sum. Values and
     contributions are clipped into ``[0, log2 min(d_A, d_B)]``, the
     entanglement of any pure state. Raises ``NotProductEnsemble`` when any
-    member has Schmidt rank above one.
-
-    Ensemble-lu on two qubits at depth 1 runs no ascent with the target or
-    the control rotated, nor with both when one party's parts lie on a great
-    circle (``_qubit_delta_transforms``): a closed form, or a search of one
-    Bloch axis on the sphere, so ``restarts`` and ``seed`` have no effect
-    there. With both rotated and neither party on a circle, and on every
-    other shape and depth, the ascent runs.
+    member has Schmidt rank above one. On two qubits at depth 1 ensemble-lu
+    takes the form ``nle.qubits`` states.
     """
     if not isinstance(mode, Mode):
         raise BadParams(f"mode must be a Mode, not {mode!r}")
@@ -562,12 +532,10 @@ def nonlocal_entropy(e: Ensemble, mode: Mode = Mode()) -> QuantifierReport:
         best = {d: _per_state_direction(e, probs, mode, d) for d in DIRECTIONS}
     elif mode.name == "fixed":
         best = _pick_delta(cnot_family(e.dims), e.cnot_entanglement, probs)
-    elif e.dims == (2, 2) and mode.depth == 1 and (found := _qubit_delta_transforms(e, probs, mode.rotate)):
-        stack = np.stack([t for _, _, t in found])
-        best = _pick_delta([(d, r) for d, r, _ in found], entanglement_entropies(stack, e.dims), probs)
     else:
         seeds = {d: _direction_seed(mode.seed, d) for d in DIRECTIONS}
-        best = _delta_search(e.amplitudes[None], probs, e.dims, mode, [seeds])[0]
+        best = _delta_search(e.amplitudes[None], probs, e.dims, mode, [seeds],
+                             lambda: _qubit_delta_transforms(e, probs, mode.rotate))[0]
     # pure members, so both parties start from the average member entanglement
     s_in = float(probs @ e.entanglement)
     return _report("delta", e, mode, best, (s_in, s_in), math.log2(min(e.dims)))
@@ -585,12 +553,11 @@ def _per_state_direction(e: Ensemble, probs, mode, direction) -> _Best:
     return _Best(float(probs @ contrib), contrib, None)
 
 
-def _delta_search(stacks, probs, dims, mode, seeds: list) -> list:
-    """For each search i of ``_searched_transforms``: direction -> ``_Best`` of
-    the best repetition count for each direction in ``seeds[i]``, as
-    ``_pick_delta`` selects. One kernel call values every candidate."""
+def _delta_search(stacks, probs, dims, mode, seeds: list, closed=None) -> list:
+    """For each search i of ``_searched_transforms`` (``closed`` as there): direction ->
+    ``_Best`` of each direction in ``seeds[i]``, as ``_pick_delta`` selects, one kernel call for all."""
     objective = functools.partial(_delta_objective, probs=probs, dims=dims)
-    searches = _searched_transforms(stacks, dims, mode, objective, seeds)
+    searches = _searched_transforms(stacks, dims, mode, objective, seeds, "A", closed)
     ents = iter(entanglement_entropies(np.stack([t for found in searches for _, _, t in found]), dims))
     return [_pick_delta([(d, r) for d, r, _ in found], ents, probs) for found in searches]
 
@@ -778,15 +745,14 @@ def average_entropy_gap(e: Ensemble, mode: Mode = Mode()) -> QuantifierReport:
     controlled-shift circuit used by ``nonlocal_entropy`` plus the identity,
     the first candidate of every direction, so the gap is never negative;
     the report records how many members remain entangled. On two qubits at
-    depth 1 the ensemble-lu optimum is a closed form for every rotation
-    (``_qubit_transforms``), so no search runs and ``restarts`` and ``seed``
-    have no effect. Assign mode relabels an orthogonal ensemble onto
-    orthonormal product outputs: members are grouped, each group shares
-    one target-side basis vector, and the residual target entropy is the
-    entropy of the group-mass distribution, minimized over all admissible
-    partitions; the minimum is attained by sorted chunking
-    (``assign_partition``), so no search runs, and one result serves both
-    directions. Values are clipped into ``[0, max(S_A, S_B)]`` of the mixture.
+    depth 1 ensemble-lu takes the closed form ``nle.qubits`` states. Assign
+    mode relabels an orthogonal ensemble onto orthonormal product outputs:
+    members are grouped, each group shares one target-side basis vector, and
+    the residual target entropy is the entropy of the group-mass
+    distribution, minimized over all admissible partitions; the minimum is
+    attained by sorted chunking (``assign_partition``), so no search runs,
+    and one result serves both directions. Values are clipped into ``[0,
+    max(S_A, S_B)]`` of the mixture.
     """
     if not isinstance(mode, Mode):
         raise BadParams(f"mode must be a Mode, not {mode!r}")
@@ -820,8 +786,8 @@ def _gap_search(e, mode) -> dict:
     """Direction -> ``_Best`` of each direction, starting from the identity
     (r=0, the ensemble as it is). Fixed mode reads the candidates' values
     from the ensemble's memo; ensemble-lu values the mixtures of every
-    candidate it finds (searched, or in closed form on two qubits at depth
-    1) with one kernel call and their members' entanglement with one."""
+    candidate it finds with one kernel call and their members' entanglement
+    with one."""
     probs, dims, s_bar = np.array(e.probabilities), e.dims, e.mixture_entropies
 
     def better(candidate, incumbent):
@@ -838,12 +804,10 @@ def _gap_search(e, mode) -> dict:
         labels, ents = cnot_family(dims), e.cnot_entanglement
         s_fins = map(tuple, e.cnot_mixture_entropies.tolist())
     else:
-        if dims == (2, 2) and mode.depth == 1:
-            candidates = _qubit_transforms(e, probs, s_bar, mode.rotate)
-        else:
-            objective = functools.partial(_gap_objective, probs=probs, dims=dims, s_bar=s_bar)
-            seeds = {d: _direction_seed(mode.seed, d) for d in DIRECTIONS}
-            candidates = _searched_transforms(e.amplitudes[None], dims, mode, objective, [seeds], "AB")[0]
+        objective = functools.partial(_gap_objective, probs=probs, dims=dims, s_bar=s_bar)
+        seeds = {d: _direction_seed(mode.seed, d) for d in DIRECTIONS}
+        candidates = _searched_transforms(e.amplitudes[None], dims, mode, objective, [seeds], "AB",
+                                          lambda: _qubit_transforms(e, probs, s_bar, mode.rotate))[0]
         transformed = np.stack([t for _, _, t in candidates])
         s_a, s_b = mixture_marginal_entropies(transformed, probs, dims)
         labels, ents = [(d, r) for d, r, _ in candidates], entanglement_entropies(transformed, dims)
@@ -855,268 +819,6 @@ def _gap_search(e, mode) -> dict:
         if better(candidate, best[d]):
             best[d] = candidate
     return best
-
-
-# the identity, then sigma_x, sigma_y and sigma_z
-_PAULI = np.array([[[1, 0], [0, 1]], [[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]])
-# row 4i + j dotted with rho.ravel() is tr(rho s_i (x) s_j), the transpose
-# mattering for s_y; row 16 is zero, the entry that folded-away data reads
-_PAULI_PAIRS = np.array([np.kron(s, t).T.ravel() for s in _PAULI for t in _PAULI] + [np.zeros(16)])
-_REF = np.eye(3)[[2, 0]]  # the control's axis u and the target's n at the identity: e_z, e_x
-
-
-def _qubit_transforms(e, probs, s_bar, rotate: str) -> list:
-    """``(direction, 1, transformed stack)`` of each direction of a two-qubit
-    ensemble-lu gap search at depth 1, in closed form for every ``rotate``.
-
-    Write the mixture as ``(I + a.s (x) I + I (x) b.s + T_ij s_i (x) s_j) / 4``;
-    local unitaries rotate ``a``, ``b`` and ``T`` (R. & M. Horodecki, PRA 54,
-    1838 (1996)). After ``CNOT (U_c (x) U_t)`` of "right" (A controls), with
-    ``u = R_c^T e_z`` and ``n = R_t^T e_x``, the control marginal's squared
-    Bloch norm is ``(u.a)^2 + |Tn|^2 - (u.Tn)^2`` and the target's ``(n.b)^2 +
-    |T^T u|^2 - (n.T^T u)^2``; "left" swaps ``a``, ``b`` and ``T``, ``T^T``.
-    A side's entropy falls as its norm rises. With ``c`` the side's own
-    vector, ``K`` its ``T`` or ``T^T``, and ``p``, ``q`` its own and the other
-    axis, the norm is ``(p.c)^2 + |P K q|^2``, ``P`` the projector off ``p``.
-    For any unit ``z`` off ``p``, ``|P K q|^2 - |P c|^2 <= |K^T z|^2 -
-    (z.c)^2``, so the norm is at most ``|c|^2 + lambda_max(K K^T - c c^T)``,
-    and the top eigenvector ``w`` attains it with ``p`` along ``P_w c`` (any
-    unit vector off ``w`` when that vanishes) and ``q`` along ``K^T w``. An
-    axis that does not turn is folded into the data: its own axis fixed at
-    ``p_0`` makes ``c`` ``(p_0.c) p_0`` and ``K`` ``P_0 K``, where ``p = p_0``
-    maximizes both terms, and the other fixed at ``q_0`` makes ``K`` ``K q_0
-    q_0^T``, where ``q = +-q_0`` does.
-
-    The four (side, direction) forms take one eigensolve. The norm is even in
-    each axis, so each is taken with a non-negative reference component, and
-    the reflection ``m.s``, ``m`` the unit bisector of the axis and its
-    reference, which never vanishes, reaches it. As in ``_maximize`` the
-    identity is kept unless the optimum is strictly better, and as in
-    ``_searched_transforms`` side A wins equals. The form needs every rotated
-    side to be a qubit: a qutrit marginal's entropy is no function of one
-    Bloch norm. On 2xd and dx2 with only the qubit side rotated the problem
-    still lives on one sphere, where forms of this kind may hold; none is
-    used yet.
-    """
-    c_at, k_at, identity_at, _ = _qubit_layout(rotate)
-    rho = (e.amplitudes.T * probs) @ e.amplitudes.conj()
-    corr = (_PAULI_PAIRS @ rho.ravel()).real
-    c, k = corr[c_at], corr[k_at]  # [side, direction], sides the control's and the target's
-    top, vecs = np.linalg.eigh(k @ k.swapaxes(-1, -2) - c[..., :, None] * c[..., None, :])
-    # P_w c through the eigenvectors off w, so it stays off w, plus a trace of
-    # the first of them, which p is when P_w c vanishes; K^T w vanishes only
-    # where every q is optimal, and its reflection is then the reference's
-    rest = vecs[..., :2]
-    p = (rest @ (c[..., None, :] @ rest + [1e-150, 0.0]).swapaxes(-1, -2))[..., 0]
-    q = (vecs[..., None, :, -1] @ k)[..., 0, :]
-    r2 = np.stack([(corr[identity_at] ** 2).sum(-1), (c**2).sum(-1) + top[..., -1]], -1)
-    v = np.sqrt(np.maximum(r2, 0.0))[..., None] * [1.0, -1.0]
-    drops = (np.array([s_bar, s_bar[::-1]])[..., None] - entropy_bits((corr[0] + v) / 2.0)).tolist()
-    axes = np.array([[p[0], q[0]], [q[1], p[1]]])  # [side, role, direction]: roles u, n
-    axes /= np.maximum(np.sqrt((axes**2).sum(-1, keepdims=True)), 1e-300)
-    reflections = _reflections(axes, _REF[:, None])
-    chosen = []  # per direction, the control's and the target's unitary
-    for d in (0, 1):
-        s = (d, 1 - d)[max(drops[1 - d][d]) > max(drops[d][d])]  # the objective's side A wins equals
-        chosen.append(reflections[s, :, d] if drops[s][d][1] > drops[s][d][0] else (np.eye(2),) * 2)
-    return _qubit_circuit(e, rotate, chosen)
-
-
-@functools.lru_cache(maxsize=None)
-def _qubit_layout(rotate: str):
-    """Where ``_qubit_transforms`` reads its data in the flat ``tr(rho s_i (x)
-    s_j)``: ``c`` and ``K`` [side, direction], those that the axes ``rotate``
-    leaves fixed fold away at 16 (a zero), and each side's marginal Bloch
-    vector at the identity, ``(K_xx, K_yx, c_z)`` on the control side and
-    ``(K_yz, K_zz, c_x)`` on the target's; and the circuit it runs, which
-    ``_qubit_circuit`` runs for delta too."""
-    a, b = 4 * np.arange(1, 4), np.arange(1, 4)
-    t = a[:, None] + b
-    c, k = np.array([[a, b], [b, a]]), np.array([[t, t.T], [t.T, t]])
-    identity = np.stack([np.stack([k[0, :, 0, 0], k[0, :, 1, 0], c[0, :, 2]], -1),
-                         np.stack([k[1, :, 1, 2], k[1, :, 2, 2], c[1, :, 0]], -1)])
-    turns = np.array({"both": (1, 1), "target": (0, 1), "control": (1, 0)}[rotate], bool)
-    turns = turns[:, None, None, None]  # per side, whether its own axis turns
-    own, other = _REF.astype(bool)[:, None], _REF[::-1].astype(bool)[:, None]  # p_0, q_0 per side
-    c = np.where(turns[..., 0] | own, c, 16)
-    k = np.where((turns | ~own[..., None]) & (turns[::-1] | other[..., None, :]), k, 16)
-    return c, k, identity, _LuCircuit((2, 2), rotate, 1, cnot_family((2, 2)))
-
-
-def _bloch(parts: np.ndarray) -> np.ndarray:
-    """Bloch vectors ``<v|s|v>`` of a (..., 2) stack of unit vectors ``v``."""
-    return np.einsum("...i,aij,...j->...a", parts.conj(), _PAULI[1:], parts).real
-
-
-def _reflections(axes: np.ndarray, ref: np.ndarray) -> np.ndarray:
-    """The (..., 2, 2) reflections ``m.s`` with ``(m.s)(ref.s)(m.s) = +-axes.s``,
-    for unit ``axes`` and ``ref`` (broadcast): ``m`` the unit bisector of
-    ``ref`` and the sign of the axis with a non-negative ``ref`` component,
-    which never vanishes."""
-    m = np.where((axes * ref).sum(-1, keepdims=True) < 0.0, -axes, axes) + ref
-    m /= np.sqrt((m**2).sum(-1, keepdims=True))
-    return (m @ _PAULI[1:].reshape(3, 4)).reshape(m.shape[:-1] + (2, 2))
-
-
-def _qubit_circuit(e, rotate: str, chosen) -> list:
-    """``(direction, 1, transformed stack)`` of each direction of a two-qubit
-    depth-1 circuit, ``chosen[d]`` holding direction d's control and target
-    unitaries; those of the sides ``rotate`` leaves fixed are not read."""
-    point = [np.array([dict(zip(("AB", "BA")[d], chosen[d]))[party] for d, party in enumerate(parties)])
-             for parties in zip(*(_rotated_sides(direction, rotate) for direction in DIRECTIONS))]
-    out = _qubit_layout(rotate)[3].transform(np.arange(2), np.stack([e.amplitudes] * 2), point)
-    return [(d, r, t) for (d, r), t in zip(cnot_family((2, 2)), out)]
-
-
-def _qubit_delta_transforms(e, probs, rotate: str):
-    """``(direction, 1, transformed stack)`` of each direction of a two-qubit
-    ensemble-lu delta search at depth 1; None when ``rotate`` is "both" and
-    neither party's parts lie on a great circle, where the ascent runs.
-
-    Member k is ``|a>|b>``, with ``a`` the control part and ``b`` the
-    target's (``e.schmidt_pairs``; for "left" the B part controls), of Bloch
-    vectors ``r_c`` and ``r_t``. Write ``U_c^dag Z U_c = u.s`` and ``U_t^dag X
-    U_t = n.s`` (``u = R_c^T e_z``, ``n = R_t^T e_x``; an unrotated side keeps
-    ``e_z`` or ``e_x``). With ``U_c a = (x_0, x_1)`` and ``b' = U_t b`` the
-    output is ``x_0|0>b' + x_1|1>Xb'``, of concurrence ``2|x_0 x_1| sqrt(1 -
-    |<b'|X|b'>|^2)`` (Wootters, PRL 80, 2245 (1998)); ``4|x_0 x_1|^2 = 1 -
-    (u.r_c)^2`` and ``<b'|X|b'> = n.r_t``, so ``C_k^2 = (1 - (u.r_c)^2)(1 -
-    (n.r_t)^2)``. The member's entanglement ``g(C^2) = h((1 + sqrt(1 -
-    C^2)) / 2)`` rises with ``C^2``, and delta is ``sum_k p_k g(C_k^2)``.
-
-    Each factor is at most 1, and it is 1 where the axis is perpendicular
-    to ``r``. So when the smallest eigenvalue of ``sum_k r_k r_k^T`` over one
-    party's parts is 0 (at most ``TOL.eig_floor``, which costs at most about
-    that much in value), its eigenvector, the normal of a great circle
-    through every ``r_k``, is that party's best axis whatever the other axis
-    is. With no axis left free every member has its per-state value
-    (``_per_state_closed``); with one, the value is a function on a sphere
-    (``_sphere_search``); both free is the "both" case left to the ascent.
-    The unitaries are reflections, as in ``_qubit_transforms``, and the
-    identity is kept unless the formula's optimum is strictly better.
-    """
-    parts = _bloch(np.stack(e.schmidt_pairs))  # [party, member, axis]
-    lam, vecs = np.linalg.eigh(parts.swapaxes(-1, -2) @ parts)
-    normals, circle = vecs[..., 0], lam[:, 0] <= TOL.eig_floor
-    if rotate == "both" and not circle.any():
-        return None
-    turns = np.array({"both": (1, 1), "target": (0, 1), "control": (1, 0)}[rotate], bool)
-    party = np.array([[0, 1], [1, 0]])  # [direction, role]: the control, then the target
-    r, free = parts[party], turns & ~circle[party]
-    axes = np.where((turns & circle[party])[..., None], normals[party], _REF)
-    if free.any():
-        other = _axis_factors(r, axes)[:, ::-1][free]
-        axes[free] = _sphere_search(r[free], other, probs, normals[party][free])
-    found, identity = (_entanglement_of(np.prod(_axis_factors(r, a), 1)) @ probs
-                       for a in (axes, np.broadcast_to(_REF, axes.shape)))
-    reflections = _reflections(axes, _REF)
-    return _qubit_circuit(e, rotate, [reflections[d] if found[d] > identity[d] else (np.eye(2),) * 2
-                                      for d in (0, 1)])
-
-
-def _axis_factors(r: np.ndarray, axes: np.ndarray) -> np.ndarray:
-    """``1 - (axis.r_k)^2`` of (..., k, 3) Bloch vectors and (..., 3) axes, in [0, 1]."""
-    return np.clip(1.0 - (r @ axes[..., None])[..., 0] ** 2, 0.0, 1.0)
-
-
-def _entanglement_of(y: np.ndarray) -> np.ndarray:
-    """``g(y) = h((1 + sqrt(1 - y)) / 2)``, the entanglement in bits of a pure
-    two-qubit state of squared concurrence ``y`` in [0, 1]; the smaller
-    eigenvalue is taken as ``y / (2 (1 + sqrt(1 - y)))``, exact near 0."""
-    q = y / (2.0 * (1.0 + np.sqrt(1.0 - y)))
-    return entropy_bits(np.stack([1.0 - q, q], -1))
-
-
-def _fibonacci_hemisphere(size: int) -> np.ndarray:
-    """``size`` unit vectors spread evenly over the upper hemisphere."""
-    z, phi = (np.arange(size) + 0.5) / size, np.arange(size) * math.pi * (3.0 - math.sqrt(5.0))
-    rho = np.sqrt(1.0 - z * z)
-    return np.stack([rho * np.cos(phi), rho * np.sin(phi), z], -1)
-
-
-_GRID = _fibonacci_hemisphere(400)  # a sphere search's first look; F is even, so it covers the sphere
-_GRID_STARTS = 3  # the best grid points each sphere search refines, beside the circle normal
-
-
-def _sphere_search(r, c, probs, normals) -> np.ndarray:
-    """For each row i, the best unit axis found of ``F_i(n) = sum_k p_k g(c_ik
-    (1 - (n.r_ik)^2))``, given (m, k, 3) vectors ``r``, (m, k) factors ``c``
-    in [0, 1] and (m, 3) starts ``normals``.
-
-    ``F`` is valued on ``_GRID``; Riemannian Newton ascents (Absil, Mahony &
-    Sepulchre, *Optimization Algorithms on Matrix Manifolds*, 2008) then
-    start at each row's ``_GRID_STARTS`` best points and its normal, all
-    rows in one stack, and each row keeps its best end (the first of equals).
-    """
-    values = _entanglement_of(c[:, None] * _axis_factors(r[:, None], _GRID)) @ probs
-    best = np.argsort(-values, axis=1, kind="stable")[:, :_GRID_STARTS]
-    starts = np.concatenate([_GRID[best], normals[:, None]], 1)
-    size = starts.shape[1]
-    ends, values = _sphere_ascent(starts.reshape(-1, 3), np.repeat(r, size, 0), np.repeat(c, size, 0), probs)
-    return ends.reshape(starts.shape)[np.arange(len(r)), values.reshape(-1, size).argmax(1)]
-
-
-def _sphere_ascent(n, r, c, probs):
-    """Riemannian Newton ascents of ``F`` (``_sphere_search``) from the (P, 3)
-    unit axes ``n``, one per row of ``r`` and ``c``, in lockstep; their ends
-    and values.
-
-    The step solves ``Hess F[s] = -grad F`` on the tangent plane, with each
-    eigenvalue of the Hessian taken as ``-max(|lambda|, 1e-9)``, so it always
-    rises: Newton's step where ``F`` is concave, a gradient step scaled by
-    the curvature elsewhere. Its length is capped at 1, it is retracted by
-    normalizing ``n + t s``, and halved until it gains ``_ARMIJO`` of its
-    first-order gain; ``t`` resets to 1 after each accepted step. An ascent
-    stops once its gradient norm is at most ``TOL.gradient`` or a step
-    predicted to gain ``_GAIN_FLOOR`` or less fails; ``BadValue`` once one has
-    run ``_ASCENT_ROUNDS`` rounds.
-    """
-    value, grad, hess = _sphere_terms(n, r, c, probs)
-    t, going = np.ones(len(n)), (grad**2).sum(-1) > TOL.gradient**2
-    for _ in range(_ASCENT_ROUNDS):
-        if not going.any():
-            return n, value
-        lam, vecs = np.linalg.eigh(hess)
-        step = (vecs @ ((grad[:, None] @ vecs)[:, 0] / np.maximum(np.abs(lam), 1e-9))[..., None])[..., 0]
-        step /= np.maximum(np.sqrt((step**2).sum(-1, keepdims=True)), 1.0)
-        gain = t * (grad * step).sum(-1)
-        trial = n + t[:, None] * step
-        trial /= np.sqrt((trial**2).sum(-1, keepdims=True))
-        tried = _sphere_terms(trial, r, c, probs)
-        ok = going & (tried[0] >= value + _ARMIJO * gain)
-        n = np.where(ok[:, None], trial, n)
-        value, grad, hess = (np.where(ok.reshape((-1,) + (1,) * (a.ndim - 1)), b, a)
-                             for a, b in zip((value, grad, hess), tried))
-        t = np.where(ok, 1.0, 0.5 * t)
-        going &= np.where(ok, (grad**2).sum(-1) > TOL.gradient**2, 0.5 * gain > _GAIN_FLOOR)
-    raise BadValue(f"sphere ascent not converged within {_ASCENT_ROUNDS} steps")
-
-
-def _sphere_terms(n, r, c, probs):
-    """``F`` at the (P, 3) unit axes ``n``, its Riemannian gradient, and its
-    Riemannian Hessian as a (P, 3, 3) map of the tangent plane, ``P(H - (n.G)
-    I)P`` from the Euclidean gradient ``G`` and Hessian ``H``, ``P`` the
-    projector off ``n``.
-
-    Per member, with ``x = n.r``, ``y = c(1 - x^2)`` and ``s = sqrt(1 - y)``,
-    ``dg/dy = A / (2 ln 2)`` and ``d2g/dy2 = -B / (4 ln 2)`` for ``A =
-    atanh(s) / s`` and ``B = A'(s) / s = (s / y - atanh(s)) / s^3``, so
-    ``dg/dx = -c x A / ln 2`` and ``d2g/dx2 = -c (A + c x^2 B) / ln 2``. ``s``
-    is clipped into ``[1e-100, 1 - 2^-53]``, so both stay finite; ``B``'s
-    rounding error, about ``1e-16 / s^2``, meets a factor ``c x^2 <= s^2``.
-    """
-    x = (r @ n[:, :, None])[..., 0]
-    y = c * (1.0 - x * x).clip(0.0, 1.0)
-    s = np.sqrt(1.0 - y).clip(1e-100, 1.0 - 2.0**-53)
-    atanh = np.arctanh(s)
-    a, b = atanh / s, (s / (1.0 - s * s) - atanh) / s**3
-    weights = c * probs / -LOG2
-    grad = (weights * x * a)[:, None] @ r
-    hess = (r.swapaxes(1, 2) * (weights * (a + c * x * x * b))[:, None]) @ r
-    radial = (grad[:, 0] * n).sum(-1)
-    off = np.eye(3) - n[:, :, None] * n[:, None, :]
-    hess = off @ (hess - radial[:, None, None] * np.eye(3)) @ off
-    return _entanglement_of(y) @ probs, grad[:, 0] - radial[:, None] * n, hess
 
 
 # ---------------------------------------------------------------------------

@@ -31,7 +31,8 @@ import numpy as np
 from . import catalog
 from .dissect import as_product_set, classify, dissect, reducible_from
 from .gates import apply_cnot
-from .infobounds import chsh_max, holevo_chi, local_holevo
+from .infobounds import holevo_chi, local_holevo
+from .qubits import chsh_max
 from .quantify import Mode, QuantifierReport, average_entropy_gap, nonlocal_entropy
 from .states import Ensemble, entanglement_entropy
 

@@ -47,7 +47,10 @@ class PureState:
     amplitudes: np.ndarray
 
     def __post_init__(self):
-        amps = np.asarray(self.amplitudes, dtype=complex).ravel()
+        try:
+            amps = np.asarray(self.amplitudes, dtype=complex).ravel()
+        except (TypeError, ValueError) as err:
+            raise NotAState(f"amplitudes must be numbers, not {self.amplitudes!r}") from err
         d_a, d_b = _dims(self.dims)
         if amps.shape[0] != d_a * d_b:
             raise DimensionMismatch(f"amplitude length {amps.shape[0]} != {d_a}*{d_b}")
@@ -101,23 +104,29 @@ class Ensemble:
 
     def __post_init__(self):
         dims = _dims(self.dims)
-        if dims[0] * dims[1] > MAX_DIM_PRODUCT or len(self.states) > MAX_MEMBERS:
-            raise TooLarge(f"{len(self.states)} members on {dims[0]}x{dims[1]}: at most "
+        try:
+            probs, states = tuple(float(p) for p in self.probabilities), tuple(self.states)
+        except (TypeError, ValueError) as err:
+            raise NotAState("probabilities must be numbers and states a sequence") from err
+        if dims[0] * dims[1] > MAX_DIM_PRODUCT or len(states) > MAX_MEMBERS:
+            raise TooLarge(f"{len(states)} members on {dims[0]}x{dims[1]}: at most "
                            f"{MAX_MEMBERS} members and d_A*d_B <= {MAX_DIM_PRODUCT}")
-        probs = tuple(float(p) for p in self.probabilities)
-        if len(probs) != len(self.states) or not self.states:
+        if len(probs) != len(states) or not states:
             raise DimensionMismatch("probabilities and states must pair up")
         # positive conditions, so that NaN fails them
         if not all(0.0 < p <= 1.0 for p in probs):
             raise NotAState("probabilities must lie in (0, 1]")
         if not abs(sum(probs) - 1.0) <= TOL.prob_sum:
             raise NotAState(f"probabilities sum to {sum(probs)}")
-        if any(s.dims != dims for s in self.states):
+        if not all(isinstance(s, PureState) for s in states):
+            raise NotAState("members must be PureState instances")
+        if any(s.dims != dims for s in states):
             raise DimensionMismatch("member dimensions disagree")
-        stack = np.array([s.amplitudes for s in self.states])
+        stack = np.array([s.amplitudes for s in states])
         stack.flags.writeable = False
         object.__setattr__(self, "dims", dims)
         object.__setattr__(self, "probabilities", probs)
+        object.__setattr__(self, "states", states)
         object.__setattr__(self, "amplitudes", stack)
 
     @classmethod

@@ -10,13 +10,12 @@ the target rotated, and on ``bell-triple`` and ``orth-pair`` at ``--depth
 change to the gap objective, its gradient or the starts: every rotation on
 ``more-nl-mixed`` (3x3) and the ``--depth 2`` records. The two-qubit
 ``e2-case2`` delta searches at ``--depth 2``, every rotation, pin the delta
-ascent on two qubits; at depth 1 they pin the Bloch-axis form
-(``quantify._qubit_delta_transforms``), which runs no search there for any
-rotation, since each party's parts lie on a great circle, so ``--restarts``
-and ``--seed`` have no effect on them. The three two-qubit entries
+ascent on two qubits; at depth 1 they pin the Bloch-axis delta form (each
+party's parts lie on a great circle), and the three two-qubit entries
 (``bell-triple``, ``orth-pair``, ``ghosh-nonmax``) at depth 1, every
-rotation, pin the closed form (``quantify._qubit_transforms``), which runs
-no ascent. Then the fixed circuit's outputs (fixed big-delta and
+rotation, the closed gap form: no search runs there, as ``nle.qubits``
+states, so ``--restarts`` and ``--seed`` have no effect on them. Then the
+fixed circuit's outputs (fixed big-delta and
 bounds in both directions on every catalog entry, fixed delta on every
 product entry), where a one-ulp move in the family or mixture path shows;
 and ``show --json`` of every catalog entry's default build, which pins each

@@ -9,7 +9,8 @@ from nle import catalog
 from nle.catalog import bell_state
 from nle.errors import BadParams, UnsupportedDims
 from nle.gates import apply_cnot
-from nle.infobounds import chsh_max, cnot_bounds, concurrence, holevo_chi, local_holevo
+from nle.infobounds import cnot_bounds, holevo_chi, local_holevo
+from nle.qubits import chsh_max, concurrence
 from nle.states import (
     Ensemble,
     PureState,

@@ -26,7 +26,7 @@ Delta at depth 1 on random product sets of every shape up to 3x3, some
 with one or both parties' parts real, one restart: fixed <= ensemble-lu <=
 per-state-lu at the same rotation, for every rotation. On 2x2, where
 ensemble-lu delta is a closed form or a sphere search
-(``quantify._qubit_delta_transforms``), any product set of one to six
+(``qubits._qubit_delta_transforms``), any product set of one to six
 members: the frame invariance above; a party swap exchanges right and left;
 and fixed <= target <= both, control <= both. Where "both" enters, one
 party's parts are real, so their Bloch vectors lie on a great circle and it

@@ -1,5 +1,6 @@
+import json
 import math
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
@@ -55,6 +56,16 @@ class TestMode:
 
     def test_accepts_numpy_integers(self):
         assert Mode("ensemble-lu", depth=np.int64(2), seed=np.int32(3)).depth == 2
+
+    def test_numpy_integers_are_kept_as_python_ints(self):
+        # a numpy seed used to overflow in the seed arithmetic of every lu
+        # search that draws one, and made the mode's dict unserializable
+        mode = Mode("ensemble-lu", restarts=np.int64(2), seed=np.int64(3), rotate="control")
+        assert all(type(getattr(mode, key)) is int for key in ("depth", "restarts", "seed"))
+        assert json.loads(json.dumps(asdict(mode)))["seed"] == 3
+        e = catalog.build("case-3x2")
+        assert nonlocal_entropy(e, mode) == nonlocal_entropy(e, Mode("ensemble-lu", restarts=2, seed=3,
+                                                                     rotate="control"))
 
     @pytest.mark.parametrize("field,bound", [("restarts", MAX_RESTARTS), ("depth", MAX_DEPTH)])
     def test_rejects_search_sizes_beyond_the_limits(self, field, bound):

@@ -1,6 +1,6 @@
 """The two-qubit depth-1 delta on Bloch axes, against the ascent it replaced.
 
-On 2x2 at depth 1, ensemble-lu delta (``quantify._qubit_delta_transforms``)
+On 2x2 at depth 1, ensemble-lu delta (``qubits._qubit_delta_transforms``)
 values member k at ``C_k^2 = (1 - (u.r_c)^2)(1 - (n.r_t)^2)``, ``u`` and
 ``n`` the control's and the target's axes and ``r_c``, ``r_t`` the Bloch
 vectors of its parts. A party whose parts lie on one great circle takes the
@@ -28,11 +28,12 @@ import math
 import numpy as np
 import pytest
 
-from nle import catalog, quantify
+from nle import catalog, quantify, qubits
 from nle.errors import BadValue
-from nle.linalg import haar_unitary
+from nle.linalg import cnot_family, haar_unitary
 from nle.quantify import (DIRECTIONS, ROTATE_CHOICES, Mode, _delta_search, _direction_seed,
-                          _sphere_terms, nonlocal_entropy)
+                          nonlocal_entropy)
+from nle.qubits import _sphere_terms
 from nle.states import Ensemble, PureState, entanglement_entropies
 
 PAULI = (np.array([[0, 1], [1, 0]]), np.array([[0, -1j], [1j, 0]]), np.array([[1, 0], [0, -1]]))
@@ -104,15 +105,33 @@ def test_the_formula_is_the_circuit_entanglement():
             assert abs(got - _formula(e, direction, u_c, u_t)) <= 1e-12, direction
 
 
+@pytest.mark.parametrize("rotate", ROTATE_CHOICES)
+def test_qubit_circuit_gives_the_lu_circuit_bytes(rotate):
+    # the forms apply their unitaries directly; the batched circuit of the
+    # searches is the reference, bit for bit and in its memory layout
+    rng = np.random.default_rng(17)
+    circuit = quantify._LuCircuit((2, 2), rotate, 1, cnot_family((2, 2)))
+    for _ in range(50):
+        e = _random_set(int(rng.integers(1000)))
+        chosen = [(haar_unitary(2, rng), haar_unitary(2, rng)) for _ in DIRECTIONS]
+        point = [np.array([dict(zip(("AB", "BA")[d], chosen[d]))[party] for d, party in enumerate(parties)])
+                 for parties in zip(*(quantify._rotated_sides(d, rotate) for d in DIRECTIONS))]
+        want = circuit.transform(np.arange(2), np.stack([e.amplitudes] * 2), point)
+        got = qubits._qubit_circuit(e, rotate, chosen)
+        assert [(d, r) for d, r, _ in got] == list(cnot_family((2, 2)))
+        for (_, _, t), w in zip(got, want):
+            assert t.flags.c_contiguous and t.tobytes() == w.tobytes()
+
+
 def _spy(monkeypatch) -> list:
     used = []
-    original = quantify._qubit_circuit
+    original = qubits._qubit_circuit
 
     def spied(e, rotate, chosen):
         used.append([tuple(np.array(u) for u in pair) for pair in chosen])
         return original(e, rotate, chosen)
 
-    monkeypatch.setattr(quantify, "_qubit_circuit", spied)
+    monkeypatch.setattr(qubits, "_qubit_circuit", spied)
     return used
 
 
@@ -226,7 +245,7 @@ def test_sphere_terms_are_finite_where_a_concurrence_is_0_or_1():
 
 
 def test_sphere_ascent_budget_raises_bad_value(monkeypatch):
-    monkeypatch.setattr(quantify, "_ASCENT_ROUNDS", 1)
+    monkeypatch.setattr(qubits, "_ASCENT_ROUNDS", 1)
     with pytest.raises(BadValue):
         nonlocal_entropy(_random_set(5), _closed("target"))
 

@@ -1,7 +1,7 @@
 """The two-qubit depth-1 gap in closed form, against the search it replaced.
 
 On 2x2 at depth 1, ensemble-lu big-delta runs no ascent for any rotation
-(``quantify._qubit_transforms``): each side's squared Bloch norm after the
+(``qubits._qubit_transforms``): each side's squared Bloch norm after the
 transform peaks at the top eigenvalue of a 3x3 form in the mixture's
 Bloch and correlation data. Checked here, for "target", "control" and "both":
 
@@ -37,8 +37,8 @@ import pytest
 
 from nle import catalog, quantify
 from nle.quantify import (DIRECTIONS, ROTATE_CHOICES, Mode, _direction_seed, _gap_objective,
-                          _gap_search, _qubit_transforms, _searched_transforms,
-                          average_entropy_gap, nonlocal_entropy)
+                          _gap_search, _searched_transforms, average_entropy_gap, nonlocal_entropy)
+from nle.qubits import _qubit_transforms
 from nle.states import Ensemble, PureState, average_state, mixture_marginal_entropies
 
 PAULI = (np.array([[0, 1], [1, 0]]), np.array([[0, -1j], [1j, 0]]), np.array([[1, 0], [0, -1]]))

@@ -5,9 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from nle import catalog
 from nle.catalog import bell_state
 from nle.config import MAX_DIM_PRODUCT, MAX_MEMBERS
-from nle.errors import DimensionMismatch, NotAState, TooLarge
+from nle.errors import DimensionMismatch, NleError, NotAState, TooLarge
 from nle.linalg import haar_unitary, partial_trace, tensor
 from nle.states import (
     Ensemble,
@@ -362,3 +363,20 @@ class TestEnsemble:
         sub = catalog.build("bell-full").subset([0, 2])
         assert len(sub) == 2
         assert abs(sum(sub.probabilities) - 1.0) <= 1e-12
+
+
+MALFORMED = [
+    ("member-not-a-state", lambda: Ensemble((2, 2), (1.0,), (np.array([1, 0, 0, 0]),)), "not-a-state"),
+    ("no-probabilities", lambda: Ensemble((2, 2), None, (bell_state("phi+"),)), "not-a-state"),
+    ("no-states", lambda: Ensemble((2, 2), (1.0,), None), "not-a-state"),
+    ("text-amplitudes", lambda: PureState((2, 2), "abcd"), "not-a-state"),
+    ("list-entry-name", lambda: catalog.build(["x"]), "no-such-entry"),
+]
+
+
+@pytest.mark.parametrize("build,code", [m[1:] for m in MALFORMED], ids=[m[0] for m in MALFORMED])
+def test_malformed_library_inputs_raise_a_documented_error(build, code):
+    # each used to raise a bare AttributeError, TypeError or ValueError
+    with pytest.raises(NleError) as err:
+        build()
+    assert err.value.code == code
