@@ -66,6 +66,8 @@ def cnot_bounds(e: Ensemble, direction: str = "right") -> BoundsReport:
     "left" (B controls). The transformed ensemble's values are the r=1 rows
     of the ensemble's memo of the fixed circuit.
     """
+    if not isinstance(e, Ensemble):
+        raise BadParams(f"expected an Ensemble, not {type(e).__name__}")
     if direction not in DIRECTIONS:
         raise BadParams(f"unknown direction {direction!r}")
     probs = np.array(e.probabilities)

@@ -13,7 +13,7 @@ names the search that produced it through an explicit ``Mode``:
 * ``ensemble-lu``: layers of (local unitaries, controlled shift) with one
   shared set of unitaries, found by Riemannian gradient ascent on the
   unitary groups (``_ascend``) from the identity and seeded restarts,
-  except where ``nle.qubits`` states a two-qubit depth-1 form.
+  except where ``nle.qubits`` states a depth-1 form that rotates only qubits.
 * ``per-state-lu``: the same circuit family optimized per member, in closed
   form (``_per_state_closed``) except deeper than depth 1 with the control
   rotated, where ensemble-lu runs on each one-member ensemble, all members
@@ -64,12 +64,13 @@ class Mode:
     ``restarts`` and ``seed`` drive the gradient ascents (restart 0 starts
     next to the identity, later ones at seeded random unitaries), which
     per-state-lu runs only at depth > 1 with ``rotate="control"``, and
-    ensemble-lu not where ``nle.qubits`` states a two-qubit form. Fixed mode
-    has no rotations and one layer, so it ignores all but ``name``.
-    ``depth``, ``restarts`` and ``seed`` must be integers (booleans are not),
-    kept as Python ints; ``depth`` and ``restarts`` at most ``MAX_DEPTH`` and
-    ``MAX_RESTARTS`` (``TooLarge`` beyond). The checks hold in every mode,
-    also where the mode ignores the field.
+    ensemble-lu not where ``nle.qubits`` states a depth-1 qubit form (2x2,
+    and delta in a direction of 2xd or dx2 whose only rotated side is the
+    qubit). Fixed mode has no rotations and one layer, so it ignores all but
+    ``name``. ``depth``, ``restarts`` and ``seed`` must be integers (booleans
+    are not), kept as Python ints; ``depth`` and ``restarts`` at most
+    ``MAX_DEPTH`` and ``MAX_RESTARTS`` (``TooLarge`` beyond). The checks hold
+    in every mode, also where the mode ignores the field.
     """
 
     name: str = "fixed"
@@ -472,11 +473,15 @@ def _searched_transforms(stacks, dims, mode: Mode, objective, seeds: list, sides
     (the first of equals), each side ascended on its own from the circuit's
     one set of starts. Each (circuit, side, restart) ascent is one problem;
     the problems of every circuit that rotates the same ``unitary_dims`` form
-    one lockstep batch. A one-search call on 2x2 at depth 1 takes instead
-    the candidates of its two-qubit form ``closed()`` (``nle.qubits``) unless None.
+    one lockstep batch. A one-search call at depth 1 takes instead the
+    candidates ``closed()`` gives (a qubit form of ``nle.qubits``) for the
+    directions they cover, and searches only the others.
     """
-    if closed and dims == (2, 2) and mode.depth == 1 and (found := closed()) is not None:
-        return [found]
+    given = closed() if closed and mode.depth == 1 else []  # of whole directions
+    if len(given) == len(cnot_family(dims)):
+        return [given]
+    if given:
+        seeds = [{d: s for d, s in seeds[0].items() if d not in {c[0] for c in given}}]
     circuits = [(i, d, r) for i, chosen in enumerate(seeds) for d, r in cnot_family(dims) if d in chosen]
     batches, transformed = {}, {}
     for c, (_, d, _) in enumerate(circuits):
@@ -498,7 +503,7 @@ def _searched_transforms(stacks, dims, mode: Mode, objective, seeds: list, sides
     out = [[] for _ in seeds]
     for c, (i, d, r) in enumerate(circuits):
         out[i].append((d, r, transformed[c]))
-    return out
+    return [sorted(given + out[0], key=lambda c: DIRECTIONS.index(c[0]))] if given else out
 
 
 def _direction_seed(base: int, direction: str, member: int = -1) -> int:
@@ -516,11 +521,11 @@ def nonlocal_entropy(e: Ensemble, mode: Mode = Mode()) -> QuantifierReport:
     member; the directional value is the probability-weighted sum. Values and
     contributions are clipped into ``[0, log2 min(d_A, d_B)]``, the
     entanglement of any pure state. Raises ``NotProductEnsemble`` when any
-    member has Schmidt rank above one. On two qubits at depth 1 ensemble-lu
-    takes the form ``nle.qubits`` states.
+    member has Schmidt rank above one. At depth 1 ensemble-lu takes the
+    qubit forms ``nle.qubits`` states, on 2x2 and in a direction of 2xd or
+    dx2 that rotates only the qubit.
     """
-    if not isinstance(mode, Mode):
-        raise BadParams(f"mode must be a Mode, not {mode!r}")
+    _check_arguments(e, mode)
     if mode.name == "assign":
         raise BadParams("assign mode applies to the average-state gap only")
     if mode.name == "fixed":
@@ -539,6 +544,13 @@ def nonlocal_entropy(e: Ensemble, mode: Mode = Mode()) -> QuantifierReport:
     # pure members, so both parties start from the average member entanglement
     s_in = float(probs @ e.entanglement)
     return _report("delta", e, mode, best, (s_in, s_in), math.log2(min(e.dims)))
+
+
+def _check_arguments(e, mode) -> None:
+    if not isinstance(e, Ensemble):
+        raise BadParams(f"expected an Ensemble, not {type(e).__name__}")
+    if not isinstance(mode, Mode):
+        raise BadParams(f"mode must be a Mode, not {mode!r}")
 
 
 def _per_state_direction(e: Ensemble, probs, mode, direction) -> _Best:
@@ -754,8 +766,7 @@ def average_entropy_gap(e: Ensemble, mode: Mode = Mode()) -> QuantifierReport:
     and one result serves both directions. Values are clipped into ``[0,
     max(S_A, S_B)]`` of the mixture.
     """
-    if not isinstance(mode, Mode):
-        raise BadParams(f"mode must be a Mode, not {mode!r}")
+    _check_arguments(e, mode)
     if mode.name == "per-state-lu":
         raise BadParams("the average-state gap needs a single global transform per direction")
     if mode.name == "fixed":

@@ -1,12 +1,15 @@
-"""Two-qubit facts: Bloch geometry, the depth-1 lu forms, concurrence and CHSH.
+"""Qubit facts: Bloch geometry, the depth-1 lu forms, concurrence and CHSH.
 
-The two-qubit scope of ``nle.quantify``, stated once here. On 2x2 at depth 1
-ensemble-lu runs no ascent, so ``restarts`` and ``seed`` have no effect, for
-big-delta (a closed form for every ``rotate``, ``_qubit_transforms``) and for
-delta (a closed form or a search of one Bloch axis on the sphere,
-``_qubit_delta_transforms``), except delta with both sides rotated and neither
-party's parts on a great circle. That case and every other shape and depth run
-the U(d) ascent: a qutrit marginal's entropy is no function of one Bloch norm.
+The qubit scope of ``nle.quantify``, stated once here. At depth 1
+ensemble-lu runs no ascent in these cases, so ``restarts`` and ``seed`` have
+no effect there: on 2x2, for big-delta (a closed form for every ``rotate``,
+``_qubit_transforms``) and for delta (a closed form or a search of one Bloch
+axis on the sphere, ``_qubit_delta_transforms``), except delta with both
+sides rotated and neither party's parts on a great circle; on 2xd and dx2,
+for the delta of a direction whose one rotated side is the qubit
+(``rotate="control"`` with a qubit control, "target" with a qubit target).
+Every other case, shape and depth runs the U(d) ascent: a qutrit marginal's
+entropy is no function of one Bloch norm.
 """
 
 from __future__ import annotations
@@ -72,9 +75,12 @@ def _qubit_transforms(e, probs, s_bar, rotate: str) -> list:
     reference, which never vanishes, reaches it. As in ``quantify._maximize``
     the identity is kept unless the optimum is strictly better, and as in
     ``quantify._searched_transforms`` side A wins equals. On 2xd and dx2 with
-    only the qubit side rotated the problem still lives on one sphere, where
-    forms of this kind may hold; none is used yet.
+    only the qubit side rotated the gap problem still lives on one sphere,
+    where forms of this kind may hold; only delta uses one there so far
+    (``_qubit_delta_transforms``).
     """
+    if e.dims != (2, 2):
+        return []
     c_at, k_at, identity_at = _qubit_layout(rotate)
     rho = (e.amplitudes.T * probs) @ e.amplitudes.conj()
     corr = (_PAULI_PAIRS @ rho.ravel()).real
@@ -92,10 +98,10 @@ def _qubit_transforms(e, probs, s_bar, rotate: str) -> list:
     axes = np.array([[p[0], q[0]], [q[1], p[1]]])  # [side, role, direction]: roles u, n
     axes /= np.maximum(np.sqrt((axes**2).sum(-1, keepdims=True)), 1e-300)
     reflections = _reflections(axes, _REF[:, None])
-    chosen = []  # per direction, the control's and the target's unitary
-    for d in (0, 1):
+    chosen = {}  # per candidate, the control's and the target's unitary
+    for d, candidate in enumerate(cnot_family((2, 2))):
         s = (d, 1 - d)[max(drops[1 - d][d]) > max(drops[d][d])]  # the objective's side A wins equals
-        chosen.append(reflections[s, :, d] if drops[s][d][1] > drops[s][d][0] else (np.eye(2),) * 2)
+        chosen[candidate] = reflections[s, :, d] if drops[s][d][1] > drops[s][d][0] else (np.eye(2),) * 2
     return _qubit_circuit(e, rotate, chosen)
 
 
@@ -133,64 +139,96 @@ def _reflections(axes: np.ndarray, ref: np.ndarray) -> np.ndarray:
     return (m @ _PAULI[1:].reshape(3, 4)).reshape(m.shape[:-1] + (2, 2))
 
 
-def _qubit_circuit(e, rotate: str, chosen) -> list:
-    """``(direction, 1, transformed stack)`` of each direction of a two-qubit
-    depth-1 circuit, ``chosen[d]`` holding direction d's control and target
-    unitaries, applied where ``rotate`` turns: a member ``M`` to ``U_A M U_B^T``, A first."""
-    gather, out = cnot_family_gather((2, 2)), []
-    for d, (direction, r) in enumerate(cnot_family((2, 2))):
-        (turn_a, u_a), (turn_b, u_b) = list(zip(_TURNS[rotate], chosen[d]))[:: 1 - 2 * d]  # roles as A, B
-        m = e.amplitudes.reshape(-1, 2, 2)
+def _qubit_circuit(e, rotate: str, chosen: dict) -> list:
+    """``(direction, r, transformed stack)`` of each depth-1 candidate ``(direction,
+    r)`` of ``chosen``, which maps it to its control and target unitaries, each
+    applied where ``rotate`` turns: a member ``M`` to ``U_A M U_B^T``, A first."""
+    family, gather, out = cnot_family(e.dims), cnot_family_gather(e.dims), []
+    for (direction, r), pair in chosen.items():
+        (turn_a, u_a), (turn_b, u_b) = list(zip(_TURNS[rotate], pair))[:: 1 if direction == "right" else -1]
+        m = e.amplitudes.reshape(-1, *e.dims)
         m = u_a @ m if turn_a else m
         m = m @ u_b.T if turn_b else m
-        out.append((direction, r, m.reshape(-1, 4).take(gather[1 + d], -1)))  # C order, as the kernels' bits need
+        # C order, as the kernels' bits need
+        out.append((direction, r, m.reshape(len(m), -1).take(gather[1 + family.index((direction, r))], -1)))
     return out
 
 
-def _qubit_delta_transforms(e, probs, rotate: str):
-    """``(direction, 1, transformed stack)`` of each direction of a two-qubit
-    ensemble-lu delta search at depth 1; None when ``rotate`` is "both" and
-    neither party's parts lie on a great circle, where the ascent runs.
+def _qubit_delta_transforms(e, probs, rotate: str) -> list:
+    """``(direction, r, transformed stack)`` of each depth-1 ensemble-lu delta
+    candidate whose rotated sides are all qubits (the scope in the module
+    docstring); none for "both" when neither party's parts lie on a great
+    circle.
 
     Member k is ``|a>|b>``, with ``a`` the control part and ``b`` the
-    target's (``e.schmidt_pairs``; for "left" the B part controls), of Bloch
-    vectors ``r_c`` and ``r_t``. Write ``U_c^dag Z U_c = u.s`` and ``U_t^dag X
-    U_t = n.s`` (``u = R_c^T e_z``, ``n = R_t^T e_x``; an unrotated side keeps
-    ``e_z`` or ``e_x``). With ``U_c a = (x_0, x_1)`` and ``b' = U_t b`` the
-    output is ``x_0|0>b' + x_1|1>Xb'``, of concurrence ``2|x_0 x_1| sqrt(1 -
-    |<b'|X|b'>|^2)`` (Wootters, PRL 80, 2245 (1998)); ``4|x_0 x_1|^2 = 1 -
-    (u.r_c)^2`` and ``<b'|X|b'> = n.r_t``, so ``C_k^2 = (1 - (u.r_c)^2)(1 -
-    (n.r_t)^2)``. The member's entanglement ``g(C^2) = h((1 + sqrt(1 -
-    C^2)) / 2)`` rises with ``C^2``, and delta is ``sum_k p_k g(C_k^2)``.
+    target's (``e.schmidt_pairs``; for "left" the B part controls). On a
+    qubit write ``U_c^dag Z U_c = u.s`` or ``U_t^dag X U_t = n.s`` (``u = R_c^T
+    e_z``, ``n = R_t^T e_x``; an unrotated qubit keeps ``e_z`` or ``e_x``).
+    With a qubit control, ``U_c a = (x_0, x_1)`` and ``b' = U_t b``, the
+    output ``x_0|0>b' + x_1|1>X^r b'`` has a control marginal of determinant
+    ``|x_0 x_1|^2 (1 - |<b'|X^r|b'>|^2)``, where ``4|x_0 x_1|^2 = 1 -
+    (u.r_c)^2``. With a qubit target (r = 1), the output ``sqrt(w_0)|e>b' +
+    sqrt(w_1)|o>Xb'`` (``w_0``, ``w_1`` the masses of the even and odd control
+    indices, ``|e>``, ``|o>`` orthonormal) has a target marginal of Bloch
+    vector ``(m_x, delta m_y, delta m_z)``, ``m`` that of ``b'``, ``m_x =
+    n.r_t`` and ``delta = w_0 - w_1``. Either output has Schmidt rank at most
+    2, and its squared concurrence, 4 times its qubit marginal's determinant
+    (Wootters, PRL 80, 2245 (1998)), is ``C_k^2 = (1 - (u.x_c)^2)(1 -
+    (n.x_t)^2)`` with the vectors ``x`` of ``_role_vectors``: the Bloch vectors
+    ``r_c``, ``r_t`` of qubit parts, ``delta e_z`` and ``|<b|X^r|b>| e_x`` of a
+    qudit's. The member's entanglement ``g(C^2) = h((1 + sqrt(1 - C^2)) / 2)``
+    rises with ``C^2``, and delta is ``sum_k p_k g(C_k^2)``, each candidate
+    its own problem.
 
     Each factor is at most 1, and it is 1 where the axis is perpendicular
     to ``r``. So when the smallest eigenvalue of ``sum_k r_k r_k^T`` over one
     party's parts is 0 (at most ``TOL.eig_floor``, which costs at most about
     that much in value), its eigenvector, the normal of a great circle
     through every ``r_k``, is that party's best axis whatever the other axis
-    is. With no axis left free every member has its per-state value
-    (``quantify._per_state_closed``); with one, the value is a function on a
-    sphere (``_sphere_search``); both free is the "both" case left to the
-    ascent. The unitaries are reflections, as in ``_qubit_transforms``, and
-    the identity is kept unless the formula's optimum is strictly better.
+    is. With no axis left free every member has its best value at that r
+    (its per-state value, ``quantify._per_state_closed``, unless another r
+    suits it better); with one, the value is a function on a sphere
+    (``_sphere_search``); both free is the "both" case left to the ascent.
+    The unitaries are reflections, as in ``_qubit_transforms``, and the
+    identity is kept unless the formula's optimum is strictly better.
     """
-    parts = _bloch(np.stack(e.schmidt_pairs))  # [party, member, axis]
-    lam, vecs = np.linalg.eigh(parts.swapaxes(-1, -2) @ parts)
-    normals, circle = vecs[..., 0], lam[:, 0] <= TOL.eig_floor
-    if rotate == "both" and not circle.any():
-        return None
     turns = np.array(_TURNS[rotate])
-    party = np.array([[0, 1], [1, 0]])  # [direction, role]: the control, then the target
-    r, free = parts[party], turns & ~circle[party]
-    axes = np.where((turns & circle[party])[..., None], normals[party], _REF)
+    parties = {"right": (0, 1), "left": (1, 0)}  # the control's, then the target's
+    candidates = [(d, shift) for d, shift in cnot_family(e.dims)
+                  if all(e.dims[p] == 2 for p, t in zip(parties[d], turns) if t)]
+    if not candidates:
+        return []
+    pairs = e.schmidt_pairs
+    bloch = [_bloch(part) if part.shape[1] == 2 else None for part in pairs]
+    r = np.array([_role_vectors(pairs, bloch, *parties[d], shift) for d, shift in candidates])
+    lam, vecs = np.linalg.eigh(r.swapaxes(-1, -2) @ r)
+    normals, circle = vecs[..., 0], lam[..., 0] <= TOL.eig_floor
+    if rotate == "both" and not circle.any():
+        return []
+    free = turns & ~circle
+    axes = np.where((turns & circle)[..., None], normals, _REF)
     if free.any():
         other = _axis_factors(r, axes)[:, ::-1][free]
-        axes[free] = _sphere_search(r[free], other, probs, normals[party][free])
+        axes[free] = _sphere_search(r[free], other, probs, normals[free])
     found, identity = (_entanglement_of(np.prod(_axis_factors(r, a), 1)) @ probs
                        for a in (axes, np.broadcast_to(_REF, axes.shape)))
     reflections = _reflections(axes, _REF)
-    return _qubit_circuit(e, rotate, [reflections[d] if found[d] > identity[d] else (np.eye(2),) * 2
-                                      for d in (0, 1)])
+    return _qubit_circuit(e, rotate, {c: reflections[i] if found[i] > identity[i] else (np.eye(2),) * 2
+                                      for i, c in enumerate(candidates)})
+
+
+def _role_vectors(pairs, bloch, control: int, target: int, shift: int) -> list:
+    """The (k, 3) vectors ``x`` of the control party's and the target party's
+    parts under ``CNOT^shift``: a qubit's Bloch vectors ``bloch[party]``, and
+    a qudit's, which never turns, on its own axis: ``delta e_z`` for a
+    control (``delta = sum_i (-1)^i |a_i|^2``) and ``|<b|X^shift|b>| e_x``
+    for a target."""
+    (c, x_c), (t, x_t) = (pairs[control], bloch[control]), (pairs[target], bloch[target])
+    if x_c is None:
+        x_c = (abs(c) ** 2 @ (-1.0) ** np.arange(c.shape[1]))[:, None] * _REF[0]
+    if x_t is None:
+        x_t = abs((t.conj() * np.roll(t, shift, 1)).sum(1))[:, None] * _REF[1]
+    return [x_c, x_t]
 
 
 def _axis_factors(r: np.ndarray, axes: np.ndarray) -> np.ndarray:

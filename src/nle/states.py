@@ -104,6 +104,8 @@ class Ensemble:
 
     def __post_init__(self):
         dims = _dims(self.dims)
+        if isinstance(self.probabilities, (str, bytes)):  # each character would convert
+            raise NotAState("probabilities must be numbers, not text")
         try:
             probs, states = tuple(float(p) for p in self.probabilities), tuple(self.states)
         except (TypeError, ValueError) as err:

@@ -14,8 +14,11 @@ ascent on two qubits; at depth 1 they pin the Bloch-axis delta form (each
 party's parts lie on a great circle), and the three two-qubit entries
 (``bell-triple``, ``orth-pair``, ``ghosh-nonmax``) at depth 1, every
 rotation, the closed gap form: no search runs there, as ``nle.qubits``
-states, so ``--restarts`` and ``--seed`` have no effect on them. Then the
-fixed circuit's outputs (fixed big-delta and
+states, so ``--restarts`` and ``--seed`` have no effect on them. The
+``case-3x2`` delta searches with the control or the target rotated pin, at
+depth 1, the qubit direction's Bloch-axis form beside the qutrit
+direction's ascent, and at ``--depth 2`` the ascent in both directions.
+Then the fixed circuit's outputs (fixed big-delta and
 bounds in both directions on every catalog entry, fixed delta on every
 product entry), where a one-ulp move in the family or mixture path shows;
 and ``show --json`` of every catalog entry's default build, which pins each

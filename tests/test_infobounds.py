@@ -143,6 +143,14 @@ def test_cnot_bounds_rejects_unknown_direction(direction):
         cnot_bounds(catalog.build("nlwe-3x3"), direction)
 
 
+def test_cnot_bounds_rejects_an_argument_that_is_not_an_ensemble():
+    # each used to raise a bare AttributeError on e.probabilities
+    for e in (None, [catalog.build("case-3x2")], bell_state("phi+")):
+        with pytest.raises(BadParams) as err:
+            cnot_bounds(e)
+        assert err.value.code == "bad-params"
+
+
 class TestChsh:
     def test_bell_state_maximal(self):
         assert abs(chsh_max(bell_state("phi+")) - ROOT8) <= 1e-12

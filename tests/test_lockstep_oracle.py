@@ -10,8 +10,10 @@ ascent, to the last bit, each (circuit, side) group the same maximum, and
 gap-B objectives, on 2x2 (the target rotation turns side B in one direction
 and side A in the other, within one batch) and on 3x2 with the control
 rotated (``unitary_dims`` differ per direction: two batches), at restarts 1
-and 2 and depth 1 and 2. Deeper control-rotated per-state-lu puts all
-members into one batch, and must value each member as its own search did.
+and 2 and depth 1 and 2. Where a depth-1 qubit form (``nle.qubits``) takes
+one direction of case-3x2, the direction that rotates the qutrit must keep
+its sequential bits. Deeper control-rotated per-state-lu puts all members
+into one batch, and must value each member as its own search did.
 """
 
 import functools
@@ -20,7 +22,7 @@ import math
 import numpy as np
 import pytest
 
-from nle import catalog, quantify
+from nle import catalog, quantify, qubits
 from nle.config import TOL
 from nle.errors import BadValue
 from nle.linalg import DIRECTIONS, cnot_family, cnot_permutation, expm_hermitian_unchecked
@@ -89,6 +91,27 @@ def test_searched_transforms_equal_the_sequential_ones(quantity, shape, restarts
     got = quantify._searched_transforms(e.amplitudes[None], e.dims, mode, new, [seeds], sides)[0]
     assert [(d, r) for d, r, _ in got] == [(d, r) for d, r, _ in want]
     assert all(_same_bits(a, b) for (_, _, a), (_, _, b) in zip(got, want))
+
+
+@pytest.mark.parametrize("rotate", ["control", "target"])
+def test_the_direction_beside_a_qubit_form_keeps_its_bits(rotate):
+    # on case-3x2 the qubit direction takes its form at depth 1 (nle.qubits)
+    # and leaves the search; the direction that rotates the qutrit must still
+    # walk its sequential path, bit for bit
+    e = catalog.build("case-3x2")
+    probs = np.array(e.probabilities)
+    mode = Mode("ensemble-lu", restarts=2, seed=3, rotate=rotate)
+    (old,), new, _ = _objectives("delta", e)
+    seeds = {d: _direction_seed(mode.seed, d) for d in DIRECTIONS}
+    got = quantify._searched_transforms(e.amplitudes[None], e.dims, mode, new, [seeds], "A",
+                                        lambda: qubits._qubit_delta_transforms(e, probs, rotate))[0]
+    qubit = "left" if rotate == "control" else "right"  # the direction whose rotated side is B's qubit
+    searched = [c for c in got if c[0] != qubit]
+    others = {d: seed for d, seed in seeds.items() if d != qubit}
+    want = _searched_transforms(e.amplitudes, e.dims, mode, (old,), others)
+    assert [(d, r) for d, r, _ in got] == list(cnot_family(e.dims))
+    assert [(d, r) for d, r, _ in searched] == [(d, r) for d, r, _ in want] != []
+    assert all(_same_bits(a, b) for (_, _, a), (_, _, b) in zip(searched, want))
 
 
 @pytest.mark.parametrize("name", ["case-3x2", "e2-case2"])

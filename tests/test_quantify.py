@@ -85,6 +85,14 @@ class TestMode:
                 quantifier(e, mode)
             assert err.value.code == "bad-params"
 
+    @pytest.mark.parametrize("quantifier", [nonlocal_entropy, average_entropy_gap])
+    def test_quantifiers_reject_an_argument_that_is_not_an_ensemble(self, quantifier):
+        # each used to raise a bare AttributeError on the first ensemble field read
+        for e in (None, [catalog.build("case-3x2")], catalog.bell_state("phi+")):
+            with pytest.raises(BadParams) as err:
+                quantifier(e, Mode("fixed"))
+            assert err.value.code == "bad-params"
+
 
 class TestClipValue:
     @pytest.mark.parametrize("value", [math.nan, math.inf, -1e-6])

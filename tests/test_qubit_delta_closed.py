@@ -117,7 +117,7 @@ def test_qubit_circuit_gives_the_lu_circuit_bytes(rotate):
         point = [np.array([dict(zip(("AB", "BA")[d], chosen[d]))[party] for d, party in enumerate(parties)])
                  for parties in zip(*(quantify._rotated_sides(d, rotate) for d in DIRECTIONS))]
         want = circuit.transform(np.arange(2), np.stack([e.amplitudes] * 2), point)
-        got = qubits._qubit_circuit(e, rotate, chosen)
+        got = qubits._qubit_circuit(e, rotate, dict(zip(cnot_family((2, 2)), chosen)))
         assert [(d, r) for d, r, _ in got] == list(cnot_family((2, 2)))
         for (_, _, t), w in zip(got, want):
             assert t.flags.c_contiguous and t.tobytes() == w.tobytes()
@@ -128,7 +128,7 @@ def _spy(monkeypatch) -> list:
     original = qubits._qubit_circuit
 
     def spied(e, rotate, chosen):
-        used.append([tuple(np.array(u) for u in pair) for pair in chosen])
+        used.append([tuple(np.array(u) for u in pair) for pair in chosen.values()])
         return original(e, rotate, chosen)
 
     monkeypatch.setattr(qubits, "_qubit_circuit", spied)

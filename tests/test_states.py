@@ -369,6 +369,8 @@ MALFORMED = [
     ("member-not-a-state", lambda: Ensemble((2, 2), (1.0,), (np.array([1, 0, 0, 0]),)), "not-a-state"),
     ("no-probabilities", lambda: Ensemble((2, 2), None, (bell_state("phi+"),)), "not-a-state"),
     ("no-states", lambda: Ensemble((2, 2), (1.0,), None), "not-a-state"),
+    ("text-probabilities", lambda: Ensemble((2, 2), "1", (bell_state("phi+"),)), "not-a-state"),
+    ("bytes-probabilities", lambda: Ensemble((2, 2), b"\x01", (bell_state("phi+"),)), "not-a-state"),
     ("text-amplitudes", lambda: PureState((2, 2), "abcd"), "not-a-state"),
     ("list-entry-name", lambda: catalog.build(["x"]), "no-such-entry"),
 ]
@@ -376,7 +378,8 @@ MALFORMED = [
 
 @pytest.mark.parametrize("build,code", [m[1:] for m in MALFORMED], ids=[m[0] for m in MALFORMED])
 def test_malformed_library_inputs_raise_a_documented_error(build, code):
-    # each used to raise a bare AttributeError, TypeError or ValueError
+    # each used to raise a bare AttributeError, TypeError or ValueError, or
+    # (text probabilities) to build, one member per character
     with pytest.raises(NleError) as err:
         build()
     assert err.value.code == code
