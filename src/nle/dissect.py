@@ -31,7 +31,8 @@ from functools import cached_property
 import numpy as np
 
 from .config import TOL
-from .errors import DimensionMismatch, GramNotIdentity, NotProductEnsemble, TrivialSet
+from .errors import GramNotIdentity, NotProductEnsemble, TrivialSet
+from .linalg import PARTIES, party_index
 from .states import Ensemble
 
 
@@ -66,7 +67,7 @@ class ProductSet:
 
     def parts(self, side: str) -> np.ndarray:
         """Read-only ``(k, d_side)`` local parts of the members on ``side``."""
-        return self.ensemble.schmidt_pairs[_side(side)]
+        return self.ensemble.schmidt_pairs[party_index(side)]
 
     @cached_property
     def _neighbours(self) -> tuple[tuple[int, ...], ...]:
@@ -76,12 +77,6 @@ class ProductSet:
                   for v in self.ensemble.schmidt_pairs)
         return tuple(tuple(int.from_bytes(row.tobytes(), "little")
                            for row in np.packbits(g, axis=1, bitorder="little")) for g in graphs)
-
-
-def _side(side: str) -> int:
-    if side not in ("A", "B"):
-        raise DimensionMismatch(f"unknown party {side!r}")
-    return ("A", "B").index(side)
 
 
 def as_product_set(e: Ensemble) -> ProductSet:
@@ -102,7 +97,7 @@ def _components(pset: ProductSet, side: str, mask: int) -> list[int]:
     """Connected components of the side's graph on the members in ``mask``,
     one mask each, in the order of their least members; each grows from its
     least member by a frontier of members whose neighbours are not yet read."""
-    neighbours = pset._neighbours[_side(side)]
+    neighbours = pset._neighbours[party_index(side)]
     left, blocks = mask, []
     while left:
         block = frontier = left & -left  # the least member not yet placed
@@ -164,7 +159,7 @@ class DissectionNode:
         if self.leaf_kind == "singleton":
             return f"{label} leaf: singleton"
         if self.is_leaf:
-            sides = ",".join(s for s in ("A", "B") if self.irreducible_from.get(s))
+            sides = ",".join(s for s in PARTIES if self.irreducible_from.get(s))
             return f"{label} leaf: irreducible (from {sides or 'start party'}){mass}"
         lines = [f"{label} split by {self.party}{mass}"]
         lines += [child.render(pset, prefix + "  ") for child in self.children]
@@ -179,14 +174,14 @@ def _leaf(pset, block: int, found: dict | None = None) -> DissectionNode:
         return DissectionNode(idx, leaf_kind="singleton")
     found = found or {}
     flags = {side: len(found[side] if side in found else _components(pset, side, block)) < 2
-             for side in ("A", "B")}
+             for side in PARTIES}
     return DissectionNode(idx, leaf_kind="irreducible", irreducible_from=flags)
 
 
 def _finishes(pset, party: str, block: int) -> bool:
     """True when ``party`` splits ``block`` into singletons: no edge of its
     graph joins two members of the block."""
-    neighbours = pset._neighbours[_side(party)]
+    neighbours = pset._neighbours[party_index(party)]
     return all(neighbours[i] & block == 1 << i for i in _members(block))
 
 
@@ -194,7 +189,7 @@ def _free_dissect(pset, block: int) -> DissectionNode:
     if block & (block - 1) == 0:
         return _leaf(pset, block)
     found = {}
-    for party in ("A", "B"):
+    for party in PARTIES:
         blocks = found[party] = _components(pset, party, block)
         if len(blocks) >= 2:
             children = tuple(_free_dissect(pset, b) for b in blocks)
@@ -209,12 +204,10 @@ def dissect(pset: ProductSet, first: str | None = None) -> DissectionNode:
         return _leaf(pset, everyone)
     if first is None:
         return _free_dissect(pset, everyone)
-    if first not in ("A", "B"):
-        raise DimensionMismatch(f"unknown party {first!r}")
+    finisher = PARTIES[1 - party_index(first)]
     blocks = _components(pset, first, everyone)
     if len(blocks) < 2:
         return _leaf(pset, everyone, {first: blocks})
-    finisher = "B" if first == "A" else "A"
     # the finisher splits a block only into singletons, or leaves it a leaf
     children = tuple(
         DissectionNode(_members(b), party=finisher,
@@ -231,7 +224,7 @@ def _free_finishes(pset, splits) -> bool:
     is taken; each of its blocks is a singleton or finishes alike."""
     blocks = next((s for s in splits if len(s) >= 2), None)
     return blocks is not None and all(
-        b & (b - 1) == 0 or _free_finishes(pset, (_components(pset, p, b) for p in ("A", "B")))
+        b & (b - 1) == 0 or _free_finishes(pset, (_components(pset, p, b) for p in PARTIES))
         for b in blocks)
 
 
@@ -247,14 +240,14 @@ def classify(pset: ProductSet) -> str:
     if len(pset) < 2:
         return "dissectible-either-side"
     everyone = (1 << len(pset)) - 1
-    opening = {p: _components(pset, p, everyone) for p in ("A", "B")}
+    opening = {p: _components(pset, p, everyone) for p in PARTIES}
     full = {p: len(opening[p]) >= 2 and all(_finishes(pset, finisher, b) for b in opening[p])
             for p, finisher in (("A", "B"), ("B", "A"))}
     if full["A"] and full["B"]:
         return "dissectible-either-side"
     if full["A"] or full["B"]:
         return f"dissectible-one-side({'A' if full['A'] else 'B'})"
-    if _free_finishes(pset, (opening[p] for p in ("A", "B"))):
+    if _free_finishes(pset, (opening[p] for p in PARTIES)):
         return "dissectible-multiround"
     return "non-dissectible"
 

@@ -18,7 +18,7 @@ import numpy as np
 
 from .config import TOL
 from .errors import DimensionMismatch, NotUnitary
-from .linalg import Party, cnot_permutation, is_unitary, repetitions_at_least, tensor
+from .linalg import Party, cnot_permutation, is_unitary, party_index, repetitions_at_least, tensor
 from .states import PureState
 
 
@@ -33,15 +33,10 @@ def cnot(dims: tuple[int, int], control: Party, repetitions: int = 1) -> np.ndar
 
 def embed_local(u: np.ndarray, dims: tuple[int, int], side: Party) -> np.ndarray:
     """Lift a local unitary to the full space, acting trivially on the other party."""
-    u = np.asarray(u, dtype=complex)
-    d = dims[0] if side == "A" else dims[1]
-    if u.shape != (d, d):
-        raise DimensionMismatch(f"expected {d}x{d} operator on side {side}")
-    if side == "A":
-        return tensor(u, np.eye(dims[1]))
-    if side == "B":
-        return tensor(np.eye(dims[0]), u)
-    raise DimensionMismatch(f"unknown party {side!r}")
+    u, p = np.asarray(u, dtype=complex), party_index(side)
+    if u.shape != (dims[p], dims[p]):
+        raise DimensionMismatch(f"expected {dims[p]}x{dims[p]} operator on side {side}")
+    return tensor(u, np.eye(dims[1])) if p == 0 else tensor(np.eye(dims[0]), u)
 
 
 @lru_cache(maxsize=None)

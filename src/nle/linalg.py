@@ -7,7 +7,6 @@ attention is paid to sparsity or scaling.
 
 from __future__ import annotations
 
-import numbers
 from functools import lru_cache
 
 import numpy as np
@@ -16,7 +15,21 @@ from .config import TOL
 from .errors import BadParams, DimensionMismatch, NotHermitian
 
 Party = str  # "A" or "B"
+PARTIES = ("A", "B")
 DIRECTIONS = ("right", "left")  # of a controlled shift: "right", A controls; "left", B does
+ROLES = {"right": (0, 1), "left": (1, 0)}  # per direction, the control's and the target's party index
+
+
+def party_index(party: Party) -> int:
+    """0 for "A", 1 for "B"; ``DimensionMismatch`` for any other party."""
+    if party not in PARTIES:
+        raise DimensionMismatch(f"unknown party {party!r}")
+    return PARTIES.index(party)
+
+
+def is_integer(value) -> bool:
+    """True for Python and numpy integers; booleans, floats and the rest are not."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
 def dagger(m: np.ndarray) -> np.ndarray:
@@ -50,11 +63,7 @@ def partial_trace(m: np.ndarray, dims: tuple[int, int], keep: Party) -> np.ndarr
     if m.shape[-2:] != (d_a * d_b, d_a * d_b):
         raise DimensionMismatch(f"expected square matrices of size {d_a * d_b}, got {m.shape}")
     t = m.reshape(m.shape[:-2] + (d_a, d_b, d_a, d_b))
-    if keep == "A":
-        return np.einsum("...ijkj->...ik", t)
-    if keep == "B":
-        return np.einsum("...ijik->...jk", t)
-    raise DimensionMismatch(f"unknown party {keep!r}")
+    return np.einsum(("...ijkj->...ik", "...ijik->...jk")[party_index(keep)], t)
 
 
 def eigh(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -109,13 +118,12 @@ def cnot_permutation(dims: tuple[int, int], control: Party, repetitions: int = 1
     shared by later calls. ``repetitions`` must be an integer >= 0 (booleans
     are not).
     """
-    return _cnot_permutation(tuple(dims), control, repetitions_at_least(repetitions, 0))
+    return _cnot_permutation(tuple(dims), party_index(control), repetitions_at_least(repetitions, 0))
 
 
 def repetitions_at_least(value, least: int) -> int:
-    """``value`` as an int; ``BadParams`` unless an integer (not a boolean) >= ``least``."""
-    # a plain int skips the ABC check, which costs more than the cached lookup
-    if type(value) is not int and (isinstance(value, bool) or not isinstance(value, numbers.Integral)):
+    """``value`` as an int; ``BadParams`` unless an integer (``is_integer``) >= ``least``."""
+    if not is_integer(value):
         raise BadParams(f"repetitions must be an integer, not {value!r}")
     if value < least:
         raise BadParams(f"repetitions must be >= {least}")
@@ -123,15 +131,14 @@ def repetitions_at_least(value, least: int) -> int:
 
 
 @lru_cache(maxsize=256)
-def _cnot_permutation(dims: tuple[int, int], control: Party, repetitions: int) -> np.ndarray:
+def _cnot_permutation(dims: tuple[int, int], control: int, repetitions: int) -> np.ndarray:
+    """``cnot_permutation`` with the control's party index (``PARTIES``)."""
     d_a, d_b = dims
     i, j = np.divmod(np.arange(d_a * d_b), d_b)
-    if control == "A":
+    if control == 0:
         perm = i * d_b + (j + repetitions * i) % d_b
-    elif control == "B":
-        perm = (i + repetitions * j) % d_a * d_b + j
     else:
-        raise DimensionMismatch(f"unknown party {control!r}")
+        perm = (i + repetitions * j) % d_a * d_b + j
     perm.flags.writeable = False
     return perm
 
@@ -151,7 +158,7 @@ def cnot_family_gather(dims: tuple[int, int]) -> np.ndarray:
     ``amplitudes[..., row]`` is the stack after that candidate."""
     rows = [np.arange(dims[0] * dims[1])]
     for direction, r in cnot_family(dims):
-        rows.append(np.argsort(_cnot_permutation(dims, "A" if direction == "right" else "B", r)))
+        rows.append(np.argsort(_cnot_permutation(dims, ROLES[direction][0], r)))
     gather = np.array(rows)
     gather.flags.writeable = False
     return gather

@@ -45,11 +45,10 @@ import numpy as np
 
 from .config import _ARMIJO, _ASCENT_ROUNDS, _GAIN_FLOOR, MAX_DEPTH, MAX_RESTARTS, TOL
 from .errors import BadParams, BadValue, GramNotIdentity, NotProductEnsemble, TooLarge
-from .linalg import (DIRECTIONS, cnot_family, cnot_permutation, expm_hermitian_unchecked,
-                     haar_unitary)
+from .linalg import (DIRECTIONS, ROLES, _cnot_permutation, cnot_family, expm_hermitian_unchecked,
+                     haar_unitary, is_integer, party_index)
 from .qubits import _TURNS, _qubit_delta_transforms, _qubit_transforms
-from .states import (LOG2, Ensemble, entanglement_entropies, entropy_bits, is_integer,
-                     mixture_marginal_entropies)
+from .states import LOG2, Ensemble, entanglement_entropies, entropy_bits, mixture_marginal_entropies
 
 MODE_NAMES = ("fixed", "ensemble-lu", "per-state-lu", "assign")
 ROTATE_CHOICES = tuple(_TURNS)
@@ -289,23 +288,14 @@ def _maximize(f, starts: list, groups: int = 1) -> list:
     consecutive problems of ``f`` (as in ``_ascend``), problem i starting from
     ``starts[i]`` (``_starts``): the identity, valued for the run's first
     problem without its gradient, then the ascent of each problem of the run,
-    in order; a later candidate must be strictly better to win. All ascents
-    of all runs are one lockstep batch, and its first call of ``f`` values
-    the identities too.
+    in order; a later candidate must be strictly better to win. The
+    identities take one call of ``f``, and all ascents of all runs are one
+    lockstep batch.
     """
     size = len(starts) // groups
     identity = [np.eye(len(u), dtype=complex) for u in starts[0]]
-    heads, values = np.arange(0, len(starts), size), []
-
-    def first(rows, point):  # the ascents' first call values the identities too
-        if values:
-            return f(rows, point)
-        both, gammas = f(np.concatenate([rows, heads]),
-                         [np.concatenate([x, np.array([u] * groups)]) for x, u in zip(point, identity)])
-        values.extend(both[len(rows):])
-        return both[: len(rows)], lambda pos: gammas(np.arange(len(rows))[pos])
-
-    found = _ascend(first, starts)
+    values = f(np.arange(0, len(starts), size), [np.array([u] * groups) for u in identity])[0]
+    found = _ascend(f, starts)
     best = []
     for g, value in enumerate(values):
         top = (value, identity)
@@ -325,9 +315,8 @@ def _gaussian_hermitian(rng: np.random.Generator, d: int) -> np.ndarray:
 # layered (local unitary, controlled shift) circuits
 
 
-def _rotated_sides(direction: str, rotate: str) -> tuple[str, ...]:  # A first
-    roles = ("A", "B") if direction == "right" else ("B", "A")  # the control, the target
-    return tuple(sorted(p for p, turns in zip(roles, _TURNS[rotate]) if turns))
+def _rotated_sides(direction: str, rotate: str) -> tuple[int, ...]:  # party indices, A first
+    return tuple(sorted(p for p, turns in zip(ROLES[direction], _TURNS[rotate]) if turns))
 
 
 class _LuCircuit:
@@ -349,9 +338,9 @@ class _LuCircuit:
         self.dims, self.depth = dims, depth
         sides = [_rotated_sides(direction, rotate) for direction, _ in shifts]
         self.layer = len(sides[0])
-        self.unitary_dims = [dims["AB".index(p)] for p in sides[0]] * depth  # the same for all
-        self.on_a = np.array([[p == "A" for p in s] * depth for s in sides])
-        self.perm = np.array([cnot_permutation(dims, "A" if d == "right" else "B", r) for d, r in shifts])
+        self.unitary_dims = [dims[p] for p in sides[0]] * depth  # the same for all
+        self.on_a = np.array([[p == 0 for p in s] * depth for s in sides])
+        self.perm = np.array([_cnot_permutation(dims, ROLES[d][0], r) for d, r in shifts])
         self.gather = np.argsort(self.perm, axis=1)  # out = t[..., gather], as out[..., perm] = t
         self._memo = {}
 
@@ -485,7 +474,7 @@ def _searched_transforms(stacks, dims, mode: Mode, objective, seeds: list, sides
     circuits = [(i, d, r) for i, chosen in enumerate(seeds) for d, r in cnot_family(dims) if d in chosen]
     batches, transformed = {}, {}
     for c, (_, d, _) in enumerate(circuits):
-        unitary_dims = tuple(dims["AB".index(p)] for p in _rotated_sides(d, mode.rotate)) * mode.depth
+        unitary_dims = tuple(dims[p] for p in _rotated_sides(d, mode.rotate)) * mode.depth
         batches.setdefault(unitary_dims, []).append(c)
     for unitary_dims, members in batches.items():
         problems = [(side, c) for side in sides for c in members for _ in range(mode.restarts)]
@@ -620,8 +609,7 @@ def _per_state_closed(e: Ensemble, direction: str, rotate: str) -> np.ndarray:
     """
     if rotate == "both":
         return np.full(len(e), math.log2(min(e.dims)))
-    part_a, part_b = e.schmidt_pairs
-    control, target = (part_a, part_b) if direction == "right" else (part_b, part_a)
+    control, target = (e.schmidt_pairs[p] for p in ROLES[direction])
     reps = [r for d, r in cnot_family(e.dims) if d == direction]
     classes = _shift_classes(control.shape[1], target.shape[1], reps)
     if rotate == "target":
@@ -879,8 +867,7 @@ def assign_partition(e: Ensemble, reduction_side: str) -> tuple[tuple[tuple[int,
     Each part lists its indices in ascending order and the parts are ordered
     by their smallest index, the form ``partitions_with_caps`` yields.
     """
-    d_a, d_b = e.dims
-    max_size, max_parts = (d_a, d_b) if reduction_side == "B" else (d_b, d_a)
+    max_size, max_parts = e.dims if party_index(reduction_side) else e.dims[::-1]
     k = len(e)
     if k > max_size * max_parts:
         raise BadParams("ensemble too large for a product relabeling")
@@ -901,7 +888,7 @@ def assign_unitary(e: Ensemble, partition, reduction_side: str) -> np.ndarray:
     d_a, d_b = e.dims
     n = d_a * d_b
     used = [
-        r * d_b + t if reduction_side == "B" else t * d_b + r
+        r * d_b + t if party_index(reduction_side) else t * d_b + r
         for t, part in enumerate(partition)
         for r in range(len(part))
     ]

@@ -14,14 +14,22 @@ import numpy as np
 
 from .config import MAX_DIM_PRODUCT, MAX_MEMBERS, TOL
 from .errors import BadParams, DimensionMismatch, NotAState, TooLarge
-from .linalg import cnot_family_gather, gram, partial_trace
+from .linalg import cnot_family_gather, gram, is_integer, partial_trace
 
 LOG2 = math.log(2.0)
 
 
-def is_integer(value) -> bool:
-    """True for Python and numpy integers; booleans, floats and the rest are not."""
-    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+def _numbers(values, dtype) -> np.ndarray:
+    """``values`` as an array of ``dtype``, no copy where it is one already;
+    ``NotAState`` unless numbers, text included, which numpy would parse."""
+    try:
+        array = np.asarray(values)
+        kind = array.dtype.kind
+        if kind in "US" or kind == "O" and any(isinstance(x, (str, bytes)) for x in array.flat):
+            raise TypeError("text is not a number")
+        return array.astype(dtype, copy=False)
+    except (TypeError, ValueError) as err:
+        raise NotAState(f"expected numbers, not {values!r}") from err
 
 
 def _dims(dims) -> tuple[int, int]:
@@ -47,10 +55,7 @@ class PureState:
     amplitudes: np.ndarray
 
     def __post_init__(self):
-        try:
-            amps = np.asarray(self.amplitudes, dtype=complex).ravel()
-        except (TypeError, ValueError) as err:
-            raise NotAState(f"amplitudes must be numbers, not {self.amplitudes!r}") from err
+        amps = _numbers(self.amplitudes, complex).ravel()
         d_a, d_b = _dims(self.dims)
         if amps.shape[0] != d_a * d_b:
             raise DimensionMismatch(f"amplitude length {amps.shape[0]} != {d_a}*{d_b}")
@@ -104,10 +109,11 @@ class Ensemble:
 
     def __post_init__(self):
         dims = _dims(self.dims)
-        if isinstance(self.probabilities, (str, bytes)):  # each character would convert
-            raise NotAState("probabilities must be numbers, not text")
         try:
-            probs, states = tuple(float(p) for p in self.probabilities), tuple(self.states)
+            probs, states = _numbers(self.probabilities, float), tuple(self.states)
+            if probs.ndim != 1:
+                raise TypeError("probabilities must be one flat sequence")
+            probs = tuple(probs.tolist())
         except (TypeError, ValueError) as err:
             raise NotAState("probabilities must be numbers and states a sequence") from err
         if dims[0] * dims[1] > MAX_DIM_PRODUCT or len(states) > MAX_MEMBERS:

@@ -144,9 +144,12 @@ def test_canonical_mes_empty_indices_are_bad_params():
     lambda: catalog.orth_pair_states([1, 0], {"a": 1}),
     lambda: catalog.build("walgate-hardy", {"a1": [1, 0, 0]}),
     lambda: catalog.build("ghosh-nonmax", {"a": "x"}),
+    lambda: catalog.walgate_hardy_states([0, 0], [1, 0]),
+    lambda: catalog.build("ghosh-nonmax", {"count": 0}),
+    lambda: catalog.build("ghosh-nonmax", {"count": 5}),
 ], ids=["wh-eta1-three", "wh-eta1-one", "orth-pair-eta1-three", "wh-eta1-nan", "wh-eta1-text",
        "wh-eta2-dict", "wh-eta1-ragged", "orth-pair-eta1-text", "orth-pair-eta2-dict",
-       "wh-a1-list", "ghosh-a-text"])
+       "wh-a1-list", "ghosh-a-text", "wh-eta1-zero", "ghosh-count-0", "ghosh-count-5"])
 def test_params_of_the_wrong_shape_or_type_are_bad_params(call):
     # these once raised a bare TypeError from unpacking, comparing or
     # converting the value (text, a dict), a ValueError, or (a NaN eta)

@@ -335,6 +335,16 @@ class TestFileLoading:
         path.write_text("{not json")
         assert main(["delta", "--file", str(path)]) == 3
 
+    def test_rejects_unreadable_path(self, tmp_path, capsys):
+        assert main(["delta", "--file", str(tmp_path / "missing.json")]) == 3
+        assert "error [bad-file]: cannot read" in capsys.readouterr().err
+
+    def test_rejects_amplitudes_that_are_not_a_list(self, tmp_path, capsys):
+        path = tmp_path / "amplitudes.json"
+        path.write_text(json.dumps({"dims": [2, 1], "states": [{"amplitudes": "10"}]}))
+        assert main(["delta", "--file", str(path)]) == 3
+        assert "error [bad-file]: 'amplitudes' of state 0 must be a list" in capsys.readouterr().err
+
     def test_rejects_bad_norm(self, tmp_path):
         doc = {"dims": [2, 1], "states": [{"amplitudes": [[1, 0], [1, 0]]}]}
         path = tmp_path / "unnormalized.json"

@@ -169,6 +169,11 @@ class TestApply:
             apply(np.ones((4, 4)), bell_state("phi+"))
         assert err.value.code == "not-unitary"
 
+    def test_rejects_operator_of_the_wrong_size(self):
+        with pytest.raises(DimensionMismatch) as err:
+            apply(np.eye(2), bell_state("phi+"))
+        assert err.value.code == "bad-dims"
+
     @given(st.integers(0, 2**32 - 1))
     @settings(max_examples=40, deadline=None)
     def test_norm_and_gram_preservation(self, seed):

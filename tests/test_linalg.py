@@ -3,7 +3,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from nle import catalog
+from nle.dissect import as_product_set, dissect, reducible_from
 from nle.errors import DimensionMismatch, NotHermitian
+from nle.gates import embed_local
 from nle.linalg import (
     dagger,
     eigh,
@@ -14,6 +17,7 @@ from nle.linalg import (
     partial_trace,
     tensor,
 )
+from nle.quantify import assign_partition, assign_unitary
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SY = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -96,6 +100,22 @@ def test_partial_trace_mixed_triple_marginal():
 def test_partial_trace_bad_dims():
     with pytest.raises(DimensionMismatch) as err:
         partial_trace(np.eye(3), (2, 2), "A")
+    assert err.value.code == "bad-dims"
+
+
+@pytest.mark.parametrize("call", [
+    lambda: partial_trace(np.eye(4), (2, 2), "C"),
+    lambda: embed_local(np.eye(2), (2, 2), "C"),
+    lambda: reducible_from(as_product_set(catalog.build("tiles-upb")), "C"),
+    lambda: dissect(as_product_set(catalog.build("tiles-upb")), first="C"),
+    lambda: assign_partition(catalog.build("bell-full"), "C"),
+    lambda: assign_unitary(catalog.build("bell-full"), ((0, 1), (2, 3)), "C"),
+], ids=["partial_trace", "embed_local", "reducible_from", "dissect-first", "assign_partition",
+       "assign_unitary"])
+def test_unknown_party_is_bad_dims(call):
+    # each reads the party through the one check, ``party_index``
+    with pytest.raises(DimensionMismatch, match="unknown party") as err:
+        call()
     assert err.value.code == "bad-dims"
 
 

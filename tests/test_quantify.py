@@ -44,6 +44,11 @@ class TestMode:
         with pytest.raises(BadParams):
             Mode(depth=0)
 
+    def test_rejects_unknown_rotate_choice(self):
+        with pytest.raises(BadParams) as err:
+            Mode(rotate="sideways")
+        assert err.value.code == "bad-params"
+
     @pytest.mark.parametrize("field,value", [
         ("depth", 2.5), ("depth", "2"), ("depth", True), ("restarts", 2.0),
         ("restarts", False), ("seed", 1.5), ("seed", True),
@@ -308,6 +313,18 @@ class TestAssignMachinery:
         for gaps in (r.side_gaps_right, r.side_gaps_left):
             assert all(g <= s for g, s in zip(gaps, e.mixture_entropies))
         assert r.side_gaps_right == e.mixture_entropies
+
+    def test_partition_rejects_more_members_than_product_outputs(self):
+        # at most max_size * max_parts = d_A * d_B members fit a product relabeling
+        e = Ensemble.uniform((2, 2), [catalog.bell_state("phi+")] * 5)
+        for side in "AB":
+            with pytest.raises(BadParams, match="too large"):
+                assign_partition(e, side)
+
+    def test_assign_unitary_requires_orthogonality(self):
+        e = Ensemble.uniform((2, 2), [catalog.bell_state("phi+")] * 2)
+        with pytest.raises(GramNotIdentity):
+            assign_unitary(e, ((0, 1),), "B")
 
     def test_assign_unitary_realizes_relabeling(self):
         e = catalog.build("more-nl-mes")

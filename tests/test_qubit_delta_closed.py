@@ -30,7 +30,7 @@ import pytest
 
 from nle import catalog, quantify, qubits
 from nle.errors import BadValue
-from nle.linalg import cnot_family, haar_unitary
+from nle.linalg import ROLES, cnot_family, haar_unitary
 from nle.quantify import (DIRECTIONS, ROTATE_CHOICES, Mode, _delta_search, _direction_seed,
                           nonlocal_entropy)
 from nle.qubits import _sphere_terms
@@ -114,7 +114,8 @@ def test_qubit_circuit_gives_the_lu_circuit_bytes(rotate):
     for _ in range(50):
         e = _random_set(int(rng.integers(1000)))
         chosen = [(haar_unitary(2, rng), haar_unitary(2, rng)) for _ in DIRECTIONS]
-        point = [np.array([dict(zip(("AB", "BA")[d], chosen[d]))[party] for d, party in enumerate(parties)])
+        by_party = [dict(zip(ROLES[d], pair)) for d, pair in zip(DIRECTIONS, chosen)]
+        point = [np.array([by_party[d][party] for d, party in enumerate(parties)])
                  for parties in zip(*(quantify._rotated_sides(d, rotate) for d in DIRECTIONS))]
         want = circuit.transform(np.arange(2), np.stack([e.amplitudes] * 2), point)
         got = qubits._qubit_circuit(e, rotate, dict(zip(cnot_family((2, 2)), chosen)))

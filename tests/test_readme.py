@@ -4,7 +4,7 @@ The ``python`` block of the Library section is executed. Each ``nle``
 command of the Quick start block runs through ``nle.cli.main`` and must exit
 0; the comment lines under it either give ``name = value`` pairs, each
 matched within 1e-6 by the same name in the output, or (with no pair) a
-line the output must contain.
+line the output must contain. The Errors table lists every error code.
 """
 
 import re
@@ -13,7 +13,8 @@ from pathlib import Path
 
 import pytest
 
-from nle.cli import main
+from nle import errors
+from nle.cli import EXIT_DOMAIN, EXIT_PARSE, main
 
 README = (Path(__file__).parents[1] / "README.md").read_text()
 PAIR = re.compile(r"(\w+) = (-?\d+\.\d+)")
@@ -50,3 +51,12 @@ def test_quick_start_command(capsys, argv, expected):
             assert comment in out
         for name, value in pairs:
             assert abs(float(printed[name]) - float(value)) <= 1e-6, (name, printed[name], value)
+
+
+def test_error_table_lists_every_code_with_its_exit():
+    body = README.split("\n### Errors\n", 1)[1].split("\n#", 1)[0]
+    listed = dict(re.findall(r"^\| `([a-z-]+)` \| (\d) \|", body, re.M))
+    classes = [c for c in vars(errors).values() if isinstance(c, type) and issubclass(c, errors.NleError)]
+    assert sorted(listed) == sorted(c.code for c in classes)
+    for c in classes:
+        assert int(listed[c.code]) == (EXIT_PARSE if c is errors.FileFormatError else EXIT_DOMAIN), c.code

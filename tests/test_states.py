@@ -107,6 +107,10 @@ class TestVnEntropy:
         with pytest.raises(NotAState):
             vn_entropy(np.full((2, 2), np.nan))
 
+    def test_rejects_trace_off_one(self):
+        with pytest.raises(NotAState, match="trace"):
+            vn_entropy(np.eye(2))
+
     @given(st.integers(0, 2**32 - 1))
     @settings(max_examples=40, deadline=None)
     def test_concavity(self, seed):
@@ -372,6 +376,12 @@ MALFORMED = [
     ("text-probabilities", lambda: Ensemble((2, 2), "1", (bell_state("phi+"),)), "not-a-state"),
     ("bytes-probabilities", lambda: Ensemble((2, 2), b"\x01", (bell_state("phi+"),)), "not-a-state"),
     ("text-amplitudes", lambda: PureState((2, 2), "abcd"), "not-a-state"),
+    ("text-amplitude-elements", lambda: PureState((2, 2), ["1", "0", "0", "0"]), "not-a-state"),
+    ("text-probability-element", lambda: Ensemble((2, 2), ("1",), (bell_state("phi+"),)), "not-a-state"),
+    ("text-probability-array", lambda: Ensemble((2, 2), np.array(["1"]), (bell_state("phi+"),)),
+     "not-a-state"),
+    ("fewer-probabilities", lambda: Ensemble((2, 2), (1.0,), (bell_state("phi+"),) * 2), "bad-dims"),
+    ("parts-off-dims", lambda: product_state((2, 2), [1, 0, 0], [1, 0]), "bad-dims"),
     ("list-entry-name", lambda: catalog.build(["x"]), "no-such-entry"),
 ]
 
@@ -379,7 +389,8 @@ MALFORMED = [
 @pytest.mark.parametrize("build,code", [m[1:] for m in MALFORMED], ids=[m[0] for m in MALFORMED])
 def test_malformed_library_inputs_raise_a_documented_error(build, code):
     # each used to raise a bare AttributeError, TypeError or ValueError, or
-    # (text probabilities) to build, one member per character
+    # (text probabilities) to build, one member per character, or (text
+    # elements) to build, each element parsed as a number
     with pytest.raises(NleError) as err:
         build()
     assert err.value.code == code
