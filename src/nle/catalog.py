@@ -16,7 +16,8 @@ import numpy as np
 
 from .config import MAX_DIM_PRODUCT, TOL
 from .errors import BadParams, NoSuchEntry, TooLarge
-from .states import Ensemble, PureState, is_integer, product_state
+from .linalg import is_integer
+from .states import Ensemble, PureState, product_state
 
 OMEGA3 = np.exp(2j * np.pi / 3)
 

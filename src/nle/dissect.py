@@ -241,12 +241,12 @@ def classify(pset: ProductSet) -> str:
         return "dissectible-either-side"
     everyone = (1 << len(pset)) - 1
     opening = {p: _components(pset, p, everyone) for p in PARTIES}
-    full = {p: len(opening[p]) >= 2 and all(_finishes(pset, finisher, b) for b in opening[p])
-            for p, finisher in (("A", "B"), ("B", "A"))}
-    if full["A"] and full["B"]:
+    full = [p for i, p in enumerate(PARTIES) if len(opening[p]) >= 2
+            and all(_finishes(pset, PARTIES[1 - i], b) for b in opening[p])]
+    if len(full) == 2:
         return "dissectible-either-side"
-    if full["A"] or full["B"]:
-        return f"dissectible-one-side({'A' if full['A'] else 'B'})"
+    if full:
+        return f"dissectible-one-side({full[0]})"
     if _free_finishes(pset, (opening[p] for p in PARTIES)):
         return "dissectible-multiround"
     return "non-dissectible"

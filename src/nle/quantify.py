@@ -45,7 +45,7 @@ import numpy as np
 
 from .config import _ARMIJO, _ASCENT_ROUNDS, _GAIN_FLOOR, MAX_DEPTH, MAX_RESTARTS, TOL
 from .errors import BadParams, BadValue, GramNotIdentity, NotProductEnsemble, TooLarge
-from .linalg import (DIRECTIONS, ROLES, _cnot_permutation, cnot_family, expm_hermitian_unchecked,
+from .linalg import (DIRECTIONS, PARTIES, ROLES, cnot_family, cnot_permutation, expm_hermitian_unchecked,
                      haar_unitary, is_integer, party_index)
 from .qubits import _TURNS, _qubit_delta_transforms, _qubit_transforms
 from .states import LOG2, Ensemble, entanglement_entropies, entropy_bits, mixture_marginal_entropies
@@ -340,7 +340,7 @@ class _LuCircuit:
         self.layer = len(sides[0])
         self.unitary_dims = [dims[p] for p in sides[0]] * depth  # the same for all
         self.on_a = np.array([[p == 0 for p in s] * depth for s in sides])
-        self.perm = np.array([_cnot_permutation(dims, ROLES[d][0], r) for d, r in shifts])
+        self.perm = np.array([cnot_permutation(dims, PARTIES[ROLES[d][0]], r) for d, r in shifts])
         self.gather = np.argsort(self.perm, axis=1)  # out = t[..., gather], as out[..., perm] = t
         self._memo = {}
 
@@ -451,7 +451,8 @@ def _by_side(on_a, side_a, side_b, *stacks) -> np.ndarray:
     return np.where(on_a.reshape((-1,) + (1,) * (a.ndim - 1)), a, b)
 
 
-def _searched_transforms(stacks, dims, mode: Mode, objective, seeds: list, sides="A", closed=None) -> list:
+def _searched_transforms(stacks, dims, mode: Mode, objective, seeds: list, sides=PARTIES[:1],
+                         closed=None) -> list:
     """For each search i, the (k, d_A*d_B) stack ``stacks[i]`` with ``seeds[i]``
     (direction -> search seed): ``(direction, r, transformed stack)`` for each
     candidate of ``cnot_family(dims)`` whose direction is in ``seeds[i]``, in
@@ -482,7 +483,7 @@ def _searched_transforms(stacks, dims, mode: Mode, objective, seeds: list, sides
         problem_stacks = stacks[[circuits[c][0] for _, c in problems]]
         starts = {c: _starts(unitary_dims, mode.restarts, seeds[circuits[c][0]][circuits[c][1]])
                   for c in members}
-        found = _maximize(batch.on(problem_stacks, objective, [side == "A" for side, _ in problems]),
+        found = _maximize(batch.on(problem_stacks, objective, [side == PARTIES[0] for side, _ in problems]),
                           [s for _ in sides for c in members for s in starts[c]], len(sides) * len(members))
         winners = [max(found[c :: len(members)], key=lambda candidate: candidate[0])[1]  # first of equals
                    for c in range(len(members))]
@@ -558,7 +559,7 @@ def _delta_search(stacks, probs, dims, mode, seeds: list, closed=None) -> list:
     """For each search i of ``_searched_transforms`` (``closed`` as there): direction ->
     ``_Best`` of each direction in ``seeds[i]``, as ``_pick_delta`` selects, one kernel call for all."""
     objective = functools.partial(_delta_objective, probs=probs, dims=dims)
-    searches = _searched_transforms(stacks, dims, mode, objective, seeds, "A", closed)
+    searches = _searched_transforms(stacks, dims, mode, objective, seeds, PARTIES[:1], closed)
     ents = iter(entanglement_entropies(np.stack([t for found in searches for _, _, t in found]), dims))
     return [_pick_delta([(d, r) for d, r, _ in found], ents, probs) for found in searches]
 
@@ -763,7 +764,7 @@ def average_entropy_gap(e: Ensemble, mode: Mode = Mode()) -> QuantifierReport:
     if mode.name == "assign":
         if not e.is_orthogonal():
             raise GramNotIdentity("assign mode needs an orthogonal ensemble")
-        h = tuple(assign_partition(e, side)[1] for side in "AB")
+        h = tuple(assign_partition(e, side)[1] for side in PARTIES)
         gaps = (s_bar[0] - h[0], s_bar[1] - h[1])
         best = dict.fromkeys(DIRECTIONS, _Best(max(gaps), np.zeros(len(e)), None, gaps, h))
     else:
@@ -775,7 +776,7 @@ def _work(s_in, s_fin, dims):
     """(W_in, W_fin) per party: deficit of the (A, B) local entropies from
     log2(d), clipped into ``[0, log2 d]`` (an entropy can round past either end)."""
     out = {}
-    for party, d, a, b in zip("AB", dims, s_in, s_fin):
+    for party, d, a, b in zip(PARTIES, dims, s_in, s_fin):
         top = math.log2(d)
         out[party] = (min(max(0.0, top - float(a)), top), min(max(0.0, top - float(b)), top))
     return out
@@ -805,7 +806,7 @@ def _gap_search(e, mode) -> dict:
     else:
         objective = functools.partial(_gap_objective, probs=probs, dims=dims, s_bar=s_bar)
         seeds = {d: _direction_seed(mode.seed, d) for d in DIRECTIONS}
-        candidates = _searched_transforms(e.amplitudes[None], dims, mode, objective, [seeds], "AB",
+        candidates = _searched_transforms(e.amplitudes[None], dims, mode, objective, [seeds], PARTIES,
                                           lambda: _qubit_transforms(e, probs, s_bar, mode.rotate))[0]
         transformed = np.stack([t for _, _, t in candidates])
         s_a, s_b = mixture_marginal_entropies(transformed, probs, dims)

@@ -21,7 +21,7 @@ import numpy as np
 
 from .config import _ARMIJO, _ASCENT_ROUNDS, _GAIN_FLOOR, TOL
 from .errors import BadValue, UnsupportedDims
-from .linalg import DIRECTIONS, ROLES, cnot_family, cnot_family_gather
+from .linalg import ROLES, cnot_family, cnot_family_gather
 from .states import LOG2, entropy_bits
 
 _TURNS = {"both": (True, True), "target": (False, True), "control": (True, False)}  # turns (control, target)
@@ -113,8 +113,8 @@ def _qubit_layout(rotate: str):
     vector at the identity, ``(K_xx, K_yx, c_z)`` on the control side and
     ``(K_yz, K_zz, c_x)`` on the target's."""
     a, b = 4 * np.arange(1, 4), np.arange(1, 4)
-    t = a[:, None] + b  # side s of direction d is party ROLES[d][s]: a and T on A, b and T^T on B
-    c, k = (np.array([[x[ROLES[d][s]] for d in DIRECTIONS] for s in (0, 1)]) for x in ((a, b), (t, t.T)))
+    t = a[:, None] + b
+    c, k = np.array([[a, b], [b, a]]), np.array([[t, t.T], [t.T, t]])
     identity = np.stack([np.stack([k[0, :, 0, 0], k[0, :, 1, 0], c[0, :, 2]], -1),
                          np.stack([k[1, :, 1, 2], k[1, :, 2, 2], c[1, :, 0]], -1)])
     turns = np.array(_TURNS[rotate])[:, None, None, None]  # per side, whether its own axis turns
@@ -145,8 +145,7 @@ def _qubit_circuit(e, rotate: str, chosen: dict) -> list:
     applied where ``rotate`` turns: a member ``M`` to ``U_A M U_B^T``, A first."""
     family, gather, out = cnot_family(e.dims), cnot_family_gather(e.dims), []
     for (direction, r), pair in chosen.items():
-        by_party = dict(zip(ROLES[direction], zip(_TURNS[rotate], pair)))  # index -> (turns, unitary)
-        (turn_a, u_a), (turn_b, u_b) = by_party[0], by_party[1]
+        (turn_a, u_a), (turn_b, u_b) = list(zip(_TURNS[rotate], pair))[:: -1 if ROLES[direction][0] else 1]
         m = e.amplitudes.reshape(-1, *e.dims)
         m = u_a @ m if turn_a else m
         m = m @ u_b.T if turn_b else m

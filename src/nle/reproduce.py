@@ -32,6 +32,7 @@ from . import catalog
 from .dissect import as_product_set, classify, dissect, reducible_from
 from .gates import apply_cnot
 from .infobounds import holevo_chi, local_holevo
+from .linalg import PARTIES
 from .qubits import chsh_max
 from .quantify import Mode, QuantifierReport, average_entropy_gap, nonlocal_entropy
 from .states import Ensemble, entanglement_entropy
@@ -104,7 +105,7 @@ def _chsh_e2() -> tuple[bool, int]:
     """Whether each shift output of E2 has CHSH maximum 2*sqrt(2) if entangled
     and 2 if not, and how many outputs are entangled."""
     consistent, entangled = True, 0
-    for control in ("A", "B"):
+    for control in PARTIES:
         for s in catalog.build("e2-case2").states:
             out = apply_cnot(s, control, 1)
             value = chsh_max(out)

@@ -21,13 +21,15 @@ LOG2 = math.log(2.0)
 
 def _numbers(values, dtype) -> np.ndarray:
     """``values`` as an array of ``dtype``, no copy where it is one already;
-    ``NotAState`` unless numbers, text included, which numpy would parse."""
+    ``NotAState`` unless numbers that ``dtype`` holds: text, which numpy
+    would parse, and complex numbers for a real ``dtype`` are refused."""
     try:
         array = np.asarray(values)
-        kind = array.dtype.kind
-        if kind in "US" or kind == "O" and any(isinstance(x, (str, bytes)) for x in array.flat):
+        if array.dtype.kind != "O":  # text and complex to real are not same-kind casts
+            return array.astype(dtype, copy=False, casting="same_kind")
+        if any(isinstance(x, (str, bytes)) for x in array.flat):
             raise TypeError("text is not a number")
-        return array.astype(dtype, copy=False)
+        return array.astype(dtype)  # float() of a complex element raises
     except (TypeError, ValueError) as err:
         raise NotAState(f"expected numbers, not {values!r}") from err
 

@@ -380,6 +380,9 @@ MALFORMED = [
     ("text-probability-element", lambda: Ensemble((2, 2), ("1",), (bell_state("phi+"),)), "not-a-state"),
     ("text-probability-array", lambda: Ensemble((2, 2), np.array(["1"]), (bell_state("phi+"),)),
      "not-a-state"),
+    ("complex-probabilities", lambda: Ensemble((2, 2), (1 + 0j,), (bell_state("phi+"),)), "not-a-state"),
+    ("complex-probability-objects",
+     lambda: Ensemble((2, 2), np.array([1 + 0j], dtype=object), (bell_state("phi+"),)), "not-a-state"),
     ("fewer-probabilities", lambda: Ensemble((2, 2), (1.0,), (bell_state("phi+"),) * 2), "bad-dims"),
     ("parts-off-dims", lambda: product_state((2, 2), [1, 0, 0], [1, 0]), "bad-dims"),
     ("list-entry-name", lambda: catalog.build(["x"]), "no-such-entry"),
@@ -390,7 +393,8 @@ MALFORMED = [
 def test_malformed_library_inputs_raise_a_documented_error(build, code):
     # each used to raise a bare AttributeError, TypeError or ValueError, or
     # (text probabilities) to build, one member per character, or (text
-    # elements) to build, each element parsed as a number
+    # elements) to build, each element parsed as a number, or (complex
+    # probabilities) to build with their imaginary parts dropped
     with pytest.raises(NleError) as err:
         build()
     assert err.value.code == code
