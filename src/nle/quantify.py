@@ -13,7 +13,8 @@ names the search that produced it through an explicit ``Mode``:
 * ``ensemble-lu``: layers of (local unitaries, controlled shift) with one
   shared set of unitaries, found by Riemannian gradient ascent on the
   unitary groups (``_ascend``) from the identity and seeded restarts,
-  except where ``nle.qubits`` states a depth-1 form that rotates only qubits.
+  except where ``nle.qubits`` states a depth-1 form that rotates only qubits,
+  and for depth-1 delta where the plain shifts meet the per-state ceiling.
 * ``per-state-lu``: the same circuit family optimized per member, in closed
   form (``_per_state_closed``) except deeper than depth 1 with the control
   rotated, where ensemble-lu runs on each one-member ensemble, all members
@@ -45,8 +46,8 @@ import numpy as np
 
 from .config import _ARMIJO, _ASCENT_ROUNDS, _GAIN_FLOOR, MAX_DEPTH, MAX_RESTARTS, TOL
 from .errors import BadParams, BadValue, GramNotIdentity, NotProductEnsemble, TooLarge
-from .linalg import (DIRECTIONS, PARTIES, ROLES, cnot_family, cnot_permutation, expm_hermitian_unchecked,
-                     haar_unitary, is_integer, party_index)
+from .linalg import (DIRECTIONS, PARTIES, ROLES, cnot_family, cnot_family_gather, cnot_permutation,
+                     expm_hermitian_unchecked, haar_unitary, is_integer, party_index)
 from .qubits import _TURNS, _qubit_delta_transforms, _qubit_transforms
 from .states import LOG2, Ensemble, entanglement_entropies, entropy_bits, mixture_marginal_entropies
 
@@ -65,11 +66,13 @@ class Mode:
     per-state-lu runs only at depth > 1 with ``rotate="control"``, and
     ensemble-lu not where ``nle.qubits`` states a depth-1 qubit form (2x2,
     and delta in a direction of 2xd or dx2 whose only rotated side is the
-    qubit). Fixed mode has no rotations and one layer, so it ignores all but
-    ``name``. ``depth``, ``restarts`` and ``seed`` must be integers (booleans
-    are not), kept as Python ints; ``depth`` and ``restarts`` at most
-    ``MAX_DEPTH`` and ``MAX_RESTARTS`` (``TooLarge`` beyond). The checks hold
-    in every mode, also where the mode ignores the field.
+    qubit) nor in a depth-1 delta direction whose plain shifts meet the
+    per-state ceiling (``_closed_delta_transforms``). Fixed mode has no
+    rotations and one layer, so it ignores all but ``name``. ``depth``,
+    ``restarts`` and ``seed`` must be integers (booleans are not), kept as
+    Python ints; ``depth`` and ``restarts`` at most ``MAX_DEPTH`` and
+    ``MAX_RESTARTS`` (``TooLarge`` beyond). The checks hold in every mode,
+    also where the mode ignores the field.
     """
 
     name: str = "fixed"
@@ -464,8 +467,9 @@ def _searched_transforms(stacks, dims, mode: Mode, objective, seeds: list, sides
     one set of starts. Each (circuit, side, restart) ascent is one problem;
     the problems of every circuit that rotates the same ``unitary_dims`` form
     one lockstep batch. A one-search call at depth 1 takes instead the
-    candidates ``closed()`` gives (a qubit form of ``nle.qubits``) for the
-    directions they cover, and searches only the others.
+    candidates ``closed()`` gives (a qubit form of ``nle.qubits``, or plain
+    shifts at their ceiling) for the directions they cover, and searches
+    only the others.
     """
     given = closed() if closed and mode.depth == 1 else []  # of whole directions
     if len(given) == len(cnot_family(dims)):
@@ -513,7 +517,8 @@ def nonlocal_entropy(e: Ensemble, mode: Mode = Mode()) -> QuantifierReport:
     entanglement of any pure state. Raises ``NotProductEnsemble`` when any
     member has Schmidt rank above one. At depth 1 ensemble-lu takes the
     qubit forms ``nle.qubits`` states, on 2x2 and in a direction of 2xd or
-    dx2 that rotates only the qubit.
+    dx2 that rotates only the qubit, and fixed mode's candidates in a
+    direction where they meet the per-state ceiling, with no ascent.
     """
     _check_arguments(e, mode)
     if mode.name == "assign":
@@ -530,7 +535,7 @@ def nonlocal_entropy(e: Ensemble, mode: Mode = Mode()) -> QuantifierReport:
     else:
         seeds = {d: _direction_seed(mode.seed, d) for d in DIRECTIONS}
         best = _delta_search(e.amplitudes[None], probs, e.dims, mode, [seeds],
-                             lambda: _qubit_delta_transforms(e, probs, mode.rotate))[0]
+                             lambda: _closed_delta_transforms(e, probs, mode.rotate))[0]
     # pure members, so both parties start from the average member entanglement
     s_in = float(probs @ e.entanglement)
     return _report("delta", e, mode, best, (s_in, s_in), math.log2(min(e.dims)))
@@ -553,6 +558,31 @@ def _per_state_direction(e: Ensemble, probs, mode, direction) -> _Best:
         found = _delta_search(e.amplitudes[:, None], np.ones(1), e.dims, mode, seeds)
         contrib = np.array([best[direction].value for best in found])
     return _Best(float(probs @ contrib), contrib, None)
+
+
+def _closed_delta_transforms(e: Ensemble, probs, rotate: str) -> list:
+    """The depth-1 ensemble-lu delta candidates that need no ascent: the qubit
+    forms (``_qubit_delta_transforms``), then, in each direction they leave
+    open, the plain ``CNOT^r`` of every r if the best of them is within
+    ``TOL.capacity_gap`` of the direction's ceiling.
+
+    The ceiling is ``sum_k p_k v_k`` of the members' per-state values: ``v_k``
+    from ``_per_state_closed`` for "target", and ``log2 min(d_A, d_B)`` for
+    "control" and "both" (the control value is an iterated capacity, and the
+    target fold bounds no control rotation). A candidate applies one circuit
+    to every member, and no circuit gives member k more than ``v_k``, so no
+    candidate exceeds the ceiling. The plain shift is a candidate too, the
+    search's identity, so a certified direction is within ``TOL.capacity_gap``
+    of the maximum, and reports as fixed mode does, bit for bit.
+    """
+    given = _qubit_delta_transforms(e, probs, rotate)
+    family, gather, top = cnot_family(e.dims), cnot_family_gather(e.dims), math.log2(min(e.dims))
+    for direction in [d for d in DIRECTIONS if d not in {c[0] for c in given}]:
+        rows = [c for c, (d, _) in enumerate(family) if d == direction]
+        ceiling = float(probs @ _per_state_closed(e, direction, "target")) if rotate == "target" else top
+        if max(float(probs @ e.cnot_entanglement[c]) for c in rows) >= ceiling - TOL.capacity_gap:
+            given += [(direction, family[c][1], e.amplitudes.take(gather[1 + c], -1)) for c in rows]
+    return given
 
 
 def _delta_search(stacks, probs, dims, mode, seeds: list, closed=None) -> list:

@@ -223,7 +223,8 @@ def test_only_the_two_qubit_depth_1_gap_skips_the_ascent(monkeypatch):
         (nonlocal_entropy, catalog.build("e2-case2"),
          Mode("ensemble-lu", depth=2, restarts=1, rotate="target")),
         (nonlocal_entropy, _spread_product_set(), Mode("ensemble-lu", restarts=1, rotate="both")),
-        (nonlocal_entropy, case, Mode("ensemble-lu", restarts=1, rotate="target")),
+        # a qutrit target whose plain shifts fall short of the per-state ceiling
+        (nonlocal_entropy, catalog.build("tiles-upb"), Mode("ensemble-lu", restarts=1, rotate="target")),
         (nonlocal_entropy, case, Mode("ensemble-lu", restarts=1, rotate="control")),
     )
     for quantifier, e, mode in still_searched:
