@@ -15,9 +15,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import MAX_DIM_PRODUCT, TOL
-from .errors import BadParams, NoSuchEntry, TooLarge
+from .errors import BadParams, NoSuchEntry, NotAState, TooLarge
 from .linalg import is_integer
-from .states import Ensemble, PureState, product_state
+from .states import Ensemble, PureState, _numbers, product_state
 
 OMEGA3 = np.exp(2j * np.pi / 3)
 
@@ -57,8 +57,8 @@ def _bell(dims, kind) -> PureState:
 
 def _eta_pair(eta) -> tuple[np.ndarray, np.ndarray]:
     try:
-        eta = np.asarray(eta, dtype=complex)
-    except (TypeError, ValueError) as err:  # not numbers, or a ragged nesting
+        eta = _numbers(eta, complex)
+    except NotAState as err:  # not numbers (text included), or a ragged nesting
         raise BadParams(f"eta must be two finite components, not {eta!r}") from err
     if eta.shape != (2,) or not np.isfinite(eta).all():
         raise BadParams(f"eta must be two finite components, not {eta.tolist()}")

@@ -21,8 +21,8 @@ class Tolerances:
     product_rank: float = 1e-10     # 1 - (largest squared Schmidt coeff) for product flag
     eig_floor: float = 1e-12        # eigenvalues below this contribute 0 to entropy
     value: float = 1e-9             # quantifier non-negativity clip
-    capacity_gap: float = 1e-12     # gap (bits) from a proven upper bound that certifies a value:
-                                    # a shift capacity, a delta's plain shifts at its ceiling
+    capacity_gap: float = 1e-12     # gap (bits) from a proven upper bound that certifies a value
+                                    # (quantify._shift_capacities, quantify._ceiling_certified)
     gradient: float = 1e-9          # Riemannian gradient norm that ends an lu ascent
     input_norm: float = 1e-8        # caller-supplied normalizations (file norms and
                                     # probability sums, catalog a^2 + b^2, vn_entropy trace)

@@ -13,8 +13,7 @@ names the search that produced it through an explicit ``Mode``:
 * ``ensemble-lu``: layers of (local unitaries, controlled shift) with one
   shared set of unitaries, found by Riemannian gradient ascent on the
   unitary groups (``_ascend``) from the identity and seeded restarts,
-  except where ``nle.qubits`` states a depth-1 form that rotates only qubits,
-  and for depth-1 delta where the plain shifts meet the per-state ceiling.
+  except in the depth-1 cases of ``nle.qubits`` and ``_ceiling_certified``.
 * ``per-state-lu``: the same circuit family optimized per member, in closed
   form (``_per_state_closed``) except deeper than depth 1 with the control
   rotated, where ensemble-lu runs on each one-member ensemble, all members
@@ -46,8 +45,8 @@ import numpy as np
 
 from .config import _ARMIJO, _ASCENT_ROUNDS, _GAIN_FLOOR, MAX_DEPTH, MAX_RESTARTS, TOL
 from .errors import BadParams, BadValue, GramNotIdentity, NotProductEnsemble, TooLarge
-from .linalg import (DIRECTIONS, PARTIES, ROLES, cnot_family, cnot_family_gather, cnot_permutation,
-                     expm_hermitian_unchecked, haar_unitary, is_integer, party_index)
+from .linalg import (DIRECTIONS, PARTIES, ROLES, cnot_family, cnot_permutation, expm_hermitian_unchecked,
+                     haar_unitary, is_integer, party_index)
 from .qubits import _TURNS, _qubit_delta_transforms, _qubit_transforms
 from .states import LOG2, Ensemble, entanglement_entropies, entropy_bits, mixture_marginal_entropies
 
@@ -64,15 +63,13 @@ class Mode:
     ``restarts`` and ``seed`` drive the gradient ascents (restart 0 starts
     next to the identity, later ones at seeded random unitaries), which
     per-state-lu runs only at depth > 1 with ``rotate="control"``, and
-    ensemble-lu not where ``nle.qubits`` states a depth-1 qubit form (2x2,
-    and delta in a direction of 2xd or dx2 whose only rotated side is the
-    qubit) nor in a depth-1 delta direction whose plain shifts meet the
-    per-state ceiling (``_closed_delta_transforms``). Fixed mode has no
-    rotations and one layer, so it ignores all but ``name``. ``depth``,
-    ``restarts`` and ``seed`` must be integers (booleans are not), kept as
-    Python ints; ``depth`` and ``restarts`` at most ``MAX_DEPTH`` and
-    ``MAX_RESTARTS`` (``TooLarge`` beyond). The checks hold in every mode,
-    also where the mode ignores the field.
+    ensemble-lu not in the depth-1 cases of ``nle.qubits`` and
+    ``_ceiling_certified``. Fixed mode has no rotations and one layer, so it
+    ignores all but ``name``. ``depth``, ``restarts`` and ``seed`` must be
+    integers (booleans are not), kept as Python ints; ``depth`` and
+    ``restarts`` at most ``MAX_DEPTH`` and ``MAX_RESTARTS`` (``TooLarge``
+    beyond). The checks hold in every mode, also where the mode ignores the
+    field.
     """
 
     name: str = "fixed"
@@ -454,8 +451,7 @@ def _by_side(on_a, side_a, side_b, *stacks) -> np.ndarray:
     return np.where(on_a.reshape((-1,) + (1,) * (a.ndim - 1)), a, b)
 
 
-def _searched_transforms(stacks, dims, mode: Mode, objective, seeds: list, sides=PARTIES[:1],
-                         closed=None) -> list:
+def _searched_transforms(stacks, dims, mode: Mode, objective, seeds: list, sides=PARTIES[:1]) -> list:
     """For each search i, the (k, d_A*d_B) stack ``stacks[i]`` with ``seeds[i]``
     (direction -> search seed): ``(direction, r, transformed stack)`` for each
     candidate of ``cnot_family(dims)`` whose direction is in ``seeds[i]``, in
@@ -466,16 +462,8 @@ def _searched_transforms(stacks, dims, mode: Mode, objective, seeds: list, sides
     (the first of equals), each side ascended on its own from the circuit's
     one set of starts. Each (circuit, side, restart) ascent is one problem;
     the problems of every circuit that rotates the same ``unitary_dims`` form
-    one lockstep batch. A one-search call at depth 1 takes instead the
-    candidates ``closed()`` gives (a qubit form of ``nle.qubits``, or plain
-    shifts at their ceiling) for the directions they cover, and searches
-    only the others.
+    one lockstep batch.
     """
-    given = closed() if closed and mode.depth == 1 else []  # of whole directions
-    if len(given) == len(cnot_family(dims)):
-        return [given]
-    if given:
-        seeds = [{d: s for d, s in seeds[0].items() if d not in {c[0] for c in given}}]
     circuits = [(i, d, r) for i, chosen in enumerate(seeds) for d, r in cnot_family(dims) if d in chosen]
     batches, transformed = {}, {}
     for c, (_, d, _) in enumerate(circuits):
@@ -497,7 +485,7 @@ def _searched_transforms(stacks, dims, mode: Mode, objective, seeds: list, sides
     out = [[] for _ in seeds]
     for c, (i, d, r) in enumerate(circuits):
         out[i].append((d, r, transformed[c]))
-    return [sorted(given + out[0], key=lambda c: DIRECTIONS.index(c[0]))] if given else out
+    return out
 
 
 def _direction_seed(base: int, direction: str, member: int = -1) -> int:
@@ -515,10 +503,9 @@ def nonlocal_entropy(e: Ensemble, mode: Mode = Mode()) -> QuantifierReport:
     member; the directional value is the probability-weighted sum. Values and
     contributions are clipped into ``[0, log2 min(d_A, d_B)]``, the
     entanglement of any pure state. Raises ``NotProductEnsemble`` when any
-    member has Schmidt rank above one. At depth 1 ensemble-lu takes the
-    qubit forms ``nle.qubits`` states, on 2x2 and in a direction of 2xd or
-    dx2 that rotates only the qubit, and fixed mode's candidates in a
-    direction where they meet the per-state ceiling, with no ascent.
+    member has Schmidt rank above one. Ensemble-lu runs no ascent in the
+    depth-1 cases of ``nle.qubits`` and ``_ceiling_certified``, and values the
+    qubit forms' and the searched stacks with one kernel call.
     """
     _check_arguments(e, mode)
     if mode.name == "assign":
@@ -533,9 +520,15 @@ def nonlocal_entropy(e: Ensemble, mode: Mode = Mode()) -> QuantifierReport:
     elif mode.name == "fixed":
         best = _pick_delta(cnot_family(e.dims), e.cnot_entanglement, probs)
     else:
-        seeds = {d: _direction_seed(mode.seed, d) for d in DIRECTIONS}
-        best = _delta_search(e.amplitudes[None], probs, e.dims, mode, [seeds],
-                             lambda: _closed_delta_transforms(e, probs, mode.rotate))[0]
+        found = _qubit_delta_transforms(e, probs, mode.rotate) if mode.depth == 1 else []
+        rest = [d for d in DIRECTIONS if d not in {c[0] for c in found}]
+        best = _ceiling_certified(e, probs, mode, rest)
+        seeds = {d: _direction_seed(mode.seed, d) for d in rest if d not in best}
+        objective = functools.partial(_delta_objective, probs=probs, dims=e.dims)
+        found += _searched_transforms(e.amplitudes[None], e.dims, mode, objective, [seeds])[0]
+        if found:  # none where every direction is certified
+            ents = entanglement_entropies(np.stack([t for _, _, t in found]), e.dims)
+            best.update(_pick_delta([(d, r) for d, r, _ in found], ents, probs))
     # pure members, so both parties start from the average member entanglement
     s_in = float(probs @ e.entanglement)
     return _report("delta", e, mode, best, (s_in, s_in), math.log2(min(e.dims)))
@@ -560,36 +553,34 @@ def _per_state_direction(e: Ensemble, probs, mode, direction) -> _Best:
     return _Best(float(probs @ contrib), contrib, None)
 
 
-def _closed_delta_transforms(e: Ensemble, probs, rotate: str) -> list:
-    """The depth-1 ensemble-lu delta candidates that need no ascent: the qubit
-    forms (``_qubit_delta_transforms``), then, in each direction they leave
-    open, the plain ``CNOT^r`` of every r if the best of them is within
-    ``TOL.capacity_gap`` of the direction's ceiling.
+def _ceiling_certified(e: Ensemble, probs, mode: Mode, directions: list) -> dict:
+    """Direction -> fixed mode's ``_Best`` of each of ``directions`` that
+    ensemble-lu delta takes with no ascent, at depth 1 with ``rotate="target"``:
+    those whose best plain ``CNOT^r`` is within ``TOL.capacity_gap`` of the
+    ceiling ``sum_k p_k v_k``, ``v_k`` member k's per-state value
+    (``_per_state_closed``).
 
-    The ceiling is ``sum_k p_k v_k`` of the members' per-state values: ``v_k``
-    from ``_per_state_closed`` for "target", and ``log2 min(d_A, d_B)`` for
-    "control" and "both" (the control value is an iterated capacity, and the
-    target fold bounds no control rotation). A candidate applies one circuit
-    to every member, and no circuit gives member k more than ``v_k``, so no
-    candidate exceeds the ceiling. The plain shift is a candidate too, the
-    search's identity, so a certified direction is within ``TOL.capacity_gap``
-    of the maximum, and reports as fixed mode does, bit for bit.
+    A candidate applies one circuit to every member, and no circuit gives
+    member k more than ``v_k``, so no candidate exceeds the ceiling. The plain
+    shift is a candidate too, the search's identity, so a certified direction
+    is within ``TOL.capacity_gap`` of the maximum, and its ``_Best`` is fixed
+    mode's. Only the target rotation is certified: the target fold bounds no
+    control rotation, and the plain shifts of no catalog set meet the
+    ceiling of "control" and "both", ``log2 min(d_A, d_B)``. Every direction
+    that neither this nor a qubit form of ``nle.qubits`` takes ascends.
     """
-    given = _qubit_delta_transforms(e, probs, rotate)
-    family, gather, top = cnot_family(e.dims), cnot_family_gather(e.dims), math.log2(min(e.dims))
-    for direction in [d for d in DIRECTIONS if d not in {c[0] for c in given}]:
-        rows = [c for c, (d, _) in enumerate(family) if d == direction]
-        ceiling = float(probs @ _per_state_closed(e, direction, "target")) if rotate == "target" else top
-        if max(float(probs @ e.cnot_entanglement[c]) for c in rows) >= ceiling - TOL.capacity_gap:
-            given += [(direction, family[c][1], e.amplitudes.take(gather[1 + c], -1)) for c in rows]
-    return given
+    if mode.depth > 1 or mode.rotate != "target" or not directions:
+        return {}
+    fixed = _pick_delta(cnot_family(e.dims), e.cnot_entanglement, probs)
+    return {d: fixed[d] for d in directions
+            if fixed[d].value >= probs @ _per_state_closed(e, d, "target") - TOL.capacity_gap}
 
 
-def _delta_search(stacks, probs, dims, mode, seeds: list, closed=None) -> list:
-    """For each search i of ``_searched_transforms`` (``closed`` as there): direction ->
-    ``_Best`` of each direction in ``seeds[i]``, as ``_pick_delta`` selects, one kernel call for all."""
+def _delta_search(stacks, probs, dims, mode, seeds: list) -> list:
+    """For each search i of ``_searched_transforms``: direction -> ``_Best`` of
+    each direction in ``seeds[i]``, as ``_pick_delta`` selects, one kernel call for all."""
     objective = functools.partial(_delta_objective, probs=probs, dims=dims)
-    searches = _searched_transforms(stacks, dims, mode, objective, seeds, PARTIES[:1], closed)
+    searches = _searched_transforms(stacks, dims, mode, objective, seeds)
     ents = iter(entanglement_entropies(np.stack([t for found in searches for _, _, t in found]), dims))
     return [_pick_delta([(d, r) for d, r, _ in found], ents, probs) for found in searches]
 
@@ -834,10 +825,12 @@ def _gap_search(e, mode) -> dict:
         labels, ents = cnot_family(dims), e.cnot_entanglement
         s_fins = map(tuple, e.cnot_mixture_entropies.tolist())
     else:
-        objective = functools.partial(_gap_objective, probs=probs, dims=dims, s_bar=s_bar)
-        seeds = {d: _direction_seed(mode.seed, d) for d in DIRECTIONS}
-        candidates = _searched_transforms(e.amplitudes[None], dims, mode, objective, [seeds], PARTIES,
-                                          lambda: _qubit_transforms(e, probs, s_bar, mode.rotate))[0]
+        if dims == (2, 2) and mode.depth == 1:  # a closed form, nle.qubits
+            candidates = _qubit_transforms(e, probs, s_bar, mode.rotate)
+        else:
+            objective = functools.partial(_gap_objective, probs=probs, dims=dims, s_bar=s_bar)
+            seeds = {d: _direction_seed(mode.seed, d) for d in DIRECTIONS}
+            candidates = _searched_transforms(e.amplitudes[None], dims, mode, objective, [seeds], PARTIES)[0]
         transformed = np.stack([t for _, _, t in candidates])
         s_a, s_b = mixture_marginal_entropies(transformed, probs, dims)
         labels, ents = [(d, r) for d, r, _ in candidates], entanglement_entropies(transformed, dims)

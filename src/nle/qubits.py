@@ -8,8 +8,9 @@ axis on the sphere, ``_qubit_delta_transforms``), except delta with both
 sides rotated and neither party's parts on a great circle; on 2xd and dx2,
 for the delta of a direction whose one rotated side is the qubit
 (``rotate="control"`` with a qubit control, "target" with a qubit target).
-Every other case, shape and depth runs the U(d) ascent: a qutrit marginal's
-entropy is no function of one Bloch norm.
+Every other case, shape and depth has no qubit form (a qutrit marginal's
+entropy is no function of one Bloch norm), and ascends unless
+``quantify._ceiling_certified`` takes it.
 """
 
 from __future__ import annotations
@@ -79,8 +80,6 @@ def _qubit_transforms(e, probs, s_bar, rotate: str) -> list:
     where forms of this kind may hold; only delta uses one there so far
     (``_qubit_delta_transforms``).
     """
-    if e.dims != (2, 2):
-        return []
     c_at, k_at, identity_at = _qubit_layout(rotate)
     rho = (e.amplitudes.T * probs) @ e.amplitudes.conj()
     corr = (_PAULI_PAIRS @ rho.ravel()).real

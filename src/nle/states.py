@@ -76,13 +76,15 @@ class PureState:
 
 
 def product_state(dims: tuple[int, int], part_a: np.ndarray, part_b: np.ndarray) -> PureState:
-    a = np.asarray(part_a, dtype=complex).ravel()
-    b = np.asarray(part_b, dtype=complex).ravel()
+    """``a (x) b`` of the local parts, each normalized; ``NotAState`` for a part
+    that is not numbers, or is zero or not finite."""
+    a, b = (_numbers(part, complex).ravel() for part in (part_a, part_b))
     if a.shape[0] != dims[0] or b.shape[0] != dims[1]:
         raise DimensionMismatch("local parts do not match dims")
-    a = a / np.linalg.norm(a)
-    b = b / np.linalg.norm(b)
-    return PureState(dims, np.kron(a, b))
+    norms = [float(np.linalg.norm(part)) for part in (a, b)]
+    if not all(0.0 < n < math.inf for n in norms):  # a NaN fails too
+        raise NotAState(f"local parts of norms {norms}: each must be nonzero and finite")
+    return PureState(dims, np.kron(a / norms[0], b / norms[1]))
 
 
 @dataclass(frozen=True, eq=False)

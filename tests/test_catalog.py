@@ -147,13 +147,16 @@ def test_canonical_mes_empty_indices_are_bad_params():
     lambda: catalog.walgate_hardy_states([0, 0], [1, 0]),
     lambda: catalog.build("ghosh-nonmax", {"count": 0}),
     lambda: catalog.build("ghosh-nonmax", {"count": 5}),
+    lambda: catalog.walgate_hardy_states(["1", "0"], [1, 0]),
+    lambda: catalog.orth_pair_states([1, 0], ["1", "0"]),
 ], ids=["wh-eta1-three", "wh-eta1-one", "orth-pair-eta1-three", "wh-eta1-nan", "wh-eta1-text",
        "wh-eta2-dict", "wh-eta1-ragged", "orth-pair-eta1-text", "orth-pair-eta2-dict",
-       "wh-a1-list", "ghosh-a-text", "wh-eta1-zero", "ghosh-count-0", "ghosh-count-5"])
+       "wh-a1-list", "ghosh-a-text", "wh-eta1-zero", "ghosh-count-0", "ghosh-count-5",
+       "wh-eta1-text-elements", "orth-pair-eta2-text-elements"])
 def test_params_of_the_wrong_shape_or_type_are_bad_params(call):
     # these once raised a bare TypeError from unpacking, comparing or
     # converting the value (text, a dict), a ValueError, or (a NaN eta)
-    # divided by a NaN norm
+    # divided by a NaN norm, or (text elements) built, each parsed as a number
     with pytest.raises(BadParams) as err:
         call()
     assert err.value.code == "bad-params"

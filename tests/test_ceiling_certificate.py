@@ -1,11 +1,11 @@
 """Depth-1 ensemble-lu delta skips the ascent where the plain shift meets the ceiling.
 
-``quantify._closed_delta_transforms`` compares, in each direction the qubit
-forms leave open, the best plain ``CNOT^r`` (the search's identity
-candidate) with the probability-weighted per-state ceiling:
-``_per_state_closed`` with the target rotated, ``log2 min(d_A, d_B)``
-otherwise. Where the two meet within ``TOL.capacity_gap`` the direction
-takes the plain shifts and runs no ascent. Checked here:
+``quantify._ceiling_certified`` compares, with the target rotated and in
+each direction the qubit forms leave open, the best plain ``CNOT^r`` (the
+search's identity candidate) with the probability-weighted per-state
+ceiling, ``_per_state_closed`` with the target rotated. Where the two meet
+within ``TOL.capacity_gap`` the direction takes fixed mode's ``_Best`` and
+runs no ascent. Checked here:
 
 * a certified direction reports as fixed mode does, bit for bit: value,
   contributions, repetition count and work;
@@ -14,10 +14,11 @@ takes the plain shifts and runs no ascent. Checked here:
   3x2 and 3x3 sets whose parts are basis vectors on one side per member;
 * scope: ``nlwe-3x3`` with the target rotated runs no ascent, while
   ``tiles-upb`` (target), ``case-3x2`` (control and both) and Haar-random
-  3x3 parts still ascend;
+  3x3 parts still ascend, and with the control or both rotated the fixed
+  family is never valued;
 * the guard: the target fold bounds no control rotation. On ``case-3x2``
   right the fold and the plain shift both give 1/3, yet the control ascent
-  reaches 0.918, so the control ceiling must stay ``log2 min(d_A, d_B)``;
+  reaches 0.918, so no control rotation is certified by the fold;
 * the ceiling itself, beyond the catalog: on 40 seeded random product sets
   with a qutrit side, depth-1 ensemble-lu delta is at most per-state-lu
   delta plus 1e-12, for every rotation.
@@ -87,7 +88,7 @@ def _ascents(monkeypatch) -> list:
 def _forced(monkeypatch, e, mode):
     """The report with the certificate switched off: only the qubit forms skip the ascent."""
     with monkeypatch.context() as m:
-        m.setattr(quantify, "_closed_delta_transforms", quantify._qubit_delta_transforms)
+        m.setattr(quantify, "_ceiling_certified", lambda *args: {})
         return nonlocal_entropy(e, mode)
 
 
@@ -135,6 +136,15 @@ def test_uncertified_directions_still_ascend(monkeypatch, make, rotate):
     e, calls = make(), _ascents(monkeypatch)
     nonlocal_entropy(e, Mode("ensemble-lu", restarts=1, rotate=rotate))
     assert calls
+
+
+def test_no_family_valued_without_the_target_rotated():
+    # no ceiling is tested for these rotations, so nothing reads the fixed family
+    built = catalog.build("case-3x2")
+    for rotate in ROTATIONS[1:]:
+        e = Ensemble(built.dims, built.probabilities, built.states)
+        nonlocal_entropy(e, Mode("ensemble-lu", restarts=1, rotate=rotate))
+        assert "cnot_entanglement" not in e.__dict__, rotate
 
 
 def test_target_fold_does_not_bound_a_control_rotation():

@@ -8,6 +8,10 @@ x``; a name taken from ``nle`` that is not a module is an edge to
 Importing each module alone in a fresh interpreter cannot see a cycle made
 through ``from . import x``: ``nle/__init__.py`` runs first and fixes the
 order in which the cycle resolves.
+
+No module but ``__init__`` (which imports to re-export) imports a name it
+never reads, anywhere in the module: such an import is code that nothing
+needs, and it keeps a dependency alive that the graph above then shows.
 """
 
 import ast
@@ -101,3 +105,22 @@ def test_the_check_sees_each_import_form():
     assert "__init__" in _cycle(_edges(changed))
     deferred = dict(sources, qubits=sources["qubits"] + "\ndef f():\n    from . import quantify\n")
     assert _cycle(_edges(deferred)) == []
+
+
+def _unread_imports(text: str) -> set:
+    """The names an import of ``text`` binds that no expression of it reads;
+    ``from __future__`` imports bind none."""
+    tree = ast.parse(text)
+    bound = {(a.asname or a.name).split(".")[0] for node in ast.walk(tree)
+             if isinstance(node, (ast.Import, ast.ImportFrom)) and getattr(node, "module", "") != "__future__"
+             for a in node.names}
+    return bound - {n.id for n in ast.walk(tree) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+
+
+def test_no_module_imports_a_name_it_never_reads():
+    sources = _package_sources()
+    assert {name: _unread_imports(text) for name, text in sources.items()
+            if name != "__init__" and _unread_imports(text)} == {}
+    # the check sees an unread name, each import form, and a read in any scope
+    assert _unread_imports("import math\nfrom .linalg import cnot_family_gather as g\n") == {"math", "g"}
+    assert _unread_imports("import numpy.linalg\ndef f():\n    return numpy.linalg\n") == set()

@@ -22,7 +22,7 @@ import math
 import numpy as np
 import pytest
 
-from nle import catalog, quantify, qubits
+from nle import catalog, quantify
 from nle.config import TOL
 from nle.errors import BadValue
 from nle.linalg import DIRECTIONS, cnot_family, cnot_permutation, expm_hermitian_unchecked
@@ -94,19 +94,27 @@ def test_searched_transforms_equal_the_sequential_ones(quantity, shape, restarts
 
 
 @pytest.mark.parametrize("rotate", ["control", "target"])
-def test_the_direction_beside_a_qubit_form_keeps_its_bits(rotate):
+def test_the_direction_beside_a_qubit_form_keeps_its_bits(monkeypatch, rotate):
     # on case-3x2 the qubit direction takes its form at depth 1 (nle.qubits)
     # and leaves the search; the direction that rotates the qutrit must still
-    # walk its sequential path, bit for bit
+    # walk its sequential path, bit for bit (the ceiling certificate, which
+    # takes it with the target rotated, switched off)
     e = catalog.build("case-3x2")
-    probs = np.array(e.probabilities)
     mode = Mode("ensemble-lu", restarts=2, seed=3, rotate=rotate)
-    (old,), new, _ = _objectives("delta", e)
-    seeds = {d: _direction_seed(mode.seed, d) for d in DIRECTIONS}
-    got = quantify._searched_transforms(e.amplitudes[None], e.dims, mode, new, [seeds], "A",
-                                        lambda: qubits._qubit_delta_transforms(e, probs, rotate))[0]
+    (old,), _, _ = _objectives("delta", e)
+    made = []  # the candidates of the qubit forms, then those of the search
+
+    def recorded(f):
+        return lambda *args: made.append(f(*args)) or list(made[-1])  # a copy: the caller extends it
+
+    for name in ("_qubit_delta_transforms", "_searched_transforms"):
+        monkeypatch.setattr(quantify, name, recorded(getattr(quantify, name)))
+    monkeypatch.setattr(quantify, "_ceiling_certified", lambda *args: {})
+    quantify.nonlocal_entropy(e, mode)
+    got = sorted(made[0] + made[1][0], key=lambda c: DIRECTIONS.index(c[0]))
     qubit = "left" if rotate == "control" else "right"  # the direction whose rotated side is B's qubit
     searched = [c for c in got if c[0] != qubit]
+    seeds = {d: _direction_seed(mode.seed, d) for d in DIRECTIONS}
     others = {d: seed for d, seed in seeds.items() if d != qubit}
     want = _searched_transforms(e.amplitudes, e.dims, mode, (old,), others)
     assert [(d, r) for d, r, _ in got] == list(cnot_family(e.dims))

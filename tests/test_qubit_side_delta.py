@@ -31,7 +31,7 @@ import pytest
 from nle import quantify, qubits
 from nle.gates import cnot, embed_local
 from nle.linalg import cnot_family, haar_unitary
-from nle.quantify import Mode, _delta_search, _direction_seed, nonlocal_entropy
+from nle.quantify import Mode, _delta_search, _direction_seed, _pick_delta, nonlocal_entropy
 from nle.states import Ensemble, PureState, entanglement_entropies
 
 SHAPES = [(2, 3), (3, 2), (2, 4), (4, 2)]
@@ -109,11 +109,17 @@ def test_the_formula_is_the_circuit_entanglement(dims, rotate):
 
 
 def _one_direction(e: Ensemble, rotate: str, direction: str, restarts: int, seed: int, closed: bool) -> float:
+    """The direction's value from its qubit form, as ``nonlocal_entropy`` takes
+    and values it, or else from the search."""
     probs = np.array(e.probabilities)
-    mode = Mode("ensemble-lu", restarts=restarts, seed=seed, rotate=rotate)
-    form = (lambda: qubits._qubit_delta_transforms(e, probs, rotate)) if closed else None
-    seeds = [{direction: _direction_seed(seed, direction)}]
-    found = _delta_search(e.amplitudes[None], probs, e.dims, mode, seeds, form)[0]
+    if closed:
+        form = [c for c in qubits._qubit_delta_transforms(e, probs, rotate) if c[0] == direction]
+        ents = entanglement_entropies(np.stack([t for _, _, t in form]), e.dims)
+        found = _pick_delta([(d, r) for d, r, _ in form], ents, probs)
+    else:
+        mode = Mode("ensemble-lu", restarts=restarts, seed=seed, rotate=rotate)
+        seeds = [{direction: _direction_seed(seed, direction)}]
+        found = _delta_search(e.amplitudes[None], probs, e.dims, mode, seeds)[0]
     assert list(found) == [direction]
     return found[direction].value
 

@@ -385,16 +385,22 @@ MALFORMED = [
      lambda: Ensemble((2, 2), np.array([1 + 0j], dtype=object), (bell_state("phi+"),)), "not-a-state"),
     ("fewer-probabilities", lambda: Ensemble((2, 2), (1.0,), (bell_state("phi+"),) * 2), "bad-dims"),
     ("parts-off-dims", lambda: product_state((2, 2), [1, 0, 0], [1, 0]), "bad-dims"),
+    ("text-part", lambda: product_state((2, 2), ["1", "0"], [1, 0]), "not-a-state"),
+    ("unparsable-text-part", lambda: product_state((2, 2), [1, 0], ["x", "0"]), "not-a-state"),
+    ("zero-part", lambda: product_state((2, 2), [0, 0], [1, 0]), "not-a-state"),
+    ("none-in-part", lambda: product_state((2, 2), [1, None], [1, 0]), "not-a-state"),
     ("list-entry-name", lambda: catalog.build(["x"]), "no-such-entry"),
 ]
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("build,code", [m[1:] for m in MALFORMED], ids=[m[0] for m in MALFORMED])
 def test_malformed_library_inputs_raise_a_documented_error(build, code):
     # each used to raise a bare AttributeError, TypeError or ValueError, or
     # (text probabilities) to build, one member per character, or (text
     # elements) to build, each element parsed as a number, or (complex
-    # probabilities) to build with their imaginary parts dropped
+    # probabilities) to build with their imaginary parts dropped, or (a zero
+    # or NaN part) to divide by its norm with a RuntimeWarning first
     with pytest.raises(NleError) as err:
         build()
     assert err.value.code == code
